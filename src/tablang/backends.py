@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import world
+from . import formats, world
 from .dsl import PROPERTY, ConceptToken
 from .grounding import (
     ConceptEmbedding,
@@ -99,3 +99,16 @@ class EmbeddingBackend:
             emb[vocab.index(concept.word)] = 1.0
         weights = self.weights if self.weights is not None else ProjectionWeights.identity(dim)
         return ground_embedding(fmap, ConceptEmbedding(emb), weights)
+
+
+def make_backend(name: str, ground_shape: tuple[int, int] | None = None,
+                 weights_path=None):
+    """The backend called name ("oracle" or "embedding"). weights_path is a
+    projection weights file for the embedding backend (identity when None);
+    the oracle backend has no weights."""
+    if name == "oracle":
+        return OracleBackend(ground_shape)
+    if name == "embedding":
+        weights = formats.load_projection_weights(weights_path) if weights_path else None
+        return EmbeddingBackend(ground_shape, weights=weights)
+    raise ValueError(f"unknown backend {name!r}")

@@ -16,6 +16,7 @@ the object that is in fact the left one.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from .grounding import GroundingMap
 
 WORKSPACE_W = 128
 WORKSPACE_H = 64
-PUSH_HALF_WIDTH = 6.0
 
 TASK_NAMES = (
     "packing_shapes",
@@ -291,7 +291,7 @@ def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
         target = min(remaining,
                      key=lambda o: (math.hypot(o.x - zone.x, o.y - zone.y), o.id))
         params = _push_action(target, zone.x, zone.y)
-        current, _ = world.apply_push(current, params, PUSH_HALF_WIDTH)
+        current, _ = world.apply(current, params)
         actions.append(params)
     return actions, current
 
@@ -299,10 +299,7 @@ def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
 def _replay(episode_scene, actions, rotations=12):
     scene = episode_scene
     for params in actions:
-        if params.primitive == PUSH:
-            scene, _ = world.apply_push(scene, params, PUSH_HALF_WIDTH)
-        else:
-            scene, _ = world.apply_pick_place(scene, params, rotations)
+        scene, _ = world.apply(scene, params, rotations)
     return scene
 
 
@@ -311,31 +308,26 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> Episode | None:
     colors = _color_pool(task.split)
     name = task.name
     n_distractors = int(task.param("distractors", 4))
-    next_id = 1
+    ids = itertools.count(1)
     objects: list[world.SceneObject] = []
-
-    def take_id():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
 
     box_r = BOX_SIZE * world.unit_circumradius("box")
     if name == "packing_shapes":
         bx, by = placer.place(box_r)
-        target_box = _box(take_id(), "brown", bx, by)
+        target_box = _box(next(ids), "brown", bx, by)
         boxes = [target_box]
     elif name == "packing_color_box":
         box_colors = _sample_distinct(rng, colors, 2)
         bx, by = placer.place(box_r)
         dxx, dyy = placer.place(box_r)
-        target_box = _box(take_id(), box_colors[0], bx, by)
-        boxes = [target_box, _box(take_id(), box_colors[1], dxx, dyy)]
+        target_box = _box(next(ids), box_colors[0], bx, by)
+        boxes = [target_box, _box(next(ids), box_colors[1], dxx, dyy)]
     elif name == "packing_location_box":
         loc = _choice(rng, LOCATIONS)
         lx, ly = placer.place(box_r, x_range=(0, WORKSPACE_W / 2 - box_r - 2))
         rx, ry = placer.place(box_r, x_range=(WORKSPACE_W / 2 + box_r + 2, WORKSPACE_W))
-        left_box = _box(take_id(), "brown", lx, ly, extra=("left",))
-        right_box = _box(take_id(), "brown", rx, ry, extra=("right",))
+        left_box = _box(next(ids), "brown", lx, ly, extra=("left",))
+        right_box = _box(next(ids), "brown", rx, ry, extra=("right",))
         boxes = [left_box, right_box]
         target_box = left_box if loc == "left" else right_box
     elif name in ("packing_prepositions", "packing_nested_prepositions"):
@@ -350,10 +342,10 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> Episode | None:
         shapes.remove(target_shape_name)
     else:
         shapes = shapes[:n_distractors]
-    target = _spawn_shape(take_id(), target_shape_name, _choice(rng, colors), placer, rng)
+    target = _spawn_shape(next(ids), target_shape_name, _choice(rng, colors), placer, rng)
     objects.append(target)
     for s in shapes:
-        objects.append(_spawn_shape(take_id(), s, _choice(rng, colors), placer, rng))
+        objects.append(_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng))
 
     scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     if name == "packing_shapes":
@@ -393,15 +385,10 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Place
 
     tx, ty = placer.place(box_r, x_range=target_band)
     ox, oy = placer.place(box_r, x_range=other_band)
-    next_id = 1
+    ids = itertools.count(1)
 
-    def take_id():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    target_box = _box(take_id(), "brown", tx, ty)
-    other_box = _box(take_id(), "brown", ox, oy)
+    target_box = _box(next(ids), "brown", tx, ty)
+    other_box = _box(next(ids), "brown", ox, oy)
     objects = [target_box, other_box]
 
     pool = list(_shape_pool("seen"))
@@ -418,16 +405,16 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Place
     ref_bands = [ref1_band, ref2_band] if nested else [ref1_band]
     for band, ref_name in zip(ref_bands, refs):
         rxx, ryy = placer.place(shape_r, x_range=band)
-        obj = world.make_object(take_id(), world.ITEM, ref_name, _choice(rng, colors),
+        obj = world.make_object(next(ids), world.ITEM, ref_name, _choice(rng, colors),
                                 rxx, ryy, angle=float(rng.uniform(0, 2 * math.pi)),
                                 size=SHAPE_SIZE, extra=("shape",))
         ref_objs.append(obj)
         objects.append(obj)
 
-    target = _spawn_shape(take_id(), target_shape_name, _choice(rng, colors), placer, rng)
+    target = _spawn_shape(next(ids), target_shape_name, _choice(rng, colors), placer, rng)
     objects.append(target)
     for s in names:
-        objects.append(_spawn_shape(take_id(), s, _choice(rng, colors), placer, rng))
+        objects.append(_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng))
 
     scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     other_rel = "right" if rel == "left" else "left"
@@ -446,34 +433,29 @@ def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> Episode:
     colors = _color_pool(task.split)
     block_color, bowl_color, distract_color = _sample_distinct(rng, colors, 3)
     n_blocks = int(task.param("blocks", int(rng.integers(2, 4))))
-    next_id = 1
+    ids = itertools.count(1)
     objects = []
-
-    def take_id():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
 
     bowl_r = BOWL_SIZE
     bowls = []
     for _ in range(n_blocks):
         x, y = placer.place(bowl_r)
-        bowls.append(world.make_object(take_id(), world.CONTAINER, "bowl", bowl_color,
+        bowls.append(world.make_object(next(ids), world.CONTAINER, "bowl", bowl_color,
                                        x, y, size=BOWL_SIZE))
     x, y = placer.place(bowl_r)
     objects.extend(bowls)
-    objects.append(world.make_object(take_id(), world.CONTAINER, "bowl", distract_color,
+    objects.append(world.make_object(next(ids), world.CONTAINER, "bowl", distract_color,
                                      x, y, size=BOWL_SIZE))
 
     blocks = []
     for _ in range(n_blocks):
         x, y = placer.place(BLOCK_SIZE * 1.05)
-        blocks.append(world.make_object(take_id(), world.ITEM, "block", block_color,
+        blocks.append(world.make_object(next(ids), world.ITEM, "block", block_color,
                                         x, y, size=BLOCK_SIZE, extra=("blocks",)))
     objects.extend(blocks)
     for _ in range(int(rng.integers(0, 3))):
         x, y = placer.place(BLOCK_SIZE * 1.05)
-        objects.append(world.make_object(take_id(), world.ITEM, "block", distract_color,
+        objects.append(world.make_object(next(ids), world.ITEM, "block", distract_color,
                                          x, y, size=BLOCK_SIZE, extra=("blocks",)))
 
     scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
@@ -506,15 +488,10 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator) -> Episode:
 
     lx, ly = placer.place(zone_r, x_range=(0, 44))
     rx, ry = placer.place(zone_r, x_range=(84, WORKSPACE_W))
-    next_id = 1
+    ids = itertools.count(1)
 
-    def take_id():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    left_zone = _zone(take_id(), left_color, lx, ly, extra=("left",))
-    right_zone = _zone(take_id(), right_color, rx, ry, extra=("right",))
+    left_zone = _zone(next(ids), left_color, lx, ly, extra=("left",))
+    right_zone = _zone(next(ids), right_color, rx, ry, extra=("right",))
     target_zone = left_zone if loc == "left" else right_zone
     if located:
         instruction = f"push the pile of {block_color} blocks into the {loc} square"
@@ -527,7 +504,7 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator) -> Episode:
     for _ in range(n_blocks):
         x, y = placer.place(BLOCK_SIZE, x_range=(cluster_x - 13, cluster_x + 13),
                             y_range=(cluster_y - 11, cluster_y + 11), pad=2.5)
-        blocks.append(world.make_object(take_id(), world.ITEM, "block", block_color,
+        blocks.append(world.make_object(next(ids), world.ITEM, "block", block_color,
                                         x, y, size=BLOCK_SIZE, extra=("blocks",)))
 
     objects = [left_zone, right_zone] + blocks
@@ -546,15 +523,10 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> Episode:
     lx, ly = placer.place(zone_r, x_range=(0, 44))
     rx, ry = placer.place(zone_r, x_range=(84, WORKSPACE_W))
     zone_colors = _sample_distinct(rng, SHARED_COLORS if task.split == "unseen" else colors, 2)
-    next_id = 1
+    ids = itertools.count(1)
 
-    def take_id():
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    left_zone = _zone(take_id(), zone_colors[0], lx, ly, extra=("left",))
-    right_zone = _zone(take_id(), zone_colors[1], rx, ry, extra=("right",))
+    left_zone = _zone(next(ids), zone_colors[0], lx, ly, extra=("left",))
+    right_zone = _zone(next(ids), zone_colors[1], rx, ry, extra=("right",))
     loc = _choice(rng, LOCATIONS)
     target_zone = left_zone if loc == "left" else right_zone
 
@@ -563,7 +535,7 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> Episode:
     combos = {(shape_color, shape_name)}
     objects = [left_zone, right_zone]
     x, y = placer.place(SHAPE_SIZE * 1.4, x_range=(50, 78))
-    target = world.make_object(take_id(), world.ITEM, shape_name, shape_color, x, y,
+    target = world.make_object(next(ids), world.ITEM, shape_name, shape_color, x, y,
                                angle=float(rng.uniform(0, 2 * math.pi)),
                                size=SHAPE_SIZE, extra=("shape",))
     objects.append(target)
@@ -577,7 +549,7 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> Episode:
                 break
         else:
             raise GenerationFailure("no distinct color-shape combo")
-        objects.append(_spawn_shape(take_id(), s, c, placer, rng))
+        objects.append(_spawn_shape(next(ids), s, c, placer, rng))
 
     scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     instruction = (f"push the {shape_color} {shape_name} into the {loc} "
@@ -738,10 +710,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
             ctx = ExecutionContext(scene, backend, grid, cfg)
             result = execute(derivation.program, ctx)
             for params in result.all_params:
-                if params.primitive == PUSH:
-                    scene, _ = world.apply_push(scene, params, PUSH_HALF_WIDTH)
-                else:
-                    scene, _ = world.apply_pick_place(scene, params, rotations)
+                scene, _ = world.apply(scene, params, rotations)
             record["steps"] = step + 1
     except (EmptyGrounding, GroundingError, UnknownRelation) as exc:
         record["failure"] = "grounding"

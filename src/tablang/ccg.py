@@ -33,10 +33,6 @@ class NoParse(Exception):
         super().__init__(f"no derivation for: {' '.join(self.tokens)}")
 
 
-class EmptyCandidates(Exception):
-    pass
-
-
 # --------------------------------------------------------------------------
 # Syntactic categories
 
@@ -271,7 +267,7 @@ _OP_ARITY = {
     "filter": (1, 2),
     "relate": (3, 3),
     "goal": (3, 3),
-    "do": (2, None),
+    "do": (2, 2),
     "objunion": (2, 2),
     "actionconcat": (2, 2),
 }
@@ -341,7 +337,7 @@ class _TemplateParser:
             return out
         if name in _OP_ARITY:
             lo, hi = _OP_ARITY[name]
-            if len(args) < lo or (hi is not None and len(args) > hi):
+            if not lo <= len(args) <= hi:
                 raise self.error(f"{name} arity")
             if name == "filter" and len(args) == 1:
                 args = [OpNode("scene", ()), args[0]]
@@ -411,9 +407,8 @@ def _infer(term: Sem, env: dict[str, object]):
             word_slot(term.args[2])
             return OBJ_T if term.op == "relate" else GOAL_T
         if term.op == "do":
-            for g in term.args[:-1]:
-                want(g, GOAL_T)
-            word_slot(term.args[-1])
+            want(term.args[0], GOAL_T)
+            word_slot(term.args[1])
             return PLAN_T
         if term.op == "objunion":
             want(term.args[0], OBJ_T)
@@ -462,8 +457,7 @@ def sem_to_program(term: Sem) -> dsl.ProgramNode:
         return dsl.Goal(sem_to_program(term.args[0]), sem_to_program(term.args[1]),
                         _word(term.args[2], "goal"))
     if term.op == "do":
-        goals = tuple(sem_to_program(g) for g in term.args[:-1])
-        return dsl.Do(goals, _word(term.args[-1], "do"))
+        return dsl.Do(sem_to_program(term.args[0]), _word(term.args[1], "do"))
     if term.op == "objunion":
         return dsl.ObjUnion(sem_to_program(term.args[0]), sem_to_program(term.args[1]))
     if term.op == "actionconcat":
@@ -620,13 +614,6 @@ def _combinations(left: tuple[Category, Sem], right: tuple[Category, Sem]):
     return results
 
 
-def combine(left: tuple[Category, Sem], right: tuple[Category, Sem]) -> tuple[Category, Sem] | None:
-    """Forward or backward application of adjacent constituents; None when no
-    combinator applies."""
-    results = _combinations(left, right)
-    return results[0] if results else None
-
-
 @dataclass(frozen=True)
 class OovAssignment:
     word: str
@@ -718,23 +705,6 @@ def _candidates_for(word: str, lexicon: Lexicon) -> list[OovAssignment]:
 
 MAX_JOINT_OOV = 2
 MAX_OOV_COMBOS = 64
-
-
-def bootstrap_oov(word: str, tokens, lexicon: Lexicon) -> list[tuple[Category, Sem, float]]:
-    """Candidate (category, template, log prior) assignments for one unknown
-    word, keeping only those under which the whole sentence parses."""
-    if word in lexicon.vocabulary:
-        raise ValueError(f"{word!r} is already in the vocabulary")
-    kept = []
-    for cand in _candidates_for(word, lexicon):
-        lookup = _lexicon_leaves(lexicon, {word: [cand]})
-        roots = _chart_roots(list(tokens), lookup)
-        if any(cat == S for cat, _, _, _ in roots):
-            kept.append((cand.category, instantiate_template(cand.template, word),
-                         cand.log_prior))
-    if not kept:
-        raise EmptyCandidates(word)
-    return kept
 
 
 def _derivations_from_roots(roots) -> list[Derivation]:

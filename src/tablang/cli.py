@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from . import benchmark, ccg, dsl, formats, world
-from .backends import EmbeddingBackend, GroundingError, OracleBackend
+from .backends import GroundingError, make_backend
 from .executor import (
-    PUSH,
     EmptyGrounding,
     ExecutionContext,
     NoFeasiblePlace,
@@ -37,25 +36,35 @@ def _load_lexicon(path: str | None) -> ccg.Lexicon:
     return ccg.Lexicon.from_file(path)
 
 
-def _make_backend(args) -> object:
-    if args.backend == "oracle":
-        return OracleBackend()
-    weights = None
-    if getattr(args, "weights", None):
-        weights = formats.load_projection_weights(args.weights)
-    return EmbeddingBackend(weights=weights)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_parse(args) -> int:
+def _load_session(args):
+    """(lexicon, scene, output dir, backend, pose grid) for run and repl, or
+    None after printing the error. Actions never change a scene's width or
+    height, so one grid serves a whole session."""
     try:
         lexicon = _load_lexicon(args.lexicon)
-    except (OSError, ccg.LexiconError) as exc:
+        scene = world.load_scene(args.scene)
+        world.render(scene)  # validate bounds up front
+        backend = make_backend(args.backend, weights_path=args.weights)
+        grid = PoseGrid(scene.height, scene.width, args.rotations)
+        out = _out_dir(args)
+    except (OSError, ValueError, KeyError, ccg.LexiconError, world.OutOfBounds) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return lexicon, scene, out, backend, grid
+
+
+def cmd_parse(args) -> int:
+    try:
+        if args.top_k < 1:
+            raise ValueError("--top-k must be >= 1")
+        lexicon = _load_lexicon(args.lexicon)
+    except (OSError, ValueError, ccg.LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     tokens = ccg.tokenize(args.instruction, lexicon)
@@ -73,21 +82,11 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _apply_params(scene, params, rotations):
-    if params.primitive == PUSH:
-        return world.apply_push(scene, params, benchmark.PUSH_HALF_WIDTH)
-    return world.apply_pick_place(scene, params, rotations)
-
-
 def cmd_run(args) -> int:
-    try:
-        lexicon = _load_lexicon(args.lexicon)
-        scene = world.load_scene(args.scene)
-        world.render(scene)  # validate bounds up front
-        out = _out_dir(args)
-    except (OSError, ValueError, KeyError, ccg.LexiconError, world.OutOfBounds) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    session = _load_session(args)
+    if session is None:
         return EXIT_IO
+    lexicon, scene, out, backend, grid = session
     tokens = ccg.tokenize(args.instruction, lexicon)
     try:
         derivation = ccg.parse(tokens, lexicon, k=1)[0]
@@ -95,8 +94,7 @@ def cmd_run(args) -> int:
         print(f"no parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
     program = derivation.program
-    grid = PoseGrid(scene.height, scene.width, args.rotations)
-    ctx = ExecutionContext(scene, _make_backend(args), grid, RelationConfig())
+    ctx = ExecutionContext(scene, backend, grid, RelationConfig())
     try:
         result = execute(program, ctx)
     except (EmptyGrounding, UnknownRelation, NoFeasiblePlace, GroundingError) as exc:
@@ -115,7 +113,7 @@ def cmd_run(args) -> int:
     dump_render("before", world.render(scene))
     after = scene
     for params in result.all_params:
-        after, _ = _apply_params(after, params, args.rotations)
+        after, _ = world.apply(after, params, args.rotations)
     dump_render("after", world.render(after))
     world.save_scene(out / "scene_after.json", after)
 
@@ -131,12 +129,13 @@ def cmd_run(args) -> int:
     def pose_dict(p):
         return {"u": p.u, "v": p.v, "r": p.r}
 
+    first = result.all_params[0]
     action = {
         "instruction": args.instruction,
         "program": dsl.serialize(program),
-        "primitive": result.params.primitive,
-        "pick": pose_dict(result.params.pick),
-        "place": pose_dict(result.params.place),
+        "primitive": first.primitive,
+        "pick": pose_dict(first.pick),
+        "place": pose_dict(first.place),
         "actions": [
             {"primitive": p.primitive, "pick": pose_dict(p.pick), "place": pose_dict(p.place)}
             for p in result.all_params
@@ -176,6 +175,8 @@ def cmd_eval(args) -> int:
                 "seed": args.seed,
                 "rotations": args.rotations,
                 "backend": args.backend,
+                "lexicon": args.lexicon,
+                "weights": args.weights,
             }
         tasks = _tasks_from_config(config)
         episodes = int(config.get("episodes", 10))
@@ -183,21 +184,15 @@ def cmd_eval(args) -> int:
             raise ValueError("episodes must be >= 1")
         seed = int(config.get("seed", 0))
         rotations = int(config.get("rotations", 12))
+        if rotations < 1:
+            raise ValueError("rotations must be >= 1")
         lexicon = _load_lexicon(config.get("lexicon"))
         ground_shape = None
         if config.get("grounding"):
             gh, gw = config["grounding"]
             ground_shape = (int(gh), int(gw))
-        backend_name = config.get("backend", "oracle")
-        if backend_name == "oracle":
-            backend = OracleBackend(ground_shape)
-        elif backend_name == "embedding":
-            weights = None
-            if config.get("weights"):
-                weights = formats.load_projection_weights(config["weights"])
-            backend = EmbeddingBackend(ground_shape, weights=weights)
-        else:
-            raise ValueError(f"unknown backend {backend_name!r}")
+        backend = make_backend(config.get("backend", "oracle"), ground_shape,
+                               config.get("weights"))
         out = _out_dir(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, ccg.LexiconError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -219,15 +214,10 @@ def _object_table(scene: world.Scene) -> str:
 
 
 def cmd_repl(args) -> int:
-    try:
-        lexicon = _load_lexicon(args.lexicon)
-        scene = world.load_scene(args.scene)
-        world.render(scene)  # validate bounds up front
-        out = _out_dir(args)
-    except (OSError, ValueError, KeyError, ccg.LexiconError, world.OutOfBounds) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    session = _load_session(args)
+    if session is None:
         return EXIT_IO
-    backend = _make_backend(args)
+    lexicon, scene, out, backend, grid = session
     history = [scene]
     transcript = []
     render_count = 0
@@ -260,14 +250,13 @@ def cmd_repl(args) -> int:
         try:
             tokens = ccg.tokenize(line, lexicon)
             derivation = ccg.parse(tokens, lexicon, k=1)[0]
-            grid = PoseGrid(history[-1].height, history[-1].width, args.rotations)
             ctx = ExecutionContext(history[-1], backend, grid, RelationConfig())
             result = execute(derivation.program, ctx)
             new_scene = history[-1]
             for params in result.all_params:
-                new_scene, _ = _apply_params(new_scene, params, args.rotations)
+                new_scene, _ = world.apply(new_scene, params, args.rotations)
             history.append(new_scene)
-            p = result.params
+            p = result.all_params[0]
             msg = (f"{dsl.serialize(derivation.program)}\n"
                    f"{p.primitive}: pick ({p.pick.u},{p.pick.v}) -> "
                    f"place ({p.place.u},{p.place.v},{p.place.r})\n"
@@ -293,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=("oracle", "embedding"), default="oracle")
         p.add_argument("--weights", default=None, help="projection weights file (embedding backend)")
         p.add_argument("--rotations", type=int, default=12)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output-dir", default="tablang-out")
         if scene:
             p.add_argument("--scene", required=True, help="scene JSON path")
@@ -316,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tasks", default=None, help="comma-separated task names")
     p_eval.add_argument("--split", choices=("seen", "unseen"), default="seen")
     p_eval.add_argument("--episodes", type=int, default=10)
+    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(func=cmd_eval)
 
     p_repl = sub.add_parser("repl", help="interactive instruction session")

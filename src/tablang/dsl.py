@@ -93,14 +93,8 @@ class Goal(ProgramNode):
 
 @dataclass(frozen=True)
 class Do(ProgramNode):
-    goals: tuple[ProgramNode, ...]
+    goal: ProgramNode
     action: ConceptToken
-
-    def __post_init__(self):
-        if not isinstance(self.goals, tuple):
-            object.__setattr__(self, "goals", tuple(self.goals))
-        if len(self.goals) < 1:
-            raise ValueError("do requires at least one goal")
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ def children(node: ProgramNode) -> tuple[ProgramNode, ...]:
         first = node.target if isinstance(node, Relate) else node.obj
         return (first, node.reference)
     if isinstance(node, Do):
-        return node.goals
+        return (node.goal,)
     if isinstance(node, (ObjUnion, ActionConcat)):
         return (node.a, node.b)
     raise TypeError(f"not a ProgramNode: {node!r}")
@@ -148,9 +142,8 @@ def _check(node: ProgramNode, path: str) -> SemanticType:
         _expect_kind(node.rel, RELATION, f"{path}.2")
         return SemanticType.GOAL
     if isinstance(node, Do):
-        for i, g in enumerate(node.goals):
-            _expect(g, SemanticType.GOAL, f"{path}.{i}")
-        _expect_kind(node.action, ACTION, f"{path}.{len(node.goals)}")
+        _expect(node.goal, SemanticType.GOAL, f"{path}.0")
+        _expect_kind(node.action, ACTION, f"{path}.1")
         return SemanticType.PLAN
     if isinstance(node, ObjUnion):
         _expect(node.a, SemanticType.OBJECT, f"{path}.0")
@@ -201,8 +194,7 @@ def serialize(node: ProgramNode) -> str:
     if isinstance(node, Goal):
         return f"goal({serialize(node.obj)}, {serialize(node.reference)}, {node.rel.word})"
     if isinstance(node, Do):
-        parts = [serialize(g) for g in node.goals] + [node.action.word]
-        return f"do({', '.join(parts)})"
+        return f"do({serialize(node.goal)}, {node.action.word})"
     if isinstance(node, ObjUnion):
         return f"objunion({serialize(node.a)}, {serialize(node.b)})"
     if isinstance(node, ActionConcat):
@@ -304,10 +296,9 @@ class _Parser:
                 raise self.error("goal takes 3 arguments")
             return Goal(node_arg(0), node_arg(1), word_arg(2, RELATION))
         if name == "do":
-            if len(args) < 2:
-                raise self.error("do takes at least one goal and an action")
-            goals = tuple(node_arg(i) for i in range(len(args) - 1))
-            return Do(goals, word_arg(len(args) - 1, ACTION))
+            if len(args) != 2:
+                raise self.error("do takes a goal and an action")
+            return Do(node_arg(0), word_arg(1, ACTION))
         if name == "objunion":
             if len(args) != 2:
                 raise self.error("objunion takes 2 arguments")

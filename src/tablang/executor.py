@@ -115,7 +115,6 @@ class ExecutionContext:
 
 @dataclass
 class ExecutionResult:
-    params: ControlParams
     all_params: tuple[ControlParams, ...]
     intermediates: dict[str, GroundingMap]
     pick_map: GroundingMap
@@ -311,12 +310,6 @@ def _correlate(kernel: np.ndarray, offsets: np.ndarray, bbox: tuple[int, int, in
     return out
 
 
-def eval_goal(object_map: GroundingMap, reference_map: GroundingMap,
-              relation: dsl.ConceptToken, ctx: ExecutionContext) -> np.ndarray:
-    """Per-rotation place score grids for the goal (see _goal_pieces)."""
-    return _goal_pieces(object_map, reference_map, relation, ctx)["place_grids"]
-
-
 def _goal_pieces(object_map: GroundingMap, reference_map: GroundingMap,
                  relation: dsl.ConceptToken, ctx: ExecutionContext) -> dict:
     if relation.kind != dsl.RELATION:
@@ -453,13 +446,9 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
 
     def eval_plan(node: dsl.ProgramNode, path: str):
         if isinstance(node, dsl.Do):
-            goal_pieces = []
-            for i, goal in enumerate(node.goals):
-                assert isinstance(goal, dsl.Goal)
-                obj_map = eval_obj(goal.obj, f"{path}.{i}.0")
-                ref_map = eval_obj(goal.reference, f"{path}.{i}.1")
-                goal_pieces.append((goal, obj_map, ref_map))
-            goal, obj_map, ref_map = goal_pieces[0]
+            goal = node.goal
+            obj_map = eval_obj(goal.obj, f"{path}.0.0")
+            ref_map = eval_obj(goal.reference, f"{path}.0.1")
             pieces = _goal_pieces(obj_map, ref_map, goal.rel, ctx)
             if node.action.word in PUSH_ACTIONS:
                 params, pick_map, place_grids = _push_params(pieces, ctx.pose_grid)
@@ -478,7 +467,6 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
 
     all_params, pick_map, place_grids = eval_plan(program, "0")
     return ExecutionResult(
-        params=all_params[0],
         all_params=tuple(all_params),
         intermediates=intermediates,
         pick_map=pick_map,

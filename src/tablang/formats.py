@@ -1,5 +1,4 @@
-"""Small textual/binary file formats: PGM/PPM dumps, weight matrices,
-concept-embedding tables."""
+"""Small textual/binary file formats: PGM/PPM dumps and weight matrices."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grounding import ConceptEmbedding, ProjectionWeights
+from .grounding import ProjectionWeights
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -80,21 +79,3 @@ def load_projection_weights(path) -> ProjectionWeights:
     if set(matrices) != {"cv", "cl"}:
         raise ValueError("weights file must contain exactly cv and cl")
     return ProjectionWeights(matrices["cv"], matrices["cl"])
-
-
-def save_embedding_table(path, table: dict[str, ConceptEmbedding]) -> None:
-    lines = []
-    for word in sorted(table):
-        vals = " ".join(repr(float(v)) for v in table[word].values)
-        lines.append(f"{word}\t{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_embedding_table(path) -> dict[str, ConceptEmbedding]:
-    table: dict[str, ConceptEmbedding] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        word, _, vals = line.partition("\t")
-        table[word] = ConceptEmbedding(np.array([float(v) for v in vals.split()]))
-    return table

@@ -25,6 +25,7 @@ CONTAINER = "container"
 ZONE = "zone"
 
 WALL_PX = 2.0
+PUSH_HALF_WIDTH = 6.0
 
 COLORS: dict[str, tuple[float, float, float]] = {
     "red": (0.87, 0.18, 0.18),
@@ -414,10 +415,11 @@ def apply_pick_place(scene: Scene, params, rotations: int = 12) -> tuple[Scene, 
     return replace(scene, objects=objects), True
 
 
-def apply_push(scene: Scene, params, half_width: float = 5.0) -> tuple[Scene, bool]:
-    """Sweep a straight corridor from the pre-push to the post-push location.
-    Items whose centroid lies in the corridor keep their lateral offset and
-    stop on the plane through the post-push point."""
+def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
+    """Sweep a straight corridor, PUSH_HALF_WIDTH to either side, from the
+    pre-push to the post-push location. Items whose centroid lies in the
+    corridor keep their lateral offset and stop on the plane through the
+    post-push point."""
     if params.primitive != "push":
         raise ValueError("apply_push needs a push primitive")
     pre = np.array([float(params.pick.v), float(params.pick.u)])
@@ -437,7 +439,7 @@ def apply_push(scene: Scene, params, half_width: float = 5.0) -> tuple[Scene, bo
         rel = np.array([obj.x, obj.y]) - pre
         t = float(rel @ direction)
         s = float(rel @ perp)
-        if 0.0 <= t <= length and abs(s) <= half_width:
+        if 0.0 <= t <= length and abs(s) <= PUSH_HALF_WIDTH:
             dest = post + perp * s
             moved = replace(obj, x=float(dest[0]), y=float(dest[1]))
             moved = _settle(scene, moved)
@@ -448,6 +450,16 @@ def apply_push(scene: Scene, params, half_width: float = 5.0) -> tuple[Scene, bo
     if not moved_any:
         return scene, False
     return replace(scene, objects=tuple(new_objects)), True
+
+
+def apply(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:
+    """Run the primitive that params.primitive names: apply_push for a push,
+    apply_pick_place otherwise. Both are looked up as module globals at call
+    time, so a wrapper set on either (benchmarks/layers.py traces them that
+    way) sees every action."""
+    if params.primitive == "push":
+        return apply_push(scene, params)
+    return apply_pick_place(scene, params, rotations)
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -36,8 +36,5 @@ def monolithic_episode_score(episode, backend, lexicon) -> float:
         u, v = divmod(flat, up.shape[1])
         params = ControlParams(Pose2(u, v, 0), Pose2(u, v, 0),
                                "push" if pushy else "pick_place")
-        if pushy:
-            scene, _ = world.apply_push(scene, params, bm.PUSH_HALF_WIDTH)
-        else:
-            scene, _ = world.apply_pick_place(scene, params)
+        scene, _ = world.apply(scene, params)
     return bm.score_success(task, scene, episode)

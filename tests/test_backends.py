@@ -3,17 +3,15 @@ import pytest
 
 from tablang import benchmark as bm
 from tablang import world
-from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend
+from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, make_backend
 from tablang.dsl import ACTION, PROPERTY, ConceptToken
 from tablang.formats import (
-    load_embedding_table,
     load_projection_weights,
     read_pgm,
-    save_embedding_table,
     save_projection_weights,
     write_pgm,
 )
-from tablang.grounding import ConceptEmbedding, ProjectionWeights
+from tablang.grounding import ProjectionWeights
 
 
 def prop(w):
@@ -127,17 +125,16 @@ def test_projection_weights_file_round_trip(tmp_path):
     assert np.array_equal(loaded.cl, weights.cl)
 
 
-def test_embedding_table_round_trip(tmp_path):
-    table = {
-        "blue": ConceptEmbedding(np.array([1.0, 0.5, -0.25])),
-        "hexagon": ConceptEmbedding(np.array([0.0, 2.0, 3.5])),
-    }
-    path = tmp_path / "emb.tsv"
-    save_embedding_table(path, table)
-    loaded = load_embedding_table(path)
-    assert set(loaded) == set(table)
-    for word in table:
-        assert np.array_equal(loaded[word].values, table[word].values)
+def test_backend_factory(tmp_path):
+    assert make_backend("oracle", (8, 16)) == OracleBackend((8, 16))
+    assert make_backend("embedding").weights is None
+    weights = ProjectionWeights(np.eye(2), np.eye(2))
+    path = tmp_path / "weights.txt"
+    save_projection_weights(path, weights)
+    loaded = make_backend("embedding", weights_path=path).weights
+    assert np.array_equal(loaded.cv, weights.cv)
+    with pytest.raises(ValueError):
+        make_backend("clip")
 
 
 def test_pgm_round_trip(tmp_path):

@@ -166,3 +166,51 @@ def test_repl_error_keeps_session_alive(tmp_path, scene_file):
                   str(tmp_path / "r"), stdin=script)
     assert out.returncode == 0
     assert "error:" in out.stdout
+
+
+def assert_clean_exit_1(out):
+    assert out.returncode == 1, out.stderr
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_session_missing_weights(tmp_path, scene_file, command):
+    path, ep = scene_file
+    out = run_cli(command, "--scene", str(path), "--output-dir", str(tmp_path / "o"),
+                  "--backend", "embedding", "--weights", str(tmp_path / "nope.txt"),
+                  *([ep.instruction] if command == "run" else []), stdin=":quit\n")
+    assert_clean_exit_1(out)
+
+
+@pytest.mark.parametrize("command", ["run", "repl", "eval"])
+def test_zero_rotations(tmp_path, scene_file, command):
+    path, ep = scene_file
+    if command == "eval":
+        where = ["--tasks", "packing_shapes", "--episodes", "1"]
+    else:
+        where = ["--scene", str(path)] + ([ep.instruction] if command == "run" else [])
+    out = run_cli(command, "--rotations", "0", "--output-dir", str(tmp_path / "o"),
+                  *where, stdin=":quit\n")
+    assert_clean_exit_1(out)
+
+
+def test_eval_config_zero_rotations(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 1, "rotations": 0}))
+    assert_clean_exit_1(run_cli("eval", "--config", str(cfg),
+                                "--output-dir", str(tmp_path / "o")))
+
+
+def test_parse_zero_top_k():
+    assert_clean_exit_1(run_cli("parse", "pack the box", "--top-k", "0"))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lexicon", "/nonexistent/lexicon.txt"],
+    ["--backend", "embedding", "--weights", "/nonexistent/weights.txt"],
+])
+def test_eval_flags_missing_file(tmp_path, flags):
+    out = run_cli("eval", "--tasks", "packing_shapes", "--episodes", "1",
+                  "--output-dir", str(tmp_path / "o"), *flags)
+    assert_clean_exit_1(out)

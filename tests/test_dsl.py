@@ -35,7 +35,7 @@ def act(w):
 def example_tree():
     hexagon = Filter(Filter(Scene(), prop("hexagon")), prop("blue"))
     box = Filter(Filter(Scene(), prop("box")), prop("orange"))
-    return Do((Goal(hexagon, box, rel("in")),), act("pack"))
+    return Do(Goal(hexagon, box, rel("in")), act("pack"))
 
 
 EXAMPLE_TEXT = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
@@ -50,7 +50,7 @@ def test_example_tree_is_plan():
 
 
 def test_do_with_filter_child_fails():
-    bad = Do((Filter(Scene(), prop("blue")),), act("pack"))
+    bad = Do(Filter(Scene(), prop("blue")), act("pack"))
     with pytest.raises(TypeMismatch) as err:
         type_check(bad)
     assert err.value.expected == "Goal"
@@ -103,6 +103,12 @@ def test_parse_missing_goals():
         parse_program("do(pack)")
 
 
+def test_parse_do_with_two_goals():
+    goal = "goal(filter(red), filter(box), in)"
+    with pytest.raises(ProgramSyntaxError):
+        parse_program(f"do({goal}, {goal}, pack)")
+
+
 def test_parse_trailing_garbage():
     with pytest.raises(ProgramSyntaxError):
         parse_program("scene() junk")
@@ -140,13 +146,9 @@ def random_object(rng, depth):
 def random_plan(rng, depth):
     if depth > 0 and rng.integers(4) == 0:
         return ActionConcat(random_plan(rng, depth - 1), random_plan(rng, depth - 1))
-    n_goals = int(rng.integers(1, 4))
-    goals = tuple(
-        Goal(random_object(rng, depth - 1), random_object(rng, depth - 1),
-             rel(RELS[rng.integers(len(RELS))]))
-        for _ in range(n_goals)
-    )
-    return Do(goals, act(ACTS[rng.integers(len(ACTS))]))
+    goal = Goal(random_object(rng, depth - 1), random_object(rng, depth - 1),
+                rel(RELS[rng.integers(len(RELS))]))
+    return Do(goal, act(ACTS[rng.integers(len(ACTS))]))
 
 
 def test_round_trip_property():
@@ -167,7 +169,7 @@ def test_round_trip_object_trees():
 def test_operation_coverage():
     # one AST variant per operation, typed per the signature table
     goal = Goal(Scene(), Scene(), rel("in"))
-    plan = Do((goal,), act("pack"))
+    plan = Do(goal, act("pack"))
     cases = [
         (Scene(), SemanticType.OBJECT),
         (Filter(Scene(), prop("red")), SemanticType.OBJECT),

@@ -12,7 +12,6 @@ from tablang.executor import (
     PoseGrid,
     RelationConfig,
     UnknownRelation,
-    eval_goal,
     eval_relate,
     execute,
     relation_kernel,
@@ -187,11 +186,11 @@ def test_execute_golden_example():
     grid = PoseGrid(64, 128, 12)
     ctx = ExecutionContext(scene, OracleBackend(), grid, RelationConfig())
     result = execute(program, ctx)
-    pick, place = result.params.pick, result.params.place
+    pick, place = result.all_params[0].pick, result.all_params[0].place
     assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
     assert world.interior_mask(box, (1, 1), np.array([float(place.u)]),
                                np.array([float(place.v)]))[0, 0]
-    after, moved = world.apply_pick_place(scene, result.params)
+    after, moved = world.apply_pick_place(scene, result.all_params[0])
     assert moved
     foot = world.footprint_mask(after.find(2), (64, 128))
     interior = world.interior_mask(box, (64, 128))
@@ -211,7 +210,6 @@ def test_execute_records_intermediates_by_path():
     assert "0" in result.intermediates
     assert "0.0.0" in result.intermediates
     assert "0.0.1" in result.intermediates
-    assert result.params == result.all_params[0]
 
 
 def test_execute_push_primitive():
@@ -223,13 +221,13 @@ def test_execute_push_primitive():
     program = make_plan("block", "zone", rel="in", action="push")
     grid = PoseGrid(64, 128, 12)
     result = execute(program, ExecutionContext(scene, OracleBackend(), grid, RelationConfig()))
-    assert result.params.primitive == "push"
-    pre, post = result.params.pick, result.params.place
+    assert result.all_params[0].primitive == "push"
+    pre, post = result.all_params[0].pick, result.all_params[0].place
     # pre-push sits behind the block relative to the zone, post at the zone center
     assert pre.v < 40.0
     assert abs(pre.u - 32) <= 1
     assert abs(post.v - 100.0) <= 2 and abs(post.u - 32.0) <= 2
-    after, moved = world.apply_push(scene, result.params, 6.0)
+    after, moved = world.apply_push(scene, result.all_params[0])
     assert moved
     assert world.footprint_mask(zone, (1, 1), np.array([after.find(2).y]),
                                 np.array([after.find(2).x]))[0, 0]
@@ -263,7 +261,6 @@ def test_execute_actionconcat_returns_sequence():
     result = execute(double, ExecutionContext(ep.scene, OracleBackend(), grid,
                                               RelationConfig()))
     assert len(result.all_params) == 2
-    assert result.params == result.all_params[0]
 
 
 def test_execute_deterministic():
@@ -273,22 +270,20 @@ def test_execute_deterministic():
     grid = PoseGrid(ep.scene.height, ep.scene.width, 12)
     a = execute(program, ExecutionContext(ep.scene, OracleBackend(), grid, RelationConfig()))
     b = execute(program, ExecutionContext(ep.scene, OracleBackend(), grid, RelationConfig()))
-    assert a.params == b.params
+    assert a.all_params == b.all_params
     assert np.array_equal(a.place_map, b.place_map)
     assert np.array_equal(a.pick_map.values, b.pick_map.values)
     # control parameters are re-derivable as argmaxes of the recorded maps
-    assert select_pick(a.pick_map) == a.params.pick
-    assert select_place(a.place_map) == a.params.place
+    assert select_pick(a.pick_map) == a.all_params[0].pick
+    assert select_place(a.place_map) == a.all_params[0].place
 
 
-def test_eval_goal_zero_reference_annihilates():
+def test_goal_zero_reference_annihilates():
+    """A reference word no object carries grounds to the zero map, which
+    zeroes every place score."""
     ctx = fixture_context()
-    obj = np.zeros(ctx.backend.shape_for(ctx.scene))
-    obj[10, 10] = 1.0
-    zero_ref = np.zeros_like(obj)
-    grids = eval_goal(gmap(obj), gmap(zero_ref),
-                      dsl.ConceptToken("in", dsl.RELATION), ctx)
-    assert np.all(grids == 0.0)
+    with pytest.raises(NoFeasiblePlace):
+        execute(make_plan("shape", "nonexistent"), ctx)
 
 
 def test_oracle_end_to_end_invariants():
@@ -305,7 +300,7 @@ def test_oracle_end_to_end_invariants():
         grid = PoseGrid(ep.scene.height, ep.scene.width, 12)
         result = execute(program, ExecutionContext(ep.scene, OracleBackend(),
                                                    grid, RelationConfig()))
-        pick, place = result.params.pick, result.params.place
+        pick, place = result.all_params[0].pick, result.all_params[0].place
         picked = world.pick_target(ep.scene, pick.u, pick.v)
         assert picked is not None and picked.id in ep.goal.target_ids
         regions = [ep.scene.find(rid) for rid in ep.goal.region_ids]
@@ -317,7 +312,7 @@ def test_oracle_end_to_end_invariants():
         assert in_region, (name, i, place)
 
 
-def test_eval_goal_hadamard_dominance():
+def test_goal_hadamard_dominance():
     ep = bm.generate_episode(bm.TaskSpec("packing_color_box"), 9)
     lex = ccg.default_lexicon()
     program = ccg.parse(ccg.tokenize(ep.instruction, lex), lex, 1)[0].program

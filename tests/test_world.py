@@ -177,7 +177,7 @@ def test_push_outside_corridor_unchanged():
     block = make_object(1, ITEM, "block", "red", 40.0, 50.0, size=3.0)
     scene = Scene(128, 64, (block,))
     params = ControlParams(Pose2(30, 40, 0), Pose2(30, 60, 0), "push")
-    after, moved = apply_push(scene, params, half_width=5.0)
+    after, moved = apply_push(scene, params)
     assert not moved
     assert after.find(1).x == 40.0
 
@@ -191,12 +191,36 @@ def test_push_sweeps_pile_into_zone():
     ]
     scene = Scene(128, 64, (zone, *blocks))
     params = ControlParams(Pose2(31, 22, 0), Pose2(32, 100, 0), "push")
-    after, moved = apply_push(scene, params, half_width=6.0)
+    after, moved = apply_push(scene, params)
     assert moved
     zone_after = after.find(9)
     for i in range(1, 6):
         b = after.find(i)
         assert footprint_mask(zone_after, (1, 1), np.array([b.y]), np.array([b.x]))[0, 0]
+
+
+def test_apply_dispatches_on_primitive_at_call_time(monkeypatch):
+    """world.apply reaches the primitives through the module globals, so a
+    wrapper installed on them (as the benchmark tracer does) sees the call."""
+    calls = []
+    real_push, real_pick_place = world.apply_push, world.apply_pick_place
+
+    def push(scene, params):
+        calls.append("push")
+        return real_push(scene, params)
+
+    def pick_place(scene, params, rotations=12):
+        calls.append(("pick_place", rotations))
+        return real_pick_place(scene, params, rotations)
+
+    monkeypatch.setattr(world, "apply_push", push)
+    monkeypatch.setattr(world, "apply_pick_place", pick_place)
+    scene = fixture_scene()
+    pushed = ControlParams(Pose2(30, 20, 0), Pose2(30, 60, 0), "push")
+    placed = ControlParams(Pose2(30, 30, 0), Pose2(30, 60, 3), "pick_place")
+    assert world.apply(scene, pushed) == real_push(scene, pushed)
+    assert world.apply(scene, placed, 6) == real_pick_place(scene, placed, 6)
+    assert calls == ["push", ("pick_place", 6)]
 
 
 def test_actions_preserve_object_count_and_walls():
