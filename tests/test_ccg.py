@@ -120,9 +120,7 @@ def test_no_parse(lex):
 
 def test_oov_daxy_modifier(lex):
     toks = tokenize("pack the daxy shape into the box", lex)
-    derivs = parse(toks, lex, k=50)
-    # only the modifier category lets the whole sentence parse
-    assert {category_to_str(d.oov_assignments[0].category) for d in derivs} == {"N/N"}
+    derivs = parse(toks, lex, k=3)
     top = derivs[0]
     assert dsl.serialize(top.program) == \
         "do(goal(filter(filter(shape), daxy), filter(box), into), pack)"
@@ -140,6 +138,17 @@ def test_oov_verb_slot(lex):
     assert dsl.serialize(top.program) == \
         "do(goal(filter(block), filter(box), into), gromp)"
     assert category_to_str(top.oov_assignments[0].category) == "(S/PP)/N"
+
+
+def test_bootstrap_oov_candidates(lex):
+    toks = tokenize("pack the daxy shape into the box", lex)
+    derivs = parse(toks, lex, k=50)
+    # only the modifier category lets the whole sentence parse
+    cats = {category_to_str(d.oov_assignments[0].category) for d in derivs}
+    assert cats == {"N/N"}
+    best = derivs[0].oov_assignments[0]
+    assert ccg.instantiate_template(best.template, "daxy") == \
+        parse_template(r"\x.filter(x, daxy)")
 
 
 def test_two_oov_words(lex):
