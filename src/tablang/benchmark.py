@@ -38,7 +38,7 @@ from .executor import (
     execute,
 )
 from .backends import GroundingError
-from .grounding import GroundingMap
+from .grounding import DimMismatch, GroundingMap
 
 WORKSPACE_W = 128
 WORKSPACE_H = 64
@@ -712,7 +712,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
             for params in result.all_params:
                 scene, _ = world.apply(scene, params, rotations)
             record["steps"] = step + 1
-    except (EmptyGrounding, GroundingError, UnknownRelation) as exc:
+    except (EmptyGrounding, GroundingError, DimMismatch, UnknownRelation) as exc:
         record["failure"] = "grounding"
         record["error"] = str(exc)
         return record

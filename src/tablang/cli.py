@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import benchmark, ccg, dsl, formats, world
 from .backends import GroundingError, make_backend
+from .grounding import DimMismatch
 from .executor import (
     EmptyGrounding,
     ExecutionContext,
@@ -97,7 +98,8 @@ def cmd_run(args) -> int:
     ctx = ExecutionContext(scene, backend, grid, RelationConfig())
     try:
         result = execute(program, ctx)
-    except (EmptyGrounding, UnknownRelation, NoFeasiblePlace, GroundingError) as exc:
+    except (EmptyGrounding, UnknownRelation, NoFeasiblePlace, GroundingError,
+            DimMismatch) as exc:
         print(f"execution failed: {exc}", file=sys.stderr)
         return EXIT_EXEC
 
@@ -262,7 +264,7 @@ def cmd_repl(args) -> int:
                    f"place ({p.place.u},{p.place.v},{p.place.r})\n"
                    + _object_table(new_scene))
         except (ccg.NoParse, EmptyGrounding, UnknownRelation, NoFeasiblePlace,
-                GroundingError) as exc:
+                GroundingError, DimMismatch) as exc:
             msg = f"error: {exc}"
         print(msg, flush=True)
         transcript.append(msg)

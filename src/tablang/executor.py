@@ -3,11 +3,13 @@
 Object subtrees evaluate to grounding maps (scene = all-ones, filter = min
 with the concept's map, objunion = max, relate = min with a geometric
 relation kernel of the reference). A goal turns the reference map into a
-relation kernel, scores every candidate place pose by cross-correlating the
-rotated pick-object silhouette with the kernel, and masks the scores by the
-upsampled reference map (Hadamard), so no place score survives off the
-referenced region. Pick and place poses are argmaxes over the pose grid with
-deterministic tie-breaking.
+binary relation kernel and rotates the pick-object silhouette into one
+boolean stencil per pose-grid rotation. A place pose (pixel, rotation)
+scores (overlap / n)^2, where n is the stencil's cell count and overlap the
+exact number of those cells on the kernel, times the upsampled reference
+map (Hadamard), so no place score survives off the referenced region. Pick
+and place poses are argmaxes over the pose grid with deterministic
+tie-breaking.
 
 The relation kernels are geometric surrogates for a learned goal module:
 containment relations use the eroded reference interior, surface relations
@@ -23,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsl, world
 from .grounding import GroundingMap, axis_coords, intersect, normalize, resample, union
@@ -239,14 +242,6 @@ def _component(mask: np.ndarray, seed: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _rotated_offsets(offsets: np.ndarray, theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    du = offsets[:, 0] * c - offsets[:, 1] * s
-    dv = offsets[:, 0] * s + offsets[:, 1] * c
-    rotated = np.stack([np.rint(du), np.rint(dv)], axis=1).astype(int)
-    return np.unique(rotated, axis=0)
-
-
 def _grid_to_scene(ctx: ExecutionContext, u: int, v: int) -> tuple[float, float]:
     y = axis_coords(ctx.pose_grid.height, ctx.scene.height)[u]
     x = axis_coords(ctx.pose_grid.width, ctx.scene.width)[v]
@@ -288,25 +283,37 @@ def _obstacle_mask(ctx: ExecutionContext, exclude_id: int | None) -> np.ndarray:
     return out
 
 
-def _correlate(kernel: np.ndarray, offsets: np.ndarray, bbox: tuple[int, int, int, int]) -> np.ndarray:
-    """Silhouette correlation: at each center inside bbox, the fraction of
-    offsets landing on kernel > 0 times the mean kernel value under the
-    silhouette (out-of-grid pixels count as zero)."""
-    h, w = kernel.shape
+def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray,
+                  bbox: tuple[int, int, int, int], grid: PoseGrid) -> np.ndarray:
+    """(R, H, W) place scores. Rotation r turns the silhouette offsets into a
+    boolean stencil of n cells; at each centre inside bbox the score is
+    (overlap / n)^2 times the reference map, where overlap counts the stencil
+    cells on kernel > 0 (off-grid cells count as zero). For a binary kernel
+    this is the hit fraction times the mean kernel value under the stencil."""
+    out = np.zeros((grid.rotations, grid.height, grid.width))
     u0, u1, v0, v1 = bbox
-    n = len(offsets)
-    if n == 0:
-        return np.zeros((h, w))
-    pad = int(np.abs(offsets).max(initial=0)) + 1
-    padded = np.pad(kernel, pad)
-    hits = np.zeros((u1 - u0, v1 - v0))
-    sums = np.zeros((u1 - u0, v1 - v0))
-    for du, dv in offsets:
-        window = padded[pad + u0 + du: pad + u1 + du, pad + v0 + dv: pad + v1 + dv]
-        hits += window > 0
-        sums += window
-    out = np.zeros((h, w))
-    out[u0:u1, v0:v1] = (hits / n) * (sums / n)
+    if u1 <= u0 or v1 <= v0:
+        return out
+    angles = [grid.angle(r) for r in range(grid.rotations)]
+    c = np.array([math.cos(a) for a in angles])[:, None]
+    s = np.array([math.sin(a) for a in angles])[:, None]
+    du = np.rint(offsets[:, 0] * c - offsets[:, 1] * s).astype(int)
+    dv = np.rint(offsets[:, 0] * s + offsets[:, 1] * c).astype(int)
+    m = int(max(np.abs(du).max(), np.abs(dv).max()))
+    side = 2 * m + 1
+    stencils = np.zeros((grid.rotations, side, side), dtype=bool)
+    stencils[np.arange(grid.rotations)[:, None], du + m, dv + m] = True
+    # Overlaps are sums of 0/1 terms, exact in float32 below 2**24 cells.
+    # Taking one stencil row at a time keeps the window views small.
+    cover = np.pad(kernel > 0, m)[u0:u1 + 2 * m, v0:v1 + 2 * m].astype(np.float32)
+    windows = sliding_window_view(cover, side, axis=1)
+    weights = stencils.astype(np.float32)
+    counts = np.zeros((u1 - u0, v1 - v0, grid.rotations), dtype=np.float32)
+    for i in range(side):
+        counts += windows[i:i + u1 - u0] @ weights[:, i, :].T
+    n = stencils.sum(axis=(1, 2))
+    frac = np.moveaxis(counts, 2, 0).astype(np.float64) / n[:, None, None]
+    out[:, u0:u1, v0:v1] = reference[u0:u1, v0:v1] * frac ** 2
     return out
 
 
@@ -361,22 +368,13 @@ def _goal_pieces(object_map: GroundingMap, reference_map: GroundingMap,
             min(int(support[1].max()) + margin + 1, grid.width),
         )
 
-    place_grids = np.zeros((grid.rotations, grid.height, grid.width))
-    if bbox[1] > bbox[0] and bbox[3] > bbox[2]:
-        for r in range(grid.rotations):
-            rotated = _rotated_offsets(offsets, grid.angle(r))
-            base = _correlate(effective, rotated, bbox)
-            place_grids[r] = up_ref.values * base
-
     return {
         "pick": pick,
         "pick_map": pick_map,
-        "place_grids": place_grids,
-        "up_ref": up_ref,
+        "place_grids": _place_scores(effective, offsets, up_ref.values, bbox, grid),
         "kernel": kernel,
         "effective_kernel": effective,
         "silhouette": silhouette,
-        "offsets": offsets,
     }
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DimMismatch(Exception):
+class DimMismatch(ValueError):
     pass
 
 
-class NonFinite(Exception):
+class NonFinite(ValueError):
     pass
 
 

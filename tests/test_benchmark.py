@@ -6,7 +6,7 @@ import pytest
 
 from tablang import benchmark as bm
 from tablang import ccg, world
-from tablang.backends import OracleBackend
+from tablang.backends import EmbeddingBackend, OracleBackend
 from tablang.benchmark import (
     AlreadySolved,
     Episode,
@@ -22,6 +22,7 @@ from tablang.benchmark import (
     score_success,
 )
 from tablang.executor import ControlParams, Pose2
+from tablang.grounding import ProjectionWeights
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,13 @@ def test_run_suite_records_parse_failures():
     report = run_suite([TaskSpec("packing_shapes")], 2, OracleBackend(), tiny)
     assert report.per_task["packing_shapes/seen"] == 0.0
     assert all(ep["failure"] == "parse" for ep in report.episodes)
+
+
+def test_run_suite_records_feature_width_mismatch(lex):
+    narrow = EmbeddingBackend(weights=ProjectionWeights.identity(2))
+    report = run_suite([TaskSpec("packing_shapes")], 2, narrow, lex)
+    assert report.per_task["packing_shapes/seen"] == 0.0
+    assert [ep["failure"] for ep in report.episodes] == ["grounding", "grounding"]
 
 
 def test_report_table_format(lex):

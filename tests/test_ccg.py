@@ -165,6 +165,14 @@ def test_three_oov_words_no_parse(lex):
         parse(tokenize("vorp the gorp into the blick box", lex), lex, k=1)
 
 
+def test_oov_combinations_never_truncated(lex):
+    """Every joint assignment of the most unknown words parse accepts fits
+    under MAX_OOV_COMBOS, so parse never drops one."""
+    assert "blicket" not in lex.vocabulary
+    n = len(ccg._candidates_for("blicket", lex))
+    assert n ** ccg.MAX_JOINT_OOV <= ccg.MAX_OOV_COMBOS
+
+
 def test_semantic_prior_hand_count():
     text = (
         "red\tN/N\t\\x.filter(x, red)\n"

@@ -214,3 +214,47 @@ def test_eval_flags_missing_file(tmp_path, flags):
     out = run_cli("eval", "--tasks", "packing_shapes", "--episodes", "1",
                   "--output-dir", str(tmp_path / "o"), *flags)
     assert_clean_exit_1(out)
+
+
+# Loads fine, but its cv expects 2 features where the scene has 11.
+NARROW_CV = "cv 2 2\n1 0\n0 1\ncl 2 2\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    "cv 2 2\n1 0\n0 1\ncl 2 3\n1 0 0\n0 1 0\n",  # cl not square
+    "cv 2 2\n1 0\n0 nan\ncl 2 2\n1 0\n0 1\n",    # non-finite entry
+], ids=["non_square_cl", "nan"])
+@pytest.mark.parametrize("command", ["run", "repl", "eval"])
+def test_unusable_weights_file(tmp_path, scene_file, command, text):
+    path, ep = scene_file
+    weights = tmp_path / "w.txt"
+    weights.write_text(text)
+    if command == "eval":
+        where = ["--tasks", "packing_shapes", "--episodes", "1"]
+    else:
+        where = ["--scene", str(path)] + ([ep.instruction] if command == "run" else [])
+    out = run_cli(command, "--backend", "embedding", "--weights", str(weights),
+                  "--output-dir", str(tmp_path / "o"), *where, stdin=":quit\n")
+    assert_clean_exit_1(out)
+
+
+def test_run_feature_width_mismatch(tmp_path, scene_file):
+    path, ep = scene_file
+    weights = tmp_path / "w.txt"
+    weights.write_text(NARROW_CV)
+    out = run_cli("run", "--scene", str(path), "--backend", "embedding",
+                  "--weights", str(weights), "--output-dir", str(tmp_path / "o"),
+                  ep.instruction)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_repl_feature_width_mismatch(tmp_path, scene_file):
+    path, ep = scene_file
+    weights = tmp_path / "w.txt"
+    weights.write_text(NARROW_CV)
+    out = run_cli("repl", "--scene", str(path), "--backend", "embedding",
+                  "--weights", str(weights), "--output-dir", str(tmp_path / "o"),
+                  stdin=f"{ep.instruction}\n:quit\n")
+    assert out.returncode == 0, out.stderr
+    assert "error: cv expects dim 2" in out.stdout

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tablang import benchmark as bm
 from tablang import ccg, dsl, world
@@ -12,6 +17,8 @@ from tablang.executor import (
     PoseGrid,
     RelationConfig,
     UnknownRelation,
+    _component,
+    _place_scores,
     eval_relate,
     execute,
     relation_kernel,
@@ -324,3 +331,60 @@ def test_goal_hadamard_dominance():
     zero_cells = up_ref == 0.0
     for r in range(grid.rotations):
         assert np.all(result.place_map[r][zero_cells] == 0.0)
+
+
+def reference_place_scores(kernel, offsets, reference, bbox, grid):
+    """The per-rotation loop that stencil scoring replaced: rotate and dedupe
+    the offsets, then sum shifted windows of the zero-padded kernel into
+    float hit and value accumulators."""
+    u0, u1, v0, v1 = bbox
+    out = np.zeros((grid.rotations, grid.height, grid.width))
+    if u1 <= u0 or v1 <= v0:
+        return out
+    for r in range(grid.rotations):
+        c, s = math.cos(grid.angle(r)), math.sin(grid.angle(r))
+        du = offsets[:, 0] * c - offsets[:, 1] * s
+        dv = offsets[:, 0] * s + offsets[:, 1] * c
+        rotated = np.unique(np.stack([np.rint(du), np.rint(dv)], axis=1).astype(int), axis=0)
+        n = len(rotated)
+        pad = int(np.abs(rotated).max(initial=0)) + 1
+        padded = np.pad(kernel, pad)
+        hits = np.zeros((u1 - u0, v1 - v0))
+        sums = np.zeros((u1 - u0, v1 - v0))
+        for a, b in rotated:
+            window = padded[pad + u0 + a: pad + u1 + a, pad + v0 + b: pad + v1 + b]
+            hits += window > 0
+            sums += window
+        base = np.zeros((grid.height, grid.width))
+        base[u0:u1, v0:v1] = (hits / n) * (sums / n)
+        out[r] = reference * base
+    return out
+
+
+@st.composite
+def place_cases(draw):
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    kernel = draw(arrays(np.bool_, (h, w))).astype(np.float64)
+    reference = draw(arrays(np.float64, (h, w), elements=st.floats(0.0, 1.0)))
+    # The silhouette lives on its own grid, up to 12 cells across, so its
+    # offsets often reach past the kernel grid's edge.
+    sh, sw = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    mask = draw(arrays(np.bool_, (sh, sw)))
+    seed = (draw(st.integers(0, sh - 1)), draw(st.integers(0, sw - 1)))
+    rows, cols = np.nonzero(_component(mask, seed))  # one pixel when seed is off the mask
+    offsets = np.stack([rows - int(round(rows.mean())), cols - int(round(cols.mean()))], axis=1)
+    u0, u1 = sorted(draw(st.lists(st.integers(0, h), min_size=2, max_size=2)))
+    v0, v1 = sorted(draw(st.lists(st.integers(0, w), min_size=2, max_size=2)))
+    grid = PoseGrid(h, w, draw(st.sampled_from((1, 4, 12))))
+    return kernel, offsets, reference, (u0, u1, v0, v1), grid
+
+
+@settings(deadline=None)
+@given(place_cases())
+@example((np.ones((3, 3)), np.array([[0, 0]]), np.ones((3, 3)), (0, 3, 0, 3), PoseGrid(3, 3, 1)))
+@example((np.eye(4), np.array([[r, c] for r in range(-3, 4) for c in range(-1, 2)]),
+          np.full((4, 4), 0.5), (0, 4, 0, 4), PoseGrid(4, 4, 12)))
+def test_place_scores_match_offset_loop(case):
+    kernel, offsets, reference, bbox, grid = case
+    assert np.array_equal(_place_scores(kernel, offsets, reference, bbox, grid),
+                          reference_place_scores(kernel, offsets, reference, bbox, grid))
