@@ -681,7 +681,9 @@ def _config_hash(config: dict) -> str:
 
 def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
                 relation_config: RelationConfig | None = None) -> dict:
-    """Parse, execute stepwise, apply, and score one episode."""
+    """Parse, execute stepwise, apply, and score one episode. An error is
+    recorded as the episode's failure ("parse", "grounding", "placement", or
+    "internal" for any other exception) instead of being raised."""
     task = TaskSpec(episode.task_name, episode.split)
     record = {
         "task": episode.task_name,
@@ -694,16 +696,12 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
         "program": None,
     }
     scene = episode.scene
+    cfg = relation_config or RelationConfig()
+    grid = PoseGrid(scene.height, scene.width, rotations)
     try:
         tokens = ccg.tokenize(episode.instruction, lexicon)
         derivation = ccg.parse(tokens, lexicon, k=1)[0]
         record["program"] = dsl.serialize(derivation.program)
-    except ccg.NoParse:
-        record["failure"] = "parse"
-        return record
-    cfg = relation_config or RelationConfig()
-    grid = PoseGrid(scene.height, scene.width, rotations)
-    try:
         for step in range(episode.max_steps):
             if score_success(task, scene, episode) >= 1.0:
                 break
@@ -712,12 +710,19 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
             for params in result.all_params:
                 scene, _ = world.apply(scene, params, rotations)
             record["steps"] = step + 1
+    except ccg.NoParse:
+        record["failure"] = "parse"
+        return record
     except (EmptyGrounding, GroundingError, DimMismatch, UnknownRelation) as exc:
         record["failure"] = "grounding"
         record["error"] = str(exc)
         return record
     except NoFeasiblePlace as exc:
         record["failure"] = "placement"
+        record["error"] = str(exc)
+        return record
+    except Exception as exc:
+        record["failure"] = "internal"
         record["error"] = str(exc)
         return record
     record["score"] = round(float(score_success(task, scene, episode)), 6)

@@ -7,6 +7,10 @@ entries for "and". A word outside the vocabulary is handled by guessing its
 category: every category occurring in the lexicon is tried, the sentence must
 still parse completely, and the word's semantics is drawn from the empirical
 prior p(semantics | syntax) with the word slot filled by the literal token.
+All candidate leaves of all unknown words go into one chart; chart keys carry
+each item's novel-word assignments, so derivations under different guesses
+never merge, and a root is kept only if it gives each unknown word a single
+assignment and that joint assignment is one of the kept combinations.
 """
 
 from __future__ import annotations
@@ -694,8 +698,8 @@ def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[Sem, float]]]:
     return prior
 
 
-def _candidates_for(word: str, lexicon: Lexicon) -> list[OovAssignment]:
-    prior = semantic_prior(lexicon)
+def _candidates_for(word: str, lexicon: Lexicon,
+                    prior: dict[Category, list[tuple[Sem, float]]]) -> list[OovAssignment]:
     out = []
     for cat in lexicon.categories():
         for tmpl, p in prior.get(cat, ()):
@@ -732,30 +736,37 @@ def _derivations_from_roots(roots) -> list[Derivation]:
 def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
     log priors of any novel-word assignments. Deterministic: ties break on
-    the canonical program string."""
+    the canonical program string.
+
+    Joint assignments of the unknown words (at most MAX_JOINT_OOV) are
+    ranked by summed log prior and cut to MAX_OOV_COMBOS; a sentence without
+    unknown words has the one empty combination. One chart is built over the
+    leaves of every assignment that occurs in a kept combination, and only
+    roots whose assignments form one kept combination survive, so a repeated
+    unknown word never mixes two guesses."""
     if k < 1:
         raise ValueError("k must be positive")
     tokens = list(tokens)
     if not tokens:
         raise NoParse(tokens)
     unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
-    if not unknown:
-        derivs = _derivations_from_roots(_chart_roots(tokens, _lexicon_leaves(lexicon)))
-        if not derivs:
-            raise NoParse(tokens)
-        return derivs[:k]
     if len(unknown) > MAX_JOINT_OOV:
         raise NoParse(tokens)
-    per_word = [_candidates_for(w, lexicon) for w in unknown]
+    prior = semantic_prior(lexicon) if unknown else {}
+    per_word = [_candidates_for(w, lexicon, prior) for w in unknown]
     combos = sorted(
         itertools.product(*per_word),
         key=lambda combo: (-sum(c.log_prior for c in combo),
                            tuple(c.describe() for c in combo)),
     )[:MAX_OOV_COMBOS]
-    roots = []
-    for combo in combos:
-        lookup = _lexicon_leaves(lexicon, {c.word: [c] for c in combo})
-        roots.extend(_chart_roots(tokens, lookup))
+    extra = {w: list(dict.fromkeys(combo[i] for combo in combos))
+             for i, w in enumerate(unknown)}
+    # Every unknown token is a leaf of every root, so a root's assignment set
+    # equals a kept combo exactly when it gives each unknown word a single
+    # assignment and that joint assignment was kept.
+    kept = {frozenset(combo) for combo in combos}
+    roots = [root for root in _chart_roots(tokens, _lexicon_leaves(lexicon, extra))
+             if frozenset(root[3]) in kept]
     derivs = _derivations_from_roots(roots)
     if not derivs:
         raise NoParse(tokens)

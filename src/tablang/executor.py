@@ -9,7 +9,8 @@ scores (overlap / n)^2, where n is the stencil's cell count and overlap the
 exact number of those cells on the kernel, times the upsampled reference
 map (Hadamard), so no place score survives off the referenced region. Pick
 and place poses are argmaxes over the pose grid with deterministic
-tie-breaking.
+tie-breaking. A push goal is not place-scored: its post-push pose comes
+from the goal kernel's centroid.
 
 The relation kernels are geometric surrogates for a learned goal module:
 containment relations use the eroded reference interior, surface relations
@@ -312,8 +313,12 @@ def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray
     for i in range(side):
         counts += windows[i:i + u1 - u0] @ weights[:, i, :].T
     n = stencils.sum(axis=(1, 2))
-    frac = np.moveaxis(counts, 2, 0).astype(np.float64) / n[:, None, None]
-    out[:, u0:u1, v0:v1] = reference[u0:u1, v0:v1] * frac ** 2
+    # In place on the output slice: no (R, H, W) temporaries.
+    scores = out[:, u0:u1, v0:v1]
+    scores[...] = np.moveaxis(counts, 2, 0)
+    scores /= n[:, None, None]
+    np.square(scores, out=scores)
+    scores *= reference[u0:u1, v0:v1]
     return out
 
 
@@ -371,10 +376,12 @@ def _goal_pieces(object_map: GroundingMap, reference_map: GroundingMap,
     return {
         "pick": pick,
         "pick_map": pick_map,
-        "place_grids": _place_scores(effective, offsets, up_ref.values, bbox, grid),
         "kernel": kernel,
         "effective_kernel": effective,
         "silhouette": silhouette,
+        "offsets": offsets,
+        "reference": up_ref.values,
+        "bbox": bbox,
     }
 
 
@@ -451,7 +458,8 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
             if node.action.word in PUSH_ACTIONS:
                 params, pick_map, place_grids = _push_params(pieces, ctx.pose_grid)
             else:
-                place_grids = pieces["place_grids"]
+                place_grids = _place_scores(pieces["effective_kernel"], pieces["offsets"],
+                                            pieces["reference"], pieces["bbox"], ctx.pose_grid)
                 place = select_place(place_grids)
                 params = ControlParams(pieces["pick"], place, PICK_PLACE)
                 pick_map = pieces["pick_map"]

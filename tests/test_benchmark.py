@@ -279,6 +279,27 @@ def test_run_suite_records_feature_width_mismatch(lex):
     assert [ep["failure"] for ep in report.episodes] == ["grounding", "grounding"]
 
 
+class FirstGroundFails(OracleBackend):
+    """Oracle grounding, except that the first ground call raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def ground(self, scene, concept):
+        self.calls += 1
+        if self.calls == 1:
+            raise ValueError("first ground call fails")
+        return super().ground(scene, concept)
+
+
+def test_run_suite_records_internal_failures(lex):
+    report = run_suite([TaskSpec("packing_shapes")], 3, FirstGroundFails(), lex)
+    assert [ep["failure"] for ep in report.episodes] == ["internal", None, None]
+    assert report.episodes[0]["error"] == "first ground call fails"
+    assert [ep["score"] for ep in report.episodes] == [0.0, 1.0, 1.0]
+
+
 def test_report_table_format(lex):
     report = run_suite([TaskSpec("packing_shapes")], 2, OracleBackend(), lex)
     table = report_table(report)

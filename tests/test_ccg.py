@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tablang import ccg, dsl
+from tablang.benchmark import TASK_NAMES, TaskSpec, generate_episode
 from tablang.ccg import (
     Complex,
     Lexicon,
@@ -169,8 +172,65 @@ def test_oov_combinations_never_truncated(lex):
     """Every joint assignment of the most unknown words parse accepts fits
     under MAX_OOV_COMBOS, so parse never drops one."""
     assert "blicket" not in lex.vocabulary
-    n = len(ccg._candidates_for("blicket", lex))
+    n = len(ccg._candidates_for("blicket", lex, semantic_prior(lex)))
     assert n ** ccg.MAX_JOINT_OOV <= ccg.MAX_OOV_COMBOS
+
+
+def reference_parse(tokens, lexicon, k):
+    """parse with one CKY chart per kept joint OOV assignment, the way it
+    worked before all candidates shared one chart."""
+    tokens = list(tokens)
+    unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
+    if len(unknown) > ccg.MAX_JOINT_OOV:
+        raise NoParse(tokens)
+    prior = semantic_prior(lexicon)
+    per_word = [ccg._candidates_for(w, lexicon, prior) for w in unknown]
+    combos = sorted(
+        itertools.product(*per_word),
+        key=lambda combo: (-sum(c.log_prior for c in combo),
+                           tuple(c.describe() for c in combo)),
+    )[:ccg.MAX_OOV_COMBOS]
+    roots = []
+    for combo in combos:
+        lookup = ccg._lexicon_leaves(lexicon, {c.word: [c] for c in combo})
+        roots.extend(ccg._chart_roots(tokens, lookup))
+    derivs = ccg._derivations_from_roots(roots)
+    if not derivs:
+        raise NoParse(tokens)
+    return derivs[:k]
+
+
+def test_shared_chart_matches_per_combo_charts_on_episodes(lex):
+    instructions = {
+        generate_episode(TaskSpec(name, split), seed).instruction
+        for name in TASK_NAMES for split in ("seen", "unseen") for seed in range(3)
+    }
+    oov_counts = set()
+    for text in sorted(instructions):
+        toks = tokenize(text, lex)
+        oov_counts.add(sum(not lex.entries_for(t) for t in set(toks)))
+        assert parse(toks, lex, k=50) == reference_parse(toks, lex, k=50), text
+    assert oov_counts == {0, 1, 2}
+
+
+def test_repeated_oov_word_keeps_one_assignment(lex):
+    toks = tokenize("put the daxy block in the daxy bowl", lex)
+    derivs = parse(toks, lex, k=50)
+    assert derivs == reference_parse(toks, lex, k=50)
+    for d in derivs:
+        assert len(d.oov_assignments) == 2
+        assert d.oov_assignments[0] == d.oov_assignments[1]
+
+
+def test_shared_chart_matches_per_combo_charts_when_truncated(lex, monkeypatch):
+    toks = tokenize("put the pink blocks in a cyan bowl", lex)
+    full = parse(toks, lex, k=50)
+    n = len(ccg._candidates_for("pink", lex, semantic_prior(lex)))
+    monkeypatch.setattr(ccg, "MAX_OOV_COMBOS", 58)
+    assert n ** 2 > ccg.MAX_OOV_COMBOS
+    derivs = parse(toks, lex, k=50)
+    assert derivs == reference_parse(toks, lex, k=50)
+    assert 0 < len(derivs) < len(full)
 
 
 def test_semantic_prior_hand_count():
