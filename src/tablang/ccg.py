@@ -15,6 +15,7 @@ assignment and that joint assignment is one of the kept combinations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -207,24 +208,23 @@ def beta_normalize(term: Sem) -> Sem:
     return term
 
 
+def _alpha_walk(t: Sem, env: dict[str, str], counter: itertools.count) -> Sem:
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name))
+    if isinstance(t, Lam):
+        fresh = f"v{next(counter)}"
+        return Lam(fresh, _alpha_walk(t.body, {**env, t.param: fresh}, counter))
+    if isinstance(t, App):
+        return App(_alpha_walk(t.fn, env, counter), _alpha_walk(t.arg, env, counter))
+    if isinstance(t, OpNode):
+        return OpNode(t.op, tuple(_alpha_walk(a, env, counter) for a in t.args))
+    return t
+
+
 def alpha_normalize(term: Sem) -> Sem:
     """Rename binders to v0, v1, ... in traversal order so that structural
     equality coincides with alpha equivalence."""
-    counter = itertools.count()
-
-    def walk(t: Sem, env: dict[str, str]) -> Sem:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Lam):
-            fresh = f"v{next(counter)}"
-            return Lam(fresh, walk(t.body, {**env, t.param: fresh}))
-        if isinstance(t, App):
-            return App(walk(t.fn, env), walk(t.arg, env))
-        if isinstance(t, OpNode):
-            return OpNode(t.op, tuple(walk(a, env) for a in t.args))
-        return t
-
-    return walk(term, {})
+    return _alpha_walk(term, {}, itertools.count())
 
 
 def canonical(term: Sem) -> Sem:
@@ -536,6 +536,12 @@ class Lexicon:
     def vocabulary(self) -> set[str]:
         return set(self._entries)
 
+    @functools.cached_property
+    def prior(self) -> dict[Category, list[tuple[Sem, float]]]:
+        """semantic_prior of this lexicon, built on first use and kept; the
+        entries never change. Shared by every caller, so read-only."""
+        return semantic_prior(self)
+
     def entries_for(self, word: str) -> tuple[LexiconEntry, ...]:
         return self._entries.get(word, ())
 
@@ -752,8 +758,7 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
     if len(unknown) > MAX_JOINT_OOV:
         raise NoParse(tokens)
-    prior = semantic_prior(lexicon) if unknown else {}
-    per_word = [_candidates_for(w, lexicon, prior) for w in unknown]
+    per_word = [_candidates_for(w, lexicon, lexicon.prior) for w in unknown]
     combos = sorted(
         itertools.product(*per_word),
         key=lambda combo: (-sum(c.log_prior for c in combo),

@@ -424,54 +424,58 @@ def _push_params(pieces: dict, grid: PoseGrid) -> tuple[ControlParams, Grounding
     return params, GroundingMap(pick_map), place_grids
 
 
+def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
+              intermediates: dict[str, GroundingMap]) -> GroundingMap:
+    if isinstance(node, dsl.Scene):
+        gh, gw = ctx.backend.shape_for(ctx.scene)
+        result = GroundingMap(np.ones((gh, gw)))
+    elif isinstance(node, dsl.Filter):
+        child = _eval_obj(node.child, f"{path}.0", ctx, intermediates)
+        result = intersect(child, ctx.backend.ground(ctx.scene, node.prop))
+    elif isinstance(node, dsl.ObjUnion):
+        result = union(_eval_obj(node.a, f"{path}.0", ctx, intermediates),
+                       _eval_obj(node.b, f"{path}.1", ctx, intermediates))
+    elif isinstance(node, dsl.Relate):
+        target = _eval_obj(node.target, f"{path}.0", ctx, intermediates)
+        reference = _eval_obj(node.reference, f"{path}.1", ctx, intermediates)
+        result = eval_relate(target, reference, node.rel, ctx)
+    else:
+        raise TypeError(f"not an object node: {node!r}")
+    intermediates[path] = result
+    return result
+
+
+def _eval_plan(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
+               intermediates: dict[str, GroundingMap]):
+    if isinstance(node, dsl.Do):
+        goal = node.goal
+        obj_map = _eval_obj(goal.obj, f"{path}.0.0", ctx, intermediates)
+        ref_map = _eval_obj(goal.reference, f"{path}.0.1", ctx, intermediates)
+        pieces = _goal_pieces(obj_map, ref_map, goal.rel, ctx)
+        if node.action.word in PUSH_ACTIONS:
+            params, pick_map, place_grids = _push_params(pieces, ctx.pose_grid)
+        else:
+            place_grids = _place_scores(pieces["effective_kernel"], pieces["offsets"],
+                                        pieces["reference"], pieces["bbox"], ctx.pose_grid)
+            place = select_place(place_grids)
+            params = ControlParams(pieces["pick"], place, PICK_PLACE)
+            pick_map = pieces["pick_map"]
+        intermediates[path] = pick_map
+        return [params], pick_map, place_grids
+    if isinstance(node, dsl.ActionConcat):
+        left = _eval_plan(node.a, f"{path}.0", ctx, intermediates)
+        right = _eval_plan(node.b, f"{path}.1", ctx, intermediates)
+        return left[0] + right[0], left[1], left[2]
+    raise TypeError(f"not a plan node: {node!r}")
+
+
 def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     """Evaluate a Plan-typed program against the scene context."""
     if dsl.type_check(program) is not dsl.SemanticType.PLAN:
         raise dsl.TypeMismatch("0", dsl.SemanticType.PLAN.value,
                                dsl.type_check(program).value)
-    gh, gw = ctx.backend.shape_for(ctx.scene)
     intermediates: dict[str, GroundingMap] = {}
-
-    def eval_obj(node: dsl.ProgramNode, path: str) -> GroundingMap:
-        if isinstance(node, dsl.Scene):
-            result = GroundingMap(np.ones((gh, gw)))
-        elif isinstance(node, dsl.Filter):
-            child = eval_obj(node.child, f"{path}.0")
-            result = intersect(child, ctx.backend.ground(ctx.scene, node.prop))
-        elif isinstance(node, dsl.ObjUnion):
-            result = union(eval_obj(node.a, f"{path}.0"), eval_obj(node.b, f"{path}.1"))
-        elif isinstance(node, dsl.Relate):
-            target = eval_obj(node.target, f"{path}.0")
-            reference = eval_obj(node.reference, f"{path}.1")
-            result = eval_relate(target, reference, node.rel, ctx)
-        else:
-            raise TypeError(f"not an object node: {node!r}")
-        intermediates[path] = result
-        return result
-
-    def eval_plan(node: dsl.ProgramNode, path: str):
-        if isinstance(node, dsl.Do):
-            goal = node.goal
-            obj_map = eval_obj(goal.obj, f"{path}.0.0")
-            ref_map = eval_obj(goal.reference, f"{path}.0.1")
-            pieces = _goal_pieces(obj_map, ref_map, goal.rel, ctx)
-            if node.action.word in PUSH_ACTIONS:
-                params, pick_map, place_grids = _push_params(pieces, ctx.pose_grid)
-            else:
-                place_grids = _place_scores(pieces["effective_kernel"], pieces["offsets"],
-                                            pieces["reference"], pieces["bbox"], ctx.pose_grid)
-                place = select_place(place_grids)
-                params = ControlParams(pieces["pick"], place, PICK_PLACE)
-                pick_map = pieces["pick_map"]
-            intermediates[path] = pick_map
-            return [params], pick_map, place_grids
-        if isinstance(node, dsl.ActionConcat):
-            left = eval_plan(node.a, f"{path}.0")
-            right = eval_plan(node.b, f"{path}.1")
-            return left[0] + right[0], left[1], left[2]
-        raise TypeError(f"not a plan node: {node!r}")
-
-    all_params, pick_map, place_grids = eval_plan(program, "0")
+    all_params, pick_map, place_grids = _eval_plan(program, "0", ctx, intermediates)
     return ExecutionResult(
         all_params=tuple(all_params),
         intermediates=intermediates,

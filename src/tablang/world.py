@@ -11,6 +11,7 @@ container walls (they are clamped inward or outward).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -100,6 +101,7 @@ class OutOfBounds(Exception):
     pass
 
 
+@functools.cache
 def unit_circumradius(shape: str) -> float:
     if shape in _POLYGONS:
         return max(math.hypot(x, y) for x, y in _POLYGONS[shape])
@@ -171,18 +173,24 @@ class Scene:
         return max(1, self.height // 2), max(1, self.width // 2)
 
 
-def _point_in_polygon(verts: list[tuple[float, float]], px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    inside = np.zeros(px.shape, dtype=bool)
-    n = len(verts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n):
-            x1, y1 = verts[k]
-            x2, y2 = verts[(k + 1) % n]
-            crosses = (y1 <= py) != (y2 <= py)
-            if y2 != y1:
-                xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-                inside ^= crosses & (px < xint)
-    return inside
+def _edge_arrays(verts: list[tuple[float, float]]) -> tuple[np.ndarray, ...]:
+    """(x1, y1, y2, x2 - x1, y2 - y1) of every non-horizontal edge, each of
+    shape (E, 1, 1) so they broadcast against an (H, W) lattice."""
+    edges = [(x1, y1, y2, x2 - x1, y2 - y1)
+             for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]) if y2 != y1]
+    return tuple(np.array(col, dtype=np.float64)[:, None, None] for col in zip(*edges))
+
+
+def _point_in_polygon(edges: tuple[np.ndarray, ...], px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test against all edges at once. A horizontal edge
+    never crosses a scan line, so only the non-horizontal ones are given."""
+    x1, y1, y2, dx, dy = edges
+    crosses = (y1 <= py) != (y2 <= py)
+    xint = x1 + (py - y1) * dx / dy
+    return np.logical_xor.reduce(crosses & (px < xint), axis=0)
+
+
+_EDGES = {name: _edge_arrays(verts) for name, verts in _POLYGONS.items()}
 
 
 def _unit_inside(shape: str, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
@@ -196,29 +204,44 @@ def _unit_inside(shape: str, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
         ro, ri = _RINGS[shape]
         rr = ux * ux + uy * uy
         return (rr <= ro * ro) & (rr > ri * ri)
-    return _point_in_polygon(_POLYGONS[shape], ux, uy)
+    return _point_in_polygon(_EDGES[shape], ux, uy)
 
 
 def _to_unit(obj: SceneObject, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(xs, dtype=np.float64)[None, :] - obj.x
-    Y = np.asarray(ys, dtype=np.float64)[:, None] - obj.y
+    X = xs[None, :] - obj.x
+    Y = ys[:, None] - obj.y
     c, s = math.cos(obj.angle), math.sin(obj.angle)
     ux = (X * c + Y * s) / obj.size
     uy = (-X * s + Y * c) / obj.size
     return ux, uy
 
 
+def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
+            xs: np.ndarray | None, inside) -> np.ndarray:
+    """(len(ys), len(xs)) boolean raster of inside(ux, uy), evaluated only on
+    the lattice window within circumradius + 1 of the object's centre; no
+    sample outside that window can be inside the object."""
+    h, w = hw
+    ys = np.arange(h, dtype=np.float64) if ys is None else np.asarray(ys, dtype=np.float64)
+    xs = np.arange(w, dtype=np.float64) if xs is None else np.asarray(xs, dtype=np.float64)
+    out = np.zeros((len(ys), len(xs)), dtype=bool)
+    reach = obj.circumradius + 1.0
+    r0, r1 = ys.searchsorted((obj.y - reach, obj.y + reach))
+    c0, c1 = xs.searchsorted((obj.x - reach, obj.x + reach))
+    if r0 < r1 and c0 < c1:
+        ux, uy = _to_unit(obj, xs[c0:c1], ys[r0:r1])
+        out[r0:r1, c0:c1] = inside(ux, uy)
+    return out
+
+
 def footprint_mask(obj: SceneObject, hw: tuple[int, int],
                    ys: np.ndarray | None = None, xs: np.ndarray | None = None) -> np.ndarray:
     """Boolean raster of the object's footprint sampled at (ys, xs) scene
-    coordinates (defaults to the integer pixel lattice)."""
-    h, w = hw
-    if ys is None:
-        ys = np.arange(h, dtype=np.float64)
-    if xs is None:
-        xs = np.arange(w, dtype=np.float64)
-    ux, uy = _to_unit(obj, xs, ys)
-    return _unit_inside(obj.shape, ux, uy)
+    coordinates (defaults to the integer pixel lattice of shape hw; hw is
+    ignored where ys and xs are given). ys and xs must be ascending: the
+    inside test runs only on the rows and columns within circumradius + 1 of
+    the centre, found by binary search, and every other sample is False."""
+    return _sample(obj, hw, ys, xs, lambda ux, uy: _unit_inside(obj.shape, ux, uy))
 
 
 def interior_mask(obj: SceneObject, hw: tuple[int, int],
@@ -227,19 +250,14 @@ def interior_mask(obj: SceneObject, hw: tuple[int, int],
     zones the interior is the footprint itself."""
     if obj.kind != CONTAINER:
         return footprint_mask(obj, hw, ys, xs)
-    h, w = hw
-    if ys is None:
-        ys = np.arange(h, dtype=np.float64)
-    if xs is None:
-        xs = np.arange(w, dtype=np.float64)
-    ux, uy = _to_unit(obj, xs, ys)
     inset = WALL_PX / obj.size
     if obj.shape == "box":
         hx, hy = _RECTS["box"]
-        return (np.abs(ux) <= hx - inset) & (np.abs(uy) <= hy - inset)
+        return _sample(obj, hw, ys, xs,
+                       lambda ux, uy: (np.abs(ux) <= hx - inset) & (np.abs(uy) <= hy - inset))
     if obj.shape == "bowl":
         r = _DISCS["bowl"] - inset
-        return ux * ux + uy * uy <= r * r
+        return _sample(obj, hw, ys, xs, lambda ux, uy: ux * ux + uy * uy <= r * r)
     raise ValueError(f"unsupported container shape {obj.shape!r}")
 
 
@@ -253,6 +271,9 @@ def _check_bounds(scene: Scene) -> None:
     ys = np.arange(-1, h + 1, dtype=np.float64)
     xs = np.arange(-1, w + 1, dtype=np.float64)
     for obj in scene.objects:
+        # The ring test alone misses an object lying wholly outside the ring.
+        if not (0.0 <= obj.x <= w - 1 and 0.0 <= obj.y <= h - 1):
+            raise OutOfBounds(f"object {obj.id} has its centre outside the workspace")
         mask = footprint_mask(obj, (h + 2, w + 2), ys, xs)
         border = np.zeros_like(mask)
         border[0, :] = border[-1, :] = True

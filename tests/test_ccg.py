@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -172,8 +173,23 @@ def test_oov_combinations_never_truncated(lex):
     """Every joint assignment of the most unknown words parse accepts fits
     under MAX_OOV_COMBOS, so parse never drops one."""
     assert "blicket" not in lex.vocabulary
-    n = len(ccg._candidates_for("blicket", lex, semantic_prior(lex)))
+    n = len(ccg._candidates_for("blicket", lex, lex.prior))
     assert n ** ccg.MAX_JOINT_OOV <= ccg.MAX_OOV_COMBOS
+
+
+def test_lexicon_prior_built_once(monkeypatch):
+    calls = []
+
+    def counting_prior(lexicon):
+        calls.append(lexicon)
+        return semantic_prior(lexicon)
+
+    monkeypatch.setattr(ccg, "semantic_prior", counting_prior)
+    lex = default_lexicon()
+    for sentence in ("pack the blicket in the brown box", "put the daxy block in the wug bowl"):
+        parse(tokenize(sentence, lex), lex, k=1)
+    assert calls == [lex]
+    assert lex.prior == semantic_prior(lex)
 
 
 def reference_parse(tokens, lexicon, k):
@@ -225,7 +241,7 @@ def test_repeated_oov_word_keeps_one_assignment(lex):
 def test_shared_chart_matches_per_combo_charts_when_truncated(lex, monkeypatch):
     toks = tokenize("put the pink blocks in a cyan bowl", lex)
     full = parse(toks, lex, k=50)
-    n = len(ccg._candidates_for("pink", lex, semantic_prior(lex)))
+    n = len(ccg._candidates_for("pink", lex, lex.prior))
     monkeypatch.setattr(ccg, "MAX_OOV_COMBOS", 58)
     assert n ** 2 > ccg.MAX_OOV_COMBOS
     derivs = parse(toks, lex, k=50)
@@ -311,3 +327,15 @@ def test_modifier_substitution_property(lex):
 def test_lexicon_weight_must_be_positive():
     with pytest.raises(LexiconError):
         Lexicon.from_string("red\tN/N\t\\x.filter(x, red)\t0\n")
+
+
+def test_alpha_normalize_leaves_no_cyclic_garbage():
+    term = parse_template(r"\o.\p.do(p(o), pack)")
+    arg = parse_template(r"\y.\x.goal(x, y, in)")
+    gc.disable()
+    try:
+        gc.collect()
+        assert ccg.canonical(ccg.App(term, arg)) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

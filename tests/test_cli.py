@@ -100,6 +100,17 @@ def test_run_out_of_bounds_scene(tmp_path):
     assert "exits the workspace" in out.stderr
 
 
+def test_run_scene_outside_workspace(tmp_path):
+    bad = world.Scene(24, 16, (world.make_object(
+        1, world.ITEM, "hexagon", "red", -40.0, 8.0, size=4.0),))
+    path = tmp_path / "outside.json"
+    world.save_scene(path, bad)
+    out = run_cli("run", "--scene", str(path), "--output-dir",
+                  str(tmp_path / "o"), "pack the hexagon in the brown box")
+    assert out.returncode == 1
+    assert "centre outside the workspace" in out.stderr
+
+
 def test_run_parse_failure(tmp_path, scene_file):
     path, _ = scene_file
     out = run_cli("run", "--scene", str(path), "--output-dir",

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -205,6 +206,26 @@ def test_execute_golden_example():
 
 
 GOLDEN_TEXT = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
+
+
+def test_execute_leaves_no_cyclic_garbage():
+    """execute frees its maps by reference counting alone; a reference cycle
+    would keep every intermediate GroundingMap alive until the cyclic
+    collector runs."""
+    box = world.make_object(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
+    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    star = world.make_object(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
+    scene = world.Scene(128, 64, (box, hexagon, star), rng_seed=0)
+    ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
+    program = dsl.parse_program(
+        "actionconcat(" + GOLDEN_TEXT + ", do(goal(filter(star), filter(box), in), push))")
+    gc.disable()
+    try:
+        gc.collect()
+        assert execute(program, ctx).all_params
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_execute_records_intermediates_by_path():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tablang import world
 from tablang.executor import ControlParams, Pose2
+from tablang.grounding import axis_coords
 from tablang.world import (
     CONTAINER,
     ITEM,
@@ -116,6 +119,15 @@ def test_features_match_segmented_attributes():
 def test_out_of_bounds_raises():
     obj = make_object(1, ITEM, "disc", "red", 1.0, 8.0, size=4.0)
     with pytest.raises(OutOfBounds):
+        render(Scene(24, 16, (obj,)))
+
+
+@pytest.mark.parametrize("x, y", [(-40.0, 8.0), (8.0, 60.0), (23.5, 8.0), (8.0, -0.5)])
+def test_centre_outside_workspace_raises(x, y):
+    """An object wholly outside the one-pixel ring around the workspace never
+    touches the ring, so only the centre test catches it."""
+    obj = make_object(1, ITEM, "hexagon", "red", x, y, size=4.0)
+    with pytest.raises(OutOfBounds, match="centre outside"):
         render(Scene(24, 16, (obj,)))
 
 
@@ -256,3 +268,104 @@ def test_duplicate_ids_rejected():
     b = make_object(1, ITEM, "disc", "blue", 40.0, 20.0, size=3.0)
     with pytest.raises(ValueError):
         Scene(64, 48, (a, b))
+
+
+def reference_point_in_polygon(verts, px, py):
+    inside = np.zeros(px.shape, dtype=bool)
+    n = len(verts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            x1, y1 = verts[k]
+            x2, y2 = verts[(k + 1) % n]
+            crosses = (y1 <= py) != (y2 <= py)
+            if y2 != y1:
+                xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+                inside ^= crosses & (px < xint)
+    return inside
+
+
+def reference_masks(obj, hw, ys=None, xs=None):
+    """(footprint, interior) evaluated on the whole lattice, edge by edge:
+    the rasterizer as it was before windowing."""
+    h, w = hw
+    ys = np.arange(h, dtype=np.float64) if ys is None else ys
+    xs = np.arange(w, dtype=np.float64) if xs is None else xs
+    X = np.asarray(xs, dtype=np.float64)[None, :] - obj.x
+    Y = np.asarray(ys, dtype=np.float64)[:, None] - obj.y
+    c, s = math.cos(obj.angle), math.sin(obj.angle)
+    ux = (X * c + Y * s) / obj.size
+    uy = (-X * s + Y * c) / obj.size
+    if obj.shape in world._RECTS:
+        hx, hy = world._RECTS[obj.shape]
+        foot = (np.abs(ux) <= hx) & (np.abs(uy) <= hy)
+    elif obj.shape in world._DISCS:
+        r = world._DISCS[obj.shape]
+        foot = ux * ux + uy * uy <= r * r
+    elif obj.shape in world._RINGS:
+        ro, ri = world._RINGS[obj.shape]
+        rr = ux * ux + uy * uy
+        foot = (rr <= ro * ro) & (rr > ri * ri)
+    else:
+        foot = reference_point_in_polygon(world._POLYGONS[obj.shape], ux, uy)
+    if obj.kind != CONTAINER:
+        return foot, foot
+    inset = world.WALL_PX / obj.size
+    if obj.shape == "box":
+        hx, hy = world._RECTS["box"]
+        return foot, (np.abs(ux) <= hx - inset) & (np.abs(uy) <= hy - inset)
+    r = world._DISCS["bowl"] - inset
+    return foot, ux * ux + uy * uy <= r * r
+
+
+LATTICES = ("pixel", "grounding", "padded", "point")
+
+
+@st.composite
+def raster_cases(draw):
+    shape = draw(st.sampled_from(world.SHAPE_NAMES))
+    kinds = (ITEM, CONTAINER, world.ZONE) if shape in ("box", "bowl") else (ITEM, world.ZONE)
+    kind = draw(st.sampled_from(kinds))
+    width = draw(st.integers(1, 128))
+    height = draw(st.integers(1, 64))
+    coord = lambda hi: st.one_of(st.integers(-40, hi + 40).map(float),
+                                 st.floats(-40.0, hi + 40.0))
+    x, y = draw(coord(width)), draw(coord(height))
+    angle = draw(st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi)))
+    size = draw(st.floats(0.5, 30.0))
+    lattice = draw(st.sampled_from(LATTICES))
+    point = (draw(coord(height)), draw(coord(width)))
+    return shape, kind, width, height, x, y, angle, size, lattice, point
+
+
+def lattice_args(lattice, width, height, point):
+    if lattice == "pixel":
+        return (height, width), None, None
+    if lattice == "grounding":
+        gh, gw = Scene(width, height, ()).grounding_shape()
+        return (gh, gw), axis_coords(gh, height), axis_coords(gw, width)
+    if lattice == "padded":
+        return ((height + 2, width + 2), np.arange(-1, height + 1, dtype=np.float64),
+                np.arange(-1, width + 1, dtype=np.float64))
+    return (1, 1), np.array([point[0]]), np.array([point[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raster_cases())
+@example(("letter-t", ITEM, 24, 16, 12.0, 8.0, 0.0, 5.0, "pixel", (0.0, 0.0)))
+@example(("letter-t", ITEM, 24, 16, 12.0, 8.0, 0.0, 4.0, "padded", (0.0, 0.0)))
+@example(("star", ITEM, 24, 16, 12.0, 8.0, 0.0, 4.0, "point", (4.0, 12.0)))
+@example(("letter-l", ITEM, 24, 16, 0.0, 0.0, 0.0, 1.0, "point", (0.3999999999999999, -0.5)))
+def test_windowed_masks_match_full_lattice(case):
+    """The letter-t examples put horizontal edges on lattice rows; the
+    letter-l one samples the row where -1.0 + 1.4 rounds to just below the
+    vertex at 0.4, so a crossing test on y1 + dy instead of y2 misses the
+    edge there."""
+    shape, kind, width, height, x, y, angle, size, lattice, point = case
+    obj = make_object(1, kind, shape, "red", x, y, angle=angle, size=size)
+    hw, ys, xs = lattice_args(lattice, width, height, point)
+    foot, interior = reference_masks(obj, hw, ys, xs)
+    got_foot = footprint_mask(obj, hw, ys, xs)
+    got_interior = interior_mask(obj, hw, ys, xs)
+    for got, want in ((got_foot, foot), (got_interior, interior)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
