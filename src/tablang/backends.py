@@ -17,10 +17,10 @@ from . import formats, world
 from .dsl import PROPERTY, ConceptToken
 from .grounding import (
     ConceptEmbedding,
-    FeatureMap,
     GroundingMap,
     ProjectionWeights,
-    ground_embedding,
+    project,
+    score_projected,
 )
 
 
@@ -59,46 +59,42 @@ class OracleBackend:
 class EmbeddingBackend:
     """Feature-space grounding over synthetic attribute indicators.
 
-    Features are rendered per scene (noise seeded by the scene, so grounding
-    stays deterministic). Concept embeddings are one-hot rows of the scene's
-    attribute vocabulary; words outside the vocabulary embed to zero and thus
-    ground to the all-zero map. Projection weights default to identity sized
-    to the vocabulary.
+    Features are rasterized per scene; the projection is cached per scene.
+    Concept embeddings are one-hot rows of the scene's attribute vocabulary;
+    words outside the vocabulary embed to zero and thus ground to the
+    all-zero map. Projection weights default to identity sized to the
+    vocabulary.
     """
 
     ground_shape: tuple[int, int] | None = None
     weights: ProjectionWeights | None = None
-    noise_sigma: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    # (scene, weights, vocab, projected features) of the last scene grounded.
+    _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     name = "embedding"
 
     def shape_for(self, scene: world.Scene) -> tuple[int, int]:
         return self.ground_shape if self.ground_shape is not None else scene.grounding_shape()
 
-    def _features(self, scene: world.Scene):
-        key = id(scene)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is scene:
-            return hit[1], hit[2]
-        rendered = world.render(scene, self.shape_for(scene))
-        feats = rendered.features.values
-        if self.noise_sigma > 0:
-            rng = np.random.default_rng(scene.rng_seed)
-            feats = feats + rng.normal(0.0, self.noise_sigma, feats.shape)
-        fmap = FeatureMap(feats)
-        self._cache = {key: (scene, fmap, rendered.feature_vocab)}
-        return fmap, rendered.feature_vocab
+    def _projected(self, scene: world.Scene) -> tuple[tuple[str, ...], np.ndarray]:
+        """The scene's vocabulary and its features projected by the weights;
+        reused while both the scene and the weights are the same objects."""
+        hit = self._cache
+        if hit is not None and hit[0] is scene and hit[1] is self.weights:
+            return hit[2], hit[3]
+        fmap, vocab = world.features(scene, self.shape_for(scene))
+        weights = self.weights if self.weights is not None else ProjectionWeights.identity(fmap.dim)
+        projected = project(fmap, weights)
+        self._cache = (scene, self.weights, vocab, projected)
+        return vocab, projected
 
     def ground(self, scene: world.Scene, concept: ConceptToken) -> GroundingMap:
         _check_concept(concept)
-        fmap, vocab = self._features(scene)
-        dim = fmap.dim
-        emb = np.zeros(dim, dtype=np.float64)
+        vocab, projected = self._projected(scene)
+        emb = np.zeros(max(1, len(vocab)), dtype=np.float64)
         if concept.word in vocab:
             emb[vocab.index(concept.word)] = 1.0
-        weights = self.weights if self.weights is not None else ProjectionWeights.identity(dim)
-        return ground_embedding(fmap, ConceptEmbedding(emb), weights)
+        return score_projected(projected, ConceptEmbedding(emb))
 
 
 def make_backend(name: str, ground_shape: tuple[int, int] | None = None,

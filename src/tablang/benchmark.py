@@ -584,7 +584,8 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
         try:
             episode = builder(task, rng)
         except GenerationFailure as exc:
-            last_error = exc
+            # The message only: the exception's traceback holds this frame.
+            last_error = str(exc)
             continue
         episode = Episode(episode.scene, episode.instruction, episode.expert,
                           episode.goal, episode.max_steps, episode.task_name,
@@ -592,7 +593,7 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
         final = _replay(episode.scene, episode.expert)
         if score_success(task, final, episode) == 1.0:
             return episode
-        last_error = GenerationFailure("expert replay did not reach score 1.0")
+        last_error = "expert replay did not reach score 1.0"
     raise GenerationFailure(f"{task.name}/{seed}: {last_error}")
 
 

@@ -50,7 +50,7 @@ def _load_session(args):
     try:
         lexicon = _load_lexicon(args.lexicon)
         scene = world.load_scene(args.scene)
-        world.render(scene)  # validate bounds up front
+        world.check_bounds(scene)
         backend = make_backend(args.backend, weights_path=args.weights)
         grid = PoseGrid(scene.height, scene.width, args.rotations)
         out = _out_dir(args)

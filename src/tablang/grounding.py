@@ -185,6 +185,25 @@ def resample(mapping: GroundingMap, new_height: int, new_width: int) -> Groundin
     return GroundingMap(np.clip(out, 0.0, 1.0))
 
 
+def project(features: FeatureMap, weights: ProjectionWeights) -> np.ndarray:
+    """The (H', W', D2) projected features, features @ cv.T @ cl.T."""
+    if weights.cv.shape[1] != features.dim:
+        raise DimMismatch(
+            f"cv expects dim {weights.cv.shape[1]}, features have {features.dim}"
+        )
+    return features.values @ weights.cv.T @ weights.cl.T
+
+
+def score_projected(projected: np.ndarray, embedding: ConceptEmbedding) -> GroundingMap:
+    """Min-max normalized dot product of each projected feature with the
+    embedding."""
+    if embedding.dim != projected.shape[2]:
+        raise DimMismatch(
+            f"embedding dim {embedding.dim} != projected dim {projected.shape[2]}"
+        )
+    return normalize(projected @ embedding.values)
+
+
 def ground_embedding(
     features: FeatureMap,
     embedding: ConceptEmbedding,
@@ -194,16 +213,7 @@ def ground_embedding(
 
     raw(i, j) = sum_d embedding_d * (cl @ (cv @ features[i, j]))_d, then
     min-max normalized. Equivalent to tiling the embedding over the grid and
-    summing the Hadamard product along the feature dimension.
+    summing the Hadamard product along the feature dimension. The projection
+    is computed first, so one project serves any number of embeddings.
     """
-    if weights.cv.shape[1] != features.dim:
-        raise DimMismatch(
-            f"cv expects dim {weights.cv.shape[1]}, features have {features.dim}"
-        )
-    if embedding.dim != weights.cl.shape[0]:
-        raise DimMismatch(
-            f"embedding dim {embedding.dim} != projected dim {weights.cl.shape[0]}"
-        )
-    projected = features.values @ weights.cv.T @ weights.cl.T
-    raw = projected @ embedding.values
-    return normalize(raw)
+    return score_projected(project(features, weights), embedding)

@@ -3,7 +3,8 @@
 Objects are parametric footprints (polygons, discs, rings) with a continuous
 center, rotation, and scale; rendering rasterizes them top-down in painter's
 order (zones, then containers, then items) into an RGB + height image, an id
-segmentation, and a synthetic per-pixel attribute-indicator feature map.
+segmentation, and a synthetic per-pixel attribute-indicator feature map
+(features rasterizes the feature map alone).
 Actions are kinematic: pick/place teleports an item, push sweeps a corridor.
 No mass, no friction; the only collision rule is that items may not overlap
 container walls (they are clamped inward or outward).
@@ -266,19 +267,25 @@ def _paint_order(scene: Scene) -> list[SceneObject]:
     return sorted(scene.objects, key=lambda o: rank[o.kind])
 
 
-def _check_bounds(scene: Scene) -> None:
+def check_bounds(scene: Scene) -> None:
+    """Raise OutOfBounds when an object's centre lies outside the workspace
+    or its footprint covers a sample of the one-pixel ring around it (rows
+    y = -1 and y = h, columns x = -1 and x = w)."""
     h, w = scene.height, scene.width
+    ring_ys = np.array([-1.0, float(h)])
+    ring_xs = np.array([-1.0, float(w)])
     ys = np.arange(-1, h + 1, dtype=np.float64)
     xs = np.arange(-1, w + 1, dtype=np.float64)
     for obj in scene.objects:
         # The ring test alone misses an object lying wholly outside the ring.
         if not (0.0 <= obj.x <= w - 1 and 0.0 <= obj.y <= h - 1):
             raise OutOfBounds(f"object {obj.id} has its centre outside the workspace")
-        mask = footprint_mask(obj, (h + 2, w + 2), ys, xs)
-        border = np.zeros_like(mask)
-        border[0, :] = border[-1, :] = True
-        border[:, 0] = border[:, -1] = True
-        if np.any(mask & border):
+        reach = obj.circumradius + 1.0
+        if (-1.0 < obj.x - reach and obj.x + reach < w
+                and -1.0 < obj.y - reach and obj.y + reach < h):
+            continue  # no ring sample lies within the object's window
+        if (footprint_mask(obj, (2, w + 2), ring_ys, xs).any()
+                or footprint_mask(obj, (h + 2, 2), ys, ring_xs).any()):
             raise OutOfBounds(f"object {obj.id} exits the workspace")
 
 
@@ -305,10 +312,36 @@ class RenderedScene:
     feature_vocab: tuple[str, ...]
 
 
+def _feature_raster(scene: Scene, order: list[SceneObject],
+                    ground_shape: tuple[int, int] | None) -> tuple[FeatureMap, tuple[str, ...]]:
+    gh, gw = ground_shape if ground_shape is not None else scene.grounding_shape()
+    gys = axis_coords(gh, scene.height)
+    gxs = axis_coords(gw, scene.width)
+    vocab = attribute_vocabulary(scene)
+    index = {a: i for i, a in enumerate(vocab)}
+    feats = np.zeros((gh, gw, max(1, len(vocab))), dtype=np.float64)
+    for obj in order:
+        gmask = footprint_mask(obj, (gh, gw), gys, gxs)
+        vec = np.zeros(max(1, len(vocab)), dtype=np.float64)
+        for attr in obj.attributes:
+            vec[index[attr]] = 1.0
+        feats[gmask] = vec
+    return FeatureMap(feats), vocab
+
+
+def features(scene: Scene, ground_shape: tuple[int, int] | None = None
+             ) -> tuple[FeatureMap, tuple[str, ...]]:
+    """The grounding-resolution attribute-indicator features of render, and
+    their vocabulary, without painting the image. Raises OutOfBounds as
+    render does."""
+    check_bounds(scene)
+    return _feature_raster(scene, _paint_order(scene), ground_shape)
+
+
 def render(scene: Scene, ground_shape: tuple[int, int] | None = None) -> RenderedScene:
     """Rasterize the scene. Deterministic; raises OutOfBounds when any
     footprint exits the workspace."""
-    _check_bounds(scene)
+    check_bounds(scene)
     h, w = scene.height, scene.width
     image = np.zeros((h, w, 4), dtype=np.float64)
     image[:, :, :3] = BACKGROUND
@@ -324,20 +357,8 @@ def render(scene: Scene, ground_shape: tuple[int, int] | None = None) -> Rendere
             image[wall, 3] = _height_of(obj)
         else:
             image[mask, 3] = _height_of(obj)
-
-    gh, gw = ground_shape if ground_shape is not None else scene.grounding_shape()
-    gys = axis_coords(gh, h)
-    gxs = axis_coords(gw, w)
-    vocab = attribute_vocabulary(scene)
-    index = {a: i for i, a in enumerate(vocab)}
-    feats = np.zeros((gh, gw, max(1, len(vocab))), dtype=np.float64)
-    for obj in order:
-        gmask = footprint_mask(obj, (gh, gw), gys, gxs)
-        vec = np.zeros(max(1, len(vocab)), dtype=np.float64)
-        for attr in obj.attributes:
-            vec[index[attr]] = 1.0
-        feats[gmask] = vec
-    return RenderedScene(image, seg, FeatureMap(feats), vocab)
+    fmap, vocab = _feature_raster(scene, order, ground_shape)
+    return RenderedScene(image, seg, fmap, vocab)
 
 
 def ground_truth_mask(scene: Scene, predicate, shape: tuple[int, int] | None = None) -> GroundingMap:

@@ -11,7 +11,13 @@ from tablang.formats import (
     save_projection_weights,
     write_pgm,
 )
-from tablang.grounding import ProjectionWeights
+from tablang.grounding import (
+    ConceptEmbedding,
+    DimMismatch,
+    ProjectionWeights,
+    ground_embedding,
+    normalize,
+)
 
 
 def prop(w):
@@ -108,11 +114,65 @@ def test_embedding_unknown_word_zero():
     assert np.all(out.values == 0.0)
 
 
-def test_embedding_noise_deterministic():
+def test_cached_projection_matches_ground_embedding():
+    """Grounding every concept of a scene through the per-scene projection
+    gives the bits of projecting once per concept from render's features,
+    under random non-identity weights."""
+    rng = np.random.default_rng(4)
+    backend = EmbeddingBackend()
+    for name in ("packing_nested_prepositions", "put_blocks_in_bowls", "separating_piles"):
+        scene = bm.generate_episode(bm.TaskSpec(name), 2).scene
+        rendered = world.render(scene)
+        dim = rendered.features.dim
+        weights = ProjectionWeights(rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
+        backend.weights = weights
+        for word in rendered.feature_vocab + ("gorp",):
+            emb = np.zeros(dim)
+            if word in rendered.feature_vocab:
+                emb[rendered.feature_vocab.index(word)] = 1.0
+            got = backend.ground(scene, prop(word)).values
+            want = ground_embedding(rendered.features, ConceptEmbedding(emb), weights)
+            assert np.array_equal(got, want.values)
+            # The association order of the unsplit ground_embedding.
+            raw = rendered.features.values @ weights.cv.T @ weights.cl.T @ emb
+            assert np.array_equal(got, normalize(raw).values)
+
+
+def test_embedding_grounds_without_render(monkeypatch):
+    def no_render(*args, **kwargs):
+        raise AssertionError("render called")
+
     scene = scene_one_hexagon()
-    a = EmbeddingBackend(noise_sigma=0.1).ground(scene, prop("blue"))
-    b = EmbeddingBackend(noise_sigma=0.1).ground(scene, prop("blue"))
-    assert np.array_equal(a.values, b.values)
+    want = OracleBackend().ground(scene, prop("blue")).values
+    monkeypatch.setattr(world, "render", no_render)
+    assert np.array_equal(EmbeddingBackend().ground(scene, prop("blue")).values, want)
+
+
+def test_new_weights_invalidate_cached_projection():
+    hexagon = world.make_object(1, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    disc = world.make_object(2, world.ITEM, "disc", "red", 90.0, 30.0, size=5.0)
+    scene = world.Scene(128, 64, (hexagon, disc))
+    backend = EmbeddingBackend()
+    before = backend.ground(scene, prop("blue")).values
+    dim = len(world.attribute_vocabulary(scene))
+    swapped = ProjectionWeights(np.eye(dim)[::-1], np.eye(dim))
+    backend.weights = swapped
+    after = backend.ground(scene, prop("blue")).values
+    assert not np.array_equal(before, after)
+    want = ground_embedding(world.render(scene).features, ConceptEmbedding(np.eye(dim)[0]), swapped)
+    assert np.array_equal(after, want.values)
+
+
+def test_bad_weights_raise_on_every_ground():
+    scene = scene_one_hexagon()
+    dim = len(world.attribute_vocabulary(scene))
+    narrow = EmbeddingBackend(weights=ProjectionWeights(np.eye(2), np.eye(2)))
+    short = EmbeddingBackend(weights=ProjectionWeights(np.ones((2, dim)), np.eye(2)))
+    for backend, message in ((narrow, f"cv expects dim 2, features have {dim}"),
+                             (short, f"embedding dim {dim} != projected dim 2")):
+        for _ in range(2):
+            with pytest.raises(DimMismatch, match=message):
+                backend.ground(scene, prop("blue"))
 
 
 def test_projection_weights_file_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -53,6 +54,30 @@ def test_generate_episode_deterministic():
         assert a.expert == b.expert
         c = generate_episode(TaskSpec(name), 8)
         assert world.scene_to_dict(c.scene) != world.scene_to_dict(a.scene)
+
+
+def test_generate_episode_leaves_no_cyclic_garbage(monkeypatch):
+    """A retried builder failure is kept as its message, not as the
+    exception, whose traceback would hold generate_episode's own frame."""
+    build = bm._BUILDERS["separating_piles"]
+    failures = []
+
+    def counted(task, rng):
+        try:
+            return build(task, rng)
+        except bm.GenerationFailure as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setitem(bm._BUILDERS, "separating_piles", counted)
+    gc.disable()
+    try:
+        gc.collect()
+        generate_episode(TaskSpec("separating_piles"), 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert failures
 
 
 def test_packing_shapes_structure():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +12,16 @@ from tablang import world
 GOLDEN = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, stdin=None, cwd=None):
+    # pytest's pythonpath setting reaches only its own process.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "tablang.cli", *args],
-        capture_output=True, text=True, input=stdin, cwd=cwd, timeout=120,
+        capture_output=True, text=True, input=stdin, cwd=cwd, env=env, timeout=120,
     )
 
 

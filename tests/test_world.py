@@ -369,3 +369,89 @@ def test_windowed_masks_match_full_lattice(case):
     for got, want in ((got_foot, foot), (got_interior, interior)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def reference_check_bounds(scene):
+    """The bounds check as it was before the ring-only test: every object
+    rasterized on the whole padded (h + 2, w + 2) lattice."""
+    h, w = scene.height, scene.width
+    ys = np.arange(-1, h + 1, dtype=np.float64)
+    xs = np.arange(-1, w + 1, dtype=np.float64)
+    for obj in scene.objects:
+        if not (0.0 <= obj.x <= w - 1 and 0.0 <= obj.y <= h - 1):
+            raise OutOfBounds(f"object {obj.id} has its centre outside the workspace")
+        mask = footprint_mask(obj, (h + 2, w + 2), ys, xs)
+        border = np.zeros_like(mask)
+        border[0, :] = border[-1, :] = True
+        border[:, 0] = border[:, -1] = True
+        if np.any(mask & border):
+            raise OutOfBounds(f"object {obj.id} exits the workspace")
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("raised", message) of an OutOfBounds call."""
+    try:
+        return "ok", fn(*args)
+    except OutOfBounds as exc:
+        return "raised", str(exc)
+
+
+def near_edge(hi):
+    """A coordinate in [0, hi - 1] or within a few pixels of either edge."""
+    return st.one_of(st.floats(-2.0, 7.0), st.floats(hi - 8.0, hi + 1.0),
+                     st.floats(0.0, float(hi - 1)), st.sampled_from([0.0, float(hi - 1)]))
+
+
+def anywhere(hi):
+    return st.floats(0.0, float(hi - 1))
+
+
+@st.composite
+def scenes(draw, coord=near_edge, max_objects=3, max_width=128, max_height=64, max_size=12.0):
+    """Scenes of items, containers or zones of any shape, in any order, with
+    centres drawn by coord (by default mostly near an edge or a corner)."""
+    width = draw(st.integers(8, max_width))
+    height = draw(st.integers(8, max_height))
+    objects = []
+    for oid in range(1, draw(st.integers(1, max_objects)) + 1):
+        shape = draw(st.sampled_from(world.SHAPE_NAMES))
+        kinds = (ITEM, CONTAINER, world.ZONE) if shape in ("box", "bowl") else (ITEM, world.ZONE)
+        objects.append(make_object(
+            oid, draw(st.sampled_from(kinds)), shape, draw(st.sampled_from(sorted(world.COLORS))),
+            draw(coord(width)), draw(coord(height)),
+            angle=draw(st.floats(-2 * math.pi, 2 * math.pi)), size=draw(st.floats(0.5, max_size))))
+    return Scene(width, height, tuple(objects))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scenes())
+@example(Scene(24, 16, (make_object(1, CONTAINER, "bowl", "red", 4.0, 4.0, size=4.0),)))
+@example(Scene(24, 16, (make_object(1, CONTAINER, "bowl", "red", 3.0, 8.0, size=4.0),)))
+@example(Scene(24, 16, (make_object(1, ITEM, "square", "red", 21.2, 13.2, size=4.0),)))
+@example(Scene(24, 16, (make_object(1, ITEM, "disc", "red", 12.0, 14.5, size=2.0),)))
+def test_ring_check_matches_padded_lattice(scene):
+    """check_bounds raises exactly where the padded-lattice check does, with
+    the same message. The bowl examples sit with their window edge on the
+    ring (x - reach = -1) and their rim on the ring (x = -1); the square
+    covers the corner sample (w, h); the disc reaches row y = h by less than
+    half a pixel."""
+    assert outcome(world.check_bounds, scene) == outcome(reference_check_bounds, scene)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scenes(), scenes(anywhere, 6, 48, 32, 5.0)),
+       st.one_of(st.none(), st.tuples(st.integers(1, 40), st.integers(1, 70))))
+def test_features_match_render(scene, ground_shape):
+    """features gives render's feature map and vocabulary, and raises where
+    render raises. The crowded scenes overlap objects of every kind, listed
+    in any order, so paint order shows."""
+    got = outcome(world.features, scene, ground_shape)
+    want = outcome(render, scene, ground_shape)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] == want[1]
+        return
+    fmap, vocab = got[1]
+    assert vocab == want[1].feature_vocab
+    assert fmap.values.dtype == want[1].features.values.dtype
+    assert np.array_equal(fmap.values, want[1].features.values)
