@@ -33,7 +33,6 @@ from .executor import (
     NoFeasiblePlace,
     Pose2,
     PoseGrid,
-    RelationConfig,
     UnknownRelation,
     execute,
 )
@@ -72,10 +71,6 @@ ZONE_SIZE = 14.0
 
 
 class GenerationFailure(Exception):
-    pass
-
-
-class AlreadySolved(Exception):
     pass
 
 
@@ -597,37 +592,6 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
     raise GenerationFailure(f"{task.name}/{seed}: {last_error}")
 
 
-def expert_policy(episode: Episode, step: int) -> ControlParams:
-    """The stored demonstration action for this step."""
-    if step >= len(episode.expert):
-        raise AlreadySolved(f"step {step} beyond the expert plan")
-    return episode.expert[step]
-
-
-def episode_to_dict(episode: Episode) -> dict:
-    """Demonstration export: scene, instruction, and expert action tuples."""
-    def pose(p: Pose2) -> dict:
-        return {"u": p.u, "v": p.v, "r": p.r}
-
-    return {
-        "task": episode.task_name,
-        "split": episode.split,
-        "seed": episode.seed,
-        "instruction": episode.instruction,
-        "max_steps": episode.max_steps,
-        "scene": world.scene_to_dict(episode.scene),
-        "goal": {
-            "kind": episode.goal.kind,
-            "target_ids": list(episode.goal.target_ids),
-            "region_ids": list(episode.goal.region_ids),
-        },
-        "expert": [
-            {"primitive": a.primitive, "pick": pose(a.pick), "place": pose(a.place)}
-            for a in episode.expert
-        ],
-    }
-
-
 # --------------------------------------------------------------------------
 # Imitation-loss metric (computed, never optimized)
 
@@ -680,8 +644,7 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
-                relation_config: RelationConfig | None = None) -> dict:
+def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict:
     """Parse, execute stepwise, apply, and score one episode. An error is
     recorded as the episode's failure ("parse", "grounding", "placement", or
     "internal" for any other exception) instead of being raised."""
@@ -697,7 +660,6 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
         "program": None,
     }
     scene = episode.scene
-    cfg = relation_config or RelationConfig()
     grid = PoseGrid(scene.height, scene.width, rotations)
     try:
         tokens = ccg.tokenize(episode.instruction, lexicon)
@@ -706,7 +668,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
         for step in range(episode.max_steps):
             if score_success(task, scene, episode) >= 1.0:
                 break
-            ctx = ExecutionContext(scene, backend, grid, cfg)
+            ctx = ExecutionContext(scene, backend, grid)
             result = execute(derivation.program, ctx)
             for params in result.all_params:
                 scene, _ = world.apply(scene, params, rotations)

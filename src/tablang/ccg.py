@@ -1,8 +1,11 @@
 """CCG semantic parser: lexicon, combinators, chart, and novel-word handling.
 
-Each lexicon entry pairs a word with a syntactic category and a lambda term
-over program constructors. Parsing is CKY over two universal combinators
-(forward and backward application); coordination is carried by ordinary
+Each lexicon entry pairs a word with a syntactic category and a semantic
+template: a dsl program tree with binders, written in dsl's program syntax
+plus \\x. binders (dsl.read) and type-checked by dsl.type_check against the
+category's image (N -> Object, PP -> Object -> Goal, S -> Plan). Parsing is
+CKY over two universal combinators (forward and backward application), so a
+closed S root is itself the program; coordination is carried by ordinary
 entries for "and". A word outside the vocabulary is handled by guessing its
 category: every category occurring in the lexicon is tried, the sentence must
 still parse completely, and the word's semantics is drawn from the empirical
@@ -22,6 +25,7 @@ import re
 from dataclasses import dataclass
 
 from . import dsl
+from .dsl import App, Lam, ProgramNode, Var
 
 PRIMITIVES = ("N", "NP", "S", "PP")
 FORWARD = "/"
@@ -117,63 +121,24 @@ def parse_category(text: str) -> Category:
 
 
 # --------------------------------------------------------------------------
-# Semantic terms (lambda calculus over program constructors)
+# Semantic terms: dsl program trees with binders (Lam, Var, App, Slot). The
+# walks read a node's fields as vars(node).values(), dsl.fields inlined: the
+# chart normalizes every combination, and a call per node shows in parse time.
 
 
-@dataclass(frozen=True)
-class Sem:
-    pass
-
-
-@dataclass(frozen=True)
-class Var(Sem):
-    name: str
-
-
-@dataclass(frozen=True)
-class Lam(Sem):
-    param: str
-    body: Sem
-
-
-@dataclass(frozen=True)
-class App(Sem):
-    fn: Sem
-    arg: Sem
-
-
-@dataclass(frozen=True)
-class OpNode(Sem):
-    op: str
-    args: tuple[Sem, ...]
-
-
-@dataclass(frozen=True)
-class Word(Sem):
-    text: str
-
-
-@dataclass(frozen=True)
-class Slot(Sem):
-    """Abstracted word position in a template (filled at instantiation)."""
-
-
-def free_vars(term: Sem) -> set[str]:
+def free_vars(term: ProgramNode) -> set[str]:
     if isinstance(term, Var):
         return {term.name}
     if isinstance(term, Lam):
         return free_vars(term.body) - {term.param}
-    if isinstance(term, App):
-        return free_vars(term.fn) | free_vars(term.arg)
-    if isinstance(term, OpNode):
-        out: set[str] = set()
-        for a in term.args:
-            out |= free_vars(a)
-        return out
-    return set()
+    out: set[str] = set()
+    for value in vars(term).values():
+        if isinstance(value, ProgramNode):
+            out |= free_vars(value)
+    return out
 
 
-def _subst(term: Sem, name: str, value: Sem) -> Sem:
+def _subst(term, name: str, value: ProgramNode):
     if isinstance(term, Var):
         return value if term.name == name else term
     if isinstance(term, Lam):
@@ -187,14 +152,12 @@ def _subst(term: Sem, name: str, value: Sem) -> Sem:
             body = _subst(term.body, term.param, Var(fresh))
             return Lam(fresh, _subst(body, name, value))
         return Lam(term.param, _subst(term.body, name, value))
-    if isinstance(term, App):
-        return App(_subst(term.fn, name, value), _subst(term.arg, name, value))
-    if isinstance(term, OpNode):
-        return OpNode(term.op, tuple(_subst(a, name, value) for a in term.args))
+    if isinstance(term, ProgramNode):
+        return type(term)(*[_subst(v, name, value) for v in vars(term).values()])
     return term
 
 
-def beta_normalize(term: Sem) -> Sem:
+def beta_normalize(term):
     if isinstance(term, App):
         fn = beta_normalize(term.fn)
         arg = beta_normalize(term.arg)
@@ -203,304 +166,96 @@ def beta_normalize(term: Sem) -> Sem:
         return App(fn, arg)
     if isinstance(term, Lam):
         return Lam(term.param, beta_normalize(term.body))
-    if isinstance(term, OpNode):
-        return OpNode(term.op, tuple(beta_normalize(a) for a in term.args))
+    if isinstance(term, ProgramNode) and type(term) is not Var:
+        return type(term)(*map(beta_normalize, vars(term).values()))
     return term
 
 
-def _alpha_walk(t: Sem, env: dict[str, str], counter: itertools.count) -> Sem:
+def _alpha_walk(t, env: dict[str, str], counter: itertools.count):
     if isinstance(t, Var):
         return Var(env.get(t.name, t.name))
     if isinstance(t, Lam):
         fresh = f"v{next(counter)}"
         return Lam(fresh, _alpha_walk(t.body, {**env, t.param: fresh}, counter))
-    if isinstance(t, App):
-        return App(_alpha_walk(t.fn, env, counter), _alpha_walk(t.arg, env, counter))
-    if isinstance(t, OpNode):
-        return OpNode(t.op, tuple(_alpha_walk(a, env, counter) for a in t.args))
+    if isinstance(t, ProgramNode):
+        return type(t)(*[_alpha_walk(v, env, counter) for v in vars(t).values()])
     return t
 
 
-def alpha_normalize(term: Sem) -> Sem:
+def alpha_normalize(term: ProgramNode) -> ProgramNode:
     """Rename binders to v0, v1, ... in traversal order so that structural
     equality coincides with alpha equivalence."""
     return _alpha_walk(term, {}, itertools.count())
 
 
-def canonical(term: Sem) -> Sem:
+def canonical(term: ProgramNode) -> ProgramNode:
     return alpha_normalize(beta_normalize(term))
 
 
-def apply_sem(fn: Sem, arg: Sem) -> Sem | None:
+def apply_sem(fn: ProgramNode, arg: ProgramNode) -> ProgramNode | None:
     if not isinstance(fn, Lam):
         return None
     return canonical(App(fn, arg))
 
 
-_PRETTY_NAMES = "xyzwuvab"
-
-
-def template_to_str(term: Sem, _env: dict[str, str] | None = None, _depth: int = 0) -> str:
-    env = _env or {}
-    if isinstance(term, Lam):
-        name = _PRETTY_NAMES[_depth] if _depth < len(_PRETTY_NAMES) else f"x{_depth}"
-        return f"\\{name}.{template_to_str(term.body, {**env, term.param: name}, _depth + 1)}"
-    if isinstance(term, Var):
-        return env.get(term.name, term.name)
-    if isinstance(term, App):
-        fn = template_to_str(term.fn, env, _depth)
-        return f"{fn}({template_to_str(term.arg, env, _depth)})"
-    if isinstance(term, OpNode):
-        if term.op == "filter" and len(term.args) == 2 and term.args[0] == OpNode("scene", ()):
-            return f"filter({template_to_str(term.args[1], env, _depth)})"
-        args = ", ".join(template_to_str(a, env, _depth) for a in term.args)
-        return f"{term.op}({args})"
-    if isinstance(term, Word):
-        return term.text
-    if isinstance(term, Slot):
-        return "<word>"
-    raise TypeError(f"not a semantic term: {term!r}")
-
-
-# --------------------------------------------------------------------------
-# Template text parsing
-
-
-_OP_ARITY = {
-    "scene": (0, 0),
-    "filter": (1, 2),
-    "relate": (3, 3),
-    "goal": (3, 3),
-    "do": (2, 2),
-    "objunion": (2, 2),
-    "actionconcat": (2, 2),
-}
-
-
-class _TemplateParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> LexiconError:
-        return LexiconError(f"{msg} in template {self.text!r} at {self.pos}")
-
-    def skip(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def name(self) -> str:
-        self.skip()
-        m = re.match(r"[a-z0-9_<>-]+", self.text[self.pos:])
-        if not m:
-            raise self.error("expected a name")
-        self.pos += len(m.group(0))
-        return m.group(0)
-
-    def term(self, bound: frozenset[str]) -> Sem:
-        self.skip()
-        if self.peek() in ("\\", "λ"):
-            self.pos += 1
-            param = self.name()
-            self.skip()
-            if self.peek() != ".":
-                raise self.error("expected '.' after binder")
-            self.pos += 1
-            return Lam(param, self.term(bound | {param}))
-        return self.atom(bound)
-
-    def atom(self, bound: frozenset[str]) -> Sem:
-        name = self.name()
-        self.skip()
-        if self.peek() != "(":
-            if name == "<word>":
-                return Slot()
-            return Var(name) if name in bound else Word(name)
-        self.pos += 1
-        args: list[Sem] = []
-        self.skip()
-        if self.peek() != ")":
-            while True:
-                args.append(self.term(bound))
-                self.skip()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
-        self.skip()
-        if self.peek() != ")":
-            raise self.error("expected ')'")
-        self.pos += 1
-        if name in bound:
-            out: Sem = Var(name)
-            for a in args:
-                out = App(out, a)
-            return out
-        if name in _OP_ARITY:
-            lo, hi = _OP_ARITY[name]
-            if not lo <= len(args) <= hi:
-                raise self.error(f"{name} arity")
-            if name == "filter" and len(args) == 1:
-                args = [OpNode("scene", ()), args[0]]
-            return OpNode(name, tuple(args))
-        raise self.error(f"unknown operation {name!r}")
-
-
-def parse_template(text: str) -> Sem:
-    p = _TemplateParser(text)
-    term = p.term(frozenset())
-    p.skip()
-    if p.pos != len(text):
-        raise p.error("trailing input")
-    return canonical(term)
+def parse_template(text: str) -> ProgramNode:
+    """Read a lexicon template: dsl program syntax plus \\x. binders."""
+    try:
+        return canonical(dsl.read(text))
+    except dsl.ProgramSyntaxError as exc:
+        raise LexiconError(f"{exc} in template {text!r}") from None
 
 
 # --------------------------------------------------------------------------
 # Category -> semantic-type homomorphism and template checking
 
-OBJ_T = "Object"
-GOAL_T = "Goal"
-PLAN_T = "Plan"
-
 
 def category_sem_type(cat: Category):
+    """The dsl type of a category: a SemanticType, or (argument, result)."""
     if isinstance(cat, Prim):
         if cat.name in ("N", "NP"):
-            return OBJ_T
+            return dsl.SemanticType.OBJECT
         if cat.name == "S":
-            return PLAN_T
+            return dsl.SemanticType.PLAN
         if cat.name == "PP":
-            return ("fun", OBJ_T, GOAL_T)
+            return (dsl.SemanticType.OBJECT, dsl.SemanticType.GOAL)
         raise LexiconError(f"no semantic type for {cat.name}")
-    return ("fun", category_sem_type(cat.argument), category_sem_type(cat.result))
+    return (category_sem_type(cat.argument), category_sem_type(cat.result))
 
 
-def _infer(term: Sem, env: dict[str, object]):
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise LexiconError(f"unbound variable {term.name}")
-        return env[term.name]
-    if isinstance(term, App):
-        fn_t = _infer(term.fn, env)
-        if not (isinstance(fn_t, tuple) and fn_t[0] == "fun"):
-            raise LexiconError("application of a non-function")
-        if _infer(term.arg, env) != fn_t[1]:
-            raise LexiconError("argument type mismatch")
-        return fn_t[2]
-    if isinstance(term, OpNode):
-        def want(arg: Sem, t) -> None:
-            if _infer(arg, env) != t:
-                raise LexiconError(f"{term.op}: bad argument type")
-
-        def word_slot(arg: Sem) -> None:
-            if not isinstance(arg, (Word, Slot)):
-                raise LexiconError(f"{term.op}: concept slot must be a word")
-
-        if term.op == "scene":
-            return OBJ_T
-        if term.op == "filter":
-            want(term.args[0], OBJ_T)
-            word_slot(term.args[1])
-            return OBJ_T
-        if term.op in ("relate", "goal"):
-            want(term.args[0], OBJ_T)
-            want(term.args[1], OBJ_T)
-            word_slot(term.args[2])
-            return OBJ_T if term.op == "relate" else GOAL_T
-        if term.op == "do":
-            want(term.args[0], GOAL_T)
-            word_slot(term.args[1])
-            return PLAN_T
-        if term.op == "objunion":
-            want(term.args[0], OBJ_T)
-            want(term.args[1], OBJ_T)
-            return OBJ_T
-        if term.op == "actionconcat":
-            want(term.args[0], PLAN_T)
-            want(term.args[1], PLAN_T)
-            return PLAN_T
-        raise LexiconError(f"unknown operation {term.op}")
-    raise LexiconError(f"cannot type {type(term).__name__} here")
-
-
-def check_template(term: Sem, cat: Category) -> None:
+def check_template(term: ProgramNode, cat: Category) -> None:
     """Verify the template's type matches the category image under the
     standard homomorphism (N -> Object, PP -> Object -> Goal, S -> Plan)."""
     expected = category_sem_type(cat)
-    env: dict[str, object] = {}
+    env = {}
     body = term
     while isinstance(body, Lam):
-        if not (isinstance(expected, tuple) and expected[0] == "fun"):
+        if not isinstance(expected, tuple):
             raise LexiconError("template has more binders than the category")
-        env[body.param] = expected[1]
-        expected = expected[2]
+        env[body.param], expected = expected
         body = body.body
-    if _infer(body, env) != expected:
+    try:
+        found = dsl.type_check(body, env)
+    except dsl.TypeMismatch as exc:
+        raise LexiconError(f"template {dsl.serialize(term)}: {exc}") from None
+    if found != expected:
         raise LexiconError("template body type does not match category")
 
 
-_KIND_BY_SLOT = {"filter": dsl.PROPERTY, "relate": dsl.RELATION,
-                 "goal": dsl.RELATION, "do": dsl.ACTION}
-
-
-def sem_to_program(term: Sem) -> dsl.ProgramNode:
-    """Convert a fully reduced, variable-free term into a program tree."""
-    if not isinstance(term, OpNode):
-        raise NoParseConversion(term)
-    if term.op == "scene":
-        return dsl.Scene()
-    if term.op == "filter":
-        return dsl.Filter(sem_to_program(term.args[0]), _word(term.args[1], "filter"))
-    if term.op == "relate":
-        return dsl.Relate(sem_to_program(term.args[0]), sem_to_program(term.args[1]),
-                          _word(term.args[2], "relate"))
-    if term.op == "goal":
-        return dsl.Goal(sem_to_program(term.args[0]), sem_to_program(term.args[1]),
-                        _word(term.args[2], "goal"))
-    if term.op == "do":
-        return dsl.Do(sem_to_program(term.args[0]), _word(term.args[1], "do"))
-    if term.op == "objunion":
-        return dsl.ObjUnion(sem_to_program(term.args[0]), sem_to_program(term.args[1]))
-    if term.op == "actionconcat":
-        return dsl.ActionConcat(sem_to_program(term.args[0]), sem_to_program(term.args[1]))
-    raise NoParseConversion(term)
-
-
-class NoParseConversion(Exception):
-    pass
-
-
-def _word(arg: Sem, op: str) -> dsl.ConceptToken:
-    if not isinstance(arg, Word):
-        raise NoParseConversion(arg)
-    return dsl.ConceptToken(arg.text, _KIND_BY_SLOT[op])
-
-
-def abstract_template(term: Sem, word: str) -> Sem:
-    """Replace occurrences of the entry's own word with the open slot."""
-    if isinstance(term, Word) and term.text == word:
-        return Slot()
-    if isinstance(term, Lam):
-        return Lam(term.param, abstract_template(term.body, word))
-    if isinstance(term, App):
-        return App(abstract_template(term.fn, word), abstract_template(term.arg, word))
-    if isinstance(term, OpNode):
-        return OpNode(term.op, tuple(abstract_template(a, word) for a in term.args))
+def abstract_template(term, word: str):
+    """Replace occurrences of the entry's own word with an open slot."""
+    if isinstance(term, dsl.ConceptToken):
+        return dsl.Slot(term.kind) if term.word == word else term
+    if isinstance(term, ProgramNode):
+        return type(term)(*[abstract_template(v, word) for v in vars(term).values()])
     return term
 
 
-def instantiate_template(term: Sem, word: str) -> Sem:
-    if isinstance(term, Slot):
-        return Word(word)
-    if isinstance(term, Lam):
-        return Lam(term.param, instantiate_template(term.body, word))
-    if isinstance(term, App):
-        return App(instantiate_template(term.fn, word), instantiate_template(term.arg, word))
-    if isinstance(term, OpNode):
-        return OpNode(term.op, tuple(instantiate_template(a, word) for a in term.args))
+def instantiate_template(term, word: str):
+    if isinstance(term, dsl.Slot):
+        return dsl.ConceptToken(word, term.kind)
+    if isinstance(term, ProgramNode):
+        return type(term)(*[instantiate_template(v, word) for v in vars(term).values()])
     return term
 
 
@@ -512,7 +267,7 @@ def instantiate_template(term: Sem, word: str) -> Sem:
 class LexiconEntry:
     word: str
     category: Category
-    template: Sem
+    template: ProgramNode
     weight: float = 1.0
 
     def __post_init__(self):
@@ -537,7 +292,7 @@ class Lexicon:
         return set(self._entries)
 
     @functools.cached_property
-    def prior(self) -> dict[Category, list[tuple[Sem, float]]]:
+    def prior(self) -> dict[Category, list[tuple[ProgramNode, float]]]:
         """semantic_prior of this lexicon, built on first use and kept; the
         entries never change. Shared by every caller, so read-only."""
         return semantic_prior(self)
@@ -609,7 +364,7 @@ def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
 # Combination and chart parsing
 
 
-def _combinations(left: tuple[Category, Sem], right: tuple[Category, Sem]):
+def _combinations(left: tuple[Category, ProgramNode], right: tuple[Category, ProgramNode]):
     results = []
     lcat, lsem = left
     rcat, rsem = right
@@ -628,17 +383,17 @@ def _combinations(left: tuple[Category, Sem], right: tuple[Category, Sem]):
 class OovAssignment:
     word: str
     category: Category
-    template: Sem
+    template: ProgramNode
     log_prior: float
 
     def describe(self) -> str:
-        return f"{self.word}: {category_to_str(self.category)} {template_to_str(self.template)}"
+        return f"{self.word}: {category_to_str(self.category)} {dsl.serialize(self.template)}"
 
 
 @dataclass(frozen=True)
 class Derivation:
     root_category: Category
-    program: dsl.ProgramNode
+    program: ProgramNode
     log_score: float
     oov_assignments: tuple[OovAssignment, ...] = ()
 
@@ -689,23 +444,23 @@ def _lexicon_leaves(lexicon: Lexicon, extra: dict[str, list] | None = None):
     return lookup
 
 
-def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[Sem, float]]]:
+def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[ProgramNode, float]]]:
     """Weight-proportional distribution over abstract templates per category."""
-    weights: dict[Category, dict[Sem, float]] = {}
+    weights: dict[Category, dict[ProgramNode, float]] = {}
     for e in lexicon.all_entries():
         abstract = abstract_template(e.template, e.word)
         per_cat = weights.setdefault(e.category, {})
         per_cat[abstract] = per_cat.get(abstract, 0.0) + e.weight
-    prior: dict[Category, list[tuple[Sem, float]]] = {}
+    prior: dict[Category, list[tuple[ProgramNode, float]]] = {}
     for cat, per_cat in weights.items():
         total = sum(per_cat.values())
-        ranked = sorted(per_cat.items(), key=lambda kv: (-kv[1], template_to_str(kv[0])))
+        ranked = sorted(per_cat.items(), key=lambda kv: (-kv[1], dsl.serialize(kv[0])))
         prior[cat] = [(tmpl, w / total) for tmpl, w in ranked]
     return prior
 
 
 def _candidates_for(word: str, lexicon: Lexicon,
-                    prior: dict[Category, list[tuple[Sem, float]]]) -> list[OovAssignment]:
+                    prior: dict[Category, list[tuple[ProgramNode, float]]]) -> list[OovAssignment]:
     out = []
     for cat in lexicon.categories():
         for tmpl, p in prior.get(cat, ()):
@@ -723,12 +478,11 @@ def _derivations_from_roots(roots) -> list[Derivation]:
         if cat != S:
             continue
         try:
-            program = sem_to_program(sem)
-            dsl.type_check(program)
-        except (NoParseConversion, dsl.TypeMismatch):
+            dsl.type_check(sem)
+        except dsl.TypeMismatch:
             continue
-        deriv = Derivation(cat, program, logp, oov)
-        key = (dsl.serialize(program), oov)
+        deriv = Derivation(cat, sem, logp, oov)
+        key = (dsl.serialize(sem), oov)
         if key not in best or logp > best[key][0]:
             best[key] = (logp, deriv)
     ranked = sorted(

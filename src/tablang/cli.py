@@ -20,7 +20,6 @@ from .executor import (
     ExecutionContext,
     NoFeasiblePlace,
     PoseGrid,
-    RelationConfig,
     UnknownRelation,
     execute,
 )
@@ -95,7 +94,7 @@ def cmd_run(args) -> int:
         print(f"no parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
     program = derivation.program
-    ctx = ExecutionContext(scene, backend, grid, RelationConfig())
+    ctx = ExecutionContext(scene, backend, grid)
     try:
         result = execute(program, ctx)
     except (EmptyGrounding, UnknownRelation, NoFeasiblePlace, GroundingError,
@@ -252,7 +251,7 @@ def cmd_repl(args) -> int:
         try:
             tokens = ccg.tokenize(line, lexicon)
             derivation = ccg.parse(tokens, lexicon, k=1)[0]
-            ctx = ExecutionContext(history[-1], backend, grid, RelationConfig())
+            ctx = ExecutionContext(history[-1], backend, grid)
             result = execute(derivation.program, ctx)
             new_scene = history[-1]
             for params in result.all_params:

@@ -1,9 +1,15 @@
-"""Typed manipulation-program language: AST, type checker, canonical text form.
+"""Typed manipulation-program language: AST, type checker, text form.
 
 Programs are trees over seven operations (scene, filter, relate, goal, do,
-objunion, actionconcat) with six semantic types. Concept words (properties,
-relations, action names) are carried as leaf tokens; the grounding layer
-decides what they mean spatially.
+objunion, actionconcat) with six semantic types. SIGNATURES is the one table
+of the operations: it drives the reader, the type checker and the printer.
+Concept words (properties, relations, action names) are carried as leaf
+tokens; the grounding layer decides what they mean spatially.
+
+The same trees, extended with binders (Lam), bound variables (Var),
+applications of bound variables (App) and open word positions (Slot), are
+the semantic templates of the CCG lexicon: read("\\x.filter(x, red)") is a
+template, and type_check types its body given the types of its variables.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ RELATION = "relation"
 ACTION = "action"
 _CONCEPT_KINDS = (PROPERTY, RELATION, ACTION)
 
-_WORD_RE = re.compile(r"[a-z0-9_-]+\Z")
+_WORD_RE = re.compile(r"[a-z0-9_-]+")
 
 
 class TypeMismatch(Exception):
@@ -41,7 +47,7 @@ class TypeMismatch(Exception):
 
 
 class ProgramSyntaxError(Exception):
-    """Malformed canonical program text."""
+    """Malformed program text."""
 
     def __init__(self, message: str, position: int):
         self.position = position
@@ -54,14 +60,22 @@ class ConceptToken:
     kind: str
 
     def __post_init__(self):
-        if not self.word or not _WORD_RE.match(self.word):
+        if not self.word or not _WORD_RE.fullmatch(self.word):
             raise ValueError(f"bad concept word: {self.word!r}")
         if self.kind not in _CONCEPT_KINDS:
             raise ValueError(f"bad concept kind: {self.kind!r}")
 
 
+@dataclass(frozen=True)
+class Slot:
+    """Open word position of the given kind in an abstracted template."""
+
+    kind: str
+
+
 class ProgramNode:
-    """Base class for AST nodes. All subclasses are frozen value types."""
+    """Base class for AST nodes. All subclasses are frozen value types whose
+    fields, in order, are the operation's arguments."""
 
     __slots__ = ()
 
@@ -109,58 +123,37 @@ class ActionConcat(ProgramNode):
     b: ProgramNode
 
 
-def children(node: ProgramNode) -> tuple[ProgramNode, ...]:
-    if isinstance(node, Scene):
-        return ()
-    if isinstance(node, Filter):
-        return (node.child,)
-    if isinstance(node, (Relate, Goal)):
-        first = node.target if isinstance(node, Relate) else node.obj
-        return (first, node.reference)
-    if isinstance(node, Do):
-        return (node.goal,)
-    if isinstance(node, (ObjUnion, ActionConcat)):
-        return (node.a, node.b)
-    raise TypeError(f"not a ProgramNode: {node!r}")
+@dataclass(frozen=True)
+class Var(ProgramNode):
+    name: str
 
 
-def _check(node: ProgramNode, path: str) -> SemanticType:
-    if isinstance(node, Scene):
-        return SemanticType.OBJECT
-    if isinstance(node, Filter):
-        _expect(node.child, SemanticType.OBJECT, f"{path}.0")
-        _expect_kind(node.prop, PROPERTY, f"{path}.1")
-        return SemanticType.OBJECT
-    if isinstance(node, Relate):
-        _expect(node.target, SemanticType.OBJECT, f"{path}.0")
-        _expect(node.reference, SemanticType.OBJECT, f"{path}.1")
-        _expect_kind(node.rel, RELATION, f"{path}.2")
-        return SemanticType.OBJECT
-    if isinstance(node, Goal):
-        _expect(node.obj, SemanticType.OBJECT, f"{path}.0")
-        _expect(node.reference, SemanticType.OBJECT, f"{path}.1")
-        _expect_kind(node.rel, RELATION, f"{path}.2")
-        return SemanticType.GOAL
-    if isinstance(node, Do):
-        _expect(node.goal, SemanticType.GOAL, f"{path}.0")
-        _expect_kind(node.action, ACTION, f"{path}.1")
-        return SemanticType.PLAN
-    if isinstance(node, ObjUnion):
-        _expect(node.a, SemanticType.OBJECT, f"{path}.0")
-        _expect(node.b, SemanticType.OBJECT, f"{path}.1")
-        return SemanticType.OBJECT
-    if isinstance(node, ActionConcat):
-        _expect(node.a, SemanticType.PLAN, f"{path}.0")
-        _expect(node.b, SemanticType.PLAN, f"{path}.1")
-        return SemanticType.PLAN
-    raise TypeMismatch(path, "ProgramNode", type(node).__name__)
+@dataclass(frozen=True)
+class Lam(ProgramNode):
+    param: str
+    body: ProgramNode
 
 
-def _expect(node: ProgramNode, want: SemanticType, path: str) -> None:
-    got = _check(node, path)
-    if got is not want:
-        raise TypeMismatch(path, want.value, got.value)
+@dataclass(frozen=True)
+class App(ProgramNode):
+    fn: ProgramNode
+    arg: ProgramNode
 
+
+_O, _G, _P = SemanticType.OBJECT, SemanticType.GOAL, SemanticType.PLAN
+
+# op -> (node class, argument types, result type). A str argument type is a
+# concept-word kind; any other is the semantic type of a subprogram.
+SIGNATURES = {
+    "scene": (Scene, (), _O),
+    "filter": (Filter, (_O, PROPERTY), _O),
+    "relate": (Relate, (_O, _O, RELATION), _O),
+    "goal": (Goal, (_O, _O, RELATION), _G),
+    "do": (Do, (_G, ACTION), _P),
+    "objunion": (ObjUnion, (_O, _O), _O),
+    "actionconcat": (ActionConcat, (_P, _P), _P),
+}
+_BY_CLASS = {cls: (op, args, result) for op, (cls, args, result) in SIGNATURES.items()}
 
 _KIND_TYPE = {
     PROPERTY: SemanticType.OBJ_PROP,
@@ -169,43 +162,100 @@ _KIND_TYPE = {
 }
 
 
-def _expect_kind(tok: ConceptToken, kind: str, path: str) -> None:
+def fields(node: ProgramNode):
+    """The node's fields in declaration order: its arguments, for an operation."""
+    return vars(node).values()
+
+
+# A type is a SemanticType, or a function type (argument, result) for a
+# template's bound variable.
+
+
+def _type_name(t) -> str:
+    if isinstance(t, tuple):
+        return f"({_type_name(t[0])} -> {_type_name(t[1])})"
+    return t.value
+
+
+def _check(node, env: dict, path: str):
+    if isinstance(node, Var):
+        if node.name not in env:
+            raise TypeMismatch(path, "a bound variable", f"free variable {node.name}")
+        return env[node.name]
+    if isinstance(node, App):
+        fn = _check(node.fn, env, f"{path}.0")
+        if not isinstance(fn, tuple):
+            raise TypeMismatch(path, "a function", _type_name(fn))
+        _expect(node.arg, fn[0], env, f"{path}.1")
+        return fn[1]
+    signature = _BY_CLASS.get(type(node))
+    if signature is None:
+        raise TypeMismatch(path, "an operation", type(node).__name__)
+    for i, (value, want) in enumerate(zip(fields(node), signature[1])):
+        if isinstance(want, str):
+            _expect_kind(value, want, f"{path}.{i}")
+        else:
+            _expect(value, want, env, f"{path}.{i}")
+    return signature[2]
+
+
+def _expect(node, want, env: dict, path: str) -> None:
+    got = _check(node, env, path)
+    if got != want:
+        raise TypeMismatch(path, _type_name(want), _type_name(got))
+
+
+def _expect_kind(tok, kind: str, path: str) -> None:
+    if not isinstance(tok, ConceptToken):
+        raise TypeMismatch(path, _KIND_TYPE[kind].value, type(tok).__name__)
     if tok.kind != kind:
         raise TypeMismatch(path, _KIND_TYPE[kind].value, _KIND_TYPE[tok.kind].value)
 
 
-def type_check(node: ProgramNode) -> SemanticType:
-    """Return the node's semantic type, or raise TypeMismatch."""
-    return _check(node, "0")
+def type_check(node: ProgramNode, env: dict | None = None) -> SemanticType | tuple:
+    """Return the node's semantic type, or raise TypeMismatch. env maps the
+    names of bound variables to their types; without it, a variable or a
+    binder anywhere in the tree is a mismatch."""
+    return _check(node, env or {}, "0")
+
+
+_BINDER_NAMES = "xyzwuvab"
 
 
 def serialize(node: ProgramNode) -> str:
-    """Canonical text form. Scene() is elided inside the innermost filter,
-    so Filter(Scene(), hexagon) prints as "filter(hexagon)".
-    """
-    if isinstance(node, Scene):
-        return "scene()"
-    if isinstance(node, Filter):
-        if isinstance(node.child, Scene):
-            return f"filter({node.prop.word})"
-        return f"filter({serialize(node.child)}, {node.prop.word})"
-    if isinstance(node, Relate):
-        return f"relate({serialize(node.target)}, {serialize(node.reference)}, {node.rel.word})"
-    if isinstance(node, Goal):
-        return f"goal({serialize(node.obj)}, {serialize(node.reference)}, {node.rel.word})"
-    if isinstance(node, Do):
-        return f"do({serialize(node.goal)}, {node.action.word})"
-    if isinstance(node, ObjUnion):
-        return f"objunion({serialize(node.a)}, {serialize(node.b)})"
-    if isinstance(node, ActionConcat):
-        return f"actionconcat({serialize(node.a)}, {serialize(node.b)})"
+    """Text form, the inverse of read up to the names of binders. Scene() is
+    elided inside the innermost filter, so Filter(Scene(), hexagon) prints as
+    "filter(hexagon)". Binders print as x, y, z, ... by depth, and an open
+    word position as <word>, which read rejects."""
+    return _text(node, {}, 0)
+
+
+def _text(node, env: dict, depth: int) -> str:
+    signature = _BY_CLASS.get(type(node))
+    if signature is not None:
+        if isinstance(node, Filter) and isinstance(node.child, Scene):
+            return f"filter({_text(node.prop, env, depth)})"
+        inner = ", ".join([_text(value, env, depth) for value in fields(node)])
+        return f"{signature[0]}({inner})"
+    if isinstance(node, ConceptToken):
+        return node.word
+    if isinstance(node, Slot):
+        return "<word>"
+    if isinstance(node, Var):
+        return env.get(node.name, node.name)
+    if isinstance(node, Lam):
+        name = _BINDER_NAMES[depth] if depth < len(_BINDER_NAMES) else f"x{depth}"
+        return f"\\{name}.{_text(node.body, {**env, node.param: name}, depth + 1)}"
+    if isinstance(node, App):
+        args = []
+        while isinstance(node, App):
+            args.append(_text(node.arg, env, depth))
+            node = node.fn
+        return f"{_text(node, env, depth)}({', '.join(reversed(args))})"
     raise TypeError(f"not a ProgramNode: {node!r}")
 
 
-_OPS = ("scene", "filter", "relate", "goal", "do", "objunion", "actionconcat")
-
-
-class _Parser:
+class _Reader:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -226,96 +276,83 @@ class _Parser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def word(self) -> str:
+    def name(self) -> str:
         self.skip_ws()
-        m = re.match(r"[a-z0-9_-]+", self.text[self.pos:])
+        m = _WORD_RE.match(self.text, self.pos)
         if not m:
             raise self.error("expected a name")
-        self.pos += len(m.group(0))
+        self.pos = m.end()
         return m.group(0)
 
-    def node(self) -> ProgramNode:
-        name = self.word()
-        if name not in _OPS:
-            raise self.error(f"unknown operation {name!r}")
-        self.expect("(")
-        args: list[tuple[bool, object]] = []  # (is_node, value)
+    def term(self, bound: frozenset[str]) -> ProgramNode | str:
+        """A subprogram, or a concept word as a str."""
+        self.skip_ws()
+        if self.peek() in ("\\", "λ"):
+            self.pos += 1
+            param = self.name()
+            self.expect(".")
+            return Lam(param, self.subprogram(bound | {param}))
+        name = self.name()
+        self.skip_ws()
+        if self.peek() != "(":
+            return Var(name) if name in bound else name
+        self.pos += 1
+        args: list[ProgramNode | str] = []
         self.skip_ws()
         if self.peek() != ")":
             while True:
-                args.append(self.argument())
+                args.append(self.term(bound))
                 self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
+                if self.peek() != ",":
+                    break
+                self.pos += 1
         self.expect(")")
-        return self.build(name, args)
-
-    def argument(self) -> tuple[bool, object]:
-        self.skip_ws()
-        start = self.pos
-        name = self.word()
-        self.skip_ws()
-        if self.peek() == "(" and name in _OPS:
-            self.pos = start
-            return True, self.node()
-        if self.peek() == "(":
+        if name in bound:
+            node: ProgramNode = Var(name)
+            for i, arg in enumerate(args):
+                node = App(node, self.argument(name, i, arg, None))
+            return node
+        if name not in SIGNATURES:
             raise self.error(f"unknown operation {name!r}")
-        return False, name
+        cls, types, _ = SIGNATURES[name]
+        if cls is Filter and len(args) == 1:
+            args.insert(0, Scene())
+        if len(args) != len(types):
+            raise self.error(f"{name} takes {len(types)} arguments")
+        return cls(*[self.argument(name, i, arg, want)
+                     for i, (arg, want) in enumerate(zip(args, types))])
 
-    def build(self, name: str, args: list[tuple[bool, object]]) -> ProgramNode:
-        def node_arg(i: int) -> ProgramNode:
-            is_node, value = args[i]
-            if not is_node:
-                raise self.error(f"{name}: argument {i} must be a subprogram")
-            return value  # type: ignore[return-value]
-
-        def word_arg(i: int, kind: str) -> ConceptToken:
-            is_node, value = args[i]
-            if is_node:
+    def argument(self, name: str, i: int, value: ProgramNode | str, want):
+        if isinstance(want, str):
+            if not isinstance(value, str):
                 raise self.error(f"{name}: argument {i} must be a word")
-            return ConceptToken(value, kind)  # type: ignore[arg-type]
+            return ConceptToken(value, want)
+        if isinstance(value, str):
+            raise self.error(f"{name}: argument {i} must be a subprogram")
+        return value
 
-        if name == "scene":
-            if args:
-                raise self.error("scene takes no arguments")
-            return Scene()
-        if name == "filter":
-            if len(args) == 1:
-                return Filter(Scene(), word_arg(0, PROPERTY))
-            if len(args) == 2:
-                return Filter(node_arg(0), word_arg(1, PROPERTY))
-            raise self.error("filter takes 1 or 2 arguments")
-        if name == "relate":
-            if len(args) != 3:
-                raise self.error("relate takes 3 arguments")
-            return Relate(node_arg(0), node_arg(1), word_arg(2, RELATION))
-        if name == "goal":
-            if len(args) != 3:
-                raise self.error("goal takes 3 arguments")
-            return Goal(node_arg(0), node_arg(1), word_arg(2, RELATION))
-        if name == "do":
-            if len(args) != 2:
-                raise self.error("do takes a goal and an action")
-            return Do(node_arg(0), word_arg(1, ACTION))
-        if name == "objunion":
-            if len(args) != 2:
-                raise self.error("objunion takes 2 arguments")
-            return ObjUnion(node_arg(0), node_arg(1))
-        if name == "actionconcat":
-            if len(args) != 2:
-                raise self.error("actionconcat takes 2 arguments")
-            return ActionConcat(node_arg(0), node_arg(1))
-        raise self.error(f"unknown operation {name!r}")
+    def subprogram(self, bound: frozenset[str]) -> ProgramNode:
+        node = self.term(bound)
+        if isinstance(node, str):
+            raise self.error(f"expected a subprogram, found {node!r}")
+        return node
+
+
+def read(text: str) -> ProgramNode:
+    """Parse program text into a tree, untyped. Besides the operations it
+    accepts binders (\\x. or λx.), bound variables and their applications
+    p(o), which is the syntax of lexicon templates."""
+    reader = _Reader(text)
+    node = reader.subprogram(frozenset())
+    reader.skip_ws()
+    if reader.pos != len(text):
+        raise reader.error("trailing input")
+    return node
 
 
 def parse_program(text: str) -> ProgramNode:
-    """Parse canonical program text. Inverse of serialize on valid trees."""
-    p = _Parser(text)
-    node = p.node()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise p.error("trailing input")
+    """Parse and type-check program text; a binder or variable is rejected.
+    Inverse of serialize on valid trees."""
+    node = read(text)
     type_check(node)
     return node

@@ -471,9 +471,9 @@ def _eval_plan(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
 
 def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     """Evaluate a Plan-typed program against the scene context."""
-    if dsl.type_check(program) is not dsl.SemanticType.PLAN:
-        raise dsl.TypeMismatch("0", dsl.SemanticType.PLAN.value,
-                               dsl.type_check(program).value)
+    found = dsl.type_check(program)
+    if found is not dsl.SemanticType.PLAN:
+        raise dsl.TypeMismatch("0", dsl.SemanticType.PLAN.value, found.value)
     intermediates: dict[str, GroundingMap] = {}
     all_params, pick_map, place_grids = _eval_plan(program, "0", ctx, intermediates)
     return ExecutionResult(

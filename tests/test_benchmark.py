@@ -9,12 +9,10 @@ from tablang import benchmark as bm
 from tablang import ccg, world
 from tablang.backends import EmbeddingBackend, OracleBackend
 from tablang.benchmark import (
-    AlreadySolved,
     Episode,
     GoalInfo,
     OutOfGrid,
     TaskSpec,
-    expert_policy,
     generate_episode,
     imitation_loss,
     report_table,
@@ -116,24 +114,6 @@ def test_expert_replay_scores_one_sampler():
             ep = generate_episode(task, int(seed))
             final = bm._replay(ep.scene, ep.expert)
             assert score_success(task, final, ep) == 1.0
-
-
-def test_expert_policy_already_solved():
-    ep = generate_episode(TaskSpec("packing_shapes"), 1)
-    assert expert_policy(ep, 0) == ep.expert[0]
-    with pytest.raises(AlreadySolved):
-        expert_policy(ep, len(ep.expert))
-
-
-def test_episode_demonstration_export():
-    ep = generate_episode(TaskSpec("separating_piles"), 2)
-    payload = bm.episode_to_dict(ep)
-    blob = json.dumps(payload, sort_keys=True)
-    again = json.loads(blob)
-    assert again["instruction"] == ep.instruction
-    assert len(again["expert"]) == len(ep.expert)
-    assert again["expert"][0]["primitive"] == "push"
-    assert world.scene_from_dict(again["scene"]) == ep.scene
 
 
 def test_unseen_split_vocabulary_discipline(lex):

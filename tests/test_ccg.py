@@ -20,7 +20,6 @@ from tablang.ccg import (
     parse_category,
     parse_template,
     semantic_prior,
-    template_to_str,
     tokenize,
 )
 
@@ -46,9 +45,14 @@ def test_parse_category_forms():
 
 def test_template_round_trip():
     t = parse_template(r"\x.filter(x, blue)")
-    assert template_to_str(t) == "\\x.filter(x, blue)"
+    assert dsl.serialize(t) == "\\x.filter(x, blue)"
     t2 = parse_template(r"\y.\x.goal(x, y, in)")
-    assert template_to_str(t2) == "\\x.\\y.goal(y, x, in)"
+    assert dsl.serialize(t2) == "\\x.\\y.goal(y, x, in)"
+
+
+def test_default_lexicon_templates_round_trip(lex):
+    for e in lex.all_entries():
+        assert parse_template(dsl.serialize(e.template)) == e.template, e.word
 
 
 def test_template_alpha_equivalence():
@@ -259,7 +263,7 @@ def test_semantic_prior_hand_count():
     lex2 = Lexicon.from_string(text)
     prior = semantic_prior(lex2)
     cat = parse_category("N/N")
-    dist = dict((template_to_str(t), p) for t, p in prior[cat])
+    dist = dict((dsl.serialize(t), p) for t, p in prior[cat])
     assert dist["\\x.filter(x, <word>)"] == pytest.approx(0.75)
     assert dist["\\x.x"] == pytest.approx(0.25)
 
@@ -271,7 +275,7 @@ def test_semantic_prior_single_class():
     prior = semantic_prior(lex2)
     (tmpl, p), = prior[parse_category("N/N")]
     assert p == 1.0
-    assert template_to_str(tmpl) == "\\x.filter(x, <word>)"
+    assert dsl.serialize(tmpl) == "\\x.filter(x, <word>)"
 
 
 def test_semantic_prior_normalized(lex):
@@ -286,7 +290,7 @@ def test_prior_respects_weights():
         "the\tN/N\t\\x.x\t1.0\n"
     )
     prior = semantic_prior(Lexicon.from_string(text))
-    dist = {template_to_str(t): p for t, p in prior[parse_category("N/N")]}
+    dist = {dsl.serialize(t): p for t, p in prior[parse_category("N/N")]}
     assert dist["\\x.filter(x, <word>)"] == pytest.approx(0.75)
 
 

@@ -59,6 +59,23 @@ def test_parse_bad_lexicon_path():
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize("template", [
+    "frobnicate(filter(red))",                # unknown operation
+    "relate(filter(red), filter(blue))",      # wrong arity
+    "objunion(red, filter(blue))",            # a word in a subprogram slot
+    "filter(filter(red), filter(blue))",      # a subprogram in a word slot
+    "filter(y, red)",                         # an unbound variable
+    "filter(<word>)",                         # an open word slot
+])
+def test_parse_bad_lexicon_template(tmp_path, template):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"box\tN\tfilter(box)\nfoo\tN\t{template}\n")
+    out = run_cli("parse", "pack the foo", "--lexicon", str(path))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_run_writes_outputs(tmp_path, scene_file):
     path, ep = scene_file
     out_dir = tmp_path / "out"

@@ -4,16 +4,19 @@ import pytest
 from tablang import dsl
 from tablang.dsl import (
     ActionConcat,
+    App,
     ConceptToken,
     Do,
     Filter,
     Goal,
+    Lam,
     ObjUnion,
     ProgramSyntaxError,
     Relate,
     Scene,
     SemanticType,
     TypeMismatch,
+    Var,
     parse_program,
     serialize,
     type_check,
@@ -191,3 +194,39 @@ def test_concept_token_validation():
         ConceptToken("two words", dsl.PROPERTY)
     with pytest.raises(ValueError):
         ConceptToken("red", "adjective")
+
+
+def test_read_template_binders():
+    template = dsl.read(r"\o.\p.do(p(o), pack)")
+    assert template == Lam("o", Lam("p", Do(App(Var("p"), Var("o")), act("pack"))))
+    assert dsl.read("λo.λp.do(p(o), pack)") == template
+    assert serialize(template) == "\\x.\\y.do(y(x), pack)"
+    two_args = serialize(dsl.read(r"\f.\a.\b.f(a, b)"))
+    assert two_args == "\\x.\\y.\\z.x(y, z)"
+    assert serialize(dsl.read(two_args)) == two_args
+
+
+def test_type_check_template_body_with_env():
+    body = Do(App(Var("p"), Var("o")), act("pack"))
+    env = {"o": SemanticType.OBJECT, "p": (SemanticType.OBJECT, SemanticType.GOAL)}
+    assert type_check(body, env) is SemanticType.PLAN
+    with pytest.raises(TypeMismatch):
+        type_check(body)
+    with pytest.raises(TypeMismatch):
+        type_check(body, {**env, "o": SemanticType.GOAL})
+
+
+def test_parse_program_rejects_binders():
+    with pytest.raises(TypeMismatch):
+        parse_program(r"\x.filter(x, red)")
+    with pytest.raises(ProgramSyntaxError):
+        parse_program("filter(x, red)")
+
+
+def test_open_word_slot_prints_but_does_not_read():
+    template = Lam("q", Filter(Var("q"), dsl.Slot(dsl.PROPERTY)))
+    assert serialize(template) == "\\x.filter(x, <word>)"
+    with pytest.raises(ProgramSyntaxError):
+        dsl.read("filter(<word>)")
+    with pytest.raises(TypeMismatch):
+        type_check(Filter(Scene(), dsl.Slot(dsl.PROPERTY)))

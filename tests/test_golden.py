@@ -1,7 +1,9 @@
 """Behaviour lock: the SHA-256 of each task's 3-episode report, for both
-splits and both backends, must match tests/golden/reports.json.
+splits and both backends, must match tests/golden/reports.json, and the
+SHA-256 of the top-50 parses of every generated instruction must match
+tests/golden/parses.json.
 
-A change that moves a hash changes what tablang does. Regenerate the file
+A change that moves a hash changes what tablang does. Regenerate the files
 (``PYTHONPATH=src python tests/test_golden.py``) only in a change whose
 stated purpose is a behaviour change.
 """
@@ -13,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from tablang import benchmark as bm
-from tablang import ccg
+from tablang import ccg, dsl
 from tablang.backends import make_backend
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
+PARSE_GOLDEN = Path(__file__).parent / "golden" / "parses.json"
 EPISODES = 3
 CASES = [(backend, split) for backend in ("oracle", "embedding") for split in ("seen", "unseen")]
 
@@ -32,13 +35,39 @@ def report_hashes(backend_name: str, split: str) -> dict[str, str]:
     return out
 
 
+def parse_hash() -> str:
+    """SHA-256 over parse(..., k=50) of every distinct generated instruction
+    (9 tasks x both splits x seeds 0..EPISODES-1): each derivation's program,
+    log score and novel-word descriptions, in rank order. This locks the
+    ranking and the scores, not only the top program."""
+    lexicon = ccg.default_lexicon()
+    instructions = sorted({
+        bm.generate_episode(bm.TaskSpec(name, split), seed).instruction
+        for name in bm.TASK_NAMES for split in ("seen", "unseen") for seed in range(EPISODES)
+    })
+    h = hashlib.sha256()
+    for text in instructions:
+        rows = tuple(
+            (dsl.serialize(d.program), repr(d.log_score),
+             tuple(a.describe() for a in d.oov_assignments))
+            for d in ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=50)
+        )
+        h.update(repr((text, rows)).encode("utf-8"))
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("backend_name, split", CASES)
 def test_reports_match_golden(backend_name, split):
     golden = json.loads(GOLDEN.read_text())
     assert report_hashes(backend_name, split) == golden[f"{backend_name}/{split}"]
 
 
+def test_parses_match_golden():
+    assert parse_hash() == json.loads(PARSE_GOLDEN.read_text())["parse_k50"]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     table = {f"{b}/{s}": report_hashes(b, s) for b, s in CASES}
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    PARSE_GOLDEN.write_text(json.dumps({"parse_k50": parse_hash()}, indent=2) + "\n")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablang import world
+from tablang.benchmark import TASK_NAMES, TaskSpec, generate_episode
 from tablang.executor import ControlParams, Pose2
 from tablang.grounding import axis_coords
 from tablang.world import (
@@ -261,6 +263,11 @@ def test_scene_json_round_trip(tmp_path):
     save_scene(path, scene)
     loaded = load_scene(path)
     assert loaded == scene
+    for name in TASK_NAMES:
+        for split in ("seen", "unseen"):
+            generated = generate_episode(TaskSpec(name, split), 2).scene
+            blob = json.dumps(world.scene_to_dict(generated), sort_keys=True)
+            assert world.scene_from_dict(json.loads(blob)) == generated
 
 
 def test_duplicate_ids_rejected():
