@@ -102,6 +102,8 @@ def make_backend(name: str, ground_shape: tuple[int, int] | None = None,
     """The backend called name ("oracle" or "embedding"). weights_path is a
     projection weights file for the embedding backend (identity when None);
     the oracle backend has no weights."""
+    if ground_shape is not None and min(ground_shape) < 1:
+        raise ValueError(f"grounding shape must be positive, not {ground_shape}")
     if name == "oracle":
         return OracleBackend(ground_shape)
     if name == "embedding":

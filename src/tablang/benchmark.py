@@ -99,7 +99,7 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class GoalInfo:
-    kind: str                      # contain | contain_zone | bowls | zone_fraction
+    kind: str                      # contain | bowls | zone_fraction
     target_ids: tuple[int, ...]
     region_ids: tuple[int, ...]
 
@@ -160,26 +160,16 @@ def _pose_at(x: float, y: float, r: int = 0) -> Pose2:
     return Pose2(int(round(y)), int(round(x)), r)
 
 
-def _centroid_in_footprint(obj: world.SceneObject, region: world.SceneObject) -> bool:
-    mask = world.footprint_mask(region, (1, 1),
-                                np.array([obj.y]), np.array([obj.x]))
-    return bool(mask[0, 0])
-
-
-def _containment(scene: world.Scene, target_id: int, region: world.SceneObject,
-                 use_interior: bool = True) -> float:
+def _containment(scene: world.Scene, target_id: int, region: world.SceneObject) -> float:
+    """1.0 when 90% of the target's footprint and its centre are in the region's interior."""
     obj = scene.find(target_id)
     hw = (scene.height, scene.width)
     foot = world.footprint_mask(obj, hw)
     total = int(foot.sum())
     if total == 0:
         return 0.0
-    region_mask = world.interior_mask(region, hw) if use_interior else world.footprint_mask(region, hw)
-    frac = float((foot & region_mask).sum()) / total
-    center_mask = world.interior_mask(region, (1, 1), np.array([obj.y]), np.array([obj.x])) \
-        if use_interior else world.footprint_mask(region, (1, 1), np.array([obj.y]), np.array([obj.x]))
-    inside = bool(center_mask[0, 0])
-    return 1.0 if (frac >= 0.9 and inside) else 0.0
+    frac = float((foot & world.interior_mask(region, hw)).sum()) / total
+    return 1.0 if (frac >= 0.9 and world.inside(region, obj.y, obj.x)) else 0.0
 
 
 def score_success(task: TaskSpec, final: world.Scene, episode: Episode) -> float:
@@ -187,11 +177,7 @@ def score_success(task: TaskSpec, final: world.Scene, episode: Episode) -> float
     for bowls and piles."""
     goal = episode.goal
     if goal.kind == "contain":
-        region = final.find(goal.region_ids[0])
-        return _containment(final, goal.target_ids[0], region, use_interior=True)
-    if goal.kind == "contain_zone":
-        region = final.find(goal.region_ids[0])
-        return _containment(final, goal.target_ids[0], region, use_interior=False)
+        return _containment(final, goal.target_ids[0], final.find(goal.region_ids[0]))
     if goal.kind == "bowls":
         bowls = [final.find(rid) for rid in goal.region_ids]
         blocks = [final.find(tid) for tid in goal.target_ids]
@@ -201,9 +187,7 @@ def score_success(task: TaskSpec, final: world.Scene, episode: Episode) -> float
             for bowl in bowls:
                 if bowl.id in filled:
                     continue
-                inside = world.interior_mask(bowl, (1, 1),
-                                             np.array([block.y]), np.array([block.x]))[0, 0]
-                if inside:
+                if world.inside(bowl, block.y, block.x):
                     filled.add(bowl.id)
                     hits += 1
                     break
@@ -211,8 +195,7 @@ def score_success(task: TaskSpec, final: world.Scene, episode: Episode) -> float
     if goal.kind == "zone_fraction":
         zone = final.find(goal.region_ids[0])
         blocks = [final.find(tid) for tid in goal.target_ids]
-        inside = sum(1 for b in blocks if _centroid_in_footprint(b, zone))
-        return inside / len(blocks)
+        return sum(1 for b in blocks if world.inside(zone, b.y, b.x)) / len(blocks)
     raise ValueError(f"unknown goal kind {goal.kind!r}")
 
 
@@ -279,8 +262,8 @@ def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
     actions = []
     current = scene
     for _ in range(max_steps):
-        remaining = [current.find(b) for b in block_ids
-                     if not _centroid_in_footprint(current.find(b), zone)]
+        remaining = [o for o in map(current.find, block_ids)
+                     if not world.inside(zone, o.y, o.x)]
         if not remaining:
             break
         target = min(remaining,
@@ -550,7 +533,7 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> Episode:
     instruction = (f"push the {shape_color} {shape_name} into the {loc} "
                    f"{target_zone.color} square")
     actions, _final = _closed_loop_push_expert(scene, [target.id], target_zone, 3)
-    goal = GoalInfo("contain_zone", (target.id,), (target_zone.id,))
+    goal = GoalInfo("contain", (target.id,), (target_zone.id,))
     return Episode(scene, instruction, tuple(actions), goal, 3, task.name, task.split, -1)
 
 

@@ -195,7 +195,8 @@ def canonical(term: ProgramNode) -> ProgramNode:
 def apply_sem(fn: ProgramNode, arg: ProgramNode) -> ProgramNode | None:
     if not isinstance(fn, Lam):
         return None
-    return canonical(App(fn, arg))
+    # Chart items are canonical already, so only the substituted body needs normalizing.
+    return alpha_normalize(beta_normalize(_subst(fn.body, fn.param, arg)))
 
 
 def parse_template(text: str) -> ProgramNode:
@@ -320,9 +321,12 @@ class Lexicon:
             if len(fields) not in (3, 4):
                 raise LexiconError(f"line {lineno}: expected 3 or 4 tab-separated fields")
             word, cat_text, template_text = fields[0].strip(), fields[1], fields[2]
-            weight = float(fields[3]) if len(fields) == 4 else 1.0
-            entries.append(LexiconEntry(word, parse_category(cat_text),
-                                        parse_template(template_text), weight))
+            try:
+                weight = float(fields[3]) if len(fields) == 4 else 1.0
+                entries.append(LexiconEntry(word, parse_category(cat_text),
+                                            parse_template(template_text), weight))
+            except (LexiconError, ValueError) as exc:
+                raise LexiconError(f"line {lineno}: {exc}") from None
         return cls(entries)
 
     @classmethod

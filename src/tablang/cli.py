@@ -153,12 +153,16 @@ def cmd_run(args) -> int:
 
 
 def _tasks_from_config(config: dict) -> list[benchmark.TaskSpec]:
+    if not isinstance(config, dict) or not isinstance(config.get("tasks"), list):
+        raise ValueError('the config must be an object with a "tasks" list')
     tasks = []
     for entry in config["tasks"]:
         if isinstance(entry, str):
             tasks.append(benchmark.TaskSpec(entry, config.get("split", "seen")))
-        else:
+        elif isinstance(entry, dict):
             tasks.append(benchmark.TaskSpec(entry["name"], entry.get("split", "seen")))
+        else:
+            raise ValueError(f"a task must be a name or an object, not {entry!r}")
     return tasks
 
 
@@ -195,7 +199,7 @@ def cmd_eval(args) -> int:
         backend = make_backend(config.get("backend", "oracle"), ground_shape,
                                config.get("weights"))
         out = _out_dir(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, ccg.LexiconError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, ccg.LexiconError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_IO
     report = benchmark.run_suite(tasks, episodes, backend, lexicon,

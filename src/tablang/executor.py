@@ -12,11 +12,13 @@ and place poses are argmaxes over the pose grid with deterministic
 tie-breaking. A push goal is not place-scored: its post-push pose comes
 from the goal kernel's centroid.
 
-The relation kernels are geometric surrogates for a learned goal module:
-containment relations use the eroded reference interior, surface relations
-the footprint, directional relations open half-planes at the reference
-centroid. Candidates already satisfying a containment goal are masked out
-of the pick map so multi-step episodes progress.
+The relation kernels are boolean geometric surrogates for a learned goal
+module: containment relations use the reference interior eroded by one
+pixel, surface relations the footprint, directional relations open
+half-planes at the reference centroid. Candidates already satisfying a
+containment goal are masked out of the pick map so multi-step episodes
+progress, and a pick-place goal keeps its placements OBSTACLE_PAD_PX clear
+of every other item.
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ DEFAULT_RELATION_KINDS: dict[str, str] = {
     "back": "back",
 }
 
+# Directional kinds: (axis, test of a cell's index against the reference centroid's).
+HALF_PLANES = {
+    "left": (1, np.less),
+    "right": (1, np.greater),
+    "front": (0, np.greater),
+    "back": (0, np.less),
+}
+
+# Safety margin around other items: the mask-derived silhouette is a little
+# thinner than the true footprint, so obstacles are grown to keep placements
+# from physically stacking.
+OBSTACLE_PAD_PX = 2
+
 
 @dataclass(frozen=True)
 class PoseGrid:
@@ -95,12 +110,6 @@ class ControlParams:
 @dataclass(frozen=True)
 class RelationConfig:
     kinds: tuple[tuple[str, str], ...] = tuple(sorted(DEFAULT_RELATION_KINDS.items()))
-    erode_px: int = 1
-    avoid_items: bool = True
-    # Safety margin around other items: the mask-derived silhouette is a
-    # little thinner than the true footprint, so obstacles are grown to keep
-    # placements from physically stacking.
-    obstacle_pad_px: int = 2
 
     def kind_of(self, word: str) -> str:
         for w, kind in self.kinds:
@@ -125,17 +134,15 @@ class ExecutionResult:
     place_map: np.ndarray  # (R, H, W) per-rotation scores
 
 
-def _erode(mask: np.ndarray, px: int) -> np.ndarray:
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """One 4-neighbour erosion; border cells are always dropped."""
     out = mask.copy()
-    for _ in range(px):
-        shrunk = out.copy()
-        shrunk[1:, :] &= out[:-1, :]
-        shrunk[:-1, :] &= out[1:, :]
-        shrunk[:, 1:] &= out[:, :-1]
-        shrunk[:, :-1] &= out[:, 1:]
-        shrunk[0, :] = shrunk[-1, :] = False
-        shrunk[:, 0] = shrunk[:, -1] = False
-        out = shrunk
+    out[1:, :] &= mask[:-1, :]
+    out[:-1, :] &= mask[1:, :]
+    out[:, 1:] &= mask[:, :-1]
+    out[:, :-1] &= mask[:, 1:]
+    out[0, :] = out[-1, :] = False
+    out[:, 0] = out[:, -1] = False
     return out
 
 
@@ -146,7 +153,7 @@ def _interior_depth(mask: np.ndarray) -> np.ndarray:
     cur = mask.copy()
     while cur.any():
         depth += cur
-        cur = _erode(cur, 1)
+        cur = _erode(cur)
     return depth
 
 
@@ -163,31 +170,17 @@ def _dilate(mask: np.ndarray, px: int) -> np.ndarray:
 
 
 def relation_kernel(reference: np.ndarray, relation: str, config: RelationConfig) -> np.ndarray:
-    """Binary kernel of cells satisfying the relation to the reference mask."""
+    """Boolean kernel of cells satisfying the relation to the reference mask."""
     kind = config.kind_of(relation)
     binary = reference > 0.5
     if kind == INTERIOR:
-        eroded = _erode(binary, config.erode_px)
+        eroded = _erode(binary)
         # tiny references erode away; fall back to the raw footprint
-        kernel = eroded if eroded.any() else binary
-        return kernel.astype(np.float64)
-    if kind == SURFACE:
-        return binary.astype(np.float64)
-    if not binary.any():
-        return np.zeros_like(reference)
-    rows, cols = np.nonzero(binary)
-    out = np.zeros(reference.shape, dtype=np.float64)
-    if kind == "left":
-        out[:, :] = (np.arange(reference.shape[1])[None, :] < cols.mean()).astype(float)
-    elif kind == "right":
-        out[:, :] = (np.arange(reference.shape[1])[None, :] > cols.mean()).astype(float)
-    elif kind == "front":
-        out[:, :] = (np.arange(reference.shape[0])[:, None] > rows.mean()).astype(float)
-    elif kind == "back":
-        out[:, :] = (np.arange(reference.shape[0])[:, None] < rows.mean()).astype(float)
-    else:
-        raise UnknownRelation(relation)
-    return out
+        return eroded if eroded.any() else binary
+    if kind == SURFACE or not binary.any():
+        return binary
+    axis, side = HALF_PLANES[kind]
+    return side(np.indices(reference.shape)[axis], np.nonzero(binary)[axis].mean())
 
 
 def select_pick(pick_map: GroundingMap) -> Pose2:
@@ -216,10 +209,8 @@ def select_place(place_grids: np.ndarray) -> Pose2:
 def eval_relate(target_map: GroundingMap, reference_map: GroundingMap,
                 relation: dsl.ConceptToken, ctx: ExecutionContext) -> GroundingMap:
     """Keep target regions standing in the relation to the reference."""
-    if relation.kind != dsl.RELATION:
-        raise UnknownRelation(f"not a relation token: {relation.word}")
     kernel = relation_kernel(reference_map.values, relation.word, ctx.relation_config)
-    out = intersect(target_map, GroundingMap(np.clip(kernel, 0.0, 1.0)))
+    out = intersect(target_map, GroundingMap(kernel))
     return normalize(out.values)
 
 
@@ -250,35 +241,35 @@ def _grid_to_scene(ctx: ExecutionContext, u: int, v: int) -> tuple[float, float]
 
 
 def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarray,
-                       ctx: ExecutionContext) -> tuple[Pose2, GroundingMap]:
+                       ctx: ExecutionContext) -> tuple[Pose2, GroundingMap, world.SceneObject | None]:
     """Mask upsampling can read solid where the true footprint has a notch;
     if the argmax pixel is not over an item, move it to the nearest
     silhouette cell that is. The recorded map keeps the snapped cell as its
-    strict argmax."""
-    y, x = _grid_to_scene(ctx, pick.u, pick.v)
-    if world.pick_target(ctx.scene, y, x) is not None:
-        return pick, pick_map
+    strict argmax. Also returns the item under the pick, or None."""
+    item = world.pick_target(ctx.scene, *_grid_to_scene(ctx, pick.u, pick.v))
+    if item is not None:
+        return pick, pick_map, item
     rows, cols = np.nonzero(silhouette)
     order = np.argsort((rows - rows.mean()) ** 2 + (cols - cols.mean()) ** 2,
                        kind="stable")
     for idx in order:
         u, v = int(rows[idx]), int(cols[idx])
-        y, x = _grid_to_scene(ctx, u, v)
-        if world.pick_target(ctx.scene, y, x) is not None:
+        item = world.pick_target(ctx.scene, *_grid_to_scene(ctx, u, v))
+        if item is not None:
             arr = pick_map.values * 0.999
             arr[u, v] = 1.0
-            return Pose2(u, v, 0), GroundingMap(arr)
-    return pick, pick_map
+            return Pose2(u, v, 0), GroundingMap(arr), item
+    return pick, pick_map, None
 
 
-def _obstacle_mask(ctx: ExecutionContext, exclude_id: int | None) -> np.ndarray:
+def _obstacle_mask(ctx: ExecutionContext, exclude: world.SceneObject | None) -> np.ndarray:
     grid = ctx.pose_grid
     scene = ctx.scene
     ys = axis_coords(grid.height, scene.height)
     xs = axis_coords(grid.width, scene.width)
     out = np.zeros((grid.height, grid.width), dtype=bool)
     for obj in scene.objects:
-        if obj.kind != world.ITEM or obj.id == exclude_id:
+        if obj.kind != world.ITEM or obj is exclude:
             continue
         out |= world.footprint_mask(obj, (grid.height, grid.width), ys, xs)
     return out
@@ -289,8 +280,8 @@ def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray
     """(R, H, W) place scores. Rotation r turns the silhouette offsets into a
     boolean stencil of n cells; at each centre inside bbox the score is
     (overlap / n)^2 times the reference map, where overlap counts the stencil
-    cells on kernel > 0 (off-grid cells count as zero). For a binary kernel
-    this is the hit fraction times the mean kernel value under the stencil."""
+    cells on the boolean kernel (off-grid cells count as zero): the hit
+    fraction times the mean kernel value under the stencil."""
     out = np.zeros((grid.rotations, grid.height, grid.width))
     u0, u1, v0, v1 = bbox
     if u1 <= u0 or v1 <= v0:
@@ -306,7 +297,7 @@ def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray
     stencils[np.arange(grid.rotations)[:, None], du + m, dv + m] = True
     # Overlaps are sums of 0/1 terms, exact in float32 below 2**24 cells.
     # Taking one stencil row at a time keeps the window views small.
-    cover = np.pad(kernel > 0, m)[u0:u1 + 2 * m, v0:v1 + 2 * m].astype(np.float32)
+    cover = np.pad(kernel, m)[u0:u1 + 2 * m, v0:v1 + 2 * m].astype(np.float32)
     windows = sliding_window_view(cover, side, axis=1)
     weights = stencils.astype(np.float32)
     counts = np.zeros((u1 - u0, v1 - v0, grid.rotations), dtype=np.float32)
@@ -324,21 +315,18 @@ def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray
 
 def _goal_pieces(object_map: GroundingMap, reference_map: GroundingMap,
                  relation: dsl.ConceptToken, ctx: ExecutionContext) -> dict:
-    if relation.kind != dsl.RELATION:
-        raise UnknownRelation(f"not a relation token: {relation.word}")
     grid = ctx.pose_grid
-    cfg = ctx.relation_config
-    kind = cfg.kind_of(relation.word)
+    kind = ctx.relation_config.kind_of(relation.word)
 
     up_obj = resample(object_map, grid.height, grid.width)
     up_ref = resample(reference_map, grid.height, grid.width)
-    kernel = relation_kernel(up_ref.values, relation.word, cfg)
+    kernel = relation_kernel(up_ref.values, relation.word, ctx.relation_config)
 
     # Objects already sitting in a containment goal region are not pick
     # candidates; without this, multi-step episodes would loop on one object.
     pick_arr = up_obj.values
     if kind in (INTERIOR, SURFACE):
-        pick_arr = pick_arr * (kernel <= 0)
+        pick_arr = pick_arr * ~kernel
     # Suction-style graspability: prefer the deepest interior pixel of the
     # mask. Upsampled masks can read solid at thin notches (star arms); edge
     # maxima there would miss the object, the interior never does.
@@ -349,17 +337,12 @@ def _goal_pieces(object_map: GroundingMap, reference_map: GroundingMap,
     pick = select_pick(pick_map)
 
     silhouette = _component(up_obj.values >= 0.5, (pick.u, pick.v))
-    pick, pick_map = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
+    pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
     rows, cols = np.nonzero(silhouette)
     anchor = (int(round(rows.mean())), int(round(cols.mean())))
     offsets = np.stack([rows - anchor[0], cols - anchor[1]], axis=1)
 
-    effective = kernel
-    if cfg.avoid_items:
-        scene_y, scene_x = _grid_to_scene(ctx, pick.u, pick.v)
-        picked = world.pick_target(ctx.scene, scene_y, scene_x)
-        obstacles = _obstacle_mask(ctx, picked.id if picked is not None else None)
-        effective = kernel * (~_dilate(obstacles, cfg.obstacle_pad_px))
+    effective = kernel & ~_dilate(_obstacle_mask(ctx, picked), OBSTACLE_PAD_PX)
 
     support = np.nonzero(up_ref.values > 0)
     if len(support[0]) == 0:
@@ -392,11 +375,11 @@ def _push_params(pieces: dict, grid: PoseGrid) -> tuple[ControlParams, Grounding
     sil_rows, sil_cols = np.nonzero(pieces["silhouette"])
     c_u, c_v = sil_rows.mean(), sil_cols.mean()
     support = pieces["effective_kernel"]
-    if support.max() <= 0:
+    if not support.any():
         support = pieces["kernel"]
-    if support.max() <= 0:
+    if not support.any():
         raise NoFeasiblePlace("push goal region is empty")
-    sup_rows, sup_cols = np.nonzero(support > 0)
+    sup_rows, sup_cols = np.nonzero(support)
     g_u, g_v = sup_rows.mean(), sup_cols.mean()
     nearest = int(np.argmin((sup_rows - g_u) ** 2 + (sup_cols - g_v) ** 2))
     post = Pose2(int(sup_rows[nearest]), int(sup_cols[nearest]), 0)

@@ -262,6 +262,13 @@ def interior_mask(obj: SceneObject, hw: tuple[int, int],
     raise ValueError(f"unsupported container shape {obj.shape!r}")
 
 
+def inside(obj: SceneObject, y: float, x: float) -> bool:
+    """Whether the scene point (y, x) is in the object's interior_mask: its
+    footprint for items and zones, the space inside the walls for
+    containers."""
+    return bool(interior_mask(obj, (1, 1), np.array([float(y)]), np.array([float(x)]))[0, 0])
+
+
 def _paint_order(scene: Scene) -> list[SceneObject]:
     rank = {ZONE: 0, CONTAINER: 1, ITEM: 2}
     return sorted(scene.objects, key=lambda o: rank[o.kind])
@@ -433,10 +440,8 @@ def _settle(scene: Scene, item: SceneObject) -> SceneObject:
 
 def pick_target(scene: Scene, row: int, col: int) -> SceneObject | None:
     """Topmost item whose footprint covers the pixel, or None."""
-    xs = np.array([float(col)])
-    ys = np.array([float(row)])
     for obj in reversed([o for o in scene.objects if o.kind == ITEM]):
-        if footprint_mask(obj, (1, 1), ys, xs)[0, 0]:
+        if inside(obj, row, col):
             return obj
     return None
 

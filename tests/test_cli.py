@@ -294,3 +294,32 @@ def test_repl_feature_width_mismatch(tmp_path, scene_file):
                   stdin=f"{ep.instruction}\n:quit\n")
     assert out.returncode == 0, out.stderr
     assert "error: cv expects dim 2" in out.stdout
+
+
+@pytest.mark.parametrize("bad_line", [
+    "foo\tN/Q\tfilter(foo)",               # unknown category primitive
+    "foo\tN\tfrobnicate(filter(red))",     # unknown template operation
+    "foo\tN\tfilter(foo)\tabc",            # weight is not a number
+    "foo\tN\tfilter(foo)\t-1",             # weight is not positive
+])
+def test_parse_bad_lexicon_entry_names_line(tmp_path, bad_line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"box\tN\tfilter(box)\n{bad_line}\n")
+    out = run_cli("parse", "pack the foo", "--lexicon", str(path))
+    assert_clean_exit_1(out)
+    assert out.stderr.startswith("error: line 2:")
+
+
+@pytest.mark.parametrize("config", [
+    [1],
+    {"tasks": 5},
+    {"tasks": [5]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [0, 0]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [-3, 5]},
+])
+def test_eval_malformed_config_is_config_error(tmp_path, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = run_cli("eval", "--config", str(cfg), "--output-dir", str(tmp_path / "o"))
+    assert_clean_exit_1(out)
+    assert out.stderr.startswith("config error:")

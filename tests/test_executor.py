@@ -11,6 +11,7 @@ from tablang import benchmark as bm
 from tablang import ccg, dsl, world
 from tablang.backends import OracleBackend
 from tablang.executor import (
+    DEFAULT_RELATION_KINDS,
     EmptyGrounding,
     ExecutionContext,
     NoFeasiblePlace,
@@ -151,6 +152,68 @@ def test_relation_kernel_unknown():
         relation_kernel(np.ones((4, 4)), "betwixt", RelationConfig())
 
 
+def reference_relation_kernel(reference, relation):
+    """The float kernel that the boolean one replaced: one erosion round for
+    containment, the footprint for surfaces, and one branch per half-plane."""
+    kind = DEFAULT_RELATION_KINDS[relation]
+    binary = reference > 0.5
+    if kind == "interior":
+        eroded = binary.copy()
+        eroded[1:, :] &= binary[:-1, :]
+        eroded[:-1, :] &= binary[1:, :]
+        eroded[:, 1:] &= binary[:, :-1]
+        eroded[:, :-1] &= binary[:, 1:]
+        eroded[0, :] = eroded[-1, :] = False
+        eroded[:, 0] = eroded[:, -1] = False
+        return (eroded if eroded.any() else binary).astype(np.float64)
+    if kind == "surface":
+        return binary.astype(np.float64)
+    if not binary.any():
+        return np.zeros_like(reference)
+    rows, cols = np.nonzero(binary)
+    out = np.zeros(reference.shape, dtype=np.float64)
+    if kind == "left":
+        out[:, :] = (np.arange(reference.shape[1])[None, :] < cols.mean()).astype(float)
+    elif kind == "right":
+        out[:, :] = (np.arange(reference.shape[1])[None, :] > cols.mean()).astype(float)
+    elif kind == "front":
+        out[:, :] = (np.arange(reference.shape[0])[:, None] > rows.mean()).astype(float)
+    else:
+        out[:, :] = (np.arange(reference.shape[0])[:, None] < rows.mean()).astype(float)
+    return out
+
+
+def single_cell():
+    ref = np.zeros((5, 7))
+    ref[2, 3] = 1.0
+    return ref
+
+
+def thin_line():
+    ref = np.zeros((6, 9))
+    ref[3, 1:8] = 0.8  # one row wide: erodes away
+    return ref
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(DEFAULT_RELATION_KINDS)),
+       arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+              elements=st.sampled_from((0.0, 0.3, 0.5, 0.6, 1.0))))
+@example("in", np.zeros((4, 6)))
+@example("left", np.zeros((4, 6)))
+@example("in", single_cell())
+@example("back", single_cell())
+@example("in", thin_line())
+@example("front", thin_line())
+def test_relation_kernel_is_boolean_reference(relation, reference):
+    """Every relation gives a bool kernel equal to the float kernel it
+    replaced, also for an empty reference, a single cell and a reference
+    that erodes away."""
+    kernel = relation_kernel(reference, relation, RelationConfig())
+    assert kernel.dtype == bool
+    assert np.array_equal(kernel, reference_relation_kernel(reference, relation).astype(bool))
+
+
 def fixture_context(rotations=12):
     scene = bm.generate_episode(bm.TaskSpec("packing_shapes"), 11).scene
     grid = PoseGrid(scene.height, scene.width, rotations)
@@ -206,6 +269,24 @@ def test_execute_golden_example():
 
 
 GOLDEN_TEXT = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
+
+
+def test_pick_place_looks_up_the_picked_item_once(monkeypatch):
+    """The pick argmax lies on the hexagon, so one pick_target call finds the
+    item both for the pick and for the obstacle exclusion."""
+    box = world.make_object(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
+    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    star = world.make_object(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
+    scene = world.Scene(128, 64, (box, hexagon, star), rng_seed=0)
+    calls = []
+    pick_target = world.pick_target
+    monkeypatch.setattr(world, "pick_target",
+                        lambda *args: calls.append(args) or pick_target(*args))
+    ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
+    result = execute(dsl.parse_program(GOLDEN_TEXT), ctx)
+    pick = result.all_params[0].pick
+    assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
+    assert len(calls) == 1
 
 
 def test_execute_leaves_no_cyclic_garbage():
@@ -385,7 +466,7 @@ def reference_place_scores(kernel, offsets, reference, bbox, grid):
 @st.composite
 def place_cases(draw):
     h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-    kernel = draw(arrays(np.bool_, (h, w))).astype(np.float64)
+    kernel = draw(arrays(np.bool_, (h, w)))
     reference = draw(arrays(np.float64, (h, w), elements=st.floats(0.0, 1.0)))
     # The silhouette lives on its own grid, up to 12 cells across, so its
     # offsets often reach past the kernel grid's edge.
@@ -402,8 +483,9 @@ def place_cases(draw):
 
 @settings(deadline=None)
 @given(place_cases())
-@example((np.ones((3, 3)), np.array([[0, 0]]), np.ones((3, 3)), (0, 3, 0, 3), PoseGrid(3, 3, 1)))
-@example((np.eye(4), np.array([[r, c] for r in range(-3, 4) for c in range(-1, 2)]),
+@example((np.ones((3, 3), dtype=bool), np.array([[0, 0]]), np.ones((3, 3)), (0, 3, 0, 3),
+          PoseGrid(3, 3, 1)))
+@example((np.eye(4, dtype=bool), np.array([[r, c] for r in range(-3, 4) for c in range(-1, 2)]),
           np.full((4, 4), 0.5), (0, 4, 0, 4), PoseGrid(4, 4, 12)))
 def test_place_scores_match_offset_loop(case):
     kernel, offsets, reference, bbox, grid = case

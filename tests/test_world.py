@@ -462,3 +462,15 @@ def test_features_match_render(scene, ground_shape):
     assert vocab == want[1].feature_vocab
     assert fmap.values.dtype == want[1].features.values.dtype
     assert np.array_equal(fmap.values, want[1].features.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes(max_width=24, max_height=16))
+def test_inside_matches_interior_mask(scene):
+    """The point test agrees with the interior raster at every integer
+    pixel: items and zones by footprint, containers inside their walls."""
+    for obj in scene.objects:
+        mask = interior_mask(obj, (scene.height, scene.width))
+        got = [[world.inside(obj, y, x) for x in range(scene.width)]
+               for y in range(scene.height)]
+        assert np.array_equal(np.array(got), mask)
