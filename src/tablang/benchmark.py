@@ -82,19 +82,12 @@ class OutOfGrid(Exception):
 class TaskSpec:
     name: str
     split: str = "seen"
-    params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
         if self.name not in TASK_NAMES:
             raise ValueError(f"unknown task {self.name!r}")
         if self.split not in ("seen", "unseen"):
             raise ValueError(f"unknown split {self.split!r}")
-
-    def param(self, key: str, default):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,12 @@ class Episode:
 # Placement sampling
 
 
+# Rejection-sampling attempts per placement, drawn in chunks of 4, 16, 64,
+# then 256: most placements succeed within a few attempts.
+PLACE_ATTEMPTS = 1000
+_FIRST_CHUNK, _LAST_CHUNK = 4, 256
+
+
 class _Placer:
     def __init__(self, rng: np.random.Generator, width: int, height: int):
         self.rng = rng
@@ -128,20 +127,45 @@ class _Placer:
         self.placed: list[tuple[float, float, float]] = []
 
     def place(self, radius: float, x_range=None, y_range=None,
-              pad: float = 2.0, attempts: int = 1000) -> tuple[float, float]:
+              pad: float = 2.0) -> tuple[float, float]:
+        """The first of up to PLACE_ATTEMPTS uniform (x, y) draws in the
+        window that lies farther than radius + pr + pad from every placed
+        (px, py, pr). The draws, and the generator state left behind, are
+        exactly those of one rng.uniform(x_lo, x_hi), rng.uniform(y_lo,
+        y_hi) pair per attempt: a chunk is drawn as doubles, and after an
+        accepted row the state saved before the chunk is restored and only
+        the rows up to it are drawn again."""
         x_lo = max(radius + 1.5, x_range[0]) if x_range else radius + 1.5
         x_hi = min(self.width - 2.5 - radius, x_range[1]) if x_range else self.width - 2.5 - radius
         y_lo = max(radius + 1.5, y_range[0]) if y_range else radius + 1.5
         y_hi = min(self.height - 2.5 - radius, y_range[1]) if y_range else self.height - 2.5 - radius
         if x_hi < x_lo or y_hi < y_lo:
             raise GenerationFailure("placement window is empty")
-        for _ in range(attempts):
-            x = float(self.rng.uniform(x_lo, x_hi))
-            y = float(self.rng.uniform(y_lo, y_hi))
-            if all(math.hypot(x - px, y - py) > radius + pr + pad
-                   for px, py, pr in self.placed):
-                self.placed.append((x, y, radius))
-                return x, y
+        lo = np.array([x_lo, y_lo])
+        span = np.array([x_hi - x_lo, y_hi - y_lo])
+        placed = np.array(self.placed).reshape(-1, 3)
+        # A prefilter only: np.hypot may differ from math.hypot in the last
+        # ulp, so the slack keeps every row the exact test below accepts.
+        bound = radius + placed[:, 2] + pad - 1e-6
+        bitgen = self.rng.bit_generator
+        left, k = PLACE_ATTEMPTS, _FIRST_CHUNK
+        while left:
+            k = min(k, left)
+            saved = bitgen.state
+            points = lo + span * self.rng.random((k, 2))
+            clear = (np.hypot(points[:, 0, None] - placed[:, 0],
+                              points[:, 1, None] - placed[:, 1]) > bound).all(axis=1)
+            for i in np.flatnonzero(clear):
+                x, y = float(points[i, 0]), float(points[i, 1])
+                if all(math.hypot(x - px, y - py) > radius + pr + pad
+                       for px, py, pr in self.placed):
+                    if i + 1 < k:
+                        bitgen.state = saved
+                        self.rng.random((i + 1, 2))
+                    self.placed.append((x, y, radius))
+                    return x, y
+            left -= k
+            k = min(4 * k, _LAST_CHUNK)
         raise GenerationFailure("could not place object without overlap")
 
 
@@ -285,7 +309,7 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> Episode | None:
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     name = task.name
-    n_distractors = int(task.param("distractors", 4))
+    n_distractors = 4
     ids = itertools.count(1)
     objects: list[world.SceneObject] = []
 
@@ -410,7 +434,7 @@ def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> Episode:
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     block_color, bowl_color, distract_color = _sample_distinct(rng, colors, 3)
-    n_blocks = int(task.param("blocks", int(rng.integers(2, 4))))
+    n_blocks = int(rng.integers(2, 4))
     ids = itertools.count(1)
     objects = []
 
@@ -461,7 +485,7 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator) -> Episode:
                                     if c not in (block_color, target_color)])
         left_color, right_color = ((target_color, other_color) if loc == "left"
                                    else (other_color, target_color))
-    n_blocks = int(task.param("blocks", 6))
+    n_blocks = 6
     zone_r = ZONE_SIZE * world.unit_circumradius("square")
 
     lx, ly = placer.place(zone_r, x_range=(0, 44))
@@ -681,6 +705,8 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
     0-100 scale. Episode errors score 0 and never abort the suite."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     config = {
         "tasks": [{"name": t.name, "split": t.split} for t in tasks],
         "episodes": n_episodes,

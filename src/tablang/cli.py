@@ -188,6 +188,8 @@ def cmd_eval(args) -> int:
         if episodes < 1:
             raise ValueError("episodes must be >= 1")
         seed = int(config.get("seed", 0))
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         rotations = int(config.get("rotations", 12))
         if rotations < 1:
             raise ValueError("rotations must be >= 1")

@@ -194,23 +194,43 @@ def _point_in_polygon(edges: tuple[np.ndarray, ...], px: np.ndarray, py: np.ndar
 _EDGES = {name: _edge_arrays(verts) for name, verts in _POLYGONS.items()}
 
 
-def _unit_inside(shape: str, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+def _unit_test(shape: str, inset: float = 0.0):
+    """The (ux, uy) -> inside predicate of the unit-scale shape; rects and
+    discs shrink by inset on every side (container walls). It takes numpy
+    arrays that broadcast, or Python floats for one point."""
     if shape in _RECTS:
         hx, hy = _RECTS[shape]
-        return (np.abs(ux) <= hx) & (np.abs(uy) <= hy)
+        hx, hy = hx - inset, hy - inset
+        return lambda ux, uy: (abs(ux) <= hx) & (abs(uy) <= hy)
     if shape in _DISCS:
-        r = _DISCS[shape]
-        return ux * ux + uy * uy <= r * r
+        r = _DISCS[shape] - inset
+        return lambda ux, uy: ux * ux + uy * uy <= r * r
     if shape in _RINGS:
         ro, ri = _RINGS[shape]
-        rr = ux * ux + uy * uy
-        return (rr <= ro * ro) & (rr > ri * ri)
-    return _point_in_polygon(_EDGES[shape], ux, uy)
+
+        def ring(ux, uy):
+            rr = ux * ux + uy * uy
+            return (rr <= ro * ro) & (rr > ri * ri)
+        return ring
+    edges = _EDGES[shape]
+    return lambda ux, uy: _point_in_polygon(edges, ux, uy)
 
 
-def _to_unit(obj: SceneObject, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = xs[None, :] - obj.x
-    Y = ys[:, None] - obj.y
+def _interior_test(obj: SceneObject):
+    """The unit-frame predicate of interior_mask: the footprint for items
+    and zones, the space inside the walls for containers."""
+    if obj.kind != CONTAINER:
+        return _unit_test(obj.shape)
+    if obj.shape not in ("box", "bowl"):
+        raise ValueError(f"unsupported container shape {obj.shape!r}")
+    return _unit_test(obj.shape, WALL_PX / obj.size)
+
+
+def _to_unit(obj: SceneObject, x, y):
+    """Unit-frame (ux, uy) of scene points (x, y): numpy arrays that
+    broadcast, or Python floats."""
+    X = x - obj.x
+    Y = y - obj.y
     c, s = math.cos(obj.angle), math.sin(obj.angle)
     ux = (X * c + Y * s) / obj.size
     uy = (-X * s + Y * c) / obj.size
@@ -218,10 +238,11 @@ def _to_unit(obj: SceneObject, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarr
 
 
 def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
-            xs: np.ndarray | None, inside) -> np.ndarray:
-    """(len(ys), len(xs)) boolean raster of inside(ux, uy), evaluated only on
-    the lattice window within circumradius + 1 of the object's centre; no
-    sample outside that window can be inside the object."""
+            xs: np.ndarray | None, test) -> np.ndarray:
+    """(len(ys), len(xs)) boolean raster of test(ux, uy), evaluated only on
+    the lattice window within circumradius + 1 of the object's centre
+    (obj.y - reach <= y < obj.y + reach, the same for x); no sample outside
+    that window can be inside the object."""
     h, w = hw
     ys = np.arange(h, dtype=np.float64) if ys is None else np.asarray(ys, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64) if xs is None else np.asarray(xs, dtype=np.float64)
@@ -230,8 +251,7 @@ def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
     r0, r1 = ys.searchsorted((obj.y - reach, obj.y + reach))
     c0, c1 = xs.searchsorted((obj.x - reach, obj.x + reach))
     if r0 < r1 and c0 < c1:
-        ux, uy = _to_unit(obj, xs[c0:c1], ys[r0:r1])
-        out[r0:r1, c0:c1] = inside(ux, uy)
+        out[r0:r1, c0:c1] = test(*_to_unit(obj, xs[None, c0:c1], ys[r0:r1, None]))
     return out
 
 
@@ -242,31 +262,26 @@ def footprint_mask(obj: SceneObject, hw: tuple[int, int],
     ignored where ys and xs are given). ys and xs must be ascending: the
     inside test runs only on the rows and columns within circumradius + 1 of
     the centre, found by binary search, and every other sample is False."""
-    return _sample(obj, hw, ys, xs, lambda ux, uy: _unit_inside(obj.shape, ux, uy))
+    return _sample(obj, hw, ys, xs, _unit_test(obj.shape))
 
 
 def interior_mask(obj: SceneObject, hw: tuple[int, int],
                   ys: np.ndarray | None = None, xs: np.ndarray | None = None) -> np.ndarray:
     """Like footprint_mask but excluding container walls. For items and
     zones the interior is the footprint itself."""
-    if obj.kind != CONTAINER:
-        return footprint_mask(obj, hw, ys, xs)
-    inset = WALL_PX / obj.size
-    if obj.shape == "box":
-        hx, hy = _RECTS["box"]
-        return _sample(obj, hw, ys, xs,
-                       lambda ux, uy: (np.abs(ux) <= hx - inset) & (np.abs(uy) <= hy - inset))
-    if obj.shape == "bowl":
-        r = _DISCS["bowl"] - inset
-        return _sample(obj, hw, ys, xs, lambda ux, uy: ux * ux + uy * uy <= r * r)
-    raise ValueError(f"unsupported container shape {obj.shape!r}")
+    return _sample(obj, hw, ys, xs, _interior_test(obj))
 
 
 def inside(obj: SceneObject, y: float, x: float) -> bool:
     """Whether the scene point (y, x) is in the object's interior_mask: its
     footprint for items and zones, the space inside the walls for
-    containers."""
-    return bool(interior_mask(obj, (1, 1), np.array([float(y)]), np.array([float(x)]))[0, 0])
+    containers. The point is tested alone, in Python floats, with
+    _sample's window rule and the same arithmetic and predicate."""
+    y, x = float(y), float(x)
+    reach = obj.circumradius + 1.0
+    if not (obj.y - reach <= y < obj.y + reach and obj.x - reach <= x < obj.x + reach):
+        return False
+    return bool(_interior_test(obj)(*_to_unit(obj, x, y)))
 
 
 def _paint_order(scene: Scene) -> list[SceneObject]:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tablang import benchmark as bm
 from tablang import ccg, world
@@ -255,6 +257,11 @@ def test_imitation_loss_out_of_grid():
                        ControlParams(Pose2(5, 0, 0), Pose2(0, 0, 0), "pick_place"))
 
 
+def test_run_suite_rejects_negative_seed(lex):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_suite([TaskSpec("packing_shapes")], 1, OracleBackend(), lex, seed=-1)
+
+
 def test_run_suite_empty_tasks(lex):
     report = run_suite([], 3, OracleBackend(), lex)
     assert report.per_task == {}
@@ -310,3 +317,85 @@ def test_report_table_format(lex):
     table = report_table(report)
     assert "packing_shapes/seen" in table
     assert "100.0" in table
+
+
+def reference_place(rng, placed, width, height, radius, x_range=None, y_range=None,
+                    pad=2.0):
+    """The scalar rejection loop: one rng.uniform pair per attempt."""
+    x_lo = max(radius + 1.5, x_range[0]) if x_range else radius + 1.5
+    x_hi = min(width - 2.5 - radius, x_range[1]) if x_range else width - 2.5 - radius
+    y_lo = max(radius + 1.5, y_range[0]) if y_range else radius + 1.5
+    y_hi = min(height - 2.5 - radius, y_range[1]) if y_range else height - 2.5 - radius
+    if x_hi < x_lo or y_hi < y_lo:
+        raise bm.GenerationFailure("placement window is empty")
+    for _ in range(bm.PLACE_ATTEMPTS):
+        x = float(rng.uniform(x_lo, x_hi))
+        y = float(rng.uniform(y_lo, y_hi))
+        if all(math.hypot(x - px, y - py) > radius + pr + pad for px, py, pr in placed):
+            placed.append((x, y, radius))
+            return x, y
+    raise bm.GenerationFailure("could not place object without overlap")
+
+
+def placement_outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except bm.GenerationFailure as exc:
+        return "raised", str(exc)
+
+
+def window(hi):
+    """None, an ordered (lo, hi) range or a narrow one; a range may miss
+    the part of the workspace that the radius leaves, so the window is
+    empty."""
+    coord = st.floats(0.0, float(hi))
+    ordered = st.tuples(coord, coord).map(lambda t: (min(t), max(t)))
+    narrow = st.tuples(coord, st.floats(0.0, 3.0)).map(lambda t: (t[0], t[0] + t[1]))
+    return st.one_of(st.none(), ordered, narrow)
+
+
+def grid(width, height, step, pr, ox, oy):
+    """Circles of radius pr on a square grid: crowded, often with no room."""
+    return [(ox + x, oy + y, pr) for x in np.arange(0.0, width + step, step).tolist()
+            for y in np.arange(0.0, height + step, step).tolist()]
+
+
+@st.composite
+def placements(draw):
+    width = draw(st.integers(24, 128))
+    height = draw(st.integers(24, 64))
+    circle = st.tuples(st.floats(0.0, float(width)), st.floats(0.0, float(height)),
+                       st.floats(0.5, 14.0))
+    crowded = st.builds(grid, st.just(width), st.just(height), st.floats(6.0, 16.0),
+                        st.floats(1.0, 6.0), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    placed = draw(st.one_of(st.lists(circle, max_size=4), st.lists(circle, max_size=40),
+                            crowded))
+    return (draw(st.integers(0, 2**32 - 1)), placed, width, height,
+            draw(st.floats(0.5, 8.0)), draw(window(width)), draw(window(height)),
+            draw(st.sampled_from([2.0, 2.5])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(placements())
+@example((0, grid(128, 64, 8.0, 5.0, 0.0, 0.0), 128, 64, 3.4, None, None, 2.5))
+@example((1, [], 128, 64, 3.4, (54.0, 54.0), None, 2.0))
+@example((2, [], 128, 64, 3.4, (60.0, 50.0), None, 2.0))
+@example((3, [(64.0, 32.0, 8.0)], 128, 64, 5.0, None, (30.0, 34.0), 2.0))
+def test_place_matches_scalar_loop(case):
+    """The chunked placement returns the scalar loop's point (or raises its
+    error), leaves the generator in the same state, and keeps the buffered
+    32-bit half that rng.integers(7) leaves pending."""
+    seed, placed, width, height, radius, x_range, y_range, pad = case
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng_ref.integers(7)
+    rng.integers(7)
+    want_placed = list(placed)
+    want = placement_outcome(reference_place, rng_ref, want_placed, width, height,
+                             radius, x_range, y_range, pad)
+    placer = bm._Placer(rng, width, height)
+    placer.placed = list(placed)
+    got = placement_outcome(placer.place, radius, x_range, y_range, pad)
+    assert got == want
+    assert placer.placed == want_placed
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert rng.integers(2**31) == rng_ref.integers(2**31)

@@ -323,3 +323,16 @@ def test_eval_malformed_config_is_config_error(tmp_path, config):
     out = run_cli("eval", "--config", str(cfg), "--output-dir", str(tmp_path / "o"))
     assert_clean_exit_1(out)
     assert out.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eval_negative_seed_is_config_error(tmp_path, source):
+    if source == "flag":
+        where = ["--tasks", "packing_shapes", "--episodes", "1", "--seed", "-1"]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 1, "seed": -3}))
+        where = ["--config", str(cfg)]
+    out = run_cli("eval", *where, "--output-dir", str(tmp_path / "o"))
+    assert_clean_exit_1(out)
+    assert out.stderr.startswith("config error:")

@@ -474,3 +474,89 @@ def test_inside_matches_interior_mask(scene):
         got = [[world.inside(obj, y, x) for x in range(scene.width)]
                for y in range(scene.height)]
         assert np.array_equal(np.array(got), mask)
+
+
+@st.composite
+def point_cases(draw):
+    """An object of any shape (boxes and bowls also as containers) and a
+    float point: anywhere near it, at a radial fraction of its reach, or
+    exactly on a window edge obj.x +- reach or obj.y +- reach."""
+    shape = draw(st.sampled_from(world.SHAPE_NAMES))
+    kinds = (ITEM, CONTAINER, world.ZONE) if shape in ("box", "bowl") else (ITEM, world.ZONE)
+    obj = make_object(1, draw(st.sampled_from(kinds)), shape, "red",
+                      draw(st.floats(-20.0, 150.0)), draw(st.floats(-20.0, 80.0)),
+                      angle=draw(st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi))),
+                      size=draw(st.floats(0.5, 30.0)))
+    reach = obj.circumradius + 1.0
+    near = st.tuples(st.floats(obj.y - reach - 2.0, obj.y + reach + 2.0),
+                     st.floats(obj.x - reach - 2.0, obj.x + reach + 2.0))
+    radial = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+        lambda t: (obj.y + t[0] * reach * math.sin(t[1]), obj.x + t[0] * reach * math.cos(t[1])))
+    edge_y = st.sampled_from([obj.y - reach, obj.y + reach])
+    edge_x = st.sampled_from([obj.x - reach, obj.x + reach])
+    on_edge = st.one_of(st.tuples(edge_y, near.map(lambda p: p[1])),
+                        st.tuples(near.map(lambda p: p[0]), edge_x),
+                        st.tuples(edge_y, edge_x))
+    return obj, draw(st.one_of(near, radial, on_edge))
+
+
+@settings(max_examples=400, deadline=None)
+@given(point_cases())
+@example((make_object(1, CONTAINER, "bowl", "red", 10.0, 8.0, size=4.0), (8.0, 5.0)))
+@example((make_object(1, ITEM, "star", "red", 10.0, 8.0, size=4.0), (8.0, 5.0)))
+@example((make_object(1, CONTAINER, "box", "red", 20.0, 10.0, size=4.0),
+          (10.0, 20.0 - (4.0 * world.unit_circumradius("box") + 1.0))))
+def test_inside_matches_point_sample(case):
+    """The scalar point test equals a 1 x 1 interior_mask sample at the same
+    float point, window edges included (the low edge is in the window, the
+    high edge is not)."""
+    obj, (y, x) = case
+    want = interior_mask(obj, (1, 1), np.array([y]), np.array([x]))[0, 0]
+    assert world.inside(obj, y, x) == want
+
+
+def item_points(scene):
+    return [(int(round(o.y)), int(round(o.x))) for o in scene.objects if o.kind == ITEM]
+
+
+@st.composite
+def action_runs(draw):
+    """A generated scene and a few random push or pick-place actions; about
+    half the picks start on an item's centre."""
+    name = draw(st.sampled_from(TASK_NAMES))
+    scene = generate_episode(TaskSpec(name, draw(st.sampled_from(["seen", "unseen"]))),
+                             draw(st.integers(0, 200))).scene
+    h, w = scene.height, scene.width
+    pose = st.builds(Pose2, st.integers(0, h - 1), st.integers(0, w - 1), st.integers(0, 11))
+    on_item = st.sampled_from(item_points(scene)).map(lambda p: Pose2(p[0], p[1], 0))
+    actions = draw(st.lists(
+        st.builds(ControlParams, st.one_of(pose, on_item), pose,
+                  st.sampled_from(["push", "pick_place"])),
+        min_size=1, max_size=6))
+    return scene, actions
+
+
+def covers(obj, row, col):
+    return bool(footprint_mask(obj, (1, 1), np.array([float(row)]),
+                               np.array([float(col)]))[0, 0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(action_runs())
+def test_actions_keep_scene_invariants(run):
+    """Through world.apply: object ids and their order are kept, containers
+    and zones never move, and a pick that covers no item returns the same
+    scene and False (one that covers an item moves it)."""
+    scene, actions = run
+    fixed = [o for o in scene.objects if o.kind != ITEM]
+    for params in actions:
+        missed = params.primitive == "pick_place" and not any(
+            covers(o, params.pick.u, params.pick.v) for o in scene.objects if o.kind == ITEM)
+        after, moved = world.apply(scene, params)
+        if params.primitive == "pick_place":
+            assert moved is not missed
+        if missed:
+            assert after is scene
+        assert [o.id for o in after.objects] == [o.id for o in scene.objects]
+        assert [o for o in after.objects if o.kind != ITEM] == fixed
+        scene = after
