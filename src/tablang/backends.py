@@ -1,10 +1,12 @@
 """Grounding backends: map a single concept word to a spatial score map.
 
-OracleBackend reads ground-truth attributes straight off the scene (the
-perfect-perception regime). EmbeddingBackend runs the same query through the
-feature/embedding projection path: synthetic per-pixel attribute-indicator
-features, one-hot concept embeddings, and configurable projection weights
-(identity by default), exercising the full dot-product grounding algebra.
+This is the only module that grounds; the world only paints. OracleBackend
+reads ground-truth attributes straight off the scene (the perfect-perception
+regime). EmbeddingBackend runs the same query through the feature/embedding
+projection path: per-pixel attribute-indicator features from world.features,
+one-hot concept embeddings, and configurable projection weights (identity by
+default), exercising the full dot-product grounding algebra. Both ground on
+the lattice shape_for gives.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .grounding import (
     ConceptEmbedding,
     GroundingMap,
     ProjectionWeights,
+    axis_coords,
     project,
     score_projected,
 )
@@ -33,30 +36,39 @@ def _check_concept(concept: ConceptToken) -> None:
         raise GroundingError(f"cannot ground a {concept.kind} concept: {concept.word}")
 
 
-def ground_oracle(scene: world.Scene, concept: ConceptToken,
-                  shape: tuple[int, int] | None = None) -> GroundingMap:
-    """Ground-truth segmentation grounding: the binary union of footprints of
-    objects carrying the concept word as an attribute. Unknown words give the
-    all-zero map."""
-    _check_concept(concept)
-    return world.ground_truth_mask(scene, {concept.word}, shape)
-
-
 @dataclass
-class OracleBackend:
+class _Backend:
     ground_shape: tuple[int, int] | None = None
 
-    name = "oracle"
-
     def shape_for(self, scene: world.Scene) -> tuple[int, int]:
-        return self.ground_shape if self.ground_shape is not None else scene.grounding_shape()
-
-    def ground(self, scene: world.Scene, concept: ConceptToken) -> GroundingMap:
-        return ground_oracle(scene, concept, self.shape_for(scene))
+        """The (rows, cols) grounding lattice: ground_shape when set, else
+        half the scene's resolution on each axis."""
+        if self.ground_shape is not None:
+            return self.ground_shape
+        return max(1, scene.height // 2), max(1, scene.width // 2)
 
 
 @dataclass
-class EmbeddingBackend:
+class OracleBackend(_Backend):
+    name = "oracle"
+
+    def ground(self, scene: world.Scene, concept: ConceptToken) -> GroundingMap:
+        """Ground-truth segmentation grounding: the binary union of footprints
+        of the objects carrying the concept word as an attribute, occluded
+        parts included. Unknown words give the all-zero map."""
+        _check_concept(concept)
+        gh, gw = self.shape_for(scene)
+        gys = axis_coords(gh, scene.height)
+        gxs = axis_coords(gw, scene.width)
+        out = np.zeros((gh, gw), dtype=bool)
+        for obj in scene.objects:
+            if concept.word in obj.attributes:
+                out |= world.footprint_mask(obj, (gh, gw), gys, gxs)
+        return GroundingMap(out.astype(np.float64))
+
+
+@dataclass
+class EmbeddingBackend(_Backend):
     """Feature-space grounding over synthetic attribute indicators.
 
     Features are rasterized per scene; the projection is cached per scene.
@@ -66,15 +78,11 @@ class EmbeddingBackend:
     vocabulary.
     """
 
-    ground_shape: tuple[int, int] | None = None
     weights: ProjectionWeights | None = None
     # (scene, weights, vocab, projected features) of the last scene grounded.
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     name = "embedding"
-
-    def shape_for(self, scene: world.Scene) -> tuple[int, int]:
-        return self.ground_shape if self.ground_shape is not None else scene.grounding_shape()
 
     def _projected(self, scene: world.Scene) -> tuple[tuple[str, ...], np.ndarray]:
         """The scene's vocabulary and its features projected by the weights;

@@ -4,8 +4,8 @@ success metrics, the imitation-loss metric, and the evaluation suite.
 Nine task families cover packing shapes into boxes (by name, color, spatial
 position, or relative position), placing blocks into bowls, and pushing
 piles or single shapes into zones. Episodes are fully determined by
-(task, split, seed); the generator self-checks that replaying the stored
-expert actions through the simulator scores 1.0.
+(task, split, seed); the generator self-checks that the stored expert
+actions, run through the simulator, score 1.0.
 
 Location words (left/right) are grounded through generator-assigned
 attributes on the qualifying receptacle, i.e. the ground-truth-segmentation
@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -305,7 +305,7 @@ def _replay(episode_scene, actions, rotations=12):
     return scene
 
 
-def _build_packing(task: TaskSpec, rng: np.random.Generator) -> Episode | None:
+def _build_packing(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     name = task.name
@@ -359,10 +359,12 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> Episode | None:
         instruction = f"pack the {target_shape_name} into the {loc_word} brown box"
     expert = (_expert_pick_place(target, target_box),)
     goal = GoalInfo("contain", (target.id,), (target_box.id,))
-    return Episode(scene, instruction, expert, goal, 1, name, task.split, -1)
+    return (Episode(scene, instruction, expert, goal, 1, name, task.split, -1),
+            _replay(scene, expert))
 
 
-def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Placer) -> Episode:
+def _build_prepositions(task: TaskSpec, rng: np.random.Generator,
+                        placer: _Placer) -> tuple[Episode, world.Scene]:
     nested = task.name == "packing_nested_prepositions"
     colors = _color_pool(task.split)
     rel = _choice(rng, LOCATIONS)
@@ -427,10 +429,11 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Place
         instruction = f"pack the {target_shape_name} into the brown box {rel} of the {refs[0]}"
     expert = (_expert_pick_place(target, target_box),)
     goal = GoalInfo("contain", (target.id,), (target_box.id,))
-    return Episode(scene, instruction, expert, goal, 1, task.name, task.split, -1)
+    return (Episode(scene, instruction, expert, goal, 1, task.name, task.split, -1),
+            _replay(scene, expert))
 
 
-def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> Episode:
+def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     block_color, bowl_color, distract_color = _sample_distinct(rng, colors, 3)
@@ -467,10 +470,11 @@ def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> Episode:
         for b, bw in zip(blocks, bowls)
     )
     goal = GoalInfo("bowls", tuple(b.id for b in blocks), tuple(b.id for b in bowls))
-    return Episode(scene, instruction, expert, goal, n_blocks, task.name, task.split, -1)
+    return (Episode(scene, instruction, expert, goal, n_blocks, task.name, task.split, -1),
+            _replay(scene, expert))
 
 
-def _build_separating(task: TaskSpec, rng: np.random.Generator) -> Episode:
+def _build_separating(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     located = task.name == "separating_location_piles"
@@ -512,13 +516,13 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator) -> Episode:
     objects = [left_zone, right_zone] + blocks
     scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     block_ids = [b.id for b in blocks]
-    actions, _final = _closed_loop_push_expert(scene, block_ids, target_zone, n_blocks + 2)
+    actions, final = _closed_loop_push_expert(scene, block_ids, target_zone, n_blocks + 2)
     goal = GoalInfo("zone_fraction", tuple(block_ids), (target_zone.id,))
-    return Episode(scene, instruction, tuple(actions), goal, n_blocks + 2,
-                   task.name, task.split, -1)
+    return (Episode(scene, instruction, tuple(actions), goal, n_blocks + 2,
+                    task.name, task.split, -1), final)
 
 
-def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> Episode:
+def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     zone_r = ZONE_SIZE * world.unit_circumradius("square")
@@ -556,9 +560,9 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> Episode:
     scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     instruction = (f"push the {shape_color} {shape_name} into the {loc} "
                    f"{target_zone.color} square")
-    actions, _final = _closed_loop_push_expert(scene, [target.id], target_zone, 3)
+    actions, final = _closed_loop_push_expert(scene, [target.id], target_zone, 3)
     goal = GoalInfo("contain", (target.id,), (target_zone.id,))
-    return Episode(scene, instruction, tuple(actions), goal, 3, task.name, task.split, -1)
+    return Episode(scene, instruction, tuple(actions), goal, 3, task.name, task.split, -1), final
 
 
 _BUILDERS = {
@@ -584,15 +588,12 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
     last_error = None
     for _ in range(30):
         try:
-            episode = builder(task, rng)
+            episode, final = builder(task, rng)
         except GenerationFailure as exc:
             # The message only: the exception's traceback holds this frame.
             last_error = str(exc)
             continue
-        episode = Episode(episode.scene, episode.instruction, episode.expert,
-                          episode.goal, episode.max_steps, episode.task_name,
-                          episode.split, seed)
-        final = _replay(episode.scene, episode.expert)
+        episode = replace(episode, seed=seed)
         if score_success(task, final, episode) == 1.0:
             return episode
         last_error = "expert replay did not reach score 1.0"

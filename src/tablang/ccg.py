@@ -341,12 +341,10 @@ def default_lexicon() -> Lexicon:
     return Lexicon.from_string(files("tablang").joinpath("data/lexicon.txt").read_text())
 
 
-def tokenize(text: str, lexicon: Lexicon | None = None) -> list[str]:
+def tokenize(text: str, lexicon: Lexicon) -> list[str]:
     """Lowercase, strip punctuation, split on whitespace; multiword
     vocabulary phrases are greedily joined, longest match first."""
     raw = re.findall(r"[a-z0-9][a-z0-9-]*", text.lower())
-    if lexicon is None:
-        return raw
     phrases = [w for w in lexicon.vocabulary if " " in w]
     max_len = max((p.count(" ") + 1 for p in phrases), default=1)
     out: list[str] = []
@@ -396,7 +394,6 @@ class OovAssignment:
 
 @dataclass(frozen=True)
 class Derivation:
-    root_category: Category
     program: ProgramNode
     log_score: float
     oov_assignments: tuple[OovAssignment, ...] = ()
@@ -485,7 +482,7 @@ def _derivations_from_roots(roots) -> list[Derivation]:
             dsl.type_check(sem)
         except dsl.TypeMismatch:
             continue
-        deriv = Derivation(cat, sem, logp, oov)
+        deriv = Derivation(sem, logp, oov)
         key = (dsl.serialize(sem), oov)
         if key not in best or logp > best[key][0]:
             best[key] = (logp, deriv)

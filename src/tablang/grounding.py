@@ -46,14 +46,6 @@ class GroundingMap:
         object.__setattr__(self, "values", arr)
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape  # type: ignore[return-value]
 

@@ -1,10 +1,10 @@
 """Kinematic 2D tabletop world.
 
 Objects are parametric footprints (polygons, discs, rings) with a continuous
-center, rotation, and scale; rendering rasterizes them top-down in painter's
-order (zones, then containers, then items) into an RGB + height image, an id
-segmentation, and a synthetic per-pixel attribute-indicator feature map
-(features rasterizes the feature map alone).
+center, rotation, and scale. render rasterizes them top-down in painter's
+order (zones, then containers, then items) into an RGB + height image and an
+id segmentation; features paints per-pixel attribute indicators in the same
+order on a lattice the caller chooses (the grounding backends' input).
 Actions are kinematic: pick/place teleports an item, push sweeps a corridor.
 No mass, no friction; the only collision rule is that items may not overlap
 container walls (they are clamped inward or outward).
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grounding import FeatureMap, GroundingMap, axis_coords
+from .grounding import FeatureMap, axis_coords
 
 ITEM = "item"
 CONTAINER = "container"
@@ -169,9 +169,6 @@ class Scene:
             if o.id == oid:
                 return o
         raise KeyError(oid)
-
-    def grounding_shape(self) -> tuple[int, int]:
-        return max(1, self.height // 2), max(1, self.width // 2)
 
 
 def _edge_arrays(verts: list[tuple[float, float]]) -> tuple[np.ndarray, ...]:
@@ -330,19 +327,20 @@ def attribute_vocabulary(scene: Scene) -> tuple[str, ...]:
 class RenderedScene:
     image: np.ndarray          # (H, W, 4): RGB + height
     segmentation: np.ndarray   # (H, W) int32 object ids, 0 = background
-    features: FeatureMap       # grounding resolution attribute indicators
-    feature_vocab: tuple[str, ...]
 
 
-def _feature_raster(scene: Scene, order: list[SceneObject],
-                    ground_shape: tuple[int, int] | None) -> tuple[FeatureMap, tuple[str, ...]]:
-    gh, gw = ground_shape if ground_shape is not None else scene.grounding_shape()
+def features(scene: Scene, shape: tuple[int, int]) -> tuple[FeatureMap, tuple[str, ...]]:
+    """Attribute-indicator features on the corner-aligned (gh, gw) = shape
+    lattice, painted in render's order, and their vocabulary. Raises
+    OutOfBounds as render does."""
+    check_bounds(scene)
+    gh, gw = shape
     gys = axis_coords(gh, scene.height)
     gxs = axis_coords(gw, scene.width)
     vocab = attribute_vocabulary(scene)
     index = {a: i for i, a in enumerate(vocab)}
     feats = np.zeros((gh, gw, max(1, len(vocab))), dtype=np.float64)
-    for obj in order:
+    for obj in _paint_order(scene):
         gmask = footprint_mask(obj, (gh, gw), gys, gxs)
         vec = np.zeros(max(1, len(vocab)), dtype=np.float64)
         for attr in obj.attributes:
@@ -351,16 +349,7 @@ def _feature_raster(scene: Scene, order: list[SceneObject],
     return FeatureMap(feats), vocab
 
 
-def features(scene: Scene, ground_shape: tuple[int, int] | None = None
-             ) -> tuple[FeatureMap, tuple[str, ...]]:
-    """The grounding-resolution attribute-indicator features of render, and
-    their vocabulary, without painting the image. Raises OutOfBounds as
-    render does."""
-    check_bounds(scene)
-    return _feature_raster(scene, _paint_order(scene), ground_shape)
-
-
-def render(scene: Scene, ground_shape: tuple[int, int] | None = None) -> RenderedScene:
+def render(scene: Scene) -> RenderedScene:
     """Rasterize the scene. Deterministic; raises OutOfBounds when any
     footprint exits the workspace."""
     check_bounds(scene)
@@ -368,8 +357,7 @@ def render(scene: Scene, ground_shape: tuple[int, int] | None = None) -> Rendere
     image = np.zeros((h, w, 4), dtype=np.float64)
     image[:, :, :3] = BACKGROUND
     seg = np.zeros((h, w), dtype=np.int32)
-    order = _paint_order(scene)
-    for obj in order:
+    for obj in _paint_order(scene):
         mask = footprint_mask(obj, (h, w))
         image[mask, :3] = COLORS[obj.color]
         seg[mask] = obj.id
@@ -379,23 +367,7 @@ def render(scene: Scene, ground_shape: tuple[int, int] | None = None) -> Rendere
             image[wall, 3] = _height_of(obj)
         else:
             image[mask, 3] = _height_of(obj)
-    fmap, vocab = _feature_raster(scene, order, ground_shape)
-    return RenderedScene(image, seg, fmap, vocab)
-
-
-def ground_truth_mask(scene: Scene, predicate, shape: tuple[int, int] | None = None) -> GroundingMap:
-    """Binary union of footprints of all objects whose attribute set contains
-    every word in the predicate, at grounding resolution. Occlusion is
-    ignored: an object's footprint counts even under another object."""
-    gh, gw = shape if shape is not None else scene.grounding_shape()
-    gys = axis_coords(gh, scene.height)
-    gxs = axis_coords(gw, scene.width)
-    want = set(predicate)
-    out = np.zeros((gh, gw), dtype=bool)
-    for obj in scene.objects:
-        if want <= set(obj.attributes):
-            out |= footprint_mask(obj, (gh, gw), gys, gxs)
-    return GroundingMap(out.astype(np.float64))
+    return RenderedScene(image, seg)
 
 
 def _clamp_workspace(scene: Scene, obj: SceneObject) -> SceneObject:

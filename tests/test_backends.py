@@ -15,8 +15,11 @@ from tablang.grounding import (
     ConceptEmbedding,
     DimMismatch,
     ProjectionWeights,
+    axis_coords,
     ground_embedding,
+    intersect,
     normalize,
+    union,
 )
 
 
@@ -30,13 +33,36 @@ def scene_one_hexagon():
     return world.Scene(128, 64, (hexagon,), rng_seed=1)
 
 
+def lattice_footprint(backend, scene, obj):
+    """obj's footprint sampled on backend's grounding lattice."""
+    gh, gw = backend.shape_for(scene)
+    return world.footprint_mask(obj, (gh, gw), axis_coords(gh, scene.height),
+                                axis_coords(gw, scene.width))
+
+
 def test_oracle_grounds_attribute_footprint():
     scene = scene_one_hexagon()
     backend = OracleBackend()
     blue = backend.ground(scene, prop("blue"))
-    expected = world.ground_truth_mask(scene, {"hexagon"})
-    assert np.array_equal(blue.values, expected.values)
+    assert np.array_equal(blue.values, lattice_footprint(backend, scene, scene.find(1)))
     assert blue.values.sum() > 0
+
+
+def test_oracle_grounds_union_of_carriers():
+    """A word one object carries grounds to its footprint; a word several
+    objects carry, to the union of theirs."""
+    box = world.make_object(1, world.CONTAINER, "box", "brown", 90.0, 32.0, size=10.0,
+                            extra=("thing",))
+    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0,
+                                extra=("thing",))
+    scene = world.Scene(128, 64, (box, hexagon))
+    backend = OracleBackend()
+    ground = lambda word: backend.ground(scene, prop(word))
+    foot_box, foot_hex = (lattice_footprint(backend, scene, o) for o in (box, hexagon))
+    assert np.array_equal(ground("hexagon").values, foot_hex)
+    assert np.array_equal(ground("blue").values, foot_hex)
+    assert np.array_equal(ground("thing").values, foot_box | foot_hex)
+    assert np.array_equal(ground("thing").values, union(ground("hexagon"), ground("box")).values)
 
 
 def test_oracle_unknown_word_is_zero():
@@ -54,18 +80,13 @@ def test_concept_composition_selects_intersection():
     )
     scene = world.Scene(128, 64, objs)
     backend = OracleBackend()
-    from tablang.grounding import intersect
-
     hexagons = backend.ground(scene, prop("hexagon"))
     blues = backend.ground(scene, prop("blue"))
     both = intersect(hexagons, blues)
-    expected = world.ground_truth_mask(scene, {"hexagon", "blue"})
-    assert np.array_equal(both.values, expected.values)
     assert both.values.sum() > 0
     only_blue_hexagon = world.footprint_mask(
-        objs[0], scene.grounding_shape(),
-        np.arange(32) * 63 / 31, np.arange(64) * 127 / 63)
-    assert np.array_equal(both.values > 0, only_blue_hexagon)
+        objs[0], (32, 64), np.arange(32) * 63 / 31, np.arange(64) * 127 / 63)
+    assert np.array_equal(both.values, only_blue_hexagon)
 
 
 def test_oracle_grounds_novel_metadata_word():
@@ -116,25 +137,25 @@ def test_embedding_unknown_word_zero():
 
 def test_cached_projection_matches_ground_embedding():
     """Grounding every concept of a scene through the per-scene projection
-    gives the bits of projecting once per concept from render's features,
+    gives the bits of projecting the scene's features once per concept,
     under random non-identity weights."""
     rng = np.random.default_rng(4)
     backend = EmbeddingBackend()
     for name in ("packing_nested_prepositions", "put_blocks_in_bowls", "separating_piles"):
         scene = bm.generate_episode(bm.TaskSpec(name), 2).scene
-        rendered = world.render(scene)
-        dim = rendered.features.dim
+        fmap, vocab = world.features(scene, backend.shape_for(scene))
+        dim = fmap.dim
         weights = ProjectionWeights(rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
         backend.weights = weights
-        for word in rendered.feature_vocab + ("gorp",):
+        for word in vocab + ("gorp",):
             emb = np.zeros(dim)
-            if word in rendered.feature_vocab:
-                emb[rendered.feature_vocab.index(word)] = 1.0
+            if word in vocab:
+                emb[vocab.index(word)] = 1.0
             got = backend.ground(scene, prop(word)).values
-            want = ground_embedding(rendered.features, ConceptEmbedding(emb), weights)
+            want = ground_embedding(fmap, ConceptEmbedding(emb), weights)
             assert np.array_equal(got, want.values)
             # The association order of the unsplit ground_embedding.
-            raw = rendered.features.values @ weights.cv.T @ weights.cl.T @ emb
+            raw = fmap.values @ weights.cv.T @ weights.cl.T @ emb
             assert np.array_equal(got, normalize(raw).values)
 
 
@@ -159,8 +180,17 @@ def test_new_weights_invalidate_cached_projection():
     backend.weights = swapped
     after = backend.ground(scene, prop("blue")).values
     assert not np.array_equal(before, after)
-    want = ground_embedding(world.render(scene).features, ConceptEmbedding(np.eye(dim)[0]), swapped)
+    fmap, _ = world.features(scene, backend.shape_for(scene))
+    want = ground_embedding(fmap, ConceptEmbedding(np.eye(dim)[0]), swapped)
     assert np.array_equal(after, want.values)
+
+
+def test_shape_for_halves_the_scene_unless_set():
+    for backend_type in (OracleBackend, EmbeddingBackend):
+        for width, height in ((128, 64), (7, 5), (1, 1)):
+            scene = world.Scene(width, height, ())
+            assert backend_type().shape_for(scene) == (max(1, height // 2), max(1, width // 2))
+            assert backend_type((3, 9)).shape_for(scene) == (3, 9)
 
 
 def test_bad_weights_raise_on_every_ground():

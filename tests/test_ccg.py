@@ -12,7 +12,6 @@ from tablang.ccg import (
     LexiconError,
     N,
     NoParse,
-    S,
     _combinations,
     category_to_str,
     default_lexicon,
@@ -97,7 +96,6 @@ def test_golden_parse(lex):
     derivs = parse(toks, lex, k=2)
     assert dsl.serialize(derivs[0].program) == GOLDEN
     assert derivs[0].oov_assignments == ()
-    assert derivs[0].root_category == S
 
 
 def test_parse_determinism(lex):

@@ -18,7 +18,6 @@ from tablang.world import (
     apply_pick_place,
     apply_push,
     footprint_mask,
-    ground_truth_mask,
     interior_mask,
     load_scene,
     make_object,
@@ -74,7 +73,6 @@ def test_render_deterministic():
     b = render(scene)
     assert np.array_equal(a.image, b.image)
     assert np.array_equal(a.segmentation, b.segmentation)
-    assert np.array_equal(a.features.values, b.features.values)
 
 
 def test_segmentation_image_consistency_random_scenes():
@@ -100,9 +98,9 @@ def test_segmentation_image_consistency_random_scenes():
 
 def test_features_match_segmented_attributes():
     scene = fixture_scene()
-    out = render(scene)
-    gh, gw = scene.grounding_shape()
-    assert out.features.values.shape == (gh, gw, len(out.feature_vocab))
+    gh, gw = scene.height // 2, scene.width // 2
+    fmap, vocab = world.features(scene, (gh, gw))
+    assert fmap.values.shape == (gh, gw, len(vocab))
     ys = np.arange(gh) * (scene.height - 1) / (gh - 1)
     xs = np.arange(gw) * (scene.width - 1) / (gw - 1)
     seg_g = np.zeros((gh, gw), dtype=int)
@@ -110,18 +108,23 @@ def test_features_match_segmented_attributes():
         seg_g[footprint_mask(obj, (gh, gw), ys, xs)] = obj.id
     for i in range(gh):
         for j in range(gw):
-            expected = np.zeros(len(out.feature_vocab))
+            expected = np.zeros(len(vocab))
             if seg_g[i, j]:
                 attrs = scene.find(int(seg_g[i, j])).attributes
                 for a in attrs:
-                    expected[out.feature_vocab.index(a)] = 1.0
-            assert np.array_equal(out.features.values[i, j], expected)
+                    expected[vocab.index(a)] = 1.0
+            assert np.array_equal(fmap.values[i, j], expected)
+
+
+def half_features(scene):
+    return world.features(scene, (scene.height // 2, scene.width // 2))
 
 
 def test_out_of_bounds_raises():
     obj = make_object(1, ITEM, "disc", "red", 1.0, 8.0, size=4.0)
-    with pytest.raises(OutOfBounds):
-        render(Scene(24, 16, (obj,)))
+    for paint in (render, half_features):
+        with pytest.raises(OutOfBounds):
+            paint(Scene(24, 16, (obj,)))
 
 
 @pytest.mark.parametrize("x, y", [(-40.0, 8.0), (8.0, 60.0), (23.5, 8.0), (8.0, -0.5)])
@@ -129,21 +132,9 @@ def test_centre_outside_workspace_raises(x, y):
     """An object wholly outside the one-pixel ring around the workspace never
     touches the ring, so only the centre test catches it."""
     obj = make_object(1, ITEM, "hexagon", "red", x, y, size=4.0)
-    with pytest.raises(OutOfBounds, match="centre outside"):
-        render(Scene(24, 16, (obj,)))
-
-
-def test_ground_truth_mask_predicates():
-    scene = fixture_scene()
-    hex_mask = ground_truth_mask(scene, {"hexagon"})
-    blue_mask = ground_truth_mask(scene, {"blue"})
-    assert np.array_equal(hex_mask.values, blue_mask.values)
-    assert hex_mask.values.sum() > 0
-    assert np.all(ground_truth_mask(scene, {"blue", "box"}).values == 0)
-    everything = ground_truth_mask(scene, set())
-    each = np.maximum(ground_truth_mask(scene, {"hexagon"}).values,
-                      ground_truth_mask(scene, {"box"}).values)
-    assert np.array_equal(everything.values, each)
+    for paint in (render, half_features):
+        with pytest.raises(OutOfBounds, match="centre outside"):
+            paint(Scene(24, 16, (obj,)))
 
 
 def test_pick_place_moves_item_into_box():
@@ -348,7 +339,7 @@ def lattice_args(lattice, width, height, point):
     if lattice == "pixel":
         return (height, width), None, None
     if lattice == "grounding":
-        gh, gw = Scene(width, height, ()).grounding_shape()
+        gh, gw = max(1, height // 2), max(1, width // 2)
         return (gh, gw), axis_coords(gh, height), axis_coords(gw, width)
     if lattice == "padded":
         return ((height + 2, width + 2), np.arange(-1, height + 1, dtype=np.float64),
@@ -409,8 +400,9 @@ def near_edge(hi):
                      st.floats(0.0, float(hi - 1)), st.sampled_from([0.0, float(hi - 1)]))
 
 
-def anywhere(hi):
-    return st.floats(0.0, float(hi - 1))
+def central(hi):
+    """A coordinate in the middle 30% of [0, hi - 1], so objects crowd."""
+    return st.floats(0.35 * (hi - 1), 0.65 * (hi - 1))
 
 
 @st.composite
@@ -446,22 +438,26 @@ def test_ring_check_matches_padded_lattice(scene):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(scenes(), scenes(anywhere, 6, 48, 32, 5.0)),
-       st.one_of(st.none(), st.tuples(st.integers(1, 40), st.integers(1, 70))))
-def test_features_match_render(scene, ground_shape):
-    """features gives render's feature map and vocabulary, and raises where
-    render raises. The crowded scenes overlap objects of every kind, listed
-    in any order, so paint order shows."""
-    got = outcome(world.features, scene, ground_shape)
-    want = outcome(render, scene, ground_shape)
+@given(st.one_of(scenes(), scenes(central, 6, 48, 32, 4.0)))
+def test_features_match_render(scene):
+    """On the pixel lattice, features holds at each pixel the attributes of
+    the object render's segmentation shows there, and raises where render
+    raises. The crowded scenes overlap objects of every kind, listed in any
+    order, so paint order shows."""
+    got = outcome(world.features, scene, (scene.height, scene.width))
+    want = outcome(render, scene)
     assert got[0] == want[0]
     if got[0] == "raised":
         assert got[1] == want[1]
         return
     fmap, vocab = got[1]
-    assert vocab == want[1].feature_vocab
-    assert fmap.values.dtype == want[1].features.values.dtype
-    assert np.array_equal(fmap.values, want[1].features.values)
+    assert vocab == world.attribute_vocabulary(scene)
+    expected = np.zeros((scene.height, scene.width, len(vocab)))
+    for obj in scene.objects:
+        shown = want[1].segmentation == obj.id
+        for attr in obj.attributes:
+            expected[shown, vocab.index(attr)] = 1.0
+    assert np.array_equal(fmap.values, expected)
 
 
 @settings(max_examples=60, deadline=None)
