@@ -19,6 +19,7 @@ from . import formats, world
 from .dsl import PROPERTY, ConceptToken
 from .grounding import (
     ConceptEmbedding,
+    ExecutionError,
     GroundingMap,
     ProjectionWeights,
     axis_coords,
@@ -27,7 +28,7 @@ from .grounding import (
 )
 
 
-class GroundingError(Exception):
+class GroundingError(ExecutionError):
     pass
 
 

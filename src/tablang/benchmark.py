@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +28,14 @@ from .executor import (
     PICK_PLACE,
     PUSH,
     ControlParams,
-    EmptyGrounding,
     ExecutionContext,
+    ExecutionResult,
     NoFeasiblePlace,
     Pose2,
     PoseGrid,
-    UnknownRelation,
     execute,
 )
-from .backends import GroundingError
-from .grounding import DimMismatch, GroundingMap
+from .grounding import ExecutionError, GroundingMap
 
 WORKSPACE_W = 128
 WORKSPACE_H = 64
@@ -263,13 +261,9 @@ def _zone(oid, color, x, y, extra=()):
                              angle=0.0, size=ZONE_SIZE, extra=("zone",) + tuple(extra))
 
 
-def _box_center_pose(box: world.SceneObject) -> Pose2:
-    return _pose_at(box.x, box.y)
-
-
 def _expert_pick_place(target: world.SceneObject, region: world.SceneObject) -> ControlParams:
     return ControlParams(_pose_at(*reversed(_pick_point(target))),
-                         _box_center_pose(region), PICK_PLACE)
+                         _pose_at(region.x, region.y), PICK_PLACE)
 
 
 def _push_action(obj: world.SceneObject, goal_x: float, goal_y: float) -> ControlParams:
@@ -298,14 +292,13 @@ def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
     return actions, current
 
 
-def _replay(episode_scene, actions, rotations=12):
-    scene = episode_scene
+def _replay(scene, actions, rotations=12):
     for params in actions:
         scene, _ = world.apply(scene, params, rotations)
     return scene
 
 
-def _build_packing(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
+def _build_packing(task: TaskSpec, rng: np.random.Generator):
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     name = task.name
@@ -332,8 +325,6 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, w
         right_box = _box(next(ids), "brown", rx, ry, extra=("right",))
         boxes = [left_box, right_box]
         target_box = left_box if loc == "left" else right_box
-    elif name in ("packing_prepositions", "packing_nested_prepositions"):
-        return _build_prepositions(task, rng, placer)
     else:
         raise ValueError(name)
     objects.extend(boxes)
@@ -349,7 +340,6 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, w
     for s in shapes:
         objects.append(_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng))
 
-    scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     if name == "packing_shapes":
         instruction = f"pack the {target_shape_name} in the brown box"
     elif name == "packing_color_box":
@@ -357,14 +347,11 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, w
     else:
         loc_word = "left" if "left" in target_box.attributes else "right"
         instruction = f"pack the {target_shape_name} into the {loc_word} brown box"
-    expert = (_expert_pick_place(target, target_box),)
-    goal = GoalInfo("contain", (target.id,), (target_box.id,))
-    return (Episode(scene, instruction, expert, goal, 1, name, task.split, -1),
-            _replay(scene, expert))
+    return objects, instruction, GoalInfo("contain", (target.id,), (target_box.id,))
 
 
-def _build_prepositions(task: TaskSpec, rng: np.random.Generator,
-                        placer: _Placer) -> tuple[Episode, world.Scene]:
+def _build_prepositions(task: TaskSpec, rng: np.random.Generator):
+    placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     nested = task.name == "packing_nested_prepositions"
     colors = _color_pool(task.split)
     rel = _choice(rng, LOCATIONS)
@@ -420,20 +407,16 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator,
     for s in names:
         objects.append(_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng))
 
-    scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     other_rel = "right" if rel == "left" else "left"
     if nested:
         instruction = (f"pack the {target_shape_name} into the brown box {rel} of the "
                        f"{refs[0]} {other_rel} of the {refs[1]}")
     else:
         instruction = f"pack the {target_shape_name} into the brown box {rel} of the {refs[0]}"
-    expert = (_expert_pick_place(target, target_box),)
-    goal = GoalInfo("contain", (target.id,), (target_box.id,))
-    return (Episode(scene, instruction, expert, goal, 1, task.name, task.split, -1),
-            _replay(scene, expert))
+    return objects, instruction, GoalInfo("contain", (target.id,), (target_box.id,))
 
 
-def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
+def _build_bowls(task: TaskSpec, rng: np.random.Generator):
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     block_color, bowl_color, distract_color = _sample_distinct(rng, colors, 3)
@@ -463,18 +446,12 @@ def _build_bowls(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, wor
         objects.append(world.make_object(next(ids), world.ITEM, "block", distract_color,
                                          x, y, size=BLOCK_SIZE, extra=("blocks",)))
 
-    scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     instruction = f"put the {block_color} blocks in a {bowl_color} bowl"
-    expert = tuple(
-        ControlParams(_pose_at(b.x, b.y), _pose_at(bw.x, bw.y), PICK_PLACE)
-        for b, bw in zip(blocks, bowls)
-    )
     goal = GoalInfo("bowls", tuple(b.id for b in blocks), tuple(b.id for b in bowls))
-    return (Episode(scene, instruction, expert, goal, n_blocks, task.name, task.split, -1),
-            _replay(scene, expert))
+    return objects, instruction, goal
 
 
-def _build_separating(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
+def _build_separating(task: TaskSpec, rng: np.random.Generator):
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     located = task.name == "separating_location_piles"
@@ -513,16 +490,11 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode
         blocks.append(world.make_object(next(ids), world.ITEM, "block", block_color,
                                         x, y, size=BLOCK_SIZE, extra=("blocks",)))
 
-    objects = [left_zone, right_zone] + blocks
-    scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
-    block_ids = [b.id for b in blocks]
-    actions, final = _closed_loop_push_expert(scene, block_ids, target_zone, n_blocks + 2)
-    goal = GoalInfo("zone_fraction", tuple(block_ids), (target_zone.id,))
-    return (Episode(scene, instruction, tuple(actions), goal, n_blocks + 2,
-                    task.name, task.split, -1), final)
+    goal = GoalInfo("zone_fraction", tuple(b.id for b in blocks), (target_zone.id,))
+    return [left_zone, right_zone] + blocks, instruction, goal
 
 
-def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> tuple[Episode, world.Scene]:
+def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator):
     placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
     colors = _color_pool(task.split)
     zone_r = ZONE_SIZE * world.unit_circumradius("square")
@@ -557,20 +529,17 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator) -> tuple[Epi
             raise GenerationFailure("no distinct color-shape combo")
         objects.append(_spawn_shape(next(ids), s, c, placer, rng))
 
-    scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects), rng_seed=int(rng.integers(2**31)))
     instruction = (f"push the {shape_color} {shape_name} into the {loc} "
                    f"{target_zone.color} square")
-    actions, final = _closed_loop_push_expert(scene, [target.id], target_zone, 3)
-    goal = GoalInfo("contain", (target.id,), (target_zone.id,))
-    return Episode(scene, instruction, tuple(actions), goal, 3, task.name, task.split, -1), final
+    return objects, instruction, GoalInfo("contain", (target.id,), (target_zone.id,))
 
 
 _BUILDERS = {
     "packing_shapes": _build_packing,
     "packing_color_box": _build_packing,
     "packing_location_box": _build_packing,
-    "packing_prepositions": _build_packing,
-    "packing_nested_prepositions": _build_packing,
+    "packing_prepositions": _build_prepositions,
+    "packing_nested_prepositions": _build_prepositions,
     "put_blocks_in_bowls": _build_bowls,
     "separating_piles": _build_separating,
     "separating_location_piles": _build_separating,
@@ -579,8 +548,11 @@ _BUILDERS = {
 
 
 def generate_episode(task: TaskSpec, seed: int) -> Episode:
-    """Deterministic episode for (task, split, seed); the stored expert
-    actions are verified to score 1.0 before the episode is returned."""
+    """Deterministic episode for (task, split, seed). A builder gives the
+    objects, instruction and goal; the expert follows from the goal: a
+    closed-loop push of the targets into a zone (budget: one step each plus
+    two), else one pick-place per target and region. The expert's replay
+    must score 1.0."""
     rng = np.random.default_rng(
         [seed, TASK_NAMES.index(task.name), 0 if task.split == "seen" else 1]
     )
@@ -588,12 +560,23 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
     last_error = None
     for _ in range(30):
         try:
-            episode, final = builder(task, rng)
+            objects, instruction, goal = builder(task, rng)
         except GenerationFailure as exc:
             # The message only: the exception's traceback holds this frame.
             last_error = str(exc)
             continue
-        episode = replace(episode, seed=seed)
+        scene = world.Scene(WORKSPACE_W, WORKSPACE_H, tuple(objects),
+                            rng_seed=int(rng.integers(2**31)))
+        region = scene.find(goal.region_ids[0])
+        if region.kind == world.ZONE:
+            budget = len(goal.target_ids) + 2
+            expert, final = _closed_loop_push_expert(scene, goal.target_ids, region, budget)
+        else:
+            expert = [_expert_pick_place(scene.find(t), scene.find(r))
+                      for t, r in zip(goal.target_ids, goal.region_ids)]
+            budget, final = len(expert), _replay(scene, expert)
+        episode = Episode(scene, instruction, tuple(expert), goal, budget,
+                          task.name, task.split, seed)
         if score_success(task, final, episode) == 1.0:
             return episode
         last_error = "expert replay did not reach score 1.0"
@@ -652,6 +635,14 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def step(program: dsl.ProgramNode, scene: world.Scene, backend,
+         grid: PoseGrid) -> tuple[ExecutionResult, world.Scene]:
+    """Execute the program on the scene and apply every action it plans;
+    returns the execution result and the scene after the actions."""
+    result = execute(program, ExecutionContext(scene, backend, grid))
+    return result, _replay(scene, result.all_params, grid.rotations)
+
+
 def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict:
     """Parse, execute stepwise, apply, and score one episode. An error is
     recorded as the episode's failure ("parse", "grounding", "placement", or
@@ -673,23 +664,16 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict
         tokens = ccg.tokenize(episode.instruction, lexicon)
         derivation = ccg.parse(tokens, lexicon, k=1)[0]
         record["program"] = dsl.serialize(derivation.program)
-        for step in range(episode.max_steps):
+        for n in range(episode.max_steps):
             if score_success(task, scene, episode) >= 1.0:
                 break
-            ctx = ExecutionContext(scene, backend, grid)
-            result = execute(derivation.program, ctx)
-            for params in result.all_params:
-                scene, _ = world.apply(scene, params, rotations)
-            record["steps"] = step + 1
+            _, scene = step(derivation.program, scene, backend, grid)
+            record["steps"] = n + 1
     except ccg.NoParse:
         record["failure"] = "parse"
         return record
-    except (EmptyGrounding, GroundingError, DimMismatch, UnknownRelation) as exc:
-        record["failure"] = "grounding"
-        record["error"] = str(exc)
-        return record
-    except NoFeasiblePlace as exc:
-        record["failure"] = "placement"
+    except ExecutionError as exc:
+        record["failure"] = "placement" if isinstance(exc, NoFeasiblePlace) else "grounding"
         record["error"] = str(exc)
         return record
     except Exception as exc:
@@ -731,8 +715,6 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
                 scores.append(0.0)
                 continue
             record = run_episode(episode, backend, lexicon, rotations)
-            if record["failure"] is not None:
-                record["score"] = 0.0
             episodes.append(record)
             scores.append(record["score"])
         per_task[f"{task.name}/{task.split}"] = round(100.0 * float(np.mean(scores)), 4)

@@ -30,6 +30,8 @@ from .dsl import App, Lam, ProgramNode, Var
 PRIMITIVES = ("N", "NP", "S", "PP")
 FORWARD = "/"
 BACKWARD = "\\"
+# Deepest parenthesis nesting parse_category accepts: it recurses once per level.
+MAX_CATEGORY_DEPTH = 32
 
 
 class LexiconError(Exception):
@@ -85,6 +87,9 @@ def parse_category(text: str) -> Category:
     tokens = re.findall(r"[A-Z]+|[/\\()]", text.replace(" ", ""))
     if "".join(tokens) != text.replace(" ", ""):
         raise LexiconError(f"bad category syntax: {text!r}")
+    depths = itertools.accumulate(((t == "(") - (t == ")") for t in tokens), initial=0)
+    if max(depths) > MAX_CATEGORY_DEPTH:
+        raise LexiconError(f"category nests deeper than {MAX_CATEGORY_DEPTH} parentheses")
     pos = 0
 
     def atom() -> Category:
@@ -274,8 +279,8 @@ class LexiconEntry:
     def __post_init__(self):
         if not self.word:
             raise LexiconError("empty word")
-        if self.weight <= 0:
-            raise LexiconError(f"{self.word}: weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise LexiconError(f"{self.word}: weight must be finite and positive")
         check_template(self.template, self.category)
 
 

@@ -13,16 +13,9 @@ import sys
 from pathlib import Path
 
 from . import benchmark, ccg, dsl, formats, world
-from .backends import GroundingError, make_backend
-from .grounding import DimMismatch
-from .executor import (
-    EmptyGrounding,
-    ExecutionContext,
-    NoFeasiblePlace,
-    PoseGrid,
-    UnknownRelation,
-    execute,
-)
+from .backends import make_backend
+from .executor import PoseGrid
+from .grounding import ExecutionError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -53,7 +46,7 @@ def _load_session(args):
         backend = make_backend(args.backend, weights_path=args.weights)
         grid = PoseGrid(scene.height, scene.width, args.rotations)
         out = _out_dir(args)
-    except (OSError, ValueError, KeyError, ccg.LexiconError, world.OutOfBounds) as exc:
+    except (OSError, ValueError, TypeError, KeyError, ccg.LexiconError, world.OutOfBounds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     return lexicon, scene, out, backend, grid
@@ -94,11 +87,9 @@ def cmd_run(args) -> int:
         print(f"no parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
     program = derivation.program
-    ctx = ExecutionContext(scene, backend, grid)
     try:
-        result = execute(program, ctx)
-    except (EmptyGrounding, UnknownRelation, NoFeasiblePlace, GroundingError,
-            DimMismatch) as exc:
+        result, after = benchmark.step(program, scene, backend, grid)
+    except ExecutionError as exc:
         print(f"execution failed: {exc}", file=sys.stderr)
         return EXIT_EXEC
 
@@ -112,9 +103,6 @@ def cmd_run(args) -> int:
         formats.write_pgm(out / f"{prefix}_seg.pgm", seg / ids)
 
     dump_render("before", world.render(scene))
-    after = scene
-    for params in result.all_params:
-        after, _ = world.apply(after, params, args.rotations)
     dump_render("after", world.render(after))
     world.save_scene(out / "scene_after.json", after)
 
@@ -257,19 +245,14 @@ def cmd_repl(args) -> int:
         try:
             tokens = ccg.tokenize(line, lexicon)
             derivation = ccg.parse(tokens, lexicon, k=1)[0]
-            ctx = ExecutionContext(history[-1], backend, grid)
-            result = execute(derivation.program, ctx)
-            new_scene = history[-1]
-            for params in result.all_params:
-                new_scene, _ = world.apply(new_scene, params, args.rotations)
+            result, new_scene = benchmark.step(derivation.program, history[-1], backend, grid)
             history.append(new_scene)
             p = result.all_params[0]
             msg = (f"{dsl.serialize(derivation.program)}\n"
                    f"{p.primitive}: pick ({p.pick.u},{p.pick.v}) -> "
                    f"place ({p.place.u},{p.place.v},{p.place.r})\n"
                    + _object_table(new_scene))
-        except (ccg.NoParse, EmptyGrounding, UnknownRelation, NoFeasiblePlace,
-                GroundingError, DimMismatch) as exc:
+        except (ccg.NoParse, ExecutionError) as exc:
             msg = f"error: {exc}"
         print(msg, flush=True)
         transcript.append(msg)

@@ -31,18 +31,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsl, world
-from .grounding import GroundingMap, axis_coords, intersect, normalize, resample, union
+from .grounding import ExecutionError, GroundingMap, intersect, normalize, resample, union
 
 
-class EmptyGrounding(Exception):
+class EmptyGrounding(ExecutionError):
     pass
 
 
-class UnknownRelation(Exception):
+class UnknownRelation(ExecutionError):
     pass
 
 
-class NoFeasiblePlace(Exception):
+class NoFeasiblePlace(ExecutionError):
     pass
 
 
@@ -120,10 +120,16 @@ class RelationConfig:
 
 @dataclass
 class ExecutionContext:
+    """What one execution reads; the pose grid is the scene's pixel lattice."""
+
     scene: world.Scene
     backend: object
     pose_grid: PoseGrid
     relation_config: RelationConfig = field(default_factory=RelationConfig)
+
+    def __post_init__(self):
+        if (self.pose_grid.height, self.pose_grid.width) != (self.scene.height, self.scene.width):
+            raise ValueError(f"{self.pose_grid} is not the scene's pixel lattice")
 
 
 @dataclass
@@ -234,19 +240,13 @@ def _component(mask: np.ndarray, seed: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _grid_to_scene(ctx: ExecutionContext, u: int, v: int) -> tuple[float, float]:
-    y = axis_coords(ctx.pose_grid.height, ctx.scene.height)[u]
-    x = axis_coords(ctx.pose_grid.width, ctx.scene.width)[v]
-    return y, x
-
-
 def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarray,
                        ctx: ExecutionContext) -> tuple[Pose2, GroundingMap, world.SceneObject | None]:
     """Mask upsampling can read solid where the true footprint has a notch;
     if the argmax pixel is not over an item, move it to the nearest
     silhouette cell that is. The recorded map keeps the snapped cell as its
     strict argmax. Also returns the item under the pick, or None."""
-    item = world.pick_target(ctx.scene, *_grid_to_scene(ctx, pick.u, pick.v))
+    item = world.pick_target(ctx.scene, pick.u, pick.v)
     if item is not None:
         return pick, pick_map, item
     rows, cols = np.nonzero(silhouette)
@@ -254,7 +254,7 @@ def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarr
                        kind="stable")
     for idx in order:
         u, v = int(rows[idx]), int(cols[idx])
-        item = world.pick_target(ctx.scene, *_grid_to_scene(ctx, u, v))
+        item = world.pick_target(ctx.scene, u, v)
         if item is not None:
             arr = pick_map.values * 0.999
             arr[u, v] = 1.0
@@ -263,15 +263,12 @@ def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarr
 
 
 def _obstacle_mask(ctx: ExecutionContext, exclude: world.SceneObject | None) -> np.ndarray:
-    grid = ctx.pose_grid
-    scene = ctx.scene
-    ys = axis_coords(grid.height, scene.height)
-    xs = axis_coords(grid.width, scene.width)
-    out = np.zeros((grid.height, grid.width), dtype=bool)
-    for obj in scene.objects:
+    hw = (ctx.scene.height, ctx.scene.width)
+    out = np.zeros(hw, dtype=bool)
+    for obj in ctx.scene.objects:
         if obj.kind != world.ITEM or obj is exclude:
             continue
-        out |= world.footprint_mask(obj, (grid.height, grid.width), ys, xs)
+        out |= world.footprint_mask(obj, hw)
     return out
 
 

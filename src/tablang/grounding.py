@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DimMismatch(ValueError):
+class ExecutionError(Exception):
+    """A program could not be executed on a scene (grounding, relation or placement)."""
+
+
+class DimMismatch(ExecutionError, ValueError):
     pass
 
 

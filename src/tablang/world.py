@@ -28,6 +28,8 @@ ZONE = "zone"
 
 WALL_PX = 2.0
 PUSH_HALF_WIDTH = 6.0
+# Rounds of workspace and container clamps an item gets to come to rest.
+SETTLE_ROUNDS = 8
 
 COLORS: dict[str, tuple[float, float, float]] = {
     "red": (0.87, 0.18, 0.18),
@@ -133,10 +135,14 @@ class SceneObject:
             raise ValueError(f"bad kind {self.kind!r}")
         if self.shape not in SHAPE_NAMES:
             raise ValueError(f"unknown shape {self.shape!r}")
+        if self.kind == CONTAINER and self.shape not in ("box", "bowl"):
+            raise ValueError(f"a container must be a box or a bowl, not {self.shape!r}")
         if self.color not in COLORS:
             raise ValueError(f"unknown color {self.color!r}")
         attrs = tuple(sorted(set(self.attributes) | {self.shape, self.color}))
         object.__setattr__(self, "attributes", attrs)
+        if not all(map(math.isfinite, (self.x, self.y, self.angle, self.size))):
+            raise ValueError(f"object {self.id}: x, y, angle and size must be finite")
         if self.size <= 0:
             raise ValueError("size must be positive")
 
@@ -218,8 +224,6 @@ def _interior_test(obj: SceneObject):
     and zones, the space inside the walls for containers."""
     if obj.kind != CONTAINER:
         return _unit_test(obj.shape)
-    if obj.shape not in ("box", "bowl"):
-        raise ValueError(f"unsupported container shape {obj.shape!r}")
     return _unit_test(obj.shape, WALL_PX / obj.size)
 
 
@@ -374,7 +378,7 @@ def _clamp_workspace(scene: Scene, obj: SceneObject) -> SceneObject:
     cr = obj.circumradius
     x = min(max(obj.x, cr), scene.width - 1 - cr)
     y = min(max(obj.y, cr), scene.height - 1 - cr)
-    return replace(obj, x=x, y=y)
+    return obj if (x, y) == (obj.x, obj.y) else replace(obj, x=x, y=y)
 
 
 def _clamp_against_container(item: SceneObject, cont: SceneObject) -> SceneObject:
@@ -399,30 +403,34 @@ def _clamp_against_container(item: SceneObject, cont: SceneObject) -> SceneObjec
         if pen_x <= pen_y:
             return replace(item, x=cont.x + math.copysign(hx + ri, dx if dx else 1.0))
         return replace(item, y=cont.y + math.copysign(hy + ri, dy if dy else 1.0))
-    if cont.shape == "bowl":
-        r_out = _DISCS["bowl"] * cont.size
-        d = math.hypot(dx, dy)
-        if d > r_out + ri:
+    r_out = _DISCS["bowl"] * cont.size
+    d = math.hypot(dx, dy)
+    if d > r_out + ri:
+        return item
+    if d <= r_out:
+        r_in = max(r_out - WALL_PX - ri, 0.0)
+        if d <= r_in:
             return item
-        if d <= r_out:
-            r_in = max(r_out - WALL_PX - ri, 0.0)
-            if d <= r_in:
-                return item
-            if d == 0:
-                return item
-            f = r_in / d
-            return replace(item, x=cont.x + dx * f, y=cont.y + dy * f)
-        f = (r_out + ri) / d
+        f = r_in / d
         return replace(item, x=cont.x + dx * f, y=cont.y + dy * f)
-    raise ValueError(f"unsupported container shape {cont.shape!r}")
+    f = (r_out + ri) / d
+    return replace(item, x=cont.x + dx * f, y=cont.y + dy * f)
 
 
-def _settle(scene: Scene, item: SceneObject) -> SceneObject:
-    item = _clamp_workspace(scene, item)
-    for cont in scene.objects:
-        if cont.kind == CONTAINER:
-            item = _clamp_against_container(item, cont)
-    return item
+def _settle(scene: Scene, item: SceneObject, before: SceneObject) -> SceneObject:
+    """The item after rounds of workspace and container clamps, once no
+    single clamp moves it by more than 1e-9; an item not at rest within
+    SETTLE_ROUNDS rounds keeps its pre-action pose, before."""
+    clamps = [functools.partial(_clamp_workspace, scene)] + [
+        functools.partial(_clamp_against_container, cont=c)
+        for c in scene.objects if c.kind == CONTAINER]
+    for _ in range(SETTLE_ROUNDS):
+        for clamp in clamps:
+            item = clamp(item)
+        if all(math.hypot(m.x - item.x, m.y - item.y) <= 1e-9
+               for m in (clamp(item) for clamp in clamps)):
+            return item
+    return before
 
 
 def pick_target(scene: Scene, row: int, col: int) -> SceneObject | None:
@@ -444,7 +452,7 @@ def apply_pick_place(scene: Scene, params, rotations: int = 12) -> tuple[Scene, 
     theta = 2 * math.pi * params.place.r / rotations
     moved = replace(target, x=float(params.place.v), y=float(params.place.u),
                     angle=target.angle + theta)
-    moved = _settle(scene, moved)
+    moved = _settle(scene, moved, target)
     objects = tuple(moved if o.id == target.id else o for o in scene.objects)
     return replace(scene, objects=objects), True
 
@@ -476,7 +484,7 @@ def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
         if 0.0 <= t <= length and abs(s) <= PUSH_HALF_WIDTH:
             dest = post + perp * s
             moved = replace(obj, x=float(dest[0]), y=float(dest[1]))
-            moved = _settle(scene, moved)
+            moved = _settle(scene, moved, obj)
             new_objects.append(moved)
             moved_any = True
         else:
@@ -518,7 +526,15 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def scene_from_dict(data: dict) -> Scene:
+def scene_from_dict(data) -> Scene:
+    """The scene a scene_to_dict mapping describes; ValueError unless data is
+    an object whose objects are a list of objects with string attributes."""
+    if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
+        raise ValueError('a scene must be an object with an "objects" list')
+    for d in data["objects"]:
+        attrs = d.get("attributes", []) if isinstance(d, dict) else None
+        if not (isinstance(attrs, list) and all(isinstance(a, str) for a in attrs)):
+            raise ValueError(f"not an object with a list of string attributes: {d!r}")
     objects = tuple(
         SceneObject(
             id=int(d["id"]), kind=d["kind"], shape=d["shape"], color=d["color"],

@@ -40,6 +40,10 @@ def test_parse_category_forms():
     assert category_to_str(back) == "N\\N"
     with pytest.raises(LexiconError):
         parse_category("Q/N")
+    deep = ccg.MAX_CATEGORY_DEPTH
+    assert parse_category("(" * deep + "N" + ")" * deep) == N
+    with pytest.raises(LexiconError, match="nests deeper"):
+        parse_category("(" * (deep + 1) + "N" + ")" * (deep + 1))
 
 
 def test_template_round_trip():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tablang import benchmark as bm
-from tablang import world
+from tablang import cli, world
 
 GOLDEN = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
 
@@ -301,6 +302,10 @@ def test_repl_feature_width_mismatch(tmp_path, scene_file):
     "foo\tN\tfrobnicate(filter(red))",     # unknown template operation
     "foo\tN\tfilter(foo)\tabc",            # weight is not a number
     "foo\tN\tfilter(foo)\t-1",             # weight is not positive
+    "foo\tN\tfilter(foo)\tnan",            # weight is not finite
+    "foo\tN\tfilter(foo)\tinf",
+    pytest.param("foo\t" + "(" * 600 + "N" + ")" * 600 + "\tfilter(foo)",
+                 id="category_nested_600_deep"),
 ])
 def test_parse_bad_lexicon_entry_names_line(tmp_path, bad_line):
     path = tmp_path / "bad.txt"
@@ -308,6 +313,34 @@ def test_parse_bad_lexicon_entry_names_line(tmp_path, bad_line):
     out = run_cli("parse", "pack the foo", "--lexicon", str(path))
     assert_clean_exit_1(out)
     assert out.stderr.startswith("error: line 2:")
+
+
+def set_on_first(kind, key, value):
+    def mutate(data):
+        next(o for o in data["objects"] if o["kind"] == kind)[key] = value
+        return data
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: [],
+    lambda data: None,
+    lambda data: {**data, "objects": {}},
+    set_on_first("container", "shape", "disc"),
+    set_on_first("item", "angle", math.inf),
+    set_on_first("item", "attributes", "star"),
+    set_on_first("item", "x", None),
+], ids=["list", "null", "objects_not_list", "disc_container", "infinite_angle",
+        "string_attributes", "null_x"])
+def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
+    path, ep = scene_file
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    code = cli.main(["run", "--scene", str(path), "--output-dir", str(tmp_path / "o"),
+                     ep.instruction])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("config", [

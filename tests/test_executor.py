@@ -271,6 +271,13 @@ def test_execute_golden_example():
 GOLDEN_TEXT = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
 
 
+@pytest.mark.parametrize("height, width", [(32, 64), (64, 127), (128, 64)])
+def test_context_needs_the_scene_lattice_as_pose_grid(height, width):
+    scene = world.Scene(128, 64, ())
+    with pytest.raises(ValueError, match="pixel lattice"):
+        ExecutionContext(scene, OracleBackend(), PoseGrid(height, width, 12))
+
+
 def test_pick_place_looks_up_the_picked_item_once(monkeypatch):
     """The pick argmax lies on the hexagon, so one pick_target call finds the
     item both for the pick and for the obstacle exclusion."""

@@ -248,6 +248,39 @@ def test_actions_preserve_object_count_and_walls():
                 assert not np.any(footprint_mask(obj, hw) & wall)
 
 
+def wall_overlaps(scene):
+    """(item id, container id) of every item whose footprint shares a
+    pixel with a container's wall."""
+    hw = (scene.height, scene.width)
+    walls = [(c.id, footprint_mask(c, hw) & ~interior_mask(c, hw))
+             for c in scene.objects if c.kind == CONTAINER]
+    return [(o.id, cid) for o in scene.objects if o.kind == ITEM
+            for cid, wall in walls if np.any(footprint_mask(o, hw) & wall)]
+
+
+def test_push_into_gap_between_bowls_keeps_pre_action_pose():
+    """Block 4 is pushed into a gap narrower than itself between bowls 2
+    and 3: each bowl's clamp pushes it onto the other's wall, so it never
+    comes to rest and keeps its pose."""
+    scene = generate_episode(TaskSpec("put_blocks_in_bowls", "unseen"), 136).scene
+    after, _ = world.apply(scene, ControlParams(Pose2(27, 94), Pose2(21, 70), "push"))
+    assert after.find(4) == scene.find(4)
+    assert wall_overlaps(after) == []
+
+
+def test_place_beside_bowl_at_workspace_edge_stays_in_bounds():
+    """A bowl by the left edge pushes a placed hexagon out past the edge,
+    and the workspace clamp pushes it back onto the bowl: clamped together,
+    it ends in bounds and clear of the wall."""
+    bowl = make_object(1, CONTAINER, "bowl", "blue", 7.0, 7.0, size=6.0)
+    hexagon = make_object(2, ITEM, "hexagon", "red", 60.0, 30.0, size=5.0)
+    scene = Scene(128, 64, (bowl, hexagon))
+    after, moved = world.apply(scene, ControlParams(Pose2(30, 60), Pose2(13, 5), "pick_place"))
+    assert moved
+    world.check_bounds(after)
+    assert wall_overlaps(after) == []
+
+
 def test_scene_json_round_trip(tmp_path):
     scene = fixture_scene()
     path = tmp_path / "scene.json"
@@ -541,8 +574,9 @@ def covers(obj, row, col):
 @given(action_runs())
 def test_actions_keep_scene_invariants(run):
     """Through world.apply: object ids and their order are kept, containers
-    and zones never move, and a pick that covers no item returns the same
-    scene and False (one that covers an item moves it)."""
+    and zones never move, a pick that covers no item returns the same scene
+    and False (one that covers an item moves it), and every object stays in
+    bounds with no item on a container wall."""
     scene, actions = run
     fixed = [o for o in scene.objects if o.kind != ITEM]
     for params in actions:
@@ -555,4 +589,6 @@ def test_actions_keep_scene_invariants(run):
             assert after is scene
         assert [o.id for o in after.objects] == [o.id for o in scene.objects]
         assert [o for o in after.objects if o.kind != ITEM] == fixed
+        world.check_bounds(after)
+        assert wall_overlaps(after) == []
         scene = after
