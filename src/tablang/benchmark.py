@@ -247,18 +247,18 @@ def _sample_distinct(rng: np.random.Generator, pool, n: int) -> list[str]:
 def _spawn_shape(oid, shape, color, placer, rng, extra=()):
     x, y = placer.place(SHAPE_SIZE * world.unit_circumradius(shape))
     angle = float(rng.uniform(0.0, 2 * math.pi))
-    return world.make_object(oid, world.ITEM, shape, color, x, y,
-                             angle=angle, size=SHAPE_SIZE, extra=("shape",) + tuple(extra))
+    return world.SceneObject(oid, world.ITEM, shape, color, x, y, angle=angle,
+                             size=SHAPE_SIZE, attributes=("shape",) + tuple(extra))
 
 
 def _box(oid, color, x, y, extra=()):
-    return world.make_object(oid, world.CONTAINER, "box", color, x, y,
-                             angle=0.0, size=BOX_SIZE, extra=tuple(extra))
+    return world.SceneObject(oid, world.CONTAINER, "box", color, x, y,
+                             size=BOX_SIZE, attributes=extra)
 
 
 def _zone(oid, color, x, y, extra=()):
-    return world.make_object(oid, world.ZONE, "square", color, x, y,
-                             angle=0.0, size=ZONE_SIZE, extra=("zone",) + tuple(extra))
+    return world.SceneObject(oid, world.ZONE, "square", color, x, y,
+                             size=ZONE_SIZE, attributes=("zone",) + tuple(extra))
 
 
 def _expert_pick_place(target: world.SceneObject, region: world.SceneObject) -> ControlParams:
@@ -298,12 +298,10 @@ def _replay(scene, actions, rotations=12):
     return scene
 
 
-def _build_packing(task: TaskSpec, rng: np.random.Generator):
-    placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
+def _build_packing(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     colors = _color_pool(task.split)
     name = task.name
     n_distractors = 4
-    ids = itertools.count(1)
     objects: list[world.SceneObject] = []
 
     box_r = BOX_SIZE * world.unit_circumradius("box")
@@ -350,8 +348,7 @@ def _build_packing(task: TaskSpec, rng: np.random.Generator):
     return objects, instruction, GoalInfo("contain", (target.id,), (target_box.id,))
 
 
-def _build_prepositions(task: TaskSpec, rng: np.random.Generator):
-    placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
+def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     nested = task.name == "packing_nested_prepositions"
     colors = _color_pool(task.split)
     rel = _choice(rng, LOCATIONS)
@@ -376,7 +373,6 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator):
 
     tx, ty = placer.place(box_r, x_range=target_band)
     ox, oy = placer.place(box_r, x_range=other_band)
-    ids = itertools.count(1)
 
     target_box = _box(next(ids), "brown", tx, ty)
     other_box = _box(next(ids), "brown", ox, oy)
@@ -396,9 +392,9 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator):
     ref_bands = [ref1_band, ref2_band] if nested else [ref1_band]
     for band, ref_name in zip(ref_bands, refs):
         rxx, ryy = placer.place(shape_r, x_range=band)
-        obj = world.make_object(next(ids), world.ITEM, ref_name, _choice(rng, colors),
+        obj = world.SceneObject(next(ids), world.ITEM, ref_name, _choice(rng, colors),
                                 rxx, ryy, angle=float(rng.uniform(0, 2 * math.pi)),
-                                size=SHAPE_SIZE, extra=("shape",))
+                                size=SHAPE_SIZE, attributes=("shape",))
         ref_objs.append(obj)
         objects.append(obj)
 
@@ -416,43 +412,40 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator):
     return objects, instruction, GoalInfo("contain", (target.id,), (target_box.id,))
 
 
-def _build_bowls(task: TaskSpec, rng: np.random.Generator):
-    placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
+def _build_bowls(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     colors = _color_pool(task.split)
     block_color, bowl_color, distract_color = _sample_distinct(rng, colors, 3)
     n_blocks = int(rng.integers(2, 4))
-    ids = itertools.count(1)
     objects = []
 
     bowl_r = BOWL_SIZE
     bowls = []
     for _ in range(n_blocks):
         x, y = placer.place(bowl_r)
-        bowls.append(world.make_object(next(ids), world.CONTAINER, "bowl", bowl_color,
+        bowls.append(world.SceneObject(next(ids), world.CONTAINER, "bowl", bowl_color,
                                        x, y, size=BOWL_SIZE))
     x, y = placer.place(bowl_r)
     objects.extend(bowls)
-    objects.append(world.make_object(next(ids), world.CONTAINER, "bowl", distract_color,
+    objects.append(world.SceneObject(next(ids), world.CONTAINER, "bowl", distract_color,
                                      x, y, size=BOWL_SIZE))
 
     blocks = []
     for _ in range(n_blocks):
         x, y = placer.place(BLOCK_SIZE * 1.05)
-        blocks.append(world.make_object(next(ids), world.ITEM, "block", block_color,
-                                        x, y, size=BLOCK_SIZE, extra=("blocks",)))
+        blocks.append(world.SceneObject(next(ids), world.ITEM, "block", block_color,
+                                        x, y, size=BLOCK_SIZE, attributes=("blocks",)))
     objects.extend(blocks)
     for _ in range(int(rng.integers(0, 3))):
         x, y = placer.place(BLOCK_SIZE * 1.05)
-        objects.append(world.make_object(next(ids), world.ITEM, "block", distract_color,
-                                         x, y, size=BLOCK_SIZE, extra=("blocks",)))
+        objects.append(world.SceneObject(next(ids), world.ITEM, "block", distract_color,
+                                         x, y, size=BLOCK_SIZE, attributes=("blocks",)))
 
     instruction = f"put the {block_color} blocks in a {bowl_color} bowl"
     goal = GoalInfo("bowls", tuple(b.id for b in blocks), tuple(b.id for b in bowls))
     return objects, instruction, goal
 
 
-def _build_separating(task: TaskSpec, rng: np.random.Generator):
-    placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
+def _build_separating(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     colors = _color_pool(task.split)
     located = task.name == "separating_location_piles"
     block_color = _choice(rng, colors)
@@ -471,7 +464,6 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator):
 
     lx, ly = placer.place(zone_r, x_range=(0, 44))
     rx, ry = placer.place(zone_r, x_range=(84, WORKSPACE_W))
-    ids = itertools.count(1)
 
     left_zone = _zone(next(ids), left_color, lx, ly, extra=("left",))
     right_zone = _zone(next(ids), right_color, rx, ry, extra=("right",))
@@ -487,21 +479,19 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator):
     for _ in range(n_blocks):
         x, y = placer.place(BLOCK_SIZE, x_range=(cluster_x - 13, cluster_x + 13),
                             y_range=(cluster_y - 11, cluster_y + 11), pad=2.5)
-        blocks.append(world.make_object(next(ids), world.ITEM, "block", block_color,
-                                        x, y, size=BLOCK_SIZE, extra=("blocks",)))
+        blocks.append(world.SceneObject(next(ids), world.ITEM, "block", block_color,
+                                        x, y, size=BLOCK_SIZE, attributes=("blocks",)))
 
     goal = GoalInfo("zone_fraction", tuple(b.id for b in blocks), (target_zone.id,))
     return [left_zone, right_zone] + blocks, instruction, goal
 
 
-def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator):
-    placer = _Placer(rng, WORKSPACE_W, WORKSPACE_H)
+def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     colors = _color_pool(task.split)
     zone_r = ZONE_SIZE * world.unit_circumradius("square")
     lx, ly = placer.place(zone_r, x_range=(0, 44))
     rx, ry = placer.place(zone_r, x_range=(84, WORKSPACE_W))
     zone_colors = _sample_distinct(rng, SHARED_COLORS if task.split == "unseen" else colors, 2)
-    ids = itertools.count(1)
 
     left_zone = _zone(next(ids), zone_colors[0], lx, ly, extra=("left",))
     right_zone = _zone(next(ids), zone_colors[1], rx, ry, extra=("right",))
@@ -513,9 +503,9 @@ def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator):
     combos = {(shape_color, shape_name)}
     objects = [left_zone, right_zone]
     x, y = placer.place(SHAPE_SIZE * 1.4, x_range=(50, 78))
-    target = world.make_object(next(ids), world.ITEM, shape_name, shape_color, x, y,
+    target = world.SceneObject(next(ids), world.ITEM, shape_name, shape_color, x, y,
                                angle=float(rng.uniform(0, 2 * math.pi)),
-                               size=SHAPE_SIZE, extra=("shape",))
+                               size=SHAPE_SIZE, attributes=("shape",))
     objects.append(target)
     all_shapes = SEEN_SHAPES + UNSEEN_SHAPES
     for _ in range(4):
@@ -548,7 +538,8 @@ _BUILDERS = {
 
 
 def generate_episode(task: TaskSpec, seed: int) -> Episode:
-    """Deterministic episode for (task, split, seed). A builder gives the
+    """Deterministic episode for (task, split, seed). A builder, given the
+    rng and each attempt's fresh placer and object-id counter, gives the
     objects, instruction and goal; the expert follows from the goal: a
     closed-loop push of the targets into a zone (budget: one step each plus
     two), else one pick-place per target and region. The expert's replay
@@ -560,7 +551,8 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
     last_error = None
     for _ in range(30):
         try:
-            objects, instruction, goal = builder(task, rng)
+            objects, instruction, goal = builder(
+                task, rng, _Placer(rng, WORKSPACE_W, WORKSPACE_H), itertools.count(1))
         except GenerationFailure as exc:
             # The message only: the exception's traceback holds this frame.
             last_error = str(exc)

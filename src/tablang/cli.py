@@ -22,6 +22,9 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_EXEC = 3
 
+# What loading a lexicon, scene, weights file or eval config may raise.
+LOAD_ERRORS = (OSError, ValueError, TypeError, KeyError, ccg.LexiconError, world.OutOfBounds)
+
 
 def _load_lexicon(path: str | None) -> ccg.Lexicon:
     if path is None:
@@ -46,7 +49,7 @@ def _load_session(args):
         backend = make_backend(args.backend, weights_path=args.weights)
         grid = PoseGrid(scene.height, scene.width, args.rotations)
         out = _out_dir(args)
-    except (OSError, ValueError, TypeError, KeyError, ccg.LexiconError, world.OutOfBounds) as exc:
+    except LOAD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     return lexicon, scene, out, backend, grid
@@ -57,7 +60,7 @@ def cmd_parse(args) -> int:
         if args.top_k < 1:
             raise ValueError("--top-k must be >= 1")
         lexicon = _load_lexicon(args.lexicon)
-    except (OSError, ValueError, ccg.LexiconError) as exc:
+    except LOAD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     tokens = ccg.tokenize(args.instruction, lexicon)
@@ -154,6 +157,15 @@ def _tasks_from_config(config: dict) -> list[benchmark.TaskSpec]:
     return tasks
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value, if an integer >= least; a bool, float or string is not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def cmd_eval(args) -> int:
     try:
         if args.config:
@@ -172,24 +184,21 @@ def cmd_eval(args) -> int:
                 "weights": args.weights,
             }
         tasks = _tasks_from_config(config)
-        episodes = int(config.get("episodes", 10))
-        if episodes < 1:
-            raise ValueError("episodes must be >= 1")
-        seed = int(config.get("seed", 0))
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
-        rotations = int(config.get("rotations", 12))
-        if rotations < 1:
-            raise ValueError("rotations must be >= 1")
+        episodes = _integer("episodes", config.get("episodes", 10), 1)
+        seed = _integer("seed", config.get("seed", 0), 0)
+        rotations = _integer("rotations", config.get("rotations", 12), 1)
+        for key in ("lexicon", "weights"):
+            if not isinstance(config.get(key), (str, type(None))):
+                raise ValueError(f"{key} must be a path or null, not {config[key]!r}")
         lexicon = _load_lexicon(config.get("lexicon"))
         ground_shape = None
         if config.get("grounding"):
             gh, gw = config["grounding"]
-            ground_shape = (int(gh), int(gw))
+            ground_shape = (_integer("grounding", gh, 1), _integer("grounding", gw, 1))
         backend = make_backend(config.get("backend", "oracle"), ground_shape,
                                config.get("weights"))
         out = _out_dir(args)
-    except (OSError, ValueError, TypeError, KeyError, ccg.LexiconError) as exc:
+    except LOAD_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_IO
     report = benchmark.run_suite(tasks, episodes, backend, lexicon,

@@ -34,6 +34,8 @@ ACTION = "action"
 _CONCEPT_KINDS = (PROPERTY, RELATION, ACTION)
 
 _WORD_RE = re.compile(r"[a-z0-9_-]+")
+# Deepest nesting of operations and binders read accepts: it recurses once per level.
+MAX_TERM_DEPTH = 64
 
 
 class TypeMismatch(Exception):
@@ -284,14 +286,16 @@ class _Reader:
         self.pos = m.end()
         return m.group(0)
 
-    def term(self, bound: frozenset[str]) -> ProgramNode | str:
-        """A subprogram, or a concept word as a str."""
+    def term(self, bound: frozenset[str], depth: int) -> ProgramNode | str:
+        """A subprogram, or a concept word as a str, nested depth levels deep."""
+        if depth > MAX_TERM_DEPTH:
+            raise self.error(f"nests deeper than {MAX_TERM_DEPTH} operations and binders")
         self.skip_ws()
         if self.peek() in ("\\", "λ"):
             self.pos += 1
             param = self.name()
             self.expect(".")
-            return Lam(param, self.subprogram(bound | {param}))
+            return Lam(param, self.subprogram(bound | {param}, depth + 1))
         name = self.name()
         self.skip_ws()
         if self.peek() != "(":
@@ -301,7 +305,7 @@ class _Reader:
         self.skip_ws()
         if self.peek() != ")":
             while True:
-                args.append(self.term(bound))
+                args.append(self.term(bound, depth + 1))
                 self.skip_ws()
                 if self.peek() != ",":
                     break
@@ -331,8 +335,8 @@ class _Reader:
             raise self.error(f"{name}: argument {i} must be a subprogram")
         return value
 
-    def subprogram(self, bound: frozenset[str]) -> ProgramNode:
-        node = self.term(bound)
+    def subprogram(self, bound: frozenset[str], depth: int) -> ProgramNode:
+        node = self.term(bound, depth)
         if isinstance(node, str):
             raise self.error(f"expected a subprogram, found {node!r}")
         return node
@@ -341,9 +345,10 @@ class _Reader:
 def read(text: str) -> ProgramNode:
     """Parse program text into a tree, untyped. Besides the operations it
     accepts binders (\\x. or λx.), bound variables and their applications
-    p(o), which is the syntax of lexicon templates."""
+    p(o), which is the syntax of lexicon templates. Text nested deeper than
+    MAX_TERM_DEPTH is a ProgramSyntaxError."""
     reader = _Reader(text)
-    node = reader.subprogram(frozenset())
+    node = reader.subprogram(frozenset(), 0)
     reader.skip_ws()
     if reader.pos != len(text):
         raise reader.error("trailing input")

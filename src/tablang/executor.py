@@ -310,70 +310,32 @@ def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray
     return out
 
 
-def _goal_pieces(object_map: GroundingMap, reference_map: GroundingMap,
-                 relation: dsl.ConceptToken, ctx: ExecutionContext) -> dict:
-    grid = ctx.pose_grid
-    kind = ctx.relation_config.kind_of(relation.word)
-
-    up_obj = resample(object_map, grid.height, grid.width)
-    up_ref = resample(reference_map, grid.height, grid.width)
-    kernel = relation_kernel(up_ref.values, relation.word, ctx.relation_config)
-
-    # Objects already sitting in a containment goal region are not pick
-    # candidates; without this, multi-step episodes would loop on one object.
-    pick_arr = up_obj.values
-    if kind in (INTERIOR, SURFACE):
-        pick_arr = pick_arr * ~kernel
-    # Suction-style graspability: prefer the deepest interior pixel of the
-    # mask. Upsampled masks can read solid at thin notches (star arms); edge
-    # maxima there would miss the object, the interior never does.
-    depth = _interior_depth(pick_arr >= 0.5)
-    if depth.max() > 0:
-        pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
-    pick_map = GroundingMap(pick_arr)
-    pick = select_pick(pick_map)
-
-    silhouette = _component(up_obj.values >= 0.5, (pick.u, pick.v))
-    pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
+def _place_frame(silhouette: np.ndarray, reference: np.ndarray,
+                 grid: PoseGrid) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """The silhouette's cell offsets from its rounded centroid, and the box
+    (u0, u1, v0, v1) of the reference's support grown by the offsets' reach
+    plus one, clipped to the grid; an empty box without support."""
     rows, cols = np.nonzero(silhouette)
-    anchor = (int(round(rows.mean())), int(round(cols.mean())))
-    offsets = np.stack([rows - anchor[0], cols - anchor[1]], axis=1)
-
-    effective = kernel & ~_dilate(_obstacle_mask(ctx, picked), OBSTACLE_PAD_PX)
-
-    support = np.nonzero(up_ref.values > 0)
+    offsets = np.stack([rows - int(round(rows.mean())), cols - int(round(cols.mean()))], axis=1)
+    support = np.nonzero(reference > 0)
     if len(support[0]) == 0:
-        bbox = (0, 0, 0, 0)
-    else:
-        margin = int(np.abs(offsets).max(initial=0)) + 1
-        bbox = (
-            max(int(support[0].min()) - margin, 0),
-            min(int(support[0].max()) + margin + 1, grid.height),
-            max(int(support[1].min()) - margin, 0),
-            min(int(support[1].max()) + margin + 1, grid.width),
-        )
-
-    return {
-        "pick": pick,
-        "pick_map": pick_map,
-        "kernel": kernel,
-        "effective_kernel": effective,
-        "silhouette": silhouette,
-        "offsets": offsets,
-        "reference": up_ref.values,
-        "bbox": bbox,
-    }
+        return offsets, (0, 0, 0, 0)
+    margin = int(np.abs(offsets).max(initial=0)) + 1
+    return offsets, (
+        max(int(support[0].min()) - margin, 0),
+        min(int(support[0].max()) + margin + 1, grid.height),
+        max(int(support[1].min()) - margin, 0),
+        min(int(support[1].max()) + margin + 1, grid.width),
+    )
 
 
-def _push_params(pieces: dict, grid: PoseGrid) -> tuple[ControlParams, GroundingMap, np.ndarray]:
+def _push_params(silhouette: np.ndarray, support: np.ndarray,
+                 grid: PoseGrid) -> tuple[ControlParams, GroundingMap, np.ndarray]:
     """Pre-push pose behind the object relative to the goal direction,
-    post-push pose at the goal-kernel centroid (nearest supported cell).
+    post-push pose at the support's centroid (nearest supported cell).
     Recorded maps are one-hot so the argmax invariant still holds."""
-    sil_rows, sil_cols = np.nonzero(pieces["silhouette"])
+    sil_rows, sil_cols = np.nonzero(silhouette)
     c_u, c_v = sil_rows.mean(), sil_cols.mean()
-    support = pieces["effective_kernel"]
-    if not support.any():
-        support = pieces["kernel"]
     if not support.any():
         raise NoFeasiblePlace("push goal region is empty")
     sup_rows, sup_cols = np.nonzero(support)
@@ -383,25 +345,20 @@ def _push_params(pieces: dict, grid: PoseGrid) -> tuple[ControlParams, Grounding
 
     d_u, d_v = g_u - c_u, g_v - c_v
     norm = math.hypot(d_u, d_v)
-    radius = 0.0
-    if len(sil_rows) > 1:
-        radius = float(np.max(np.hypot(sil_rows - c_u, sil_cols - c_v)))
+    # The silhouette's reach; a one-cell silhouette is its own centroid.
+    radius = float(np.max(np.hypot(sil_rows - c_u, sil_cols - c_v)))
     if norm > 1e-9:
         pre_u = c_u - radius * d_u / norm
         pre_v = c_v - radius * d_v / norm
     else:
         pre_u, pre_v = c_u, c_v
-    pre = Pose2(
-        min(max(int(round(pre_u)), 0), grid.height - 1),
-        min(max(int(round(pre_v)), 0), grid.width - 1),
-        0,
-    )
+    pre = Pose2(min(max(int(round(pre_u)), 0), grid.height - 1),
+                min(max(int(round(pre_v)), 0), grid.width - 1), 0)
     pick_map = np.zeros((grid.height, grid.width))
     pick_map[pre.u, pre.v] = 1.0
     place_grids = np.zeros((grid.rotations, grid.height, grid.width))
     place_grids[0, post.u, post.v] = 1.0
-    params = ControlParams(pre, post, PUSH)
-    return params, GroundingMap(pick_map), place_grids
+    return ControlParams(pre, post, PUSH), GroundingMap(pick_map), place_grids
 
 
 def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
@@ -425,23 +382,48 @@ def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
     return result
 
 
+def _eval_do(node: dsl.Do, path: str, ctx: ExecutionContext,
+             intermediates: dict[str, GroundingMap]):
+    """([params], pick map, place grids) of one goal: the pick from the
+    object map, then a push toward the goal kernel or a scored place on it."""
+    goal, grid = node.goal, ctx.pose_grid
+    obj_map = _eval_obj(goal.obj, f"{path}.0.0", ctx, intermediates)
+    ref_map = _eval_obj(goal.reference, f"{path}.0.1", ctx, intermediates)
+    kind = ctx.relation_config.kind_of(goal.rel.word)
+    up_obj = resample(obj_map, grid.height, grid.width).values
+    reference = resample(ref_map, grid.height, grid.width).values
+    kernel = relation_kernel(reference, goal.rel.word, ctx.relation_config)
+
+    # Objects already sitting in a containment goal region are not pick
+    # candidates; without this, multi-step episodes would loop on one object.
+    pick_arr = up_obj * ~kernel if kind in (INTERIOR, SURFACE) else up_obj
+    # Suction-style graspability: prefer the deepest interior pixel of the
+    # mask. Upsampled masks can read solid at thin notches (star arms); edge
+    # maxima there would miss the object, the interior never does.
+    depth = _interior_depth(pick_arr >= 0.5)
+    if depth.max() > 0:
+        pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
+    pick_map = GroundingMap(pick_arr)
+    pick = select_pick(pick_map)
+    silhouette = _component(up_obj >= 0.5, (pick.u, pick.v))
+    pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
+    effective = kernel & ~_dilate(_obstacle_mask(ctx, picked), OBSTACLE_PAD_PX)
+
+    if node.action.word in PUSH_ACTIONS:
+        params, pick_map, place_grids = _push_params(
+            silhouette, effective if effective.any() else kernel, grid)
+    else:
+        offsets, bbox = _place_frame(silhouette, reference, grid)
+        place_grids = _place_scores(effective, offsets, reference, bbox, grid)
+        params = ControlParams(pick, select_place(place_grids), PICK_PLACE)
+    intermediates[path] = pick_map
+    return [params], pick_map, place_grids
+
+
 def _eval_plan(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
                intermediates: dict[str, GroundingMap]):
     if isinstance(node, dsl.Do):
-        goal = node.goal
-        obj_map = _eval_obj(goal.obj, f"{path}.0.0", ctx, intermediates)
-        ref_map = _eval_obj(goal.reference, f"{path}.0.1", ctx, intermediates)
-        pieces = _goal_pieces(obj_map, ref_map, goal.rel, ctx)
-        if node.action.word in PUSH_ACTIONS:
-            params, pick_map, place_grids = _push_params(pieces, ctx.pose_grid)
-        else:
-            place_grids = _place_scores(pieces["effective_kernel"], pieces["offsets"],
-                                        pieces["reference"], pieces["bbox"], ctx.pose_grid)
-            place = select_place(place_grids)
-            params = ControlParams(pieces["pick"], place, PICK_PLACE)
-            pick_map = pieces["pick_map"]
-        intermediates[path] = pick_map
-        return [params], pick_map, place_grids
+        return _eval_do(node, path, ctx, intermediates)
     if isinstance(node, dsl.ActionConcat):
         left = _eval_plan(node.a, f"{path}.0", ctx, intermediates)
         right = _eval_plan(node.b, f"{path}.1", ctx, intermediates)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,11 +124,11 @@ class SceneObject:
     kind: str
     shape: str
     color: str
-    attributes: tuple[str, ...]
     x: float
     y: float
     angle: float = 0.0
     size: float = 6.0
+    attributes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in (ITEM, CONTAINER, ZONE):
@@ -149,12 +149,6 @@ class SceneObject:
     @property
     def circumradius(self) -> float:
         return self.size * unit_circumradius(self.shape)
-
-
-def make_object(oid: int, kind: str, shape: str, color: str, x: float, y: float,
-                angle: float = 0.0, size: float = 6.0,
-                extra: tuple[str, ...] = ()) -> SceneObject:
-    return SceneObject(oid, kind, shape, color, tuple(extra), x, y, angle, size)
 
 
 @dataclass(frozen=True)
@@ -509,38 +503,25 @@ def scene_to_dict(scene: Scene) -> dict:
         "width": scene.width,
         "height": scene.height,
         "seed": scene.rng_seed,
-        "objects": [
-            {
-                "id": o.id,
-                "kind": o.kind,
-                "shape": o.shape,
-                "color": o.color,
-                "attributes": list(o.attributes),
-                "x": o.x,
-                "y": o.y,
-                "angle": o.angle,
-                "size": o.size,
-            }
-            for o in scene.objects
-        ],
+        "objects": [asdict(o) for o in scene.objects],
     }
 
 
 def scene_from_dict(data) -> Scene:
     """The scene a scene_to_dict mapping describes; ValueError unless data is
-    an object whose objects are a list of objects with string attributes."""
+    an object whose objects are a list of objects with string attributes.
+    An absent angle or size takes SceneObject's default."""
     if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
         raise ValueError('a scene must be an object with an "objects" list')
     for d in data["objects"]:
         attrs = d.get("attributes", []) if isinstance(d, dict) else None
-        if not (isinstance(attrs, list) and all(isinstance(a, str) for a in attrs)):
+        if not (isinstance(attrs, (list, tuple)) and all(isinstance(a, str) for a in attrs)):
             raise ValueError(f"not an object with a list of string attributes: {d!r}")
     objects = tuple(
         SceneObject(
             id=int(d["id"]), kind=d["kind"], shape=d["shape"], color=d["color"],
-            attributes=tuple(d.get("attributes", ())),
-            x=float(d["x"]), y=float(d["y"]),
-            angle=float(d.get("angle", 0.0)), size=float(d.get("size", 6.0)),
+            x=float(d["x"]), y=float(d["y"]), attributes=tuple(d.get("attributes", ())),
+            **{k: float(d[k]) for k in ("angle", "size") if k in d},
         )
         for d in data["objects"]
     )

@@ -28,8 +28,8 @@ def prop(w):
 
 
 def scene_one_hexagon():
-    hexagon = world.make_object(1, world.ITEM, "hexagon", "blue", 30.0, 30.0,
-                                size=5.0, extra=("shape", "daxy"))
+    hexagon = world.SceneObject(1, world.ITEM, "hexagon", "blue", 30.0, 30.0,
+                                size=5.0, attributes=("shape", "daxy"))
     return world.Scene(128, 64, (hexagon,), rng_seed=1)
 
 
@@ -51,10 +51,10 @@ def test_oracle_grounds_attribute_footprint():
 def test_oracle_grounds_union_of_carriers():
     """A word one object carries grounds to its footprint; a word several
     objects carry, to the union of theirs."""
-    box = world.make_object(1, world.CONTAINER, "box", "brown", 90.0, 32.0, size=10.0,
-                            extra=("thing",))
-    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0,
-                                extra=("thing",))
+    box = world.SceneObject(1, world.CONTAINER, "box", "brown", 90.0, 32.0, size=10.0,
+                            attributes=("thing",))
+    hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0,
+                                attributes=("thing",))
     scene = world.Scene(128, 64, (box, hexagon))
     backend = OracleBackend()
     ground = lambda word: backend.ground(scene, prop(word))
@@ -74,9 +74,9 @@ def test_oracle_unknown_word_is_zero():
 def test_concept_composition_selects_intersection():
     """hexagons min blues leaves exactly the blue hexagon."""
     objs = (
-        world.make_object(1, world.ITEM, "hexagon", "blue", 24.0, 24.0, size=5.0),
-        world.make_object(2, world.ITEM, "hexagon", "red", 64.0, 24.0, size=5.0),
-        world.make_object(3, world.ITEM, "disc", "blue", 100.0, 40.0, size=5.0),
+        world.SceneObject(1, world.ITEM, "hexagon", "blue", 24.0, 24.0, size=5.0),
+        world.SceneObject(2, world.ITEM, "hexagon", "red", 64.0, 24.0, size=5.0),
+        world.SceneObject(3, world.ITEM, "disc", "blue", 100.0, 40.0, size=5.0),
     )
     scene = world.Scene(128, 64, objs)
     backend = OracleBackend()
@@ -170,8 +170,8 @@ def test_embedding_grounds_without_render(monkeypatch):
 
 
 def test_new_weights_invalidate_cached_projection():
-    hexagon = world.make_object(1, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
-    disc = world.make_object(2, world.ITEM, "disc", "red", 90.0, 30.0, size=5.0)
+    hexagon = world.SceneObject(1, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    disc = world.SceneObject(2, world.ITEM, "disc", "red", 90.0, 30.0, size=5.0)
     scene = world.Scene(128, 64, (hexagon, disc))
     backend = EmbeddingBackend()
     before = backend.ground(scene, prop("blue")).values

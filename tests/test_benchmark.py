@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -62,9 +63,9 @@ def test_generate_episode_leaves_no_cyclic_garbage(monkeypatch):
     build = bm._BUILDERS["separating_piles"]
     failures = []
 
-    def counted(task, rng):
+    def counted(*args):
         try:
-            return build(task, rng)
+            return build(*args)
         except bm.GenerationFailure as exc:
             failures.append(str(exc))
             raise
@@ -150,10 +151,10 @@ def test_unseen_split_has_novel_words(lex):
 
 
 def test_score_fraction_bowls():
-    bowls = [world.make_object(i, world.CONTAINER, "bowl", "blue",
+    bowls = [world.SceneObject(i, world.CONTAINER, "bowl", "blue",
                                20.0 + 18 * i, 20.0, size=6.0) for i in range(1, 5)]
-    blocks = [world.make_object(10 + i, world.ITEM, "block", "green",
-                                20.0 + 18 * i, 50.0, size=3.4, extra=("blocks",))
+    blocks = [world.SceneObject(10 + i, world.ITEM, "block", "green",
+                                20.0 + 18 * i, 50.0, size=3.4, attributes=("blocks",))
               for i in range(4)]
     scene = world.Scene(128, 64, tuple(bowls + blocks))
     episode = Episode(scene, "", (), GoalInfo("bowls", tuple(b.id for b in blocks),
@@ -190,9 +191,7 @@ def test_separating_score_monotone():
     for tid in ep.goal.target_ids:
         block = scene.find(tid)
         objects = tuple(
-            o if o.id != tid else world.SceneObject(
-                o.id, o.kind, o.shape, o.color, o.attributes, zone.x, zone.y,
-                o.angle, o.size)
+            o if o.id != tid else dataclasses.replace(o, x=zone.x, y=zone.y)
             for o in scene.objects
         )
         scene = world.Scene(scene.width, scene.height, objects, scene.rng_seed)

@@ -116,7 +116,7 @@ def test_run_missing_scene(tmp_path):
 
 
 def test_run_out_of_bounds_scene(tmp_path):
-    bad = world.Scene(64, 48, (world.make_object(
+    bad = world.Scene(64, 48, (world.SceneObject(
         1, world.ITEM, "disc", "red", 2.0, 24.0, size=5.0),))
     path = tmp_path / "bad.json"
     world.save_scene(path, bad)
@@ -127,7 +127,7 @@ def test_run_out_of_bounds_scene(tmp_path):
 
 
 def test_run_scene_outside_workspace(tmp_path):
-    bad = world.Scene(24, 16, (world.make_object(
+    bad = world.Scene(24, 16, (world.SceneObject(
         1, world.ITEM, "hexagon", "red", -40.0, 8.0, size=4.0),))
     path = tmp_path / "outside.json"
     world.save_scene(path, bad)
@@ -306,6 +306,9 @@ def test_repl_feature_width_mismatch(tmp_path, scene_file):
     "foo\tN\tfilter(foo)\tinf",
     pytest.param("foo\t" + "(" * 600 + "N" + ")" * 600 + "\tfilter(foo)",
                  id="category_nested_600_deep"),
+    pytest.param("foo\tN\t" + "filter(" * 600 + "scene()" + ", red)" * 600,
+                 id="template_filter_nested_600_deep"),
+    pytest.param("foo\tN\t" + "\\x." * 600 + "x", id="template_binders_nested_600_deep"),
 ])
 def test_parse_bad_lexicon_entry_names_line(tmp_path, bad_line):
     path = tmp_path / "bad.txt"
@@ -349,11 +352,20 @@ def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
     {"tasks": [5]},
     {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [0, 0]},
     {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [-3, 5]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [16.5, 32]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "lexicon": 0},
+    {"tasks": ["packing_shapes"], "episodes": 1, "weights": 0},
+    {"tasks": ["packing_shapes"], "episodes": 1.9},
+    {"tasks": ["packing_shapes"], "episodes": 1, "rotations": True},
+    {"tasks": ["packing_shapes"], "episodes": 1, "seed": "3"},
 ])
 def test_eval_malformed_config_is_config_error(tmp_path, config):
+    """A mistyped field exits 1; it is neither truncated nor read as a path
+    (a lexicon of 0 would be stdin, which is empty here rather than
+    inherited, so a run that reads it cannot block)."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    out = run_cli("eval", "--config", str(cfg), "--output-dir", str(tmp_path / "o"))
+    out = run_cli("eval", "--config", str(cfg), "--output-dir", str(tmp_path / "o"), stdin="")
     assert_clean_exit_1(out)
     assert out.stderr.startswith("config error:")
 

@@ -206,6 +206,18 @@ def test_read_template_binders():
     assert serialize(dsl.read(two_args)) == two_args
 
 
+@pytest.mark.parametrize("open_, close", [("\\x.", ""), ("filter(", ", red)")],
+                         ids=["binders", "operations"])
+def test_read_bounds_nesting_depth(open_, close):
+    """Text nested MAX_TERM_DEPTH deep reads; one level more is a syntax
+    error, not a RecursionError."""
+    leaf = "x" if close == "" else "scene()"
+    dsl.read(open_ * dsl.MAX_TERM_DEPTH + leaf + close * dsl.MAX_TERM_DEPTH)
+    deeper = dsl.MAX_TERM_DEPTH + 1
+    with pytest.raises(ProgramSyntaxError, match="nests deeper"):
+        dsl.read(open_ * deeper + leaf + close * deeper)
+
+
 def test_type_check_template_body_with_env():
     body = Do(App(Var("p"), Var("o")), act("pack"))
     env = {"o": SemanticType.OBJECT, "p": (SemanticType.OBJECT, SemanticType.GOAL)}

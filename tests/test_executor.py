@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tablang import benchmark as bm
-from tablang import ccg, dsl, world
+from tablang import ccg, dsl, executor, world
 from tablang.backends import OracleBackend
 from tablang.executor import (
     DEFAULT_RELATION_KINDS,
@@ -247,11 +247,11 @@ def make_plan(obj_word, ref_word, rel="in", action="pack"):
 
 def test_execute_golden_example():
     """Pick lands on the blue hexagon, place lands inside the orange box."""
-    box = world.make_object(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
-    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0,
-                                size=5.0, extra=("shape",))
-    distractor = world.make_object(3, world.ITEM, "star", "red", 30.0, 52.0,
-                                   size=5.0, extra=("shape",))
+    box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
+    hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0,
+                                size=5.0, attributes=("shape",))
+    distractor = world.SceneObject(3, world.ITEM, "star", "red", 30.0, 52.0,
+                                   size=5.0, attributes=("shape",))
     scene = world.Scene(128, 64, (box, hexagon, distractor), rng_seed=0)
     program = dsl.parse_program(GOLDEN_TEXT)
     grid = PoseGrid(64, 128, 12)
@@ -281,9 +281,9 @@ def test_context_needs_the_scene_lattice_as_pose_grid(height, width):
 def test_pick_place_looks_up_the_picked_item_once(monkeypatch):
     """The pick argmax lies on the hexagon, so one pick_target call finds the
     item both for the pick and for the obstacle exclusion."""
-    box = world.make_object(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
-    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
-    star = world.make_object(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
+    box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
+    hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    star = world.SceneObject(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
     scene = world.Scene(128, 64, (box, hexagon, star), rng_seed=0)
     calls = []
     pick_target = world.pick_target
@@ -300,9 +300,9 @@ def test_execute_leaves_no_cyclic_garbage():
     """execute frees its maps by reference counting alone; a reference cycle
     would keep every intermediate GroundingMap alive until the cyclic
     collector runs."""
-    box = world.make_object(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
-    hexagon = world.make_object(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
-    star = world.make_object(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
+    box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
+    hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    star = world.SceneObject(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
     scene = world.Scene(128, 64, (box, hexagon, star), rng_seed=0)
     ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
     program = dsl.parse_program(
@@ -328,15 +328,32 @@ def test_execute_records_intermediates_by_path():
     assert "0.0.1" in result.intermediates
 
 
-def test_execute_push_primitive():
-    zone = world.make_object(1, world.ZONE, "square", "green", 100.0, 32.0,
-                             size=14.0, extra=("zone",))
-    block = world.make_object(2, world.ITEM, "block", "red", 40.0, 32.0,
-                              size=3.4, extra=("blocks",))
+def count_place_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of executor._place_frame and executor._place_scores."""
+    calls = {"_place_frame": 0, "_place_scores": 0}
+    for name in calls:
+        fn = getattr(executor, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(executor, name, counted)
+    return calls
+
+
+def test_execute_push_primitive(monkeypatch):
+    """A push goal moves the block toward the zone and, unlike a pick-place
+    goal, frames and scores no place."""
+    calls = count_place_calls(monkeypatch)
+    zone = world.SceneObject(1, world.ZONE, "square", "green", 100.0, 32.0,
+                             size=14.0, attributes=("zone",))
+    block = world.SceneObject(2, world.ITEM, "block", "red", 40.0, 32.0,
+                              size=3.4, attributes=("blocks",))
     scene = world.Scene(128, 64, (zone, block), rng_seed=0)
     program = make_plan("block", "zone", rel="in", action="push")
     grid = PoseGrid(64, 128, 12)
     result = execute(program, ExecutionContext(scene, OracleBackend(), grid, RelationConfig()))
+    assert calls == {"_place_frame": 0, "_place_scores": 0}
     assert result.all_params[0].primitive == "push"
     pre, post = result.all_params[0].pick, result.all_params[0].place
     # pre-push sits behind the block relative to the zone, post at the zone center
@@ -353,6 +370,12 @@ def test_execute_push_primitive():
     # Hadamard dominance holds on the push path too
     up_ref = resample(result.intermediates["0.0.1"], 64, 128).values
     assert np.all(result.place_map[:, up_ref == 0.0] == 0.0)
+    # the golden pick-place plan frames and scores its place once
+    box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
+    hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    execute(dsl.parse_program(GOLDEN_TEXT),
+            ExecutionContext(world.Scene(128, 64, (box, hexagon)), OracleBackend(), grid))
+    assert calls == {"_place_frame": 1, "_place_scores": 1}
 
 
 def test_execute_empty_grounding():

@@ -15,12 +15,12 @@ from tablang.world import (
     ITEM,
     OutOfBounds,
     Scene,
+    SceneObject,
     apply_pick_place,
     apply_push,
     footprint_mask,
     interior_mask,
     load_scene,
-    make_object,
     render,
     save_scene,
 )
@@ -28,9 +28,9 @@ from tablang.world import (
 
 def fixture_scene():
     """One blue hexagon and one brown box, well separated."""
-    box = make_object(1, CONTAINER, "box", "brown", 90.0, 32.0, size=10.0)
-    hexagon = make_object(2, ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0,
-                          extra=("shape",))
+    box = SceneObject(1, CONTAINER, "box", "brown", 90.0, 32.0, size=10.0)
+    hexagon = SceneObject(2, ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0,
+                          attributes=("shape",))
     return Scene(128, 64, (box, hexagon), rng_seed=3)
 
 
@@ -43,7 +43,7 @@ def test_render_empty_scene():
 
 
 def test_disc_segmentation_matches_point_oracle():
-    disc = make_object(1, ITEM, "disc", "red", 10.0, 8.0, size=4.0)
+    disc = SceneObject(1, ITEM, "disc", "red", 10.0, 8.0, size=4.0)
     scene = Scene(24, 20, (disc,))
     seg = render(scene).segmentation
     r = 0.9 * 4.0
@@ -83,7 +83,7 @@ def test_segmentation_image_consistency_random_scenes():
         for oid in range(1, 5):
             shape = shapes[int(rng.integers(len(shapes)))]
             color = list(world.COLORS)[int(rng.integers(len(world.COLORS)))]
-            objs.append(make_object(oid, ITEM, shape, color,
+            objs.append(SceneObject(oid, ITEM, shape, color,
                                     float(rng.uniform(12, 116)), float(rng.uniform(12, 52)),
                                     angle=float(rng.uniform(0, 6.28)), size=4.0))
         scene = Scene(128, 64, tuple(objs))
@@ -121,7 +121,7 @@ def half_features(scene):
 
 
 def test_out_of_bounds_raises():
-    obj = make_object(1, ITEM, "disc", "red", 1.0, 8.0, size=4.0)
+    obj = SceneObject(1, ITEM, "disc", "red", 1.0, 8.0, size=4.0)
     for paint in (render, half_features):
         with pytest.raises(OutOfBounds):
             paint(Scene(24, 16, (obj,)))
@@ -131,7 +131,7 @@ def test_out_of_bounds_raises():
 def test_centre_outside_workspace_raises(x, y):
     """An object wholly outside the one-pixel ring around the workspace never
     touches the ring, so only the centre test catches it."""
-    obj = make_object(1, ITEM, "hexagon", "red", x, y, size=4.0)
+    obj = SceneObject(1, ITEM, "hexagon", "red", x, y, size=4.0)
     for paint in (render, half_features):
         with pytest.raises(OutOfBounds, match="centre outside"):
             paint(Scene(24, 16, (obj,)))
@@ -169,7 +169,7 @@ def test_place_rotation_exact():
 
 
 def test_push_translates_block_on_segment():
-    block = make_object(1, ITEM, "block", "red", 40.0, 30.0, size=3.0)
+    block = SceneObject(1, ITEM, "block", "red", 40.0, 30.0, size=3.0)
     scene = Scene(128, 64, (block,))
     params = ControlParams(Pose2(30, 40, 0), Pose2(30, 50, 0), "push")
     after, moved = apply_push(scene, params)
@@ -179,7 +179,7 @@ def test_push_translates_block_on_segment():
 
 
 def test_push_outside_corridor_unchanged():
-    block = make_object(1, ITEM, "block", "red", 40.0, 50.0, size=3.0)
+    block = SceneObject(1, ITEM, "block", "red", 40.0, 50.0, size=3.0)
     scene = Scene(128, 64, (block,))
     params = ControlParams(Pose2(30, 40, 0), Pose2(30, 60, 0), "push")
     after, moved = apply_push(scene, params)
@@ -188,9 +188,9 @@ def test_push_outside_corridor_unchanged():
 
 
 def test_push_sweeps_pile_into_zone():
-    zone = make_object(9, world.ZONE, "square", "green", 100.0, 32.0, size=14.0)
+    zone = SceneObject(9, world.ZONE, "square", "green", 100.0, 32.0, size=14.0)
     blocks = [
-        make_object(i, ITEM, "block", "red", 30.0 + 4.5 * i, 30.0 + ((-1) ** i) * 2.0,
+        SceneObject(i, ITEM, "block", "red", 30.0 + 4.5 * i, 30.0 + ((-1) ** i) * 2.0,
                     size=2.0)
         for i in range(1, 6)
     ]
@@ -272,8 +272,8 @@ def test_place_beside_bowl_at_workspace_edge_stays_in_bounds():
     """A bowl by the left edge pushes a placed hexagon out past the edge,
     and the workspace clamp pushes it back onto the bowl: clamped together,
     it ends in bounds and clear of the wall."""
-    bowl = make_object(1, CONTAINER, "bowl", "blue", 7.0, 7.0, size=6.0)
-    hexagon = make_object(2, ITEM, "hexagon", "red", 60.0, 30.0, size=5.0)
+    bowl = SceneObject(1, CONTAINER, "bowl", "blue", 7.0, 7.0, size=6.0)
+    hexagon = SceneObject(2, ITEM, "hexagon", "red", 60.0, 30.0, size=5.0)
     scene = Scene(128, 64, (bowl, hexagon))
     after, moved = world.apply(scene, ControlParams(Pose2(30, 60), Pose2(13, 5), "pick_place"))
     assert moved
@@ -292,11 +292,16 @@ def test_scene_json_round_trip(tmp_path):
             generated = generate_episode(TaskSpec(name, split), 2).scene
             blob = json.dumps(world.scene_to_dict(generated), sort_keys=True)
             assert world.scene_from_dict(json.loads(blob)) == generated
+            assert world.scene_from_dict(world.scene_to_dict(generated)) == generated
+    # an absent angle or size takes SceneObject's default
+    bare = {"width": 24, "height": 16, "objects": [
+        {"id": 1, "kind": ITEM, "shape": "disc", "color": "red", "x": 8, "y": 9}]}
+    assert world.scene_from_dict(bare).objects == (SceneObject(1, ITEM, "disc", "red", 8.0, 9.0),)
 
 
 def test_duplicate_ids_rejected():
-    a = make_object(1, ITEM, "disc", "red", 20.0, 20.0, size=3.0)
-    b = make_object(1, ITEM, "disc", "blue", 40.0, 20.0, size=3.0)
+    a = SceneObject(1, ITEM, "disc", "red", 20.0, 20.0, size=3.0)
+    b = SceneObject(1, ITEM, "disc", "blue", 40.0, 20.0, size=3.0)
     with pytest.raises(ValueError):
         Scene(64, 48, (a, b))
 
@@ -392,7 +397,7 @@ def test_windowed_masks_match_full_lattice(case):
     vertex at 0.4, so a crossing test on y1 + dy instead of y2 misses the
     edge there."""
     shape, kind, width, height, x, y, angle, size, lattice, point = case
-    obj = make_object(1, kind, shape, "red", x, y, angle=angle, size=size)
+    obj = SceneObject(1, kind, shape, "red", x, y, angle=angle, size=size)
     hw, ys, xs = lattice_args(lattice, width, height, point)
     foot, interior = reference_masks(obj, hw, ys, xs)
     got_foot = footprint_mask(obj, hw, ys, xs)
@@ -448,7 +453,7 @@ def scenes(draw, coord=near_edge, max_objects=3, max_width=128, max_height=64, m
     for oid in range(1, draw(st.integers(1, max_objects)) + 1):
         shape = draw(st.sampled_from(world.SHAPE_NAMES))
         kinds = (ITEM, CONTAINER, world.ZONE) if shape in ("box", "bowl") else (ITEM, world.ZONE)
-        objects.append(make_object(
+        objects.append(SceneObject(
             oid, draw(st.sampled_from(kinds)), shape, draw(st.sampled_from(sorted(world.COLORS))),
             draw(coord(width)), draw(coord(height)),
             angle=draw(st.floats(-2 * math.pi, 2 * math.pi)), size=draw(st.floats(0.5, max_size))))
@@ -457,10 +462,10 @@ def scenes(draw, coord=near_edge, max_objects=3, max_width=128, max_height=64, m
 
 @settings(max_examples=400, deadline=None)
 @given(scenes())
-@example(Scene(24, 16, (make_object(1, CONTAINER, "bowl", "red", 4.0, 4.0, size=4.0),)))
-@example(Scene(24, 16, (make_object(1, CONTAINER, "bowl", "red", 3.0, 8.0, size=4.0),)))
-@example(Scene(24, 16, (make_object(1, ITEM, "square", "red", 21.2, 13.2, size=4.0),)))
-@example(Scene(24, 16, (make_object(1, ITEM, "disc", "red", 12.0, 14.5, size=2.0),)))
+@example(Scene(24, 16, (SceneObject(1, CONTAINER, "bowl", "red", 4.0, 4.0, size=4.0),)))
+@example(Scene(24, 16, (SceneObject(1, CONTAINER, "bowl", "red", 3.0, 8.0, size=4.0),)))
+@example(Scene(24, 16, (SceneObject(1, ITEM, "square", "red", 21.2, 13.2, size=4.0),)))
+@example(Scene(24, 16, (SceneObject(1, ITEM, "disc", "red", 12.0, 14.5, size=2.0),)))
 def test_ring_check_matches_padded_lattice(scene):
     """check_bounds raises exactly where the padded-lattice check does, with
     the same message. The bowl examples sit with their window edge on the
@@ -512,7 +517,7 @@ def point_cases(draw):
     exactly on a window edge obj.x +- reach or obj.y +- reach."""
     shape = draw(st.sampled_from(world.SHAPE_NAMES))
     kinds = (ITEM, CONTAINER, world.ZONE) if shape in ("box", "bowl") else (ITEM, world.ZONE)
-    obj = make_object(1, draw(st.sampled_from(kinds)), shape, "red",
+    obj = SceneObject(1, draw(st.sampled_from(kinds)), shape, "red",
                       draw(st.floats(-20.0, 150.0)), draw(st.floats(-20.0, 80.0)),
                       angle=draw(st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi))),
                       size=draw(st.floats(0.5, 30.0)))
@@ -531,9 +536,9 @@ def point_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(point_cases())
-@example((make_object(1, CONTAINER, "bowl", "red", 10.0, 8.0, size=4.0), (8.0, 5.0)))
-@example((make_object(1, ITEM, "star", "red", 10.0, 8.0, size=4.0), (8.0, 5.0)))
-@example((make_object(1, CONTAINER, "box", "red", 20.0, 10.0, size=4.0),
+@example((SceneObject(1, CONTAINER, "bowl", "red", 10.0, 8.0, size=4.0), (8.0, 5.0)))
+@example((SceneObject(1, ITEM, "star", "red", 10.0, 8.0, size=4.0), (8.0, 5.0)))
+@example((SceneObject(1, CONTAINER, "box", "red", 20.0, 10.0, size=4.0),
           (10.0, 20.0 - (4.0 * world.unit_circumradius("box") + 1.0))))
 def test_inside_matches_point_sample(case):
     """The scalar point test equals a 1 x 1 interior_mask sample at the same
