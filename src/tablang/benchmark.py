@@ -40,18 +40,6 @@ from .grounding import ExecutionError, GroundingMap
 WORKSPACE_W = 128
 WORKSPACE_H = 64
 
-TASK_NAMES = (
-    "packing_shapes",
-    "packing_color_box",
-    "packing_location_box",
-    "packing_prepositions",
-    "packing_nested_prepositions",
-    "put_blocks_in_bowls",
-    "separating_piles",
-    "separating_location_piles",
-    "pushing_shapes",
-)
-
 SEEN_COLORS = ("red", "green", "blue", "yellow", "brown", "orange", "gray")
 UNSEEN_COLORS = ("red", "green", "blue", "purple", "pink", "cyan", "white")
 SHARED_COLORS = ("red", "green", "blue")
@@ -244,21 +232,50 @@ def _sample_distinct(rng: np.random.Generator, pool, n: int) -> list[str]:
     return [str(pool[i]) for i in idx]
 
 
-def _spawn_shape(oid, shape, color, placer, rng, extra=()):
+def _shape(oid, shape, color, x, y, rng):
+    return world.SceneObject(oid, world.ITEM, shape, color, x, y,
+                             angle=float(rng.uniform(0.0, 2 * math.pi)),
+                             size=SHAPE_SIZE, attributes=("shape",))
+
+
+def _spawn_shape(oid, shape, color, placer, rng):
     x, y = placer.place(SHAPE_SIZE * world.unit_circumradius(shape))
-    angle = float(rng.uniform(0.0, 2 * math.pi))
-    return world.SceneObject(oid, world.ITEM, shape, color, x, y, angle=angle,
-                             size=SHAPE_SIZE, attributes=("shape",) + tuple(extra))
+    return _shape(oid, shape, color, x, y, rng)
 
 
-def _box(oid, color, x, y, extra=()):
+def _box(oid, color, x, y, attributes=()):
     return world.SceneObject(oid, world.CONTAINER, "box", color, x, y,
-                             size=BOX_SIZE, attributes=extra)
+                             size=BOX_SIZE, attributes=attributes)
 
 
-def _zone(oid, color, x, y, extra=()):
-    return world.SceneObject(oid, world.ZONE, "square", color, x, y,
-                             size=ZONE_SIZE, attributes=("zone",) + tuple(extra))
+def _bowl(oid, color, x, y):
+    return world.SceneObject(oid, world.CONTAINER, "bowl", color, x, y, size=BOWL_SIZE)
+
+
+def _block(oid, color, x, y):
+    return world.SceneObject(oid, world.ITEM, "block", color, x, y,
+                             size=BLOCK_SIZE, attributes=("blocks",))
+
+
+def _zone_sites(placer):
+    """The centres of the left and right zones."""
+    zone_r = ZONE_SIZE * world.unit_circumradius("square")
+    return [placer.place(zone_r, x_range=band) for band in ((0, 44), (84, WORKSPACE_W))]
+
+
+def _zones(ids, sites, colors):
+    """The left and right zones, in that order."""
+    return [world.SceneObject(next(ids), world.ZONE, "square", color, x, y,
+                              size=ZONE_SIZE, attributes=("zone", side))
+            for (x, y), color, side in zip(sites, colors, LOCATIONS)]
+
+
+def _target_and_distractors(rng, split, n_drawn, n_kept):
+    """A target shape from the split's pool, and up to n_kept of n_drawn
+    distinct seen shapes that differ from it."""
+    drawn = _sample_distinct(rng, SEEN_SHAPES, n_drawn)
+    target = _choice(rng, _shape_pool(split))
+    return target, [s for s in drawn if s != target][:n_kept]
 
 
 def _expert_pick_place(target: world.SceneObject, region: world.SceneObject) -> ControlParams:
@@ -277,8 +294,7 @@ def _push_action(obj: world.SceneObject, goal_x: float, goal_y: float) -> Contro
 
 
 def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
-    actions = []
-    current = scene
+    actions, current = [], scene
     for _ in range(max_steps):
         remaining = [o for o in map(current.find, block_ids)
                      if not world.inside(zone, o.y, o.x)]
@@ -300,52 +316,39 @@ def _replay(scene, actions, rotations=12):
 
 def _build_packing(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     colors = _color_pool(task.split)
-    name = task.name
-    n_distractors = 4
-    objects: list[world.SceneObject] = []
-
     box_r = BOX_SIZE * world.unit_circumradius("box")
-    if name == "packing_shapes":
-        bx, by = placer.place(box_r)
-        target_box = _box(next(ids), "brown", bx, by)
-        boxes = [target_box]
-    elif name == "packing_color_box":
+    if task.name == "packing_shapes":
+        boxes = [_box(next(ids), "brown", *placer.place(box_r))]
+        target_box, tail = boxes[0], "in the brown box"
+    elif task.name == "packing_color_box":
         box_colors = _sample_distinct(rng, colors, 2)
-        bx, by = placer.place(box_r)
-        dxx, dyy = placer.place(box_r)
-        target_box = _box(next(ids), box_colors[0], bx, by)
-        boxes = [target_box, _box(next(ids), box_colors[1], dxx, dyy)]
-    elif name == "packing_location_box":
+        boxes = [_box(next(ids), c, *placer.place(box_r)) for c in box_colors]
+        target_box, tail = boxes[0], f"in the {box_colors[0]} box"
+    else:
         loc = _choice(rng, LOCATIONS)
-        lx, ly = placer.place(box_r, x_range=(0, WORKSPACE_W / 2 - box_r - 2))
-        rx, ry = placer.place(box_r, x_range=(WORKSPACE_W / 2 + box_r + 2, WORKSPACE_W))
-        left_box = _box(next(ids), "brown", lx, ly, extra=("left",))
-        right_box = _box(next(ids), "brown", rx, ry, extra=("right",))
-        boxes = [left_box, right_box]
-        target_box = left_box if loc == "left" else right_box
-    else:
-        raise ValueError(name)
-    objects.extend(boxes)
+        bands = (0, WORKSPACE_W / 2 - box_r - 2), (WORKSPACE_W / 2 + box_r + 2, WORKSPACE_W)
+        boxes = [_box(next(ids), "brown", *placer.place(box_r, x_range=band), (side,))
+                 for band, side in zip(bands, LOCATIONS)]
+        target_box, tail = boxes[LOCATIONS.index(loc)], f"into the {loc} brown box"
 
-    shapes = _sample_distinct(rng, _shape_pool("seen"), 1 + n_distractors)
-    target_shape_name = _choice(rng, _shape_pool(task.split))
-    if target_shape_name in shapes:
-        shapes.remove(target_shape_name)
-    else:
-        shapes = shapes[:n_distractors]
-    target = _spawn_shape(next(ids), target_shape_name, _choice(rng, colors), placer, rng)
-    objects.append(target)
-    for s in shapes:
-        objects.append(_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng))
+    shape_name, distractors = _target_and_distractors(rng, task.split, 5, 4)
+    target = _spawn_shape(next(ids), shape_name, _choice(rng, colors), placer, rng)
+    objects = boxes + [target] + [_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng)
+                                  for s in distractors]
+    return (objects, f"pack the {shape_name} {tail}",
+            GoalInfo("contain", (target.id,), (target_box.id,)))
 
-    if name == "packing_shapes":
-        instruction = f"pack the {target_shape_name} in the brown box"
-    elif name == "packing_color_box":
-        instruction = f"pack the {target_shape_name} in the {target_box.color} box"
-    else:
-        loc_word = "left" if "left" in target_box.attributes else "right"
-        instruction = f"pack the {target_shape_name} into the {loc_word} brown box"
-    return objects, instruction, GoalInfo("contain", (target.id,), (target_box.id,))
+
+# Column bands (target box, other box, references) per (nested, relation)
+# that let exactly one box satisfy the relation(s). In "left of the star right
+# of the diamond" the second reference sits on the far side, so both
+# attachment readings pick the same box.
+_PREPOSITION_BANDS = {
+    (False, "left"): ((6, 40), (88, 122), (58, 70)),
+    (False, "right"): ((88, 122), (6, 40), (58, 70)),
+    (True, "left"): ((40, 56), (94, 122), (68, 82), (6, 26)),
+    (True, "right"): ((72, 88), (6, 34), (46, 60), (102, 122)),
+}
 
 
 def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
@@ -353,62 +356,25 @@ def _build_prepositions(task: TaskSpec, rng: np.random.Generator, placer: _Place
     colors = _color_pool(task.split)
     rel = _choice(rng, LOCATIONS)
     box_r = BOX_SIZE * world.unit_circumradius("box")
-    margin = 16.0
 
-    # Column bands force exactly one box to satisfy the stated relation(s).
-    if nested:
-        # e.g. "left of the star right of the diamond": the second reference
-        # sits on the far side so both attachment readings pick the same box.
-        if rel == "left":
-            bands = [(6, 26), (40, 56), (68, 82), (94, 122)]
-            ref2_band, target_band, ref1_band, other_band = bands
-        else:
-            bands = [(6, 34), (46, 60), (72, 88), (102, 122)]
-            other_band, ref1_band, target_band, ref2_band = bands
-    else:
-        if rel == "left":
-            target_band, ref1_band, other_band = (6, 40), (58, 70), (88, 122)
-        else:
-            other_band, ref1_band, target_band = (6, 40), (58, 70), (88, 122)
+    bands = _PREPOSITION_BANDS[nested, rel]
+    objects = [_box(next(ids), "brown", *placer.place(box_r, x_range=band)) for band in bands[:2]]
+    target_box, ref_bands = objects[0], bands[2:]
 
-    tx, ty = placer.place(box_r, x_range=target_band)
-    ox, oy = placer.place(box_r, x_range=other_band)
-
-    target_box = _box(next(ids), "brown", tx, ty)
-    other_box = _box(next(ids), "brown", ox, oy)
-    objects = [target_box, other_box]
-
-    pool = list(_shape_pool("seen"))
-    names = _sample_distinct(rng, pool, 4)
-    target_shape_name = _choice(rng, _shape_pool(task.split))
-    if target_shape_name in names:
-        names.remove(target_shape_name)
-    names = names[: (4 - (2 if nested else 1))]
-    needed = 2 if nested else 1
-    refs = _sample_distinct(rng, [s for s in pool if s not in names and s != target_shape_name], needed)
-
-    shape_r = SHAPE_SIZE * 1.4
-    ref_objs = []
-    ref_bands = [ref1_band, ref2_band] if nested else [ref1_band]
+    shape_name, names = _target_and_distractors(rng, task.split, 4, 4 - len(ref_bands))
+    refs = _sample_distinct(rng, [s for s in SEEN_SHAPES
+                                  if s not in names and s != shape_name], len(ref_bands))
     for band, ref_name in zip(ref_bands, refs):
-        rxx, ryy = placer.place(shape_r, x_range=band)
-        obj = world.SceneObject(next(ids), world.ITEM, ref_name, _choice(rng, colors),
-                                rxx, ryy, angle=float(rng.uniform(0, 2 * math.pi)),
-                                size=SHAPE_SIZE, attributes=("shape",))
-        ref_objs.append(obj)
-        objects.append(obj)
+        x, y = placer.place(SHAPE_SIZE * 1.4, x_range=band)
+        objects.append(_shape(next(ids), ref_name, _choice(rng, colors), x, y, rng))
 
-    target = _spawn_shape(next(ids), target_shape_name, _choice(rng, colors), placer, rng)
-    objects.append(target)
-    for s in names:
-        objects.append(_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng))
+    target = _spawn_shape(next(ids), shape_name, _choice(rng, colors), placer, rng)
+    objects += [target] + [_spawn_shape(next(ids), s, _choice(rng, colors), placer, rng)
+                           for s in names]
 
-    other_rel = "right" if rel == "left" else "left"
+    instruction = f"pack the {shape_name} into the brown box {rel} of the {refs[0]}"
     if nested:
-        instruction = (f"pack the {target_shape_name} into the brown box {rel} of the "
-                       f"{refs[0]} {other_rel} of the {refs[1]}")
-    else:
-        instruction = f"pack the {target_shape_name} into the brown box {rel} of the {refs[0]}"
+        instruction += f" {'right' if rel == 'left' else 'left'} of the {refs[1]}"
     return objects, instruction, GoalInfo("contain", (target.id,), (target_box.id,))
 
 
@@ -416,29 +382,13 @@ def _build_bowls(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids)
     colors = _color_pool(task.split)
     block_color, bowl_color, distract_color = _sample_distinct(rng, colors, 3)
     n_blocks = int(rng.integers(2, 4))
-    objects = []
+    block_r = BLOCK_SIZE * 1.05
 
-    bowl_r = BOWL_SIZE
-    bowls = []
-    for _ in range(n_blocks):
-        x, y = placer.place(bowl_r)
-        bowls.append(world.SceneObject(next(ids), world.CONTAINER, "bowl", bowl_color,
-                                       x, y, size=BOWL_SIZE))
-    x, y = placer.place(bowl_r)
-    objects.extend(bowls)
-    objects.append(world.SceneObject(next(ids), world.CONTAINER, "bowl", distract_color,
-                                     x, y, size=BOWL_SIZE))
-
-    blocks = []
-    for _ in range(n_blocks):
-        x, y = placer.place(BLOCK_SIZE * 1.05)
-        blocks.append(world.SceneObject(next(ids), world.ITEM, "block", block_color,
-                                        x, y, size=BLOCK_SIZE, attributes=("blocks",)))
-    objects.extend(blocks)
-    for _ in range(int(rng.integers(0, 3))):
-        x, y = placer.place(BLOCK_SIZE * 1.05)
-        objects.append(world.SceneObject(next(ids), world.ITEM, "block", distract_color,
-                                         x, y, size=BLOCK_SIZE, attributes=("blocks",)))
+    bowls = [_bowl(next(ids), bowl_color, *placer.place(BOWL_SIZE)) for _ in range(n_blocks)]
+    objects = bowls + [_bowl(next(ids), distract_color, *placer.place(BOWL_SIZE))]
+    blocks = [_block(next(ids), block_color, *placer.place(block_r)) for _ in range(n_blocks)]
+    objects += blocks + [_block(next(ids), distract_color, *placer.place(block_r))
+                         for _ in range(int(rng.integers(0, 3)))]
 
     instruction = f"put the {block_color} blocks in a {bowl_color} bowl"
     goal = GoalInfo("bowls", tuple(b.id for b in blocks), tuple(b.id for b in bowls))
@@ -451,62 +401,43 @@ def _build_separating(task: TaskSpec, rng: np.random.Generator, placer: _Placer,
     block_color = _choice(rng, colors)
     loc = _choice(rng, LOCATIONS)
     if located:
-        zone_color = _choice(rng, [c for c in SEEN_COLORS if c != block_color])
-        left_color = right_color = zone_color
+        zone_colors = (_choice(rng, [c for c in SEEN_COLORS if c != block_color]),) * 2
     else:
         target_color = _choice(rng, [c for c in SHARED_COLORS if c != block_color])
         other_color = _choice(rng, [c for c in SEEN_COLORS
                                     if c not in (block_color, target_color)])
-        left_color, right_color = ((target_color, other_color) if loc == "left"
-                                   else (other_color, target_color))
-    n_blocks = 6
-    zone_r = ZONE_SIZE * world.unit_circumradius("square")
-
-    lx, ly = placer.place(zone_r, x_range=(0, 44))
-    rx, ry = placer.place(zone_r, x_range=(84, WORKSPACE_W))
-
-    left_zone = _zone(next(ids), left_color, lx, ly, extra=("left",))
-    right_zone = _zone(next(ids), right_color, rx, ry, extra=("right",))
-    target_zone = left_zone if loc == "left" else right_zone
-    if located:
-        instruction = f"push the pile of {block_color} blocks into the {loc} square"
-    else:
-        instruction = f"push the pile of {block_color} blocks into the {target_zone.color} square"
+        zone_colors = ((target_color, other_color) if loc == "left"
+                       else (other_color, target_color))
+    zones = _zones(ids, _zone_sites(placer), zone_colors)
+    target_zone = zones[LOCATIONS.index(loc)]
+    where = loc if located else target_zone.color
+    instruction = f"push the pile of {block_color} blocks into the {where} square"
 
     cluster_x = float(rng.uniform(54, 74))
     cluster_y = float(rng.uniform(20, 44))
-    blocks = []
-    for _ in range(n_blocks):
-        x, y = placer.place(BLOCK_SIZE, x_range=(cluster_x - 13, cluster_x + 13),
-                            y_range=(cluster_y - 11, cluster_y + 11), pad=2.5)
-        blocks.append(world.SceneObject(next(ids), world.ITEM, "block", block_color,
-                                        x, y, size=BLOCK_SIZE, attributes=("blocks",)))
+    blocks = [_block(next(ids), block_color,
+                     *placer.place(BLOCK_SIZE, x_range=(cluster_x - 13, cluster_x + 13),
+                                   y_range=(cluster_y - 11, cluster_y + 11), pad=2.5))
+              for _ in range(6)]
 
     goal = GoalInfo("zone_fraction", tuple(b.id for b in blocks), (target_zone.id,))
-    return [left_zone, right_zone] + blocks, instruction, goal
+    return zones + blocks, instruction, goal
 
 
 def _build_pushing_shapes(task: TaskSpec, rng: np.random.Generator, placer: _Placer, ids):
     colors = _color_pool(task.split)
-    zone_r = ZONE_SIZE * world.unit_circumradius("square")
-    lx, ly = placer.place(zone_r, x_range=(0, 44))
-    rx, ry = placer.place(zone_r, x_range=(84, WORKSPACE_W))
-    zone_colors = _sample_distinct(rng, SHARED_COLORS if task.split == "unseen" else colors, 2)
-
-    left_zone = _zone(next(ids), zone_colors[0], lx, ly, extra=("left",))
-    right_zone = _zone(next(ids), zone_colors[1], rx, ry, extra=("right",))
+    sites = _zone_sites(placer)
+    zones = _zones(ids, sites, _sample_distinct(
+        rng, SHARED_COLORS if task.split == "unseen" else colors, 2))
     loc = _choice(rng, LOCATIONS)
-    target_zone = left_zone if loc == "left" else right_zone
+    target_zone = zones[LOCATIONS.index(loc)]
 
     shape_color = _choice(rng, colors)
     shape_name = _choice(rng, _shape_pool(task.split))
     combos = {(shape_color, shape_name)}
-    objects = [left_zone, right_zone]
-    x, y = placer.place(SHAPE_SIZE * 1.4, x_range=(50, 78))
-    target = world.SceneObject(next(ids), world.ITEM, shape_name, shape_color, x, y,
-                               angle=float(rng.uniform(0, 2 * math.pi)),
-                               size=SHAPE_SIZE, attributes=("shape",))
-    objects.append(target)
+    target = _shape(next(ids), shape_name, shape_color,
+                    *placer.place(SHAPE_SIZE * 1.4, x_range=(50, 78)), rng)
+    objects = zones + [target]
     all_shapes = SEEN_SHAPES + UNSEEN_SHAPES
     for _ in range(4):
         for _ in range(50):
@@ -535,6 +466,8 @@ _BUILDERS = {
     "separating_location_piles": _build_separating,
     "pushing_shapes": _build_pushing_shapes,
 }
+# Dict order is each task's seeding index.
+TASK_NAMES = tuple(_BUILDERS)
 
 
 def generate_episode(task: TaskSpec, seed: int) -> Episode:

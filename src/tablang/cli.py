@@ -23,7 +23,8 @@ EXIT_PARSE = 2
 EXIT_EXEC = 3
 
 # What loading a lexicon, scene, weights file or eval config may raise.
-LOAD_ERRORS = (OSError, ValueError, TypeError, KeyError, ccg.LexiconError, world.OutOfBounds)
+LOAD_ERRORS = (OSError, ValueError, TypeError, KeyError, OverflowError, ccg.LexiconError,
+               world.OutOfBounds)
 
 
 def _load_lexicon(path: str | None) -> ccg.Lexicon:
@@ -146,24 +147,20 @@ def cmd_run(args) -> int:
 def _tasks_from_config(config: dict) -> list[benchmark.TaskSpec]:
     if not isinstance(config, dict) or not isinstance(config.get("tasks"), list):
         raise ValueError('the config must be an object with a "tasks" list')
+    formats.known_keys(config, ("tasks", "split", "episodes", "seed", "rotations", "backend",
+                                "lexicon", "weights", "grounding"), "config")
+    if not config["tasks"]:
+        raise ValueError("the task list is empty")
     tasks = []
     for entry in config["tasks"]:
         if isinstance(entry, str):
             tasks.append(benchmark.TaskSpec(entry, config.get("split", "seen")))
         elif isinstance(entry, dict):
+            formats.known_keys(entry, ("name", "split"), "task")
             tasks.append(benchmark.TaskSpec(entry["name"], entry.get("split", "seen")))
         else:
             raise ValueError(f"a task must be a name or an object, not {entry!r}")
     return tasks
-
-
-def _integer(name: str, value, least: int) -> int:
-    """value, if an integer >= least; a bool, float or string is not truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return value
 
 
 def cmd_eval(args) -> int:
@@ -184,17 +181,18 @@ def cmd_eval(args) -> int:
                 "weights": args.weights,
             }
         tasks = _tasks_from_config(config)
-        episodes = _integer("episodes", config.get("episodes", 10), 1)
-        seed = _integer("seed", config.get("seed", 0), 0)
-        rotations = _integer("rotations", config.get("rotations", 12), 1)
+        episodes = formats.json_number("episodes", config.get("episodes", 10), True, 1)
+        seed = formats.json_number("seed", config.get("seed", 0), True, 0)
+        rotations = formats.json_number("rotations", config.get("rotations", 12), True, 1)
         for key in ("lexicon", "weights"):
             if not isinstance(config.get(key), (str, type(None))):
                 raise ValueError(f"{key} must be a path or null, not {config[key]!r}")
         lexicon = _load_lexicon(config.get("lexicon"))
-        ground_shape = None
-        if config.get("grounding"):
-            gh, gw = config["grounding"]
-            ground_shape = (_integer("grounding", gh, 1), _integer("grounding", gw, 1))
+        ground_shape = config.get("grounding")
+        if "grounding" in config:
+            if not (isinstance(ground_shape, list) and len(ground_shape) == 2):
+                raise ValueError(f"grounding must be [height, width], not {ground_shape!r}")
+            ground_shape = tuple(formats.json_number("grounding", n, True, 1) for n in ground_shape)
         backend = make_backend(config.get("backend", "oracle"), ground_shape,
                                config.get("weights"))
         out = _out_dir(args)

@@ -1,4 +1,5 @@
-"""Small textual/binary file formats: PGM/PPM dumps and weight matrices."""
+"""Small textual/binary file formats: PGM/PPM dumps, weight matrices and
+JSON field checks."""
 
 from __future__ import annotations
 
@@ -45,6 +46,23 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
+def json_number(name: str, value, integer: bool = False, least=None):
+    """value if it is a JSON integer (or, unless integer, a JSON float) not
+    below least; a bool, a string or, for an integer, a float is not coerced."""
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def known_keys(data: dict, keys, what: str) -> None:
+    """ValueError naming a key of the JSON object data that is not in keys."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 def _write_matrix(lines: list[str], name: str, matrix: np.ndarray) -> None:
     rows, cols = matrix.shape
     lines.append(f"{name} {rows} {cols}")
@@ -70,12 +88,13 @@ def load_projection_weights(path) -> ProjectionWeights:
             continue
         name, rows, cols = line.split()
         rows, cols = int(rows), int(cols)
-        data = [[float(v) for v in tokens[i + r].split()] for r in range(rows)]
+        data = [[float(v) for v in row.split()] for row in tokens[i:i + rows]]
         i += rows
-        mat = np.array(data, dtype=np.float64)
-        if mat.shape != (rows, cols):
-            raise ValueError(f"matrix {name}: bad row widths")
-        matrices[name] = mat
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise ValueError(f"matrix {name}: expected {rows} rows of {cols} numbers")
+        if name in matrices:
+            raise ValueError(f"matrix {name} appears twice")
+        matrices[name] = np.array(data, dtype=np.float64)
     if set(matrices) != {"cv", "cl"}:
         raise ValueError("weights file must contain exactly cv and cl")
     return ProjectionWeights(matrices["cv"], matrices["cl"])

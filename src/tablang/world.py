@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .grounding import FeatureMap, axis_coords
 
 ITEM = "item"
@@ -508,24 +509,29 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data) -> Scene:
-    """The scene a scene_to_dict mapping describes; ValueError unless data is
-    an object whose objects are a list of objects with string attributes.
-    An absent angle or size takes SceneObject's default."""
+    """The scene a scene_to_dict mapping describes (angle, size and seed may
+    be absent); ValueError on an unknown key, a number of the wrong JSON type,
+    or anything but an "objects" list of objects with string attributes."""
     if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
         raise ValueError('a scene must be an object with an "objects" list')
+    formats.known_keys(data, ("width", "height", "seed", "objects"), "scene")
     for d in data["objects"]:
         attrs = d.get("attributes", []) if isinstance(d, dict) else None
         if not (isinstance(attrs, (list, tuple)) and all(isinstance(a, str) for a in attrs)):
             raise ValueError(f"not an object with a list of string attributes: {d!r}")
+        formats.known_keys(d, SceneObject.__dataclass_fields__, "object")
+    num = formats.json_number
     objects = tuple(
         SceneObject(
-            id=int(d["id"]), kind=d["kind"], shape=d["shape"], color=d["color"],
-            x=float(d["x"]), y=float(d["y"]), attributes=tuple(d.get("attributes", ())),
-            **{k: float(d[k]) for k in ("angle", "size") if k in d},
+            id=num("id", d["id"], True), kind=d["kind"], shape=d["shape"], color=d["color"],
+            x=float(num("x", d["x"])), y=float(num("y", d["y"])),
+            attributes=tuple(d.get("attributes", ())),
+            **{k: float(num(k, d[k])) for k in ("angle", "size") if k in d},
         )
         for d in data["objects"]
     )
-    return Scene(int(data["width"]), int(data["height"]), objects, int(data.get("seed", 0)))
+    return Scene(num("width", data["width"], True), num("height", data["height"], True),
+                 objects, num("seed", data.get("seed", 0), True))
 
 
 def save_scene(path, scene: Scene) -> None:

@@ -1,11 +1,18 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablang import benchmark as bm
 from tablang import cli, world
@@ -260,7 +267,9 @@ NARROW_CV = "cv 2 2\n1 0\n0 1\ncl 2 2\n1 0\n0 1\n"
 @pytest.mark.parametrize("text", [
     "cv 2 2\n1 0\n0 1\ncl 2 3\n1 0 0\n0 1 0\n",  # cl not square
     "cv 2 2\n1 0\n0 nan\ncl 2 2\n1 0\n0 1\n",    # non-finite entry
-], ids=["non_square_cl", "nan"])
+    "cv 3 2\n1 0\n",                                # rows missing
+    "cv 2 2\n1 0\n0 1\ncl 2 2\n1 0\n0 1\ncv 2 2\n1 0\n0 1\n",  # cv twice
+], ids=["non_square_cl", "nan", "truncated", "duplicate_cv"])
 @pytest.mark.parametrize("command", ["run", "repl", "eval"])
 def test_unusable_weights_file(tmp_path, scene_file, command, text):
     path, ep = scene_file
@@ -333,8 +342,22 @@ def set_on_first(kind, key, value):
     set_on_first("item", "angle", math.inf),
     set_on_first("item", "attributes", "star"),
     set_on_first("item", "x", None),
+    lambda data: {**data, "width": 128.9},
+    lambda data: {**data, "height": "64"},
+    lambda data: {**data, "seed": 3.7},
+    lambda data: {**data, "seed": True},
+    set_on_first("item", "id", 2.7),
+    set_on_first("item", "id", "9"),
+    set_on_first("item", "x", "20"),
+    set_on_first("item", "size", "5"),
+    set_on_first("item", "angle", False),
+    set_on_first("item", "angel", 1.0),
+    lambda data: {**data, "extra": 1},
+    set_on_first("item", "x", 10**400),
 ], ids=["list", "null", "objects_not_list", "disc_container", "infinite_angle",
-        "string_attributes", "null_x"])
+        "string_attributes", "null_x", "float_width", "string_height", "float_seed",
+        "bool_seed", "float_id", "string_id", "string_x", "string_size", "bool_angle",
+        "unknown_object_key", "unknown_scene_key", "huge_int_x"])
 def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
     path, ep = scene_file
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
@@ -358,6 +381,14 @@ def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
     {"tasks": ["packing_shapes"], "episodes": 1.9},
     {"tasks": ["packing_shapes"], "episodes": 1, "rotations": True},
     {"tasks": ["packing_shapes"], "episodes": 1, "seed": "3"},
+    {"tasks": ["packing_shapes"], "episode": 1},
+    {"tasks": ["packing_shapes"], "episodes": 1, "extra_key": 3},
+    {"tasks": [{"name": "packing_shapes", "spilt": "unseen"}], "episodes": 1},
+    {"tasks": [], "episodes": 1},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": []},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": False},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": None},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [16, 32, 1]},
 ])
 def test_eval_malformed_config_is_config_error(tmp_path, config):
     """A mistyped field exits 1; it is neither truncated nor read as a path
@@ -381,3 +412,127 @@ def test_eval_negative_seed_is_config_error(tmp_path, source):
     out = run_cli("eval", *where, "--output-dir", str(tmp_path / "o"))
     assert_clean_exit_1(out)
     assert out.stderr.startswith("config error:")
+
+
+# --------------------------------------------------------------------------
+# Mutated input files, fed to cli.main in-process
+
+# Small integers keep a mutated episode count, rotation count, grounding
+# shape or workspace size cheap to run.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+def _entries(node, path=()):
+    """The path of every object member and array item under node."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _entries(child, path + (key,))
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """A copy of doc with one member renamed, one value replaced by a random
+    JSON value, or one member or item dropped; and 1 when that must exit 1
+    (a renamed key, or a bool or string where a number was), else None."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_entries(doc))))
+    parent, key = functools.reduce(operator.getitem, path[:-1], doc), path[-1]
+    ops = ("rename", "replace", "drop") if isinstance(parent, dict) else ("replace", "drop")
+    op = draw(st.sampled_from(ops))
+    if op == "rename":
+        # No scene or config key starts with a capital, so the new name is
+        # never another valid key.
+        parent[draw(st.from_regex(r"[A-Z][a-z_]{0,5}", fullmatch=True))] = parent.pop(key)
+        return doc, 1
+    if op == "drop":
+        del parent[key]
+        return doc, None
+    old, parent[key] = parent[key], draw(JSON_VALUES)
+    numeric = type(old) in (int, float)
+    return doc, 1 if numeric and isinstance(parent[key], (bool, str)) else None
+
+
+@st.composite
+def mutated_weights(draw, text):
+    """text truncated before its last character, a matrix renamed or dropped,
+    or one token replaced by a random JSON value; and 1 when that must exit
+    1 (all but a replaced token), else None."""
+    op = draw(st.sampled_from(("truncate", "rename", "drop", "replace")))
+    if op == "truncate":
+        return text[:draw(st.integers(0, len(text.rstrip()) - 1))], 1
+    lines = text.split("\n")
+    if op == "replace":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+        tokens = lines[i].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = json.dumps(draw(JSON_VALUES))
+        lines[i] = " ".join(tokens)
+        return "\n".join(lines), None
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line[:1].isalpha()]))
+    name, rows, cols = lines[i].split()
+    if op == "rename":
+        new = draw(st.from_regex(r"[a-z]{1,3}", fullmatch=True).filter(lambda n: n != name))
+        lines[i] = f"{new} {rows} {cols}"
+    else:
+        del lines[i:i + 1 + int(rows)]
+    return "\n".join(lines), 1
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """(directory holding the episode's scene.json, episode, scene dict,
+    identity weights text, eval config) that run and eval accept as they are."""
+    where = tmp_path_factory.mktemp("inputs")
+    ep = bm.generate_episode(bm.TaskSpec("packing_shapes"), 7)
+    world.save_scene(where / "scene.json", ep.scene)
+    n = len(world.features(ep.scene, (ep.scene.height, ep.scene.width))[1])
+    eye = [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+    weights = "\n".join([f"cv {n} {n}", *eye, f"cl {n} {n}", *eye]) + "\n"
+    config = {"tasks": [{"name": "packing_shapes", "split": "seen"}], "episodes": 1,
+              "seed": 0, "rotations": 12, "backend": "oracle", "grounding": [16, 32],
+              "lexicon": None, "weights": None}
+    return where, ep, world.scene_to_dict(ep.scene), weights, config
+
+
+def main_in_process(argv):
+    """cli.main(argv) with empty stdin: (exit code, stderr)."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO()), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["scene", "weights", "config"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_input_file_exits_cleanly(input_files, kind, data):
+    """A mutated scene (run), weights file (run, embedding backend) or eval
+    config (eval, one episode of one task) ends in an exit code, never an
+    exception or traceback; a renamed key, a bool or string in a numeric
+    field, and a truncated or dropped matrix exit 1."""
+    where, ep, scene, weights, config = input_files
+    path = where / kind
+    run = ["run", "--scene", str(path), ep.instruction]
+    if kind == "scene":
+        doc, expected = data.draw(mutated_json(scene))
+        path.write_text(json.dumps(doc))
+    elif kind == "config":
+        doc, expected = data.draw(mutated_json(config))
+        path.write_text(json.dumps(doc))
+        run = ["eval", "--config", str(path)]
+    else:
+        text, expected = data.draw(mutated_weights(weights))
+        path.write_text(text)
+        run = ["run", "--scene", str(where / "scene.json"), "--backend", "embedding",
+               "--weights", str(path), ep.instruction]
+    code, err = main_in_process(run + ["--output-dir", str(where / "out")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if expected == 1:
+        assert code == 1 and "error:" in err, err
