@@ -202,7 +202,9 @@ def _unit_test(shape: str, inset: float = 0.0):
         return lambda ux, uy: (abs(ux) <= hx) & (abs(uy) <= hy)
     if shape in _DISCS:
         r = _DISCS[shape] - inset
-        return lambda ux, uy: ux * ux + uy * uy <= r * r
+        # Walls thicker than the radius leave no interior: r * r alone would
+        # turn a negative r back into a disc, larger than the footprint.
+        return lambda ux, uy: (ux * ux + uy * uy <= r * r) & (r >= 0.0)
     if shape in _RINGS:
         ro, ri = _RINGS[shape]
 

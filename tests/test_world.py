@@ -350,7 +350,7 @@ def reference_masks(obj, hw, ys=None, xs=None):
         hx, hy = world._RECTS["box"]
         return foot, (np.abs(ux) <= hx - inset) & (np.abs(uy) <= hy - inset)
     r = world._DISCS["bowl"] - inset
-    return foot, ux * ux + uy * uy <= r * r
+    return foot, (ux * ux + uy * uy <= r * r) & (r >= 0.0)
 
 
 LATTICES = ("pixel", "grounding", "padded", "point")
@@ -391,11 +391,13 @@ def lattice_args(lattice, width, height, point):
 @example(("letter-t", ITEM, 24, 16, 12.0, 8.0, 0.0, 4.0, "padded", (0.0, 0.0)))
 @example(("star", ITEM, 24, 16, 12.0, 8.0, 0.0, 4.0, "point", (4.0, 12.0)))
 @example(("letter-l", ITEM, 24, 16, 0.0, 0.0, 0.0, 1.0, "point", (0.3999999999999999, -0.5)))
+@example(("bowl", CONTAINER, 1, 3, 0.0, 0.5, 0.0, 0.5, "pixel", (0.0, 0.0)))
 def test_windowed_masks_match_full_lattice(case):
     """The letter-t examples put horizontal edges on lattice rows; the
     letter-l one samples the row where -1.0 + 1.4 rounds to just below the
     vertex at 0.4, so a crossing test on y1 + dy instead of y2 misses the
-    edge there."""
+    edge there. The bowl one has walls thicker than its radius, so its
+    interior is empty, not a disc of the negative inner radius."""
     shape, kind, width, height, x, y, angle, size, lattice, point = case
     obj = SceneObject(1, kind, shape, "red", x, y, angle=angle, size=size)
     hw, ys, xs = lattice_args(lattice, width, height, point)
