@@ -126,40 +126,36 @@ def parse_category(text: str) -> Category:
 
 
 # --------------------------------------------------------------------------
-# Semantic terms: dsl program trees with binders (Lam, Var, App, Slot). The
+# Semantic terms: dsl program trees with binders (Lam, Var, App, Slot). A Var
+# is a de Bruijn index, so alpha-equivalent terms are equal as values. The
 # walks read a node's fields as vars(node).values(), dsl.fields inlined: the
 # chart normalizes every combination, and a call per node shows in parse time.
 
 
-def free_vars(term: ProgramNode) -> set[str]:
+def _shift(term, by: int, cutoff: int = 0):
+    """term with by added to every index that points past its cutoff binders."""
     if isinstance(term, Var):
-        return {term.name}
+        return Var(term.index + by) if term.index >= cutoff else term
     if isinstance(term, Lam):
-        return free_vars(term.body) - {term.param}
-    out: set[str] = set()
-    for value in vars(term).values():
-        if isinstance(value, ProgramNode):
-            out |= free_vars(value)
-    return out
-
-
-def _subst(term, name: str, value: ProgramNode):
-    if isinstance(term, Var):
-        return value if term.name == name else term
-    if isinstance(term, Lam):
-        if term.param == name:
-            return term
-        if term.param in free_vars(value):
-            fresh = term.param
-            taken = free_vars(value) | free_vars(term.body)
-            while fresh in taken:
-                fresh += "'"
-            body = _subst(term.body, term.param, Var(fresh))
-            return Lam(fresh, _subst(body, name, value))
-        return Lam(term.param, _subst(term.body, name, value))
+        return Lam(_shift(term.body, by, cutoff + 1))
     if isinstance(term, ProgramNode):
-        return type(term)(*[_subst(v, name, value) for v in vars(term).values()])
+        return type(term)(*[_shift(v, by, cutoff) for v in vars(term).values()])
     return term
+
+
+def _open(body, arg: ProgramNode, depth: int = 0):
+    """body, a Lam's body depth binders down, with arg for the Lam's variable:
+    arg is shifted over those binders, and the indices of binders outside
+    the Lam drop by one."""
+    if isinstance(body, Var):
+        if body.index == depth:
+            return _shift(arg, depth) if depth else arg
+        return Var(body.index - 1) if body.index > depth else body
+    if isinstance(body, Lam):
+        return Lam(_open(body.body, arg, depth + 1))
+    if isinstance(body, ProgramNode):
+        return type(body)(*[_open(v, arg, depth) for v in vars(body).values()])
+    return body
 
 
 def beta_normalize(term):
@@ -167,47 +163,24 @@ def beta_normalize(term):
         fn = beta_normalize(term.fn)
         arg = beta_normalize(term.arg)
         if isinstance(fn, Lam):
-            return beta_normalize(_subst(fn.body, fn.param, arg))
+            return beta_normalize(_open(fn.body, arg))
         return App(fn, arg)
-    if isinstance(term, Lam):
-        return Lam(term.param, beta_normalize(term.body))
     if isinstance(term, ProgramNode) and type(term) is not Var:
         return type(term)(*map(beta_normalize, vars(term).values()))
     return term
 
 
-def _alpha_walk(t, env: dict[str, str], counter: itertools.count):
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, Lam):
-        fresh = f"v{next(counter)}"
-        return Lam(fresh, _alpha_walk(t.body, {**env, t.param: fresh}, counter))
-    if isinstance(t, ProgramNode):
-        return type(t)(*[_alpha_walk(v, env, counter) for v in vars(t).values()])
-    return t
-
-
-def alpha_normalize(term: ProgramNode) -> ProgramNode:
-    """Rename binders to v0, v1, ... in traversal order so that structural
-    equality coincides with alpha equivalence."""
-    return _alpha_walk(term, {}, itertools.count())
-
-
-def canonical(term: ProgramNode) -> ProgramNode:
-    return alpha_normalize(beta_normalize(term))
-
-
 def apply_sem(fn: ProgramNode, arg: ProgramNode) -> ProgramNode | None:
     if not isinstance(fn, Lam):
         return None
-    # Chart items are canonical already, so only the substituted body needs normalizing.
-    return alpha_normalize(beta_normalize(_subst(fn.body, fn.param, arg)))
+    # Chart items are normal already, so only the opened body needs normalizing.
+    return beta_normalize(_open(fn.body, arg))
 
 
 def parse_template(text: str) -> ProgramNode:
     """Read a lexicon template: dsl program syntax plus \\x. binders."""
     try:
-        return canonical(dsl.read(text))
+        return beta_normalize(dsl.read(text))
     except dsl.ProgramSyntaxError as exc:
         raise LexiconError(f"{exc} in template {text!r}") from None
 
@@ -233,12 +206,12 @@ def check_template(term: ProgramNode, cat: Category) -> None:
     """Verify the template's type matches the category image under the
     standard homomorphism (N -> Object, PP -> Object -> Goal, S -> Plan)."""
     expected = category_sem_type(cat)
-    env = {}
+    env = ()
     body = term
     while isinstance(body, Lam):
         if not isinstance(expected, tuple):
             raise LexiconError("template has more binders than the category")
-        env[body.param], expected = expected
+        env, expected = env + (expected[0],), expected[1]
         body = body.body
     try:
         found = dsl.type_check(body, env)
@@ -502,7 +475,7 @@ def _derivations_from_roots(roots) -> list[Derivation]:
 def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
     log priors of any novel-word assignments. Deterministic: ties break on
-    the canonical program string.
+    the program string.
 
     Joint assignments of the unknown words (at most MAX_JOINT_OOV) are
     ranked by summed log prior and cut to MAX_OOV_COMBOS; a sentence without

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import benchmark, ccg, dsl, formats, world
 from .backends import make_backend
-from .executor import PoseGrid
+from .executor import MAX_ROTATIONS, PoseGrid
 from .grounding import ExecutionError
 
 EXIT_OK = 0
@@ -183,7 +183,9 @@ def cmd_eval(args) -> int:
         tasks = _tasks_from_config(config)
         episodes = formats.json_number("episodes", config.get("episodes", 10), True, 1)
         seed = formats.json_number("seed", config.get("seed", 0), True, 0)
-        rotations = formats.json_number("rotations", config.get("rotations", 12), True, 1)
+        # run_episode builds its pose grid outside its error handling.
+        rotations = formats.json_number("rotations", config.get("rotations", 12), True, 1,
+                                        MAX_ROTATIONS)
         for key in ("lexicon", "weights"):
             if not isinstance(config.get(key), (str, type(None))):
                 raise ValueError(f"{key} must be a path or null, not {config[key]!r}")
@@ -192,7 +194,8 @@ def cmd_eval(args) -> int:
         if "grounding" in config:
             if not (isinstance(ground_shape, list) and len(ground_shape) == 2):
                 raise ValueError(f"grounding must be [height, width], not {ground_shape!r}")
-            ground_shape = tuple(formats.json_number("grounding", n, True, 1) for n in ground_shape)
+            ground_shape = tuple(formats.json_number("grounding", n, True, 1, world.MAX_SIDE)
+                                 for n in ground_shape)
         backend = make_backend(config.get("backend", "oracle"), ground_shape,
                                config.get("weights"))
         out = _out_dir(args)

@@ -6,10 +6,11 @@ of the operations: it drives the reader, the type checker and the printer.
 Concept words (properties, relations, action names) are carried as leaf
 tokens; the grounding layer decides what they mean spatially.
 
-The same trees, extended with binders (Lam), bound variables (Var),
-applications of bound variables (App) and open word positions (Slot), are
-the semantic templates of the CCG lexicon: read("\\x.filter(x, red)") is a
-template, and type_check types its body given the types of its variables.
+The same trees, extended with binders (Lam), bound variables (Var, as de
+Bruijn indices), applications of bound variables (App) and open word
+positions (Slot), are the semantic templates of the CCG lexicon:
+read("\\x.filter(x, red)") is a template, and type_check types its body
+given the types of its variables. Binder names exist only in program text.
 """
 
 from __future__ import annotations
@@ -127,12 +128,11 @@ class ActionConcat(ProgramNode):
 
 @dataclass(frozen=True)
 class Var(ProgramNode):
-    name: str
+    index: int  # binders between the variable and its own: 0 is the innermost Lam
 
 
 @dataclass(frozen=True)
 class Lam(ProgramNode):
-    param: str
     body: ProgramNode
 
 
@@ -179,11 +179,11 @@ def _type_name(t) -> str:
     return t.value
 
 
-def _check(node, env: dict, path: str):
+def _check(node, env: tuple, path: str):
     if isinstance(node, Var):
-        if node.name not in env:
-            raise TypeMismatch(path, "a bound variable", f"free variable {node.name}")
-        return env[node.name]
+        if not 0 <= node.index < len(env):
+            raise TypeMismatch(path, "a bound variable", f"free variable {node.index}")
+        return env[-1 - node.index]
     if isinstance(node, App):
         fn = _check(node.fn, env, f"{path}.0")
         if not isinstance(fn, tuple):
@@ -201,7 +201,7 @@ def _check(node, env: dict, path: str):
     return signature[2]
 
 
-def _expect(node, want, env: dict, path: str) -> None:
+def _expect(node, want, env: tuple, path: str) -> None:
     got = _check(node, env, path)
     if got != want:
         raise TypeMismatch(path, _type_name(want), _type_name(got))
@@ -214,46 +214,49 @@ def _expect_kind(tok, kind: str, path: str) -> None:
         raise TypeMismatch(path, _KIND_TYPE[kind].value, _KIND_TYPE[tok.kind].value)
 
 
-def type_check(node: ProgramNode, env: dict | None = None) -> SemanticType | tuple:
-    """Return the node's semantic type, or raise TypeMismatch. env maps the
-    names of bound variables to their types; without it, a variable or a
-    binder anywhere in the tree is a mismatch."""
-    return _check(node, env or {}, "0")
+def type_check(node: ProgramNode, env: tuple = ()) -> SemanticType | tuple:
+    """Return the node's semantic type, or raise TypeMismatch. env holds the
+    types of the binders around node, outermost first; a variable outside
+    them, or a binder anywhere in the tree, is a mismatch."""
+    return _check(node, env, "0")
 
 
 _BINDER_NAMES = "xyzwuvab"
 
 
 def serialize(node: ProgramNode) -> str:
-    """Text form, the inverse of read up to the names of binders. Scene() is
-    elided inside the innermost filter, so Filter(Scene(), hexagon) prints as
-    "filter(hexagon)". Binders print as x, y, z, ... by depth, and an open
-    word position as <word>, which read rejects."""
-    return _text(node, {}, 0)
+    """Text form, the inverse of read. Scene() is elided inside the innermost
+    filter, so Filter(Scene(), hexagon) prints as "filter(hexagon)". Binders
+    are named by depth (x, y, z, ..., x8, ...), free variables x-1, x-2, ...,
+    and an open word position prints as <word>, which read rejects."""
+    return _text(node, 0)
 
 
-def _text(node, env: dict, depth: int) -> str:
+def _binder_name(depth: int) -> str:
+    return _BINDER_NAMES[depth] if 0 <= depth < len(_BINDER_NAMES) else f"x{depth}"
+
+
+def _text(node, depth: int) -> str:
     signature = _BY_CLASS.get(type(node))
     if signature is not None:
         if isinstance(node, Filter) and isinstance(node.child, Scene):
-            return f"filter({_text(node.prop, env, depth)})"
-        inner = ", ".join([_text(value, env, depth) for value in fields(node)])
+            return f"filter({_text(node.prop, depth)})"
+        inner = ", ".join([_text(value, depth) for value in fields(node)])
         return f"{signature[0]}({inner})"
     if isinstance(node, ConceptToken):
         return node.word
     if isinstance(node, Slot):
         return "<word>"
     if isinstance(node, Var):
-        return env.get(node.name, node.name)
+        return _binder_name(depth - 1 - node.index)
     if isinstance(node, Lam):
-        name = _BINDER_NAMES[depth] if depth < len(_BINDER_NAMES) else f"x{depth}"
-        return f"\\{name}.{_text(node.body, {**env, node.param: name}, depth + 1)}"
+        return f"\\{_binder_name(depth)}.{_text(node.body, depth + 1)}"
     if isinstance(node, App):
         args = []
         while isinstance(node, App):
-            args.append(_text(node.arg, env, depth))
+            args.append(_text(node.arg, depth))
             node = node.fn
-        return f"{_text(node, env, depth)}({', '.join(reversed(args))})"
+        return f"{_text(node, depth)}({', '.join(reversed(args))})"
     raise TypeError(f"not a ProgramNode: {node!r}")
 
 
@@ -286,8 +289,9 @@ class _Reader:
         self.pos = m.end()
         return m.group(0)
 
-    def term(self, bound: frozenset[str], depth: int) -> ProgramNode | str:
-        """A subprogram, or a concept word as a str, nested depth levels deep."""
+    def term(self, bound: tuple[str, ...], depth: int) -> ProgramNode | str:
+        """A subprogram, or a concept word as a str, nested depth levels deep.
+        bound names the enclosing binders innermost first: a Var's index."""
         if depth > MAX_TERM_DEPTH:
             raise self.error(f"nests deeper than {MAX_TERM_DEPTH} operations and binders")
         self.skip_ws()
@@ -295,11 +299,11 @@ class _Reader:
             self.pos += 1
             param = self.name()
             self.expect(".")
-            return Lam(param, self.subprogram(bound | {param}, depth + 1))
+            return Lam(self.subprogram((param,) + bound, depth + 1))
         name = self.name()
         self.skip_ws()
         if self.peek() != "(":
-            return Var(name) if name in bound else name
+            return Var(bound.index(name)) if name in bound else name
         self.pos += 1
         args: list[ProgramNode | str] = []
         self.skip_ws()
@@ -312,7 +316,7 @@ class _Reader:
                 self.pos += 1
         self.expect(")")
         if name in bound:
-            node: ProgramNode = Var(name)
+            node: ProgramNode = Var(bound.index(name))
             for i, arg in enumerate(args):
                 node = App(node, self.argument(name, i, arg, None))
             return node
@@ -335,7 +339,7 @@ class _Reader:
             raise self.error(f"{name}: argument {i} must be a subprogram")
         return value
 
-    def subprogram(self, bound: frozenset[str], depth: int) -> ProgramNode:
+    def subprogram(self, bound: tuple[str, ...], depth: int) -> ProgramNode:
         node = self.term(bound, depth)
         if isinstance(node, str):
             raise self.error(f"expected a subprogram, found {node!r}")
@@ -344,11 +348,11 @@ class _Reader:
 
 def read(text: str) -> ProgramNode:
     """Parse program text into a tree, untyped. Besides the operations it
-    accepts binders (\\x. or λx.), bound variables and their applications
-    p(o), which is the syntax of lexicon templates. Text nested deeper than
-    MAX_TERM_DEPTH is a ProgramSyntaxError."""
+    accepts binders (\\x. or λx.), bound variables (read as indices) and their
+    applications p(o), the syntax of lexicon templates. Text nested deeper
+    than MAX_TERM_DEPTH is a ProgramSyntaxError."""
     reader = _Reader(text)
-    node = reader.subprogram(frozenset(), 0)
+    node = reader.subprogram((), 0)
     reader.skip_ws()
     if reader.pos != len(text):
         raise reader.error("trailing input")

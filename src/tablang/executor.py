@@ -77,6 +77,9 @@ HALF_PLANES = {
 # thinner than the true footprint, so obstacles are grown to keep placements
 # from physically stacking.
 OBSTACLE_PAD_PX = 2
+# Most rotations a pose grid takes, 6x the default: with scenes at most
+# world.MAX_SIDE square, the place scores fit in 72 x 1024 x 1024 float64 (0.6 GB).
+MAX_ROTATIONS = 72
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class PoseGrid:
     def __post_init__(self):
         if self.height < 1 or self.width < 1 or self.rotations < 1:
             raise ValueError("pose grid dimensions must be positive")
+        if self.rotations > MAX_ROTATIONS:
+            raise ValueError(f"rotations must be <= {MAX_ROTATIONS}")
 
     def angle(self, r: int) -> float:
         return 2.0 * math.pi * r / self.rotations

@@ -46,13 +46,16 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def json_number(name: str, value, integer: bool = False, least=None):
+def json_number(name: str, value, integer: bool = False, least=None, most=None):
     """value if it is a JSON integer (or, unless integer, a JSON float) not
-    below least; a bool, a string or, for an integer, a float is not coerced."""
+    below least nor above most; a bool, a string or, for an integer, a float
+    is not coerced."""
     if type(value) not in ((int,) if integer else (int, float)):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, not {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}")
     return value
 
 

@@ -31,6 +31,8 @@ WALL_PX = 2.0
 PUSH_HALF_WIDTH = 6.0
 # Rounds of workspace and container clamps an item gets to come to rest.
 SETTLE_ROUNDS = 8
+# Widest and highest scene a file may give, in pixels: 8x the generated workspace's width.
+MAX_SIDE = 1024
 
 COLORS: dict[str, tuple[float, float, float]] = {
     "red": (0.87, 0.18, 0.18),
@@ -532,7 +534,8 @@ def scene_from_dict(data) -> Scene:
         )
         for d in data["objects"]
     )
-    return Scene(num("width", data["width"], True), num("height", data["height"], True),
+    return Scene(num("width", data["width"], True, 1, MAX_SIDE),
+                 num("height", data["height"], True, 1, MAX_SIDE),
                  objects, num("seed", data.get("seed", 0), True))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -9,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablang import benchmark as bm
-from tablang import ccg, world
-from tablang.backends import EmbeddingBackend, OracleBackend
+from tablang import ccg, dsl, world
+from tablang.backends import EmbeddingBackend, OracleBackend, make_backend
 from tablang.benchmark import (
+    TASK_NAMES,
     Episode,
     GoalInfo,
     OutOfGrid,
@@ -23,8 +25,17 @@ from tablang.benchmark import (
     run_suite,
     score_success,
 )
-from tablang.executor import ControlParams, Pose2
-from tablang.grounding import ProjectionWeights
+from tablang.executor import (
+    DEFAULT_RELATION_KINDS,
+    PUSH_ACTIONS,
+    ControlParams,
+    EmptyGrounding,
+    NoFeasiblePlace,
+    Pose2,
+    PoseGrid,
+    select_pick,
+)
+from tablang.grounding import ProjectionWeights, resample
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +409,71 @@ def test_place_matches_scalar_loop(case):
     assert placer.placed == want_placed
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert rng.integers(2**31) == rng_ref.integers(2**31)
+
+
+# --------------------------------------------------------------------------
+# Random well-typed programs through the engine
+
+
+RELATION_WORDS = sorted(DEFAULT_RELATION_KINDS)
+
+
+@functools.lru_cache(maxsize=None)
+def generated_scene(name, split, seed):
+    return generate_episode(TaskSpec(name, split), seed).scene
+
+
+@st.composite
+def random_objects(draw, words, depth):
+    """An Object program over words, shaped like test_dsl.random_object."""
+    def prop():
+        return dsl.ConceptToken(draw(st.sampled_from(words)), dsl.PROPERTY)
+
+    if depth <= 0:
+        return dsl.Filter(dsl.Scene(), prop())
+    k = draw(st.integers(0, 3))
+    if k == 0:
+        return dsl.Scene()
+    if k == 1:
+        return dsl.Filter(draw(random_objects(words, depth - 1)), prop())
+    a, b = draw(random_objects(words, depth - 1)), draw(random_objects(words, depth - 1))
+    if k == 2:
+        return dsl.ObjUnion(a, b)
+    return dsl.Relate(a, b, dsl.ConceptToken(draw(st.sampled_from(RELATION_WORDS)),
+                                             dsl.RELATION))
+
+
+@st.composite
+def random_plans(draw, words, depth):
+    """A Plan program over words, shaped like test_dsl.random_plan."""
+    if depth > 0 and draw(st.integers(0, 3)) == 0:
+        return dsl.ActionConcat(draw(random_plans(words, depth - 1)),
+                                draw(random_plans(words, depth - 1)))
+    goal = dsl.Goal(draw(random_objects(words, depth - 1)), draw(random_objects(words, depth - 1)),
+                    dsl.ConceptToken(draw(st.sampled_from(RELATION_WORDS)), dsl.RELATION))
+    return dsl.Do(goal, dsl.ConceptToken(draw(st.sampled_from(("pack", "put", "push"))),
+                                         dsl.ACTION))
+
+
+@pytest.mark.parametrize("backend", ["oracle", "embedding"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_programs_step_cleanly(backend, data):
+    """A random program over a generated scene's own words and every relation
+    word either steps or raises EmptyGrounding or NoFeasiblePlace. A single
+    pick-place picks its recorded pick map's argmax and scores no place off
+    the upsampled reference, and the stepped scene stays in bounds."""
+    scene = generated_scene(data.draw(st.sampled_from(TASK_NAMES)),
+                            data.draw(st.sampled_from(("seen", "unseen"))),
+                            data.draw(st.integers(0, 2)))
+    program = data.draw(random_plans(world.attribute_vocabulary(scene), 2))
+    grid = PoseGrid(scene.height, scene.width)
+    try:
+        result, after = bm.step(program, scene, make_backend(backend), grid)
+    except (EmptyGrounding, NoFeasiblePlace):
+        return
+    world.check_bounds(after)
+    if isinstance(program, dsl.Do) and program.action.word not in PUSH_ACTIONS:
+        assert result.all_params[0].pick == select_pick(result.pick_map)
+        up_ref = resample(result.intermediates["0.0.1"], grid.height, grid.width).values
+        assert not result.place_map[:, up_ref == 0.0].any()

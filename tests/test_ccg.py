@@ -1,8 +1,12 @@
+import functools
 import gc
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablang import ccg, dsl
 from tablang.benchmark import TASK_NAMES, TaskSpec, generate_episode
@@ -335,13 +339,203 @@ def test_lexicon_weight_must_be_positive():
         Lexicon.from_string("red\tN/N\t\\x.filter(x, red)\t0\n")
 
 
-def test_alpha_normalize_leaves_no_cyclic_garbage():
+def test_beta_normalize_leaves_no_cyclic_garbage():
     term = parse_template(r"\o.\p.do(p(o), pack)")
     arg = parse_template(r"\y.\x.goal(x, y, in)")
     gc.disable()
     try:
         gc.collect()
-        assert ccg.canonical(ccg.App(term, arg)) is not None
+        assert ccg.beta_normalize(ccg.App(term, arg)) is not None
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_redex_under_binder_shifts_open_argument():
+    """\\z.(\\y.\\z.relate(z, y, left))(z): the argument z crosses the inner
+    binder, so it must not be captured by it."""
+    inner = dsl.Lam(dsl.Lam(dsl.Relate(dsl.Var(0), dsl.Var(1),
+                                       dsl.ConceptToken("left", dsl.RELATION))))
+    term = dsl.Lam(dsl.App(inner, dsl.Var(0)))
+    assert dsl.serialize(ccg.beta_normalize(term)) == "\\x.\\y.relate(y, x, left)"
+
+
+# --------------------------------------------------------------------------
+# Reference beta reduction over named binders, with capture-avoiding
+# substitution, on random well-typed templates
+
+
+@dataclass(frozen=True)
+class NVar(dsl.ProgramNode):
+    name: str
+
+
+@dataclass(frozen=True)
+class NLam(dsl.ProgramNode):
+    param: str
+    body: dsl.ProgramNode
+
+
+@dataclass(frozen=True)
+class NApp(dsl.ProgramNode):
+    fn: dsl.ProgramNode
+    arg: dsl.ProgramNode
+
+
+def named_free_vars(term) -> set[str]:
+    if isinstance(term, NVar):
+        return {term.name}
+    if isinstance(term, NLam):
+        return named_free_vars(term.body) - {term.param}
+    out: set[str] = set()
+    for value in vars(term).values():
+        if isinstance(value, dsl.ProgramNode):
+            out |= named_free_vars(value)
+    return out
+
+
+def named_subst(term, name: str, value):
+    if isinstance(term, NVar):
+        return value if term.name == name else term
+    if isinstance(term, NLam):
+        if term.param == name:
+            return term
+        if term.param in named_free_vars(value):
+            fresh = term.param
+            taken = named_free_vars(value) | named_free_vars(term.body)
+            while fresh in taken:
+                fresh += "'"
+            body = named_subst(term.body, term.param, NVar(fresh))
+            return NLam(fresh, named_subst(body, name, value))
+        return NLam(term.param, named_subst(term.body, name, value))
+    if isinstance(term, dsl.ProgramNode):
+        return type(term)(*[named_subst(v, name, value) for v in vars(term).values()])
+    return term
+
+
+def named_beta_normalize(term):
+    if isinstance(term, NApp):
+        fn = named_beta_normalize(term.fn)
+        arg = named_beta_normalize(term.arg)
+        if isinstance(fn, NLam):
+            return named_beta_normalize(named_subst(fn.body, fn.param, arg))
+        return NApp(fn, arg)
+    if isinstance(term, NLam):
+        return NLam(term.param, named_beta_normalize(term.body))
+    if isinstance(term, dsl.ProgramNode) and type(term) is not NVar:
+        return type(term)(*map(named_beta_normalize, vars(term).values()))
+    return term
+
+
+def nameless(term, bound=()):
+    """The dsl term of a named one; bound lists the binders innermost first."""
+    if isinstance(term, NVar):
+        return dsl.Var(bound.index(term.name))
+    if isinstance(term, NLam):
+        return dsl.Lam(nameless(term.body, (term.param,) + bound))
+    if isinstance(term, NApp):
+        return dsl.App(nameless(term.fn, bound), nameless(term.arg, bound))
+    if isinstance(term, dsl.ProgramNode):
+        return type(term)(*[nameless(v, bound) for v in vars(term).values()])
+    return term
+
+
+_O, _G, _P = dsl.SemanticType.OBJECT, dsl.SemanticType.GOAL, dsl.SemanticType.PLAN
+# Types of binders and arguments; a pair (a, b) is a function type, nested
+# pairs in argument position make higher-order arguments. Object is drawn
+# twice as often, so that variables more often fit where they are drawn.
+TYPES = st.recursive(st.sampled_from((_O, _O, _G, _P)), lambda t: st.tuples(t, t), max_leaves=4)
+# Few names, so binders often shadow one another.
+NAMES = st.sampled_from("xyz")
+
+
+def _results(ty):
+    """ty and the type of each partial application of a function of type ty."""
+    yield ty
+    while isinstance(ty, tuple):
+        ty = ty[1]
+        yield ty
+
+
+def _token(draw, kind):
+    return dsl.ConceptToken(draw(st.sampled_from(("red", "box", "left", "in", "pack"))), kind)
+
+
+@st.composite
+def named_term(draw, ty, ctx=(), budget=3):
+    """A random named term of type ty whose free variables are the (name,
+    type) pairs of ctx, innermost first: operations, variables applied to
+    arguments, binders, and redexes with arguments of random type. budget
+    bounds the nesting of operations, applications and redexes."""
+    visible = {}
+    for name, var_ty in ctx:
+        visible.setdefault(name, var_ty)
+    heads = [name for name, var_ty in visible.items()
+             if (ty in _results(var_ty) if budget else ty == var_ty)]
+    # Variables are drawn twice as often: redexes matter where they occur.
+    choice = draw(st.sampled_from(
+        ["lam" if isinstance(ty, tuple) else "op"] + ["var"] * 2 * bool(heads)
+        + ["redex"] * (budget > 0)))
+    if choice == "lam":
+        name = draw(NAMES)
+        return NLam(name, draw(named_term(ty[1], ((name, ty[0]),) + ctx, budget)))
+    if choice == "redex":
+        arg_ty = draw(TYPES)
+        name = draw(NAMES)
+        body = draw(named_term(ty, ((name, arg_ty),) + ctx, budget - 1))
+        return NApp(NLam(name, body), draw(named_term(arg_ty, ctx, budget - 1)))
+    if choice == "var":
+        name = draw(st.sampled_from(heads))
+        node, var_ty = NVar(name), visible[name]
+        while var_ty != ty:
+            node = NApp(node, draw(named_term(var_ty[0], ctx, budget - 1)))
+            var_ty = var_ty[1]
+        return node
+    sub = functools.partial(named_term, ctx=ctx, budget=max(budget - 1, 0))
+    if ty is _O and not budget:
+        if draw(st.booleans()):
+            return dsl.Scene()
+        return dsl.Filter(dsl.Scene(), _token(draw, dsl.PROPERTY))
+    if ty is _G:
+        return dsl.Goal(draw(sub(_O)), draw(sub(_O)), _token(draw, dsl.RELATION))
+    if ty is _P:
+        if budget and draw(st.booleans()):
+            return dsl.ActionConcat(draw(sub(_P)), draw(sub(_P)))
+        return dsl.Do(draw(sub(_G)), _token(draw, dsl.ACTION))
+    op = draw(st.sampled_from(("scene", "filter", "relate", "objunion")))
+    if op == "scene":
+        return dsl.Scene()
+    if op == "filter":
+        return dsl.Filter(draw(sub(_O)), _token(draw, dsl.PROPERTY))
+    if op == "relate":
+        return dsl.Relate(draw(sub(_O)), draw(sub(_O)), _token(draw, dsl.RELATION))
+    return dsl.ObjUnion(draw(sub(_O)), draw(sub(_O)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_beta_normalize_matches_named_reference(data):
+    term = data.draw(named_term(data.draw(TYPES)))
+    expected = dsl.serialize(nameless(named_beta_normalize(term)))
+    assert dsl.serialize(ccg.beta_normalize(nameless(term))) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_apply_sem_matches_named_reference(data):
+    """apply_sem under outer binders ctx. An argument typed like a variable of
+    ctx is often open, and a function-typed body puts binders between the
+    argument and its uses, so the argument must be shifted over them."""
+    ctx = tuple(data.draw(st.lists(st.tuples(NAMES, TYPES), min_size=1, max_size=3)))
+    arg_ty = data.draw(st.sampled_from([ty for _, ty in ctx]))
+    result_ty, name = data.draw(st.tuples(TYPES, TYPES)), data.draw(NAMES)
+    fn = NLam(name, data.draw(named_term(result_ty, ((name, arg_ty),) + ctx)))
+    arg = data.draw(named_term(arg_ty, ctx))
+    bound = tuple(name for name, _ in ctx)
+
+    def closed(term):
+        return functools.reduce(lambda body, _: dsl.Lam(body), bound, term)
+
+    expected = dsl.serialize(closed(nameless(named_beta_normalize(NApp(fn, arg)), bound)))
+    got = ccg.apply_sem(nameless(fn, bound), nameless(arg, bound))
+    assert dsl.serialize(closed(got)) == expected

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablang import benchmark as bm
-from tablang import cli, world
+from tablang import ccg, cli, world
+from tablang.executor import MAX_ROTATIONS
 
 GOLDEN = "do(goal(filter(filter(hexagon), blue), filter(filter(box), orange), in), pack)"
 
@@ -239,6 +241,21 @@ def test_zero_rotations(tmp_path, scene_file, command):
     assert_clean_exit_1(out)
 
 
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_too_many_rotations(tmp_path, scene_file, command):
+    """A rotation count that would size the place scores past memory exits 1
+    before anything is allocated (repl loads as run does)."""
+    path, ep = scene_file
+    if command == "eval":
+        where = ["--tasks", "packing_shapes", "--episodes", "1"]
+    else:
+        where = ["--scene", str(path), ep.instruction]
+    out = run_cli(command, "--rotations", str(2 ** 40), "--output-dir", str(tmp_path / "o"),
+                  *where)
+    assert_clean_exit_1(out)
+    assert f"rotations must be <= {MAX_ROTATIONS}" in out.stderr
+
+
 def test_eval_config_zero_rotations(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 1, "rotations": 0}))
@@ -354,10 +371,15 @@ def set_on_first(kind, key, value):
     set_on_first("item", "angel", 1.0),
     lambda data: {**data, "extra": 1},
     set_on_first("item", "x", 10**400),
+    lambda data: {**data, "width": 2 ** 40},
+    lambda data: {**data, "height": 2 ** 40},
+    lambda data: {**data, "width": world.MAX_SIDE + 1},
+    lambda data: {**data, "height": 0},
 ], ids=["list", "null", "objects_not_list", "disc_container", "infinite_angle",
         "string_attributes", "null_x", "float_width", "string_height", "float_seed",
         "bool_seed", "float_id", "string_id", "string_x", "string_size", "bool_angle",
-        "unknown_object_key", "unknown_scene_key", "huge_int_x"])
+        "unknown_object_key", "unknown_scene_key", "huge_int_x", "huge_width",
+        "huge_height", "width_past_max", "zero_height"])
 def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
     path, ep = scene_file
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
@@ -389,6 +411,10 @@ def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
     {"tasks": ["packing_shapes"], "episodes": 1, "grounding": False},
     {"tasks": ["packing_shapes"], "episodes": 1, "grounding": None},
     {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [16, 32, 1]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [2 ** 40, 2]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "grounding": [16, world.MAX_SIDE + 1]},
+    {"tasks": ["packing_shapes"], "episodes": 1, "rotations": 2 ** 40},
+    {"tasks": ["packing_shapes"], "episodes": 1, "rotations": MAX_ROTATIONS + 1},
 ])
 def test_eval_malformed_config_is_config_error(tmp_path, config):
     """A mistyped field exits 1; it is neither truncated nor read as a path
@@ -483,6 +509,56 @@ def mutated_weights(draw, text):
     return "\n".join(lines), 1
 
 
+@st.composite
+def mutated_lexicon(draw, text):
+    """text with one or two entries mutated: a template character deleted or
+    one of \\ . ( ) , x λ inserted, a binder renamed to another binder's name,
+    two entries' templates swapped, a line truncated, or a weight appended;
+    the 1-based numbers of the mutated lines; and 1 when that must exit 1 (a
+    weight of nan, -0 or x), else None."""
+    lines = text.split("\n")
+    entries = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    op = draw(st.sampled_from(("delete", "insert", "binder", "swap", "truncate", "weight")))
+    if op == "binder":
+        entries = [i for i in entries if lines[i].count("\\") >= 2]
+    i = draw(st.sampled_from(entries))
+    fields = lines[i].split("\t")
+    template = fields[2]
+    mutated, expected = {i + 1}, None
+    if op == "delete":
+        k = draw(st.integers(0, len(template) - 1))
+        fields[2] = template[:k] + template[k + 1:]
+    elif op == "insert":
+        k = draw(st.integers(0, len(template)))
+        fields[2] = template[:k] + draw(st.sampled_from("\\.(),xλ")) + template[k:]
+    elif op == "binder":
+        names = re.findall(r"\\(\w+)\.", template)
+        old, new = draw(st.permutations(names))[:2]
+        fields[2] = template.replace(f"\\{old}.", f"\\{new}.")
+    elif op == "swap":
+        j = draw(st.sampled_from([j for j in entries if j != i]))
+        other = lines[j].split("\t")
+        fields[2], other[2] = other[2], template
+        lines[j] = "\t".join(other)
+        mutated.add(j + 1)
+    elif op == "weight":
+        weight = draw(st.sampled_from(("nan", "1e300", "-0", "x")))
+        fields.append(weight)
+        expected = None if weight == "1e300" else 1
+    lines[i] = "\t".join(fields)
+    if op == "truncate":
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i]) - 1))]
+    return "\n".join(lines), mutated, expected
+
+
+def loads(line: str) -> bool:
+    try:
+        ccg.Lexicon.from_string(line)
+    except ccg.LexiconError:
+        return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """(directory holding the episode's scene.json, episode, scene dict,
@@ -508,18 +584,34 @@ def main_in_process(argv):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("kind", ["scene", "weights", "config"])
+LEXICON_INSTRUCTIONS = ("pack the blue hexagon in the orange box",
+                        "push the pile of red blocks into the green square",
+                        "put the daxy block in the wug bowl")
+
+
+@pytest.mark.parametrize("kind", ["scene", "weights", "config", "lexicon"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_input_file_exits_cleanly(input_files, kind, data):
-    """A mutated scene (run), weights file (run, embedding backend) or eval
-    config (eval, one episode of one task) ends in an exit code, never an
-    exception or traceback; a renamed key, a bool or string in a numeric
-    field, and a truncated or dropped matrix exit 1."""
+    """A mutated scene (run), weights file (run, embedding backend), eval
+    config (eval, one episode of one task) or lexicon (parse) ends in an exit
+    code, never an exception or traceback; a renamed key, a bool or string in
+    a numeric field, a truncated or dropped matrix, and a lexicon weight that
+    is not a finite positive number exit 1. A mutated lexicon exits 1 exactly
+    when a mutated line does not load on its own, and the error names it."""
     where, ep, scene, weights, config = input_files
     path = where / kind
     run = ["run", "--scene", str(path), ep.instruction]
-    if kind == "scene":
+    if kind == "lexicon":
+        lexicon = (Path(ccg.__file__).parent / "data" / "lexicon.txt").read_text()
+        text, mutated, expected = data.draw(mutated_lexicon(lexicon))
+        path.write_text(text)
+        lines = text.split("\n")
+        if not all(loads(lines[n - 1]) for n in mutated):
+            expected = 1
+        run = ["parse", data.draw(st.sampled_from(LEXICON_INSTRUCTIONS)),
+               "--lexicon", str(path)]
+    elif kind == "scene":
         doc, expected = data.draw(mutated_json(scene))
         path.write_text(json.dumps(doc))
     elif kind == "config":
@@ -531,8 +623,14 @@ def test_mutated_input_file_exits_cleanly(input_files, kind, data):
         path.write_text(text)
         run = ["run", "--scene", str(where / "scene.json"), "--backend", "embedding",
                "--weights", str(path), ep.instruction]
-    code, err = main_in_process(run + ["--output-dir", str(where / "out")])
+    if kind != "lexicon":
+        run += ["--output-dir", str(where / "out")]
+    code, err = main_in_process(run)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if expected == 1:
         assert code == 1 and "error:" in err, err
+    if kind == "lexicon":
+        assert (code == 1) == (expected == 1), err
+        if code == 1:
+            assert err.startswith(tuple(f"error: line {n}:" for n in mutated)), err

@@ -198,7 +198,7 @@ def test_concept_token_validation():
 
 def test_read_template_binders():
     template = dsl.read(r"\o.\p.do(p(o), pack)")
-    assert template == Lam("o", Lam("p", Do(App(Var("p"), Var("o")), act("pack"))))
+    assert template == Lam(Lam(Do(App(Var(0), Var(1)), act("pack"))))
     assert dsl.read("λo.λp.do(p(o), pack)") == template
     assert serialize(template) == "\\x.\\y.do(y(x), pack)"
     two_args = serialize(dsl.read(r"\f.\a.\b.f(a, b)"))
@@ -219,13 +219,13 @@ def test_read_bounds_nesting_depth(open_, close):
 
 
 def test_type_check_template_body_with_env():
-    body = Do(App(Var("p"), Var("o")), act("pack"))
-    env = {"o": SemanticType.OBJECT, "p": (SemanticType.OBJECT, SemanticType.GOAL)}
+    body = Do(App(Var(0), Var(1)), act("pack"))
+    env = (SemanticType.OBJECT, (SemanticType.OBJECT, SemanticType.GOAL))
     assert type_check(body, env) is SemanticType.PLAN
     with pytest.raises(TypeMismatch):
         type_check(body)
     with pytest.raises(TypeMismatch):
-        type_check(body, {**env, "o": SemanticType.GOAL})
+        type_check(body, (SemanticType.GOAL, env[1]))
 
 
 def test_parse_program_rejects_binders():
@@ -236,7 +236,7 @@ def test_parse_program_rejects_binders():
 
 
 def test_open_word_slot_prints_but_does_not_read():
-    template = Lam("q", Filter(Var("q"), dsl.Slot(dsl.PROPERTY)))
+    template = Lam(Filter(Var(0), dsl.Slot(dsl.PROPERTY)))
     assert serialize(template) == "\\x.filter(x, <word>)"
     with pytest.raises(ProgramSyntaxError):
         dsl.read("filter(<word>)")
