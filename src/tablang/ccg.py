@@ -7,13 +7,13 @@ category's image (N -> Object, PP -> Object -> Goal, S -> Plan). Parsing is
 CKY over two universal combinators (forward and backward application), so a
 closed S root is itself the program; coordination is carried by ordinary
 entries for "and". A word outside the vocabulary is handled by guessing its
-category: every category occurring in the lexicon is tried, the sentence must
-still parse completely, and the word's semantics is drawn from the empirical
-prior p(semantics | syntax) with the word slot filled by the literal token.
-All candidate leaves of all unknown words go into one chart; chart keys carry
-each item's novel-word assignments, so derivations under different guesses
-never merge, and a root is kept only if it gives each unknown word a single
-assignment and that joint assignment is one of the kept combinations.
+reading: a category of the lexicon with a template drawn from the empirical
+prior p(semantics | syntax), the word slot filled by the literal token, such
+that the sentence still parses completely. The lexicon ranks these readings
+once; every unknown word gets a leaf per reading, all in one chart. Chart keys
+carry each item's novel-word assignments, so derivations under different
+guesses never merge, and a root is kept only if it gives each unknown word a
+single reading.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ FORWARD = "/"
 BACKWARD = "\\"
 # Deepest parenthesis nesting parse_category accepts: it recurses once per level.
 MAX_CATEGORY_DEPTH = 32
+# One token as tokenize produces it; a lexicon word is such tokens joined by single spaces.
+TOKEN = r"[a-z0-9][a-z0-9-]*"
 
 
 class LexiconError(Exception):
@@ -250,8 +252,8 @@ class LexiconEntry:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.word:
-            raise LexiconError("empty word")
+        if not re.fullmatch(f"{TOKEN}( {TOKEN})*", self.word):
+            raise LexiconError(f"word {self.word!r}: not lowercase tokens joined by single spaces")
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise LexiconError(f"{self.word}: weight must be finite and positive")
         check_template(self.template, self.category)
@@ -271,22 +273,21 @@ class Lexicon:
         return set(self._entries)
 
     @functools.cached_property
-    def prior(self) -> dict[Category, list[tuple[ProgramNode, float]]]:
-        """semantic_prior of this lexicon, built on first use and kept; the
-        entries never change. Shared by every caller, so read-only."""
-        return semantic_prior(self)
+    def readings(self) -> list[tuple[Category, ProgramNode, float]]:
+        """The MAX_OOV_READINGS likeliest (category, abstract template, log
+        prior) readings of a novel word under semantic_prior, ties broken on
+        their text. Built on first use and kept, since the entries never
+        change; shared by every caller, so read-only."""
+        readings = [(cat, tmpl, math.log(p))
+                    for cat, dist in semantic_prior(self).items() for tmpl, p in dist]
+        readings.sort(key=lambda r: (-r[2], f"{category_to_str(r[0])} {dsl.serialize(r[1])}"))
+        return readings[:MAX_OOV_READINGS]
 
     def entries_for(self, word: str) -> tuple[LexiconEntry, ...]:
         return self._entries.get(word, ())
 
     def all_entries(self) -> list[LexiconEntry]:
         return [e for word in self._entries for e in self._entries[word]]
-
-    def categories(self) -> list[Category]:
-        seen: dict[Category, None] = {}
-        for e in self.all_entries():
-            seen.setdefault(e.category)
-        return sorted(seen, key=category_to_str)
 
     @classmethod
     def from_string(cls, text: str) -> "Lexicon":
@@ -322,7 +323,7 @@ def default_lexicon() -> Lexicon:
 def tokenize(text: str, lexicon: Lexicon) -> list[str]:
     """Lowercase, strip punctuation, split on whitespace; multiword
     vocabulary phrases are greedily joined, longest match first."""
-    raw = re.findall(r"[a-z0-9][a-z0-9-]*", text.lower())
+    raw = re.findall(TOKEN, text.lower())
     phrases = [w for w in lexicon.vocabulary if " " in w]
     max_len = max((p.count(" ") + 1 for p in phrases), default=1)
     out: list[str] = []
@@ -405,9 +406,7 @@ def _chart_roots(tokens, lookup) -> list:
     return [(cat, sem, logp, oov) for (cat, sem, oov), logp in cells[(0, n)].items()]
 
 
-def _lexicon_leaves(lexicon: Lexicon, extra: dict[str, list] | None = None):
-    extra = extra or {}
-
+def _lexicon_leaves(lexicon: Lexicon, extra: dict[str, list]):
     def lookup(token: str):
         leaves = [
             (e.category, e.template, math.log(e.weight), ())
@@ -438,21 +437,16 @@ def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[ProgramNode, f
     return prior
 
 
-def _candidates_for(word: str, lexicon: Lexicon,
-                    prior: dict[Category, list[tuple[ProgramNode, float]]]) -> list[OovAssignment]:
-    out = []
-    for cat in lexicon.categories():
-        for tmpl, p in prior.get(cat, ()):
-            out.append(OovAssignment(word, cat, tmpl, math.log(p)))
-    return out
-
-
 MAX_JOINT_OOV = 2
-MAX_OOV_COMBOS = 64
+MAX_OOV_READINGS = 64
+# Longest token sequence parse accepts, about twice the longest generated
+# instruction: a chart cell keeps every bracketing of a coordination, so parse
+# time grows exponentially with length.
+MAX_TOKENS = 32
 
 
 def _derivations_from_roots(roots) -> list[Derivation]:
-    best: dict[tuple, tuple[float, Derivation]] = {}
+    derivs = []
     for cat, sem, logp, oov in roots:
         if cat != S:
             continue
@@ -460,16 +454,9 @@ def _derivations_from_roots(roots) -> list[Derivation]:
             dsl.type_check(sem)
         except dsl.TypeMismatch:
             continue
-        deriv = Derivation(sem, logp, oov)
-        key = (dsl.serialize(sem), oov)
-        if key not in best or logp > best[key][0]:
-            best[key] = (logp, deriv)
-    ranked = sorted(
-        best.values(),
-        key=lambda pair: (-pair[0], dsl.serialize(pair[1].program),
-                          tuple(a.describe() for a in pair[1].oov_assignments)),
-    )
-    return [d for _, d in ranked]
+        derivs.append(Derivation(sem, logp, oov))
+    return sorted(derivs, key=lambda d: (-d.log_score, dsl.serialize(d.program),
+                                         tuple(a.describe() for a in d.oov_assignments)))
 
 
 def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
@@ -477,34 +464,23 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     log priors of any novel-word assignments. Deterministic: ties break on
     the program string.
 
-    Joint assignments of the unknown words (at most MAX_JOINT_OOV) are
-    ranked by summed log prior and cut to MAX_OOV_COMBOS; a sentence without
-    unknown words has the one empty combination. One chart is built over the
-    leaves of every assignment that occurs in a kept combination, and only
-    roots whose assignments form one kept combination survive, so a repeated
-    unknown word never mixes two guesses."""
+    Each unknown word (at most MAX_JOINT_OOV of them) gets a leaf for every
+    one of lexicon.readings, all in one chart, and only roots that give each
+    unknown word a single reading survive, so a repeated unknown word never
+    mixes two guesses. More than MAX_TOKENS tokens is a NoParse."""
     if k < 1:
         raise ValueError("k must be positive")
     tokens = list(tokens)
-    if not tokens:
+    if not tokens or len(tokens) > MAX_TOKENS:
         raise NoParse(tokens)
     unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
     if len(unknown) > MAX_JOINT_OOV:
         raise NoParse(tokens)
-    per_word = [_candidates_for(w, lexicon, lexicon.prior) for w in unknown]
-    combos = sorted(
-        itertools.product(*per_word),
-        key=lambda combo: (-sum(c.log_prior for c in combo),
-                           tuple(c.describe() for c in combo)),
-    )[:MAX_OOV_COMBOS]
-    extra = {w: list(dict.fromkeys(combo[i] for combo in combos))
-             for i, w in enumerate(unknown)}
-    # Every unknown token is a leaf of every root, so a root's assignment set
-    # equals a kept combo exactly when it gives each unknown word a single
-    # assignment and that joint assignment was kept.
-    kept = {frozenset(combo) for combo in combos}
+    extra = {w: [OovAssignment(w, *r) for r in lexicon.readings] for w in unknown}
+    # Every unknown token is a leaf of every root, so a root holds one
+    # distinct assignment per unknown word exactly when it mixes no guesses.
     roots = [root for root in _chart_roots(tokens, _lexicon_leaves(lexicon, extra))
-             if frozenset(root[3]) in kept]
+             if len(set(root[3])) == len(unknown)]
     derivs = _derivations_from_roots(roots)
     if not derivs:
         raise NoParse(tokens)

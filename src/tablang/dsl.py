@@ -225,10 +225,12 @@ _BINDER_NAMES = "xyzwuvab"
 
 
 def serialize(node: ProgramNode) -> str:
-    """Text form, the inverse of read. Scene() is elided inside the innermost
-    filter, so Filter(Scene(), hexagon) prints as "filter(hexagon)". Binders
-    are named by depth (x, y, z, ..., x8, ...), free variables x-1, x-2, ...,
-    and an open word position prints as <word>, which read rejects."""
+    """Text form, the inverse of read on normal trees. Scene() is elided
+    inside the innermost filter, so Filter(Scene(), hexagon) prints as
+    "filter(hexagon)". Binders are named by depth (x, y, z, ..., x8, ...),
+    free variables x-1, x-2, ..., and an open word position prints as <word>,
+    which read rejects. A redex prints its Lam head in parentheses, as
+    (\\x.filter(x, red))(scene()), which read rejects too."""
     return _text(node, 0)
 
 
@@ -256,7 +258,10 @@ def _text(node, depth: int) -> str:
         while isinstance(node, App):
             args.append(_text(node.arg, depth))
             node = node.fn
-        return f"{_text(node, depth)}({', '.join(reversed(args))})"
+        head = _text(node, depth)
+        if isinstance(node, Lam):
+            head = f"({head})"
+        return f"{head}({', '.join(reversed(args))})"
     raise TypeError(f"not a ProgramNode: {node!r}")
 
 

@@ -1,7 +1,9 @@
 import functools
 import gc
 import itertools
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,12 +181,32 @@ def test_three_oov_words_no_parse(lex):
         parse(tokenize("vorp the gorp into the blick box", lex), lex, k=1)
 
 
+def test_too_many_tokens_is_no_parse_at_once(lex):
+    """A chart cell keeps every bracketing of a coordination, so a long one
+    would take seconds to minutes; past MAX_TOKENS parse refuses it."""
+    toks = tokenize("pack the star" + " and the star" * 9 + " in the box", lex)
+    assert len(toks) == ccg.MAX_TOKENS + 1
+    start = time.perf_counter()
+    with pytest.raises(NoParse):
+        parse(toks, lex, k=1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_lexicon_words_tokenize_to_themselves(lex):
+    """A lexicon word is tokens joined by single spaces, so tokenize can
+    produce it; test_cli checks that other words are rejected."""
+    lex2 = Lexicon.from_string("porcelain plate\tN\tfilter(plate)\n3d\tN/N\t\\x.x\n")
+    for lexicon in (lex, lex2):
+        for word in lexicon.vocabulary:
+            assert tokenize(word, lexicon) == [word]
+
+
 def test_oov_combinations_never_truncated(lex):
-    """Every joint assignment of the most unknown words parse accepts fits
-    under MAX_OOV_COMBOS, so parse never drops one."""
-    assert "blicket" not in lex.vocabulary
-    n = len(ccg._candidates_for("blicket", lex, lex.prior))
-    assert n ** ccg.MAX_JOINT_OOV <= ccg.MAX_OOV_COMBOS
+    """The default lexicon has no more readings for a novel word than
+    MAX_OOV_READINGS, so parse never drops one."""
+    prior = semantic_prior(lex)
+    assert len(lex.readings) == sum(len(dist) for dist in prior.values()) == 8
+    assert len(lex.readings) <= ccg.MAX_OOV_READINGS
 
 
 def test_lexicon_prior_built_once(monkeypatch):
@@ -198,28 +220,28 @@ def test_lexicon_prior_built_once(monkeypatch):
     lex = default_lexicon()
     for sentence in ("pack the blicket in the brown box", "put the daxy block in the wug bowl"):
         parse(tokenize(sentence, lex), lex, k=1)
+    assert lex.readings is lex.readings
     assert calls == [lex]
-    assert lex.prior == semantic_prior(lex)
+
+
+def test_readings_ranked_by_prior_then_text(lex):
+    keys = [(-logp, f"{category_to_str(cat)} {dsl.serialize(tmpl)}")
+            for cat, tmpl, logp in lex.readings]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
 
 
 def reference_parse(tokens, lexicon, k):
-    """parse with one CKY chart per kept joint OOV assignment, the way it
-    worked before all candidates shared one chart."""
+    """parse with one CKY chart per joint reading of the unknown words, the
+    way it worked before all candidates shared one chart."""
     tokens = list(tokens)
     unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
     if len(unknown) > ccg.MAX_JOINT_OOV:
         raise NoParse(tokens)
-    prior = semantic_prior(lexicon)
-    per_word = [ccg._candidates_for(w, lexicon, prior) for w in unknown]
-    combos = sorted(
-        itertools.product(*per_word),
-        key=lambda combo: (-sum(c.log_prior for c in combo),
-                           tuple(c.describe() for c in combo)),
-    )[:ccg.MAX_OOV_COMBOS]
     roots = []
-    for combo in combos:
-        lookup = ccg._lexicon_leaves(lexicon, {c.word: [c] for c in combo})
-        roots.extend(ccg._chart_roots(tokens, lookup))
+    for combo in itertools.product(lexicon.readings, repeat=len(unknown)):
+        extra = {w: [ccg.OovAssignment(w, *r)] for w, r in zip(unknown, combo)}
+        roots.extend(ccg._chart_roots(tokens, ccg._lexicon_leaves(lexicon, extra)))
     derivs = ccg._derivations_from_roots(roots)
     if not derivs:
         raise NoParse(tokens)
@@ -251,12 +273,91 @@ def test_repeated_oov_word_keeps_one_assignment(lex):
 def test_shared_chart_matches_per_combo_charts_when_truncated(lex, monkeypatch):
     toks = tokenize("put the pink blocks in a cyan bowl", lex)
     full = parse(toks, lex, k=50)
-    n = len(ccg._candidates_for("pink", lex, lex.prior))
-    monkeypatch.setattr(ccg, "MAX_OOV_COMBOS", 58)
-    assert n ** 2 > ccg.MAX_OOV_COMBOS
-    derivs = parse(toks, lex, k=50)
-    assert derivs == reference_parse(toks, lex, k=50)
+    # readings is cached per lexicon, so the cut applies to a fresh one only.
+    monkeypatch.setattr(ccg, "MAX_OOV_READINGS", len(lex.readings) - 1)
+    fresh = default_lexicon()
+    assert fresh.readings == lex.readings[:-1]
+    derivs = parse(toks, fresh, k=50)
+    assert derivs == reference_parse(toks, fresh, k=50)
     assert 0 < len(derivs) < len(full)
+
+
+# Entries whose abstract templates the default lexicon lacks, so each one
+# adds a reading for novel words: with all six there are 14.
+EXTRA_ENTRIES = (
+    "it\tN\tscene()",
+    "beside\t(N\\N)/N\t\\y.\\x.relate(x, y, left)",
+    "inside\tPP/N\t\\y.\\x.goal(x, y, in)",
+    "shiny\tN/N\t\\x.filter(filter(x, shiny), red)",
+    "stack\t(S/PP)/N\t\\o.\\p.do(p(o), pack)",
+    "both\tN\tobjunion(filter(red), filter(blue))",
+)
+DEFAULT_LEXICON_TEXT = (Path(ccg.__file__).parent / "data" / "lexicon.txt").read_text()
+SEEN_INSTRUCTIONS = sorted({generate_episode(TaskSpec(name), seed).instruction
+                            for name in TASK_NAMES for seed in range(2)})
+
+
+def extended_lexicon(extra_lines, weights=None) -> Lexicon:
+    weights = weights or [1.0] * len(extra_lines)
+    text = "".join(f"{line}\t{w}\n" for line, w in zip(extra_lines, weights))
+    return Lexicon.from_string(DEFAULT_LEXICON_TEXT + text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_shared_chart_matches_per_combo_charts_with_more_readings(data):
+    """With 9 to 14 readings, the shared chart still equals one chart per
+    joint reading, for one or two novel words, the same word repeated or not."""
+    extra = data.draw(st.lists(st.sampled_from(EXTRA_ENTRIES), min_size=1, max_size=6,
+                               unique=True))
+    weights = data.draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+                                 min_size=len(extra), max_size=len(extra)))
+    lexicon = extended_lexicon(extra, weights)
+    assert len(lexicon.readings) == 8 + len(extra)
+    toks = tokenize(data.draw(st.sampled_from(SEEN_INSTRUCTIONS)), lexicon)
+    positions = data.draw(st.lists(st.integers(0, len(toks) - 1), min_size=1, max_size=2,
+                                   unique=True))
+    for i in positions:
+        toks[i] = data.draw(st.sampled_from(("blicket", "daxy")))
+    try:
+        expected = reference_parse(toks, lexicon, k=10**6)
+    except NoParse:
+        with pytest.raises(NoParse):
+            parse(toks, lexicon, k=10**6)
+        return
+    assert parse(toks, lexicon, k=10**6) == expected
+
+
+def per_sentence_rule_parse(tokens, lexicon):
+    """parse under the earlier bound on novel words: all joint assignments
+    of the unknown words ranked by summed log prior, then by their text, and
+    cut to the best 64, each parsed in its own chart."""
+    unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
+    per_word = [[ccg.OovAssignment(w, cat, tmpl, logp)
+                 for cat, tmpl, logp in lexicon.readings] for w in unknown]
+    combos = sorted(
+        itertools.product(*per_word),
+        key=lambda combo: (-sum(c.log_prior for c in combo),
+                           tuple(c.describe() for c in combo)),
+    )[:64]
+    roots = []
+    for combo in combos:
+        extra = {c.word: [c] for c in combo}
+        roots.extend(ccg._chart_roots(tokens, ccg._lexicon_leaves(lexicon, extra)))
+    return ccg._derivations_from_roots(roots), {frozenset(c) for c in combos}
+
+
+def test_more_readings_parse_a_superset_of_the_top_joint_assignments():
+    """With 14 readings there are 196 joint readings of two novel words. The
+    earlier rule kept the best 64 of them; filtered to those, the output is
+    exactly what that rule gave, and the pairings it dropped add parses."""
+    lexicon = extended_lexicon(EXTRA_ENTRIES)
+    assert len(lexicon.readings) == 14
+    toks = tokenize("pack the blicket in the daxy box", lexicon)
+    derivs = parse(toks, lexicon, k=10**6)
+    expected, kept = per_sentence_rule_parse(toks, lexicon)
+    assert [d for d in derivs if frozenset(d.oov_assignments) in kept] == expected
+    assert len(expected) < len(derivs)
 
 
 def test_semantic_prior_hand_count():

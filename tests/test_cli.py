@@ -335,6 +335,9 @@ def test_repl_feature_width_mismatch(tmp_path, scene_file):
     pytest.param("foo\tN\t" + "filter(" * 600 + "scene()" + ", red)" * 600,
                  id="template_filter_nested_600_deep"),
     pytest.param("foo\tN\t" + "\\x." * 600 + "x", id="template_binders_nested_600_deep"),
+    "Cube\tN\tfilter(cube)",             # tokenize lowercases, so never looked up
+    "big_box\tN\tfilter(box)",           # tokenize splits on the underscore
+    "porcelain  plate\tN\tfilter(plate)",  # two spaces: tokens are joined by one
 ])
 def test_parse_bad_lexicon_entry_names_line(tmp_path, bad_line):
     path = tmp_path / "bad.txt"

@@ -242,3 +242,15 @@ def test_open_word_slot_prints_but_does_not_read():
         dsl.read("filter(<word>)")
     with pytest.raises(TypeMismatch):
         type_check(Filter(Scene(), dsl.Slot(dsl.PROPERTY)))
+
+
+def test_redex_prints_its_head_in_parentheses():
+    """A Lam applied to an argument prints in parentheses, so the text does
+    not read as an application inside the Lam's body. Only non-normal trees
+    have such a head, and read does not accept it."""
+    inner = Lam(Lam(Relate(Var(0), Var(1), rel("left"))))
+    assert serialize(Lam(App(inner, Var(0)))) == "\\x.(\\y.\\z.relate(z, y, left))(x)"
+    redex = App(Lam(Filter(Var(0), prop("red"))), Scene())
+    assert serialize(redex) == "(\\x.filter(x, red))(scene())"
+    with pytest.raises(ProgramSyntaxError):
+        dsl.read(serialize(redex))
