@@ -22,7 +22,6 @@ from .grounding import (
     ExecutionError,
     GroundingMap,
     ProjectionWeights,
-    axis_coords,
     project,
     score_projected,
 )
@@ -58,14 +57,12 @@ class OracleBackend(_Backend):
         of the objects carrying the concept word as an attribute, occluded
         parts included. Unknown words give the all-zero map."""
         _check_concept(concept)
-        gh, gw = self.shape_for(scene)
-        gys = axis_coords(gh, scene.height)
-        gxs = axis_coords(gw, scene.width)
-        out = np.zeros((gh, gw), dtype=bool)
+        lattice = self.shape_for(scene)
+        out = np.zeros(lattice, dtype=bool)
         for obj in scene.objects:
             if concept.word in obj.attributes:
-                out |= world.footprint_mask(obj, (gh, gw), gys, gxs)
-        return GroundingMap(out.astype(np.float64))
+                out |= obj.mask((scene.height, scene.width), lattice)
+        return GroundingMap._unchecked(out.astype(np.float64))
 
 
 @dataclass

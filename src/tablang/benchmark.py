@@ -174,11 +174,11 @@ def _containment(scene: world.Scene, target_id: int, region: world.SceneObject) 
     """1.0 when 90% of the target's footprint and its centre are in the region's interior."""
     obj = scene.find(target_id)
     hw = (scene.height, scene.width)
-    foot = world.footprint_mask(obj, hw)
+    foot = obj.mask(hw)
     total = int(foot.sum())
     if total == 0:
         return 0.0
-    frac = float((foot & world.interior_mask(region, hw)).sum()) / total
+    frac = float((foot & region.mask(hw, interior=True)).sum()) / total
     return 1.0 if (frac >= 0.9 and world.inside(region, obj.y, obj.x)) else 0.0
 
 
@@ -512,12 +512,6 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
 # Imitation-loss metric (computed, never optimized)
 
 
-def _as_array(grids) -> np.ndarray:
-    if isinstance(grids, GroundingMap):
-        return grids.values
-    return np.asarray(grids, dtype=np.float64)
-
-
 def _log_softmax_at(logits: np.ndarray, index: int) -> float:
     flat = logits.reshape(-1)
     m = float(flat.max())
@@ -526,9 +520,9 @@ def _log_softmax_at(logits: np.ndarray, index: int) -> float:
 
 def imitation_loss(pick_map, place_grids, expert: ControlParams) -> float:
     """Cross-entropy of the expert pick/place cells under softmax over the
-    score grids treated as logits."""
-    pick = _as_array(pick_map)
-    place = _as_array(place_grids)
+    score grids treated as logits; either may be a GroundingMap or an array."""
+    pick, place = (g.values if isinstance(g, GroundingMap) else np.asarray(g, dtype=np.float64)
+                   for g in (pick_map, place_grids))
     if place.ndim != 3:
         raise ValueError("place grids must be (R, H, W)")
     h, w = pick.shape

@@ -380,7 +380,8 @@ class Derivation:
 
 def _chart_roots(tokens, lookup) -> list:
     """CKY chart over the token sequence; lookup(token) yields
-    (category, sem, log_score, oov_tuple) leaves."""
+    (category, sem, log_score, oov_tuple) leaves. A chart that would hold
+    more than MAX_CHART_ITEMS items, summed over its cells, is a NoParse."""
     n = len(tokens)
     cells: dict[tuple[int, int], dict] = {}
     for i, tok in enumerate(tokens):
@@ -390,6 +391,7 @@ def _chart_roots(tokens, lookup) -> list:
             if key not in cell or logp > cell[key]:
                 cell[key] = logp
         cells[(i, i + 1)] = cell
+    items = sum(map(len, cells.values()))
     for span in range(2, n + 1):
         for i in range(0, n - span + 1):
             j = i + span
@@ -400,8 +402,13 @@ def _chart_roots(tokens, lookup) -> list:
                         for cat, sem in _combinations((lcat, lsem), (rcat, rsem)):
                             key = (cat, sem, loov + roov)
                             logp = llog + rlog
-                            if key not in cell or logp > cell[key]:
-                                cell[key] = logp
+                            if key not in cell:
+                                items += 1
+                                if items > MAX_CHART_ITEMS:
+                                    raise NoParse(tokens)
+                            elif logp <= cell[key]:
+                                continue
+                            cell[key] = logp
             cells[(i, j)] = cell
     return [(cat, sem, logp, oov) for (cat, sem, oov), logp in cells[(0, n)].items()]
 
@@ -439,10 +446,12 @@ def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[ProgramNode, f
 
 MAX_JOINT_OOV = 2
 MAX_OOV_READINGS = 64
-# Longest token sequence parse accepts, about twice the longest generated
-# instruction: a chart cell keeps every bracketing of a coordination, so parse
-# time grows exponentially with length.
+# Charts grow about 4x per conjunct or relation link (a cell keeps every
+# bracketing and attachment), so parse bounds the tokens, about twice the
+# longest generated instruction, and then the items summed over all cells
+# (75 at most for a generated instruction).
 MAX_TOKENS = 32
+MAX_CHART_ITEMS = 4096
 
 
 def _derivations_from_roots(roots) -> list[Derivation]:
@@ -467,7 +476,8 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     Each unknown word (at most MAX_JOINT_OOV of them) gets a leaf for every
     one of lexicon.readings, all in one chart, and only roots that give each
     unknown word a single reading survive, so a repeated unknown word never
-    mixes two guesses. More than MAX_TOKENS tokens is a NoParse."""
+    mixes two guesses. More than MAX_TOKENS tokens, or a chart of more than
+    MAX_CHART_ITEMS items, is a NoParse."""
     if k < 1:
         raise ValueError("k must be positive")
     tokens = list(tokens)

@@ -221,7 +221,7 @@ def eval_relate(target_map: GroundingMap, reference_map: GroundingMap,
                 relation: dsl.ConceptToken, ctx: ExecutionContext) -> GroundingMap:
     """Keep target regions standing in the relation to the reference."""
     kernel = relation_kernel(reference_map.values, relation.word, ctx.relation_config)
-    out = intersect(target_map, GroundingMap(kernel))
+    out = intersect(target_map, GroundingMap._unchecked(kernel.astype(np.float64)))
     return normalize(out.values)
 
 
@@ -263,7 +263,7 @@ def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarr
         if item is not None:
             arr = pick_map.values * 0.999
             arr[u, v] = 1.0
-            return Pose2(u, v, 0), GroundingMap(arr), item
+            return Pose2(u, v, 0), GroundingMap._unchecked(arr), item
     return pick, pick_map, None
 
 
@@ -273,65 +273,42 @@ def _obstacle_mask(ctx: ExecutionContext, exclude: world.SceneObject | None) -> 
     for obj in ctx.scene.objects:
         if obj.kind != world.ITEM or obj is exclude:
             continue
-        out |= world.footprint_mask(obj, hw)
+        out |= obj.mask(hw)
     return out
 
 
-def _place_scores(kernel: np.ndarray, offsets: np.ndarray, reference: np.ndarray,
-                  bbox: tuple[int, int, int, int], grid: PoseGrid) -> np.ndarray:
-    """(R, H, W) place scores. Rotation r turns the silhouette offsets into a
-    boolean stencil of n cells; at each centre inside bbox the score is
-    (overlap / n)^2 times the reference map, where overlap counts the stencil
-    cells on the boolean kernel (off-grid cells count as zero): the hit
-    fraction times the mean kernel value under the stencil."""
-    out = np.zeros((grid.rotations, grid.height, grid.width))
-    u0, u1, v0, v1 = bbox
-    if u1 <= u0 or v1 <= v0:
-        return out
+def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndarray,
+                  grid: PoseGrid) -> np.ndarray:
+    """(R, H, W) place scores. Rotation r turns the silhouette's offsets from
+    its rounded centroid into a boolean stencil of n cells. Where the
+    reference is nonzero the score is (overlap / n)^2 times the reference,
+    overlap counting the stencil cells on the boolean kernel (off-grid cells
+    count as zero); every other score is zero."""
+    rows, cols = np.nonzero(reference > 0)
+    sil_rows, sil_cols = np.nonzero(silhouette)
+    off_u = sil_rows - int(round(sil_rows.mean()))
+    off_v = sil_cols - int(round(sil_cols.mean()))
     angles = [grid.angle(r) for r in range(grid.rotations)]
     c = np.array([math.cos(a) for a in angles])[:, None]
     s = np.array([math.sin(a) for a in angles])[:, None]
-    du = np.rint(offsets[:, 0] * c - offsets[:, 1] * s).astype(int)
-    dv = np.rint(offsets[:, 0] * s + offsets[:, 1] * c).astype(int)
+    du = np.rint(off_u * c - off_v * s).astype(int)
+    dv = np.rint(off_u * s + off_v * c).astype(int)
     m = int(max(np.abs(du).max(), np.abs(dv).max()))
     side = 2 * m + 1
     stencils = np.zeros((grid.rotations, side, side), dtype=bool)
     stencils[np.arange(grid.rotations)[:, None], du + m, dv + m] = True
     # Overlaps are sums of 0/1 terms, exact in float32 below 2**24 cells.
-    # Taking one stencil row at a time keeps the window views small.
-    cover = np.pad(kernel, m)[u0:u1 + 2 * m, v0:v1 + 2 * m].astype(np.float32)
-    windows = sliding_window_view(cover, side, axis=1)
+    # Taking one stencil row at a time keeps the gathered windows at
+    # (support cells, side).
+    windows = sliding_window_view(np.pad(kernel, m).astype(np.float32), side, axis=1)
     weights = stencils.astype(np.float32)
-    counts = np.zeros((u1 - u0, v1 - v0, grid.rotations), dtype=np.float32)
+    counts = np.zeros((len(rows), grid.rotations), dtype=np.float32)
     for i in range(side):
-        counts += windows[i:i + u1 - u0] @ weights[:, i, :].T
-    n = stencils.sum(axis=(1, 2))
-    # In place on the output slice: no (R, H, W) temporaries.
-    scores = out[:, u0:u1, v0:v1]
-    scores[...] = np.moveaxis(counts, 2, 0)
-    scores /= n[:, None, None]
-    np.square(scores, out=scores)
-    scores *= reference[u0:u1, v0:v1]
+        counts += windows[rows + i, cols] @ weights[:, i, :].T
+    scores = np.square(counts.astype(np.float64) / stencils.sum(axis=(1, 2)))
+    out = np.zeros((grid.rotations, grid.height, grid.width))
+    out[:, rows, cols] = (scores * reference[rows, cols][:, None]).T
     return out
-
-
-def _place_frame(silhouette: np.ndarray, reference: np.ndarray,
-                 grid: PoseGrid) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """The silhouette's cell offsets from its rounded centroid, and the box
-    (u0, u1, v0, v1) of the reference's support grown by the offsets' reach
-    plus one, clipped to the grid; an empty box without support."""
-    rows, cols = np.nonzero(silhouette)
-    offsets = np.stack([rows - int(round(rows.mean())), cols - int(round(cols.mean()))], axis=1)
-    support = np.nonzero(reference > 0)
-    if len(support[0]) == 0:
-        return offsets, (0, 0, 0, 0)
-    margin = int(np.abs(offsets).max(initial=0)) + 1
-    return offsets, (
-        max(int(support[0].min()) - margin, 0),
-        min(int(support[0].max()) + margin + 1, grid.height),
-        max(int(support[1].min()) - margin, 0),
-        min(int(support[1].max()) + margin + 1, grid.width),
-    )
 
 
 def _push_params(silhouette: np.ndarray, support: np.ndarray,
@@ -363,14 +340,13 @@ def _push_params(silhouette: np.ndarray, support: np.ndarray,
     pick_map[pre.u, pre.v] = 1.0
     place_grids = np.zeros((grid.rotations, grid.height, grid.width))
     place_grids[0, post.u, post.v] = 1.0
-    return ControlParams(pre, post, PUSH), GroundingMap(pick_map), place_grids
+    return ControlParams(pre, post, PUSH), GroundingMap._unchecked(pick_map), place_grids
 
 
 def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
               intermediates: dict[str, GroundingMap]) -> GroundingMap:
     if isinstance(node, dsl.Scene):
-        gh, gw = ctx.backend.shape_for(ctx.scene)
-        result = GroundingMap(np.ones((gh, gw)))
+        result = GroundingMap._unchecked(np.ones(ctx.backend.shape_for(ctx.scene)))
     elif isinstance(node, dsl.Filter):
         child = _eval_obj(node.child, f"{path}.0", ctx, intermediates)
         result = intersect(child, ctx.backend.ground(ctx.scene, node.prop))
@@ -408,7 +384,7 @@ def _eval_do(node: dsl.Do, path: str, ctx: ExecutionContext,
     depth = _interior_depth(pick_arr >= 0.5)
     if depth.max() > 0:
         pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
-    pick_map = GroundingMap(pick_arr)
+    pick_map = GroundingMap._unchecked(pick_arr)
     pick = select_pick(pick_map)
     silhouette = _component(up_obj >= 0.5, (pick.u, pick.v))
     pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
@@ -418,8 +394,7 @@ def _eval_do(node: dsl.Do, path: str, ctx: ExecutionContext,
         params, pick_map, place_grids = _push_params(
             silhouette, effective if effective.any() else kernel, grid)
     else:
-        offsets, bbox = _place_frame(silhouette, reference, grid)
-        place_grids = _place_scores(effective, offsets, reference, bbox, grid)
+        place_grids = _place_scores(effective, silhouette, reference, grid)
         params = ControlParams(pick, select_place(place_grids), PICK_PLACE)
     intermediates[path] = pick_map
     return [params], pick_map, place_grids

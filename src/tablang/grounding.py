@@ -49,6 +49,15 @@ class GroundingMap:
             raise ValueError("grounding map values outside [0, 1]")
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _unchecked(cls, values: np.ndarray) -> "GroundingMap":
+        """The map of a fresh non-empty 2-d float64 array known to be finite
+        and in [0, 1], made read-only in place: no copy, no scan."""
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        return out
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape  # type: ignore[return-value]
@@ -124,13 +133,15 @@ def normalize(raw) -> GroundingMap:
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise DimMismatch(f"expected 2-d grid, got {arr.ndim}-d")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("cannot normalize non-finite scores")
     lo = arr.min()
-    hi = arr.max()
-    if hi - lo <= 1e-9:
-        return GroundingMap(np.zeros_like(arr))
-    return GroundingMap((arr - lo) / (hi - lo))
+    # Non-finite only when a score is, or when finite scores' range overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = arr.max() - lo
+    if not np.isfinite(span):
+        raise NonFinite("cannot normalize non-finite scores or their range")
+    if span <= 1e-9:
+        return GroundingMap._unchecked(np.zeros_like(arr))
+    return GroundingMap._unchecked((arr - lo) / span)
 
 
 def _same_shape(a: GroundingMap, b: GroundingMap) -> None:
@@ -141,13 +152,13 @@ def _same_shape(a: GroundingMap, b: GroundingMap) -> None:
 def intersect(a: GroundingMap, b: GroundingMap) -> GroundingMap:
     """Pixelwise min: keep only regions supported by both maps."""
     _same_shape(a, b)
-    return GroundingMap(np.minimum(a.values, b.values))
+    return GroundingMap._unchecked(np.minimum(a.values, b.values))
 
 
 def union(a: GroundingMap, b: GroundingMap) -> GroundingMap:
     """Pixelwise max."""
     _same_shape(a, b)
-    return GroundingMap(np.maximum(a.values, b.values))
+    return GroundingMap._unchecked(np.maximum(a.values, b.values))
 
 
 def axis_coords(n_out: int, n_in: int) -> np.ndarray:
@@ -175,10 +186,10 @@ def resample(mapping: GroundingMap, new_height: int, new_width: int) -> Groundin
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
-    out = top * (1 - fy) + bot * fy
-    return GroundingMap(np.clip(out, 0.0, 1.0))
+    # One pass per axis: the same float operations as gathering four corners.
+    cols = src[:, x0] * (1 - fx) + src[:, x1] * fx
+    out = cols[y0] * (1 - fy) + cols[y1] * fy
+    return GroundingMap._unchecked(np.clip(out, 0.0, 1.0))
 
 
 def project(features: FeatureMap, weights: ProjectionWeights) -> np.ndarray:

@@ -153,6 +153,23 @@ class SceneObject:
     def circumradius(self) -> float:
         return self.size * unit_circumradius(self.shape)
 
+    # mask's memo; not a field, so ==, hash, asdict and dataclasses.replace skip it.
+    _masks = functools.cached_property(lambda self: {})
+
+    def mask(self, hw: tuple[int, int], lattice: tuple[int, int] | None = None,
+             interior: bool = False) -> np.ndarray:
+        """The read-only footprint (interior_mask when interior) on the
+        corner-aligned (rows, cols) = lattice of the hw scene, the pixel
+        lattice when None; rasterized once per object and lattice."""
+        (h, w), (rows, cols) = hw, lattice or hw
+        key = (h, w, rows, cols, interior)
+        if key not in self._masks:
+            rasterize = interior_mask if interior else footprint_mask
+            out = rasterize(self, (rows, cols), axis_coords(rows, h), axis_coords(cols, w))
+            out.setflags(write=False)
+            self._masks[key] = out
+        return self._masks[key]
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -337,14 +354,11 @@ def features(scene: Scene, shape: tuple[int, int]) -> tuple[FeatureMap, tuple[st
     lattice, painted in render's order, and their vocabulary. Raises
     OutOfBounds as render does."""
     check_bounds(scene)
-    gh, gw = shape
-    gys = axis_coords(gh, scene.height)
-    gxs = axis_coords(gw, scene.width)
     vocab = attribute_vocabulary(scene)
     index = {a: i for i, a in enumerate(vocab)}
-    feats = np.zeros((gh, gw, max(1, len(vocab))), dtype=np.float64)
+    feats = np.zeros((*shape, max(1, len(vocab))), dtype=np.float64)
     for obj in _paint_order(scene):
-        gmask = footprint_mask(obj, (gh, gw), gys, gxs)
+        gmask = obj.mask((scene.height, scene.width), shape)
         vec = np.zeros(max(1, len(vocab)), dtype=np.float64)
         for attr in obj.attributes:
             vec[index[attr]] = 1.0

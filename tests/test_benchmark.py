@@ -35,7 +35,7 @@ from tablang.executor import (
     PoseGrid,
     select_pick,
 )
-from tablang.grounding import ProjectionWeights, resample
+from tablang.grounding import GroundingMap, ProjectionWeights, resample
 
 
 @pytest.fixture(scope="module")
@@ -462,7 +462,9 @@ def test_random_programs_step_cleanly(backend, data):
     """A random program over a generated scene's own words and every relation
     word either steps or raises EmptyGrounding or NoFeasiblePlace. A single
     pick-place picks its recorded pick map's argmax and scores no place off
-    the upsampled reference, and the stepped scene stays in bounds."""
+    the upsampled reference, and the stepped scene stays in bounds. Every
+    recorded map, built unchecked by the algebra, is one the public
+    constructor accepts: float64, 2-d, finite, in [0, 1] and read-only."""
     scene = generated_scene(data.draw(st.sampled_from(TASK_NAMES)),
                             data.draw(st.sampled_from(("seen", "unseen"))),
                             data.draw(st.integers(0, 2)))
@@ -473,7 +475,40 @@ def test_random_programs_step_cleanly(backend, data):
     except (EmptyGrounding, NoFeasiblePlace):
         return
     world.check_bounds(after)
+    for m in [*result.intermediates.values(), result.pick_map]:
+        v = m.values
+        assert v.dtype == np.float64 and v.ndim == 2 and not v.flags.writeable
+        assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() <= 1.0
+        assert np.array_equal(GroundingMap(v).values, v)
     if isinstance(program, dsl.Do) and program.action.word not in PUSH_ACTIONS:
         assert result.all_params[0].pick == select_pick(result.pick_map)
         up_ref = resample(result.intermediates["0.0.1"], grid.height, grid.width).values
         assert not result.place_map[:, up_ref == 0.0].any()
+
+
+@pytest.mark.parametrize("backend", ["oracle", "embedding"])
+def test_episode_rasterizes_each_object_once_per_lattice(backend, lex, monkeypatch):
+    """Through each task's episode at seed 1 (up to eight steps), no object
+    instance is rasterized twice on one lattice: unmoved objects are shared
+    between the scenes of an episode and reuse their masks. check_bounds'
+    one-pixel ring outside the workspace (samples at -1) is not memoized."""
+    seen: dict = {}
+    keep = []  # holds every rasterized object, so no id() is reused
+    for name in ("footprint_mask", "interior_mask"):
+        fn = getattr(world, name)
+
+        def counted(obj, hw, ys=None, xs=None, name=name, fn=fn):
+            if not (ys is not None and ys[0] < 0 or xs is not None and xs[0] < 0):
+                key = (name, id(obj), tuple(hw), None if ys is None else ys.tobytes(),
+                       None if xs is None else xs.tobytes())
+                seen[key] = seen.get(key, 0) + 1
+                keep.append(obj)
+            return fn(obj, hw, ys, xs)
+        monkeypatch.setattr(world, name, counted)
+    steps = 0
+    for task in TASK_NAMES:
+        record = bm.run_episode(generate_episode(TaskSpec(task), 1), make_backend(backend), lex)
+        assert record["failure"] is None
+        steps += record["steps"]
+    assert steps > len(TASK_NAMES)
+    assert seen and max(seen.values()) == 1

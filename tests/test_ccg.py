@@ -192,6 +192,34 @@ def test_too_many_tokens_is_no_parse_at_once(lex):
     assert time.perf_counter() - start < 0.1
 
 
+# Under MAX_TOKENS, but their charts grow about 4x per conjunct or link.
+CHART_BLOW_UPS = (
+    "pack star" + " and star" * 9 + " in box",  # 10 conjuncts, 22 tokens
+    "pack star" + " left of ring" * 8 + " in box",  # 8-link relation chain, 28 tokens
+)
+
+
+@pytest.mark.parametrize("sentence", CHART_BLOW_UPS)
+def test_chart_bound_refuses_exponential_charts(sentence, lex):
+    toks = tokenize(sentence, lex)
+    assert len(toks) <= ccg.MAX_TOKENS
+    with pytest.raises(NoParse):
+        parse(toks, lex, k=1)
+
+
+def test_chart_bound_counts_items_over_all_cells(lex, monkeypatch):
+    """The largest chart of any generated instruction holds 75 items, leaves
+    included: it parses under a bound of 75 and not under 74."""
+    toks = tokenize("pack the letter-l into the brown box right of the diamond left of "
+                    "the hexagon", lex)
+    want = parse(toks, lex, k=3)
+    monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
+    assert parse(toks, lex, k=3) == want
+    monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
+    with pytest.raises(NoParse):
+        parse(toks, lex, k=3)
+
+
 def test_lexicon_words_tokenize_to_themselves(lex):
     """A lexicon word is tokens joined by single spaces, so tokenize can
     produce it; test_cli checks that other words are rejected."""

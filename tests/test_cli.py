@@ -64,6 +64,13 @@ def test_parse_word_salad():
     assert run_cli("parse", "box pack the").returncode == 2
 
 
+@pytest.mark.parametrize("sentence", ["pack star" + " and star" * 9 + " in box",
+                                      "pack star" + " left of ring" * 8 + " in box"])
+def test_parse_past_chart_bound_exits_2(sentence):
+    out = run_cli("parse", sentence)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+
+
 def test_parse_bad_lexicon_path():
     out = run_cli("parse", "pack the box", "--lexicon", "/nonexistent/lexicon.txt")
     assert out.returncode == 1

@@ -329,21 +329,20 @@ def test_execute_records_intermediates_by_path():
 
 
 def count_place_calls(monkeypatch) -> dict[str, int]:
-    """Count calls of executor._place_frame and executor._place_scores."""
-    calls = {"_place_frame": 0, "_place_scores": 0}
-    for name in calls:
-        fn = getattr(executor, name)
+    """Count calls of executor._place_scores."""
+    calls = {"_place_scores": 0}
+    fn = executor._place_scores
 
-        def counted(*args, name=name, fn=fn):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(executor, name, counted)
+    def counted(*args):
+        calls["_place_scores"] += 1
+        return fn(*args)
+    monkeypatch.setattr(executor, "_place_scores", counted)
     return calls
 
 
 def test_execute_push_primitive(monkeypatch):
     """A push goal moves the block toward the zone and, unlike a pick-place
-    goal, frames and scores no place."""
+    goal, scores no place."""
     calls = count_place_calls(monkeypatch)
     zone = world.SceneObject(1, world.ZONE, "square", "green", 100.0, 32.0,
                              size=14.0, attributes=("zone",))
@@ -353,7 +352,7 @@ def test_execute_push_primitive(monkeypatch):
     program = make_plan("block", "zone", rel="in", action="push")
     grid = PoseGrid(64, 128, 12)
     result = execute(program, ExecutionContext(scene, OracleBackend(), grid, RelationConfig()))
-    assert calls == {"_place_frame": 0, "_place_scores": 0}
+    assert calls == {"_place_scores": 0}
     assert result.all_params[0].primitive == "push"
     pre, post = result.all_params[0].pick, result.all_params[0].place
     # pre-push sits behind the block relative to the zone, post at the zone center
@@ -370,12 +369,12 @@ def test_execute_push_primitive(monkeypatch):
     # Hadamard dominance holds on the push path too
     up_ref = resample(result.intermediates["0.0.1"], 64, 128).values
     assert np.all(result.place_map[:, up_ref == 0.0] == 0.0)
-    # the golden pick-place plan frames and scores its place once
+    # the golden pick-place plan scores its place once
     box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
     hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
     execute(dsl.parse_program(GOLDEN_TEXT),
             ExecutionContext(world.Scene(128, 64, (box, hexagon)), OracleBackend(), grid))
-    assert calls == {"_place_frame": 1, "_place_scores": 1}
+    assert calls == {"_place_scores": 1}
 
 
 def test_execute_empty_grounding():
@@ -465,14 +464,15 @@ def test_goal_hadamard_dominance():
         assert np.all(result.place_map[r][zero_cells] == 0.0)
 
 
-def reference_place_scores(kernel, offsets, reference, bbox, grid):
-    """The per-rotation loop that stencil scoring replaced: rotate and dedupe
-    the offsets, then sum shifted windows of the zero-padded kernel into
-    float hit and value accumulators."""
-    u0, u1, v0, v1 = bbox
-    out = np.zeros((grid.rotations, grid.height, grid.width))
-    if u1 <= u0 or v1 <= v0:
-        return out
+def reference_place_scores(kernel, silhouette, reference, grid):
+    """The per-rotation loop that stencil scoring replaced, over the whole
+    grid: rotate and dedupe the silhouette's offsets from its rounded
+    centroid, then sum shifted windows of the zero-padded kernel into float
+    hit and value accumulators."""
+    rows, cols = np.nonzero(silhouette)
+    offsets = np.stack([rows - int(round(rows.mean())), cols - int(round(cols.mean()))], axis=1)
+    h, w = grid.height, grid.width
+    out = np.zeros((grid.rotations, h, w))
     for r in range(grid.rotations):
         c, s = math.cos(grid.angle(r)), math.sin(grid.angle(r))
         du = offsets[:, 0] * c - offsets[:, 1] * s
@@ -481,15 +481,13 @@ def reference_place_scores(kernel, offsets, reference, bbox, grid):
         n = len(rotated)
         pad = int(np.abs(rotated).max(initial=0)) + 1
         padded = np.pad(kernel, pad)
-        hits = np.zeros((u1 - u0, v1 - v0))
-        sums = np.zeros((u1 - u0, v1 - v0))
+        hits = np.zeros((h, w))
+        sums = np.zeros((h, w))
         for a, b in rotated:
-            window = padded[pad + u0 + a: pad + u1 + a, pad + v0 + b: pad + v1 + b]
+            window = padded[pad + a: pad + h + a, pad + b: pad + w + b]
             hits += window > 0
             sums += window
-        base = np.zeros((grid.height, grid.width))
-        base[u0:u1, v0:v1] = (hits / n) * (sums / n)
-        out[r] = reference * base
+        out[r] = reference * ((hits / n) * (sums / n))
     return out
 
 
@@ -497,27 +495,28 @@ def reference_place_scores(kernel, offsets, reference, bbox, grid):
 def place_cases(draw):
     h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     kernel = draw(arrays(np.bool_, (h, w)))
-    reference = draw(arrays(np.float64, (h, w), elements=st.floats(0.0, 1.0)))
+    # Mostly sparse references, as goal regions are, with exact zeros.
+    reference = draw(arrays(np.float64, (h, w), elements=st.one_of(
+        st.just(0.0), st.just(0.0), st.floats(0.0, 1.0))))
     # The silhouette lives on its own grid, up to 12 cells across, so its
     # offsets often reach past the kernel grid's edge.
     sh, sw = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     mask = draw(arrays(np.bool_, (sh, sw)))
     seed = (draw(st.integers(0, sh - 1)), draw(st.integers(0, sw - 1)))
-    rows, cols = np.nonzero(_component(mask, seed))  # one pixel when seed is off the mask
-    offsets = np.stack([rows - int(round(rows.mean())), cols - int(round(cols.mean()))], axis=1)
-    u0, u1 = sorted(draw(st.lists(st.integers(0, h), min_size=2, max_size=2)))
-    v0, v1 = sorted(draw(st.lists(st.integers(0, w), min_size=2, max_size=2)))
+    silhouette = _component(mask, seed)  # one pixel when seed is off the mask
     grid = PoseGrid(h, w, draw(st.sampled_from((1, 4, 12))))
-    return kernel, offsets, reference, (u0, u1, v0, v1), grid
+    return kernel, silhouette, reference, grid
 
 
 @settings(deadline=None)
 @given(place_cases())
-@example((np.ones((3, 3), dtype=bool), np.array([[0, 0]]), np.ones((3, 3)), (0, 3, 0, 3),
+@example((np.ones((3, 3), dtype=bool), np.ones((1, 1), dtype=bool), np.ones((3, 3)),
           PoseGrid(3, 3, 1)))
-@example((np.eye(4, dtype=bool), np.array([[r, c] for r in range(-3, 4) for c in range(-1, 2)]),
-          np.full((4, 4), 0.5), (0, 4, 0, 4), PoseGrid(4, 4, 12)))
+@example((np.eye(4, dtype=bool), np.ones((7, 3), dtype=bool), np.full((4, 4), 0.5),
+          PoseGrid(4, 4, 12)))
+@example((np.ones((5, 5), dtype=bool), np.ones((2, 2), dtype=bool), np.zeros((5, 5)),
+          PoseGrid(5, 5, 4)))
 def test_place_scores_match_offset_loop(case):
-    kernel, offsets, reference, bbox, grid = case
-    assert np.array_equal(_place_scores(kernel, offsets, reference, bbox, grid),
-                          reference_place_scores(kernel, offsets, reference, bbox, grid))
+    kernel, silhouette, reference, grid = case
+    assert np.array_equal(_place_scores(kernel, silhouette, reference, grid),
+                          reference_place_scores(kernel, silhouette, reference, grid))

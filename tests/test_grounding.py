@@ -44,8 +44,11 @@ def test_normalize_constant_is_zero():
 
 
 def test_normalize_nonfinite():
-    with pytest.raises(NonFinite):
-        normalize(np.array([[1.0, np.nan]]))
+    # The last grid's scores are finite, but their range overflows.
+    for raw in ([[1.0, np.nan]], [[0.0, np.inf]], [[-np.inf, np.inf]], [[np.inf, np.inf]],
+                [[-1.5e308, 1.5e308]]):
+        with pytest.raises(NonFinite):
+            normalize(np.array(raw))
 
 
 def test_normalize_preserves_order():
@@ -173,15 +176,48 @@ def test_ground_embedding_dim_mismatch():
 
 
 def test_grounding_map_validation():
-    with pytest.raises(ValueError):
-        GroundingMap(np.array([[1.5]]))
-    with pytest.raises(NonFinite):
-        GroundingMap(np.array([[np.inf]]))
-    with pytest.raises(DimMismatch):
-        GroundingMap(np.zeros((0, 3)))
+    """The algebra builds its results unchecked; data from outside still goes
+    through every check."""
+    for bad in ([[1.5]], [[1.1, 0.5]], [[-0.1, 0.5]]):
+        with pytest.raises(ValueError):
+            GroundingMap(np.array(bad))
+    for bad in ([[np.inf]], [[0.5, np.nan]]):
+        with pytest.raises(NonFinite):
+            GroundingMap(np.array(bad))
+    for bad in (np.zeros((0, 3)), np.array([0.5, 0.5])):
+        with pytest.raises(DimMismatch):
+            GroundingMap(bad)
 
 
 def test_grounding_map_is_readonly():
     m = gmap(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         m.values[0, 0] = 1.0
+
+
+def four_gather_resample(src, new_height, new_width):
+    """Bilinear resampling as four gathered corners per sample, the
+    formulation the one-pass-per-axis resample replaced."""
+    h, w = src.shape
+    ys = np.arange(new_height) * (h - 1) / (new_height - 1) if new_height > 1 else np.zeros(1)
+    xs = np.arange(new_width) * (w - 1) / (new_width - 1) if new_width > 1 else np.zeros(1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    return np.clip(top * (1 - fy) + bot * fy, 0.0, 1.0)
+
+
+def test_resample_matches_four_gathers():
+    rng = np.random.default_rng(7)
+    sides = [1, 2, 3, 70] + [int(n) for n in rng.integers(1, 71, size=60)]
+    for _ in range(300):
+        h, w, nh, nw = rng.choice(sides, size=4)
+        src = rng.random((h, w))
+        src[rng.random((h, w)) < 0.3] = 0.0
+        got = resample(gmap(src), nh, nw).values
+        assert np.array_equal(got, four_gather_resample(src, nh, nw)), (h, w, nh, nw)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -599,3 +600,73 @@ def test_actions_keep_scene_invariants(run):
         world.check_bounds(after)
         assert wall_overlaps(after) == []
         scene = after
+
+
+@st.composite
+def lineages(draw):
+    """A random or generated scene and the scenes a few random world.apply
+    actions make of it, in order."""
+    scene = draw(st.one_of(scenes(coord=central), st.builds(
+        lambda name, split, seed: generate_episode(TaskSpec(name, split), seed).scene,
+        st.sampled_from(TASK_NAMES), st.sampled_from(["seen", "unseen"]), st.integers(0, 200))))
+    h, w = scene.height, scene.width
+    pose = st.builds(Pose2, st.integers(0, h - 1), st.integers(0, w - 1), st.integers(0, 11))
+    points = item_points(scene)
+    if points:
+        pose = st.one_of(pose, st.sampled_from(points).map(lambda p: Pose2(p[0], p[1], 0)))
+    lineage = [scene]
+    for params in draw(st.lists(st.builds(ControlParams, pose, pose,
+                                          st.sampled_from(["push", "pick_place"])),
+                                max_size=5)):
+        lineage.append(world.apply(lineage[-1], params)[0])
+    return lineage
+
+
+@settings(max_examples=60, deadline=None)
+@given(lineages())
+def test_mask_memo_matches_fresh_rasters(lineage):
+    """Along a lineage of scenes, every object's memoized footprint and
+    interior on the pixel lattice and on the backends' half lattice equal a
+    fresh rasterization and are read-only; filling the memo changes no
+    object's ==, hash or asdict, nor the scene's dict."""
+    for scene in lineage:
+        hw = (scene.height, scene.width)
+        half = (max(1, scene.height // 2), max(1, scene.width // 2))
+        before = [(dataclasses.asdict(o), hash(o), dataclasses.replace(o)) for o in scene.objects]
+        scene_dict = world.scene_to_dict(scene)
+        for obj in scene.objects:
+            for rows, cols in (hw, half):
+                ys, xs = axis_coords(rows, scene.height), axis_coords(cols, scene.width)
+                for interior, fresh in ((False, footprint_mask), (True, interior_mask)):
+                    got = obj.mask(hw, (rows, cols), interior)
+                    assert np.array_equal(got, fresh(obj, (rows, cols), ys, xs))
+                    assert got is obj.mask(hw, (rows, cols), interior)
+                    assert not got.flags.writeable
+            assert obj.mask(hw) is obj.mask(hw, hw)
+        assert [(dataclasses.asdict(o), hash(o), o) for o in scene.objects] == before
+        assert world.scene_to_dict(scene) == scene_dict
+
+
+def test_mask_memo_is_not_a_field():
+    obj = SceneObject(1, ITEM, "star", "red", 20.0, 20.0, size=4.0)
+    obj.mask((40, 40))
+    assert "_masks" not in SceneObject.__dataclass_fields__
+    assert dataclasses.replace(obj, x=21.0)._masks == {}
+
+
+def test_mask_memo_keys_on_scene_size():
+    """One object may sit in scenes of different sizes: the same (rows, cols)
+    lattice then samples different scene points."""
+    obj = SceneObject(1, ITEM, "star", "red", 20.0, 20.0, size=4.0)
+    for hw in ((40, 40), (80, 60), (40, 40)):
+        ys, xs = axis_coords(20, hw[0]), axis_coords(20, hw[1])
+        assert np.array_equal(obj.mask(hw, (20, 20)), footprint_mask(obj, (20, 20), ys, xs))
+
+
+def test_pixel_lattice_is_arange():
+    """The memo rasterizes the pixel lattice as axis_coords(n, n), which
+    must be np.arange(n) exactly."""
+    for n in range(1, 1025):
+        coords = axis_coords(n, n)
+        assert coords.dtype == np.float64
+        assert np.array_equal(coords, np.arange(n, dtype=np.float64))
