@@ -107,10 +107,12 @@ def make_backend(name: str, ground_shape: tuple[int, int] | None = None,
                  weights_path=None):
     """The backend called name ("oracle" or "embedding"). weights_path is a
     projection weights file for the embedding backend (identity when None);
-    the oracle backend has no weights."""
+    the oracle backend has no weights and refuses one."""
     if ground_shape is not None and min(ground_shape) < 1:
         raise ValueError(f"grounding shape must be positive, not {ground_shape}")
     if name == "oracle":
+        if weights_path is not None:
+            raise ValueError("weights are for the embedding backend, not oracle")
         return OracleBackend(ground_shape)
     if name == "embedding":
         weights = formats.load_projection_weights(weights_path) if weights_path else None

@@ -308,9 +308,9 @@ def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
     return actions, current
 
 
-def _replay(scene, actions, rotations=12):
+def _replay(scene, actions):
     for params in actions:
-        scene, _ = world.apply(scene, params, rotations)
+        scene, _ = world.apply(scene, params)
     return scene
 
 
@@ -554,12 +554,23 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def read_instruction(text: str, lexicon) -> ccg.Derivation:
+    """The instruction's top-ranked derivation; raises ccg.NoParse."""
+    return ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=1)[0]
+
+
 def step(program: dsl.ProgramNode, scene: world.Scene, backend,
-         grid: PoseGrid) -> tuple[ExecutionResult, world.Scene]:
-    """Execute the program on the scene and apply every action it plans;
-    returns the execution result and the scene after the actions."""
-    result = execute(program, ExecutionContext(scene, backend, grid))
-    return result, _replay(scene, result.all_params, grid.rotations)
+         grid: PoseGrid) -> tuple[list[ExecutionResult], world.Scene]:
+    """Plan each goal of the program (dsl.goals) on the scene the previous
+    goal's action left, and apply its action; returns the per-goal results
+    and the final scene. A goal that fails raises, so a step applies all
+    of its goals' actions or none."""
+    results = []
+    for goal in dsl.goals(program):
+        result = execute(goal, ExecutionContext(scene, backend, grid))
+        scene, _ = world.apply(scene, result.params, grid.rotations)
+        results.append(result)
+    return results, scene
 
 
 def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict:
@@ -580,8 +591,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict
     scene = episode.scene
     grid = PoseGrid(scene.height, scene.width, rotations)
     try:
-        tokens = ccg.tokenize(episode.instruction, lexicon)
-        derivation = ccg.parse(tokens, lexicon, k=1)[0]
+        derivation = read_instruction(episode.instruction, lexicon)
         record["program"] = dsl.serialize(derivation.program)
         for n in range(episode.max_steps):
             if score_success(task, scene, episode) >= 1.0:

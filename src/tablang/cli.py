@@ -8,6 +8,7 @@ execution failure. All file output stays under --output-dir.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -84,32 +85,28 @@ def cmd_run(args) -> int:
     if session is None:
         return EXIT_IO
     lexicon, scene, out, backend, grid = session
-    tokens = ccg.tokenize(args.instruction, lexicon)
     try:
-        derivation = ccg.parse(tokens, lexicon, k=1)[0]
+        derivation = benchmark.read_instruction(args.instruction, lexicon)
     except ccg.NoParse as exc:
         print(f"no parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
     program = derivation.program
     try:
-        result, after = benchmark.step(program, scene, backend, grid)
+        results, after = benchmark.step(program, scene, backend, grid)
     except ExecutionError as exc:
         print(f"execution failed: {exc}", file=sys.stderr)
         return EXIT_EXEC
 
-    def dump_render(prefix, rendered):
+    for prefix, rendered in (("before", world.render(scene)), ("after", world.render(after))):
         formats.write_ppm(out / f"{prefix}.ppm", rendered.image[:, :, :3])
-        height = rendered.image[:, :, 3]
-        scale = height.max() if height.max() > 0 else 1.0
-        formats.write_pgm(out / f"{prefix}_height.pgm", height / scale)
-        seg = rendered.segmentation.astype(float)
-        ids = seg.max() if seg.max() > 0 else 1.0
-        formats.write_pgm(out / f"{prefix}_seg.pgm", seg / ids)
-
-    dump_render("before", world.render(scene))
-    dump_render("after", world.render(after))
+        for suffix, values in (("height", rendered.image[:, :, 3]),
+                               ("seg", rendered.segmentation)):
+            top = values.max()
+            formats.write_pgm(out / f"{prefix}_{suffix}.pgm", values / top if top > 0 else values)
     world.save_scene(out / "scene_after.json", after)
 
+    # The maps are the first goal's.
+    result = results[0]
     formats.write_pgm(out / "pick.pgm", result.pick_map.values)
     for r in range(result.place_map.shape[0]):
         formats.write_pgm(out / f"place_r{r:02d}.pgm", result.place_map[r])
@@ -119,28 +116,19 @@ def cmd_run(args) -> int:
         formats.write_pgm(out / fname, gmap.values)
         map_files[path] = fname
 
-    def pose_dict(p):
-        return {"u": p.u, "v": p.v, "r": p.r}
-
-    first = result.all_params[0]
+    actions = [dataclasses.asdict(r.params) for r in results]
     action = {
         "instruction": args.instruction,
         "program": dsl.serialize(program),
-        "primitive": first.primitive,
-        "pick": pose_dict(first.pick),
-        "place": pose_dict(first.place),
-        "actions": [
-            {"primitive": p.primitive, "pick": pose_dict(p.pick), "place": pose_dict(p.place)}
-            for p in result.all_params
-        ],
+        **actions[0],
+        "actions": actions,
         "pick_score": float(result.pick_map.values.max()),
         "place_score": float(result.place_map.max()),
         "intermediates": map_files,
         "novel_words": [a.describe() for a in derivation.oov_assignments],
     }
     (out / "action.json").write_text(json.dumps(action, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({"program": action["program"], "primitive": action["primitive"],
-                      "pick": action["pick"], "place": action["place"]}, sort_keys=True))
+    print(json.dumps({"program": action["program"], **actions[0]}, sort_keys=True))
     return EXIT_OK
 
 
@@ -253,15 +241,14 @@ def cmd_repl(args) -> int:
             transcript.append(msg)
             continue
         try:
-            tokens = ccg.tokenize(line, lexicon)
-            derivation = ccg.parse(tokens, lexicon, k=1)[0]
-            result, new_scene = benchmark.step(derivation.program, history[-1], backend, grid)
+            derivation = benchmark.read_instruction(line, lexicon)
+            results, new_scene = benchmark.step(derivation.program, history[-1], backend, grid)
             history.append(new_scene)
-            p = result.all_params[0]
-            msg = (f"{dsl.serialize(derivation.program)}\n"
-                   f"{p.primitive}: pick ({p.pick.u},{p.pick.v}) -> "
-                   f"place ({p.place.u},{p.place.v},{p.place.r})\n"
-                   + _object_table(new_scene))
+            msg = "\n".join([dsl.serialize(derivation.program),
+                             *(f"{p.primitive}: pick ({p.pick.u},{p.pick.v}) -> "
+                               f"place ({p.place.u},{p.place.v},{p.place.r})"
+                               for p in (r.params for r in results)),
+                             _object_table(new_scene)])
         except (ccg.NoParse, ExecutionError) as exc:
             msg = f"error: {exc}"
         print(msg, flush=True)

@@ -221,6 +221,14 @@ def type_check(node: ProgramNode, env: tuple = ()) -> SemanticType | tuple:
     return _check(node, env, "0")
 
 
+def goals(program: ProgramNode) -> list[ProgramNode]:
+    """The do leaves of an actionconcat tree, left to right; any other
+    program is a goal by itself."""
+    if isinstance(program, ActionConcat):
+        return goals(program.a) + goals(program.b)
+    return [program]
+
+
 _BINDER_NAMES = "xyzwuvab"
 
 

@@ -139,7 +139,7 @@ class ExecutionContext:
 
 @dataclass
 class ExecutionResult:
-    all_params: tuple[ControlParams, ...]
+    params: ControlParams
     intermediates: dict[str, GroundingMap]
     pick_map: GroundingMap
     place_map: np.ndarray  # (R, H, W) per-rotation scores
@@ -363,13 +363,17 @@ def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
     return result
 
 
-def _eval_do(node: dsl.Do, path: str, ctx: ExecutionContext,
-             intermediates: dict[str, GroundingMap]):
-    """([params], pick map, place grids) of one goal: the pick from the
-    object map, then a push toward the goal kernel or a scored place on it."""
-    goal, grid = node.goal, ctx.pose_grid
-    obj_map = _eval_obj(goal.obj, f"{path}.0.0", ctx, intermediates)
-    ref_map = _eval_obj(goal.reference, f"{path}.0.1", ctx, intermediates)
+def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
+    """Plan one goal, a do program, against the scene context: the pick from
+    the object map, then a push toward the goal kernel or a scored place on
+    it. A plan of several goals runs goal by goal (benchmark.step)."""
+    if not isinstance(program, dsl.Do):
+        raise dsl.TypeMismatch("0", "do", type(program).__name__)
+    dsl.type_check(program)
+    intermediates: dict[str, GroundingMap] = {}
+    goal, grid = program.goal, ctx.pose_grid
+    obj_map = _eval_obj(goal.obj, "0.0.0", ctx, intermediates)
+    ref_map = _eval_obj(goal.reference, "0.0.1", ctx, intermediates)
     kind = ctx.relation_config.kind_of(goal.rel.word)
     up_obj = resample(obj_map, grid.height, grid.width).values
     reference = resample(ref_map, grid.height, grid.width).values
@@ -390,37 +394,11 @@ def _eval_do(node: dsl.Do, path: str, ctx: ExecutionContext,
     pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
     effective = kernel & ~_dilate(_obstacle_mask(ctx, picked), OBSTACLE_PAD_PX)
 
-    if node.action.word in PUSH_ACTIONS:
+    if program.action.word in PUSH_ACTIONS:
         params, pick_map, place_grids = _push_params(
             silhouette, effective if effective.any() else kernel, grid)
     else:
         place_grids = _place_scores(effective, silhouette, reference, grid)
         params = ControlParams(pick, select_place(place_grids), PICK_PLACE)
-    intermediates[path] = pick_map
-    return [params], pick_map, place_grids
-
-
-def _eval_plan(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
-               intermediates: dict[str, GroundingMap]):
-    if isinstance(node, dsl.Do):
-        return _eval_do(node, path, ctx, intermediates)
-    if isinstance(node, dsl.ActionConcat):
-        left = _eval_plan(node.a, f"{path}.0", ctx, intermediates)
-        right = _eval_plan(node.b, f"{path}.1", ctx, intermediates)
-        return left[0] + right[0], left[1], left[2]
-    raise TypeError(f"not a plan node: {node!r}")
-
-
-def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
-    """Evaluate a Plan-typed program against the scene context."""
-    found = dsl.type_check(program)
-    if found is not dsl.SemanticType.PLAN:
-        raise dsl.TypeMismatch("0", dsl.SemanticType.PLAN.value, found.value)
-    intermediates: dict[str, GroundingMap] = {}
-    all_params, pick_map, place_grids = _eval_plan(program, "0", ctx, intermediates)
-    return ExecutionResult(
-        all_params=tuple(all_params),
-        intermediates=intermediates,
-        pick_map=pick_map,
-        place_map=place_grids,
-    )
+    intermediates["0"] = pick_map
+    return ExecutionResult(params, intermediates, pick_map, place_grids)

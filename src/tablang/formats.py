@@ -22,18 +22,6 @@ def write_pgm(path, values: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    header, rest = blob.split(b"\n255\n", 1)
-    magic, dims = header.split(b"\n", 1)
-    if magic != b"P5":
-        raise ValueError("not a binary PGM")
-    w, h = (int(t) for t in dims.split())
-    data = np.frombuffer(rest[: w * h], dtype=np.uint8).reshape(h, w)
-    return data.astype(np.float64) / 255.0
-
-
 def write_ppm(path, rgb: np.ndarray) -> None:
     """8-bit binary PPM from an (H, W, 3) float array in [0, 1]."""
     arr = np.asarray(rgb, dtype=np.float64)

@@ -7,7 +7,6 @@ from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, ma
 from tablang.dsl import ACTION, PROPERTY, ConceptToken
 from tablang.formats import (
     load_projection_weights,
-    read_pgm,
     save_projection_weights,
     write_pgm,
 )
@@ -223,15 +222,17 @@ def test_backend_factory(tmp_path):
     save_projection_weights(path, weights)
     loaded = make_backend("embedding", weights_path=path).weights
     assert np.array_equal(loaded.cv, weights.cv)
+    with pytest.raises(ValueError, match="embedding backend"):
+        make_backend("oracle", weights_path=path)
     with pytest.raises(ValueError):
         make_backend("clip")
 
 
-def test_pgm_round_trip(tmp_path):
+def test_write_pgm_bytes(tmp_path):
+    """A binary PGM header, then each value in [0, 1] times 255, rounded."""
     rng = np.random.default_rng(1)
     values = rng.random((9, 13))
     path = tmp_path / "map.pgm"
     write_pgm(path, values)
-    loaded = read_pgm(path)
-    assert loaded.shape == values.shape
-    assert np.all(np.abs(loaded - values) <= 0.5 / 255.0 + 1e-12)
+    data = np.rint(np.clip(values, 0, 1) * 255).astype(np.uint8)
+    assert path.read_bytes() == b"P5\n13 9\n255\n" + data.tobytes()

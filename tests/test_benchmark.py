@@ -460,30 +460,34 @@ def random_plans(draw, words, depth):
 @given(data=st.data())
 def test_random_programs_step_cleanly(backend, data):
     """A random program over a generated scene's own words and every relation
-    word either steps or raises EmptyGrounding or NoFeasiblePlace. A single
-    pick-place picks its recorded pick map's argmax and scores no place off
-    the upsampled reference, and the stepped scene stays in bounds. Every
-    recorded map, built unchecked by the algebra, is one the public
-    constructor accepts: float64, 2-d, finite, in [0, 1] and read-only."""
+    word either steps or raises EmptyGrounding or NoFeasiblePlace. It gives
+    one result per goal; each pick-place goal picks its recorded pick map's
+    argmax and scores no place off the upsampled reference, and the stepped
+    scene stays in bounds. Every goal's recorded maps, built unchecked by
+    the algebra, are ones the public constructor accepts: float64, 2-d,
+    finite, in [0, 1] and read-only."""
     scene = generated_scene(data.draw(st.sampled_from(TASK_NAMES)),
                             data.draw(st.sampled_from(("seen", "unseen"))),
                             data.draw(st.integers(0, 2)))
     program = data.draw(random_plans(world.attribute_vocabulary(scene), 2))
     grid = PoseGrid(scene.height, scene.width)
     try:
-        result, after = bm.step(program, scene, make_backend(backend), grid)
+        results, after = bm.step(program, scene, make_backend(backend), grid)
     except (EmptyGrounding, NoFeasiblePlace):
         return
     world.check_bounds(after)
-    for m in [*result.intermediates.values(), result.pick_map]:
-        v = m.values
-        assert v.dtype == np.float64 and v.ndim == 2 and not v.flags.writeable
-        assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() <= 1.0
-        assert np.array_equal(GroundingMap(v).values, v)
-    if isinstance(program, dsl.Do) and program.action.word not in PUSH_ACTIONS:
-        assert result.all_params[0].pick == select_pick(result.pick_map)
-        up_ref = resample(result.intermediates["0.0.1"], grid.height, grid.width).values
-        assert not result.place_map[:, up_ref == 0.0].any()
+    goals = dsl.goals(program)
+    assert len(results) == len(goals)
+    for goal, result in zip(goals, results):
+        for m in [*result.intermediates.values(), result.pick_map]:
+            v = m.values
+            assert v.dtype == np.float64 and v.ndim == 2 and not v.flags.writeable
+            assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() <= 1.0
+            assert np.array_equal(GroundingMap(v).values, v)
+        if goal.action.word not in PUSH_ACTIONS:
+            assert result.params.pick == select_pick(result.pick_map)
+            up_ref = resample(result.intermediates["0.0.1"], grid.height, grid.width).values
+            assert not result.place_map[:, up_ref == 0.0].any()
 
 
 @pytest.mark.parametrize("backend", ["oracle", "embedding"])

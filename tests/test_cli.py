@@ -167,6 +167,34 @@ def test_run_execution_failure(tmp_path, scene_file):
     assert out.returncode == 3
 
 
+def test_run_and_repl_report_each_goal(tmp_path, scene_file):
+    """run writes one action per goal, the second planned on the scene the
+    first left, and the first goal's maps; repl prints one action line per
+    goal."""
+    path, _ = scene_file
+    first_goal = "pack the star in the brown box"
+    both = f"{first_goal} and pack the hexagon in the brown box"
+    for name, instruction in (("one", first_goal), ("both", both)):
+        out = run_cli("run", "--scene", str(path), "--output-dir", str(tmp_path / name),
+                      instruction)
+        assert out.returncode == 0, out.stderr
+    one, two = (json.loads((tmp_path / name / "action.json").read_text())
+                for name in ("one", "both"))
+    assert len(two["actions"]) == 2 and two["actions"][0] == one["actions"][0]
+    assert two["actions"][0]["place"] != two["actions"][1]["place"]
+    for key in ("primitive", "pick", "place", "pick_score", "place_score", "intermediates"):
+        assert two[key] == one[key]
+    for name in ["pick.pgm", *one["intermediates"].values()]:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+    out = run_cli("repl", "--scene", str(path), "--output-dir", str(tmp_path / "repl"),
+                  stdin=f"{both}\n:quit\n")
+    assert out.returncode == 0, out.stderr
+    lines = [line for line in out.stdout.splitlines() if line.startswith("pick_place:")]
+    assert lines == [f"pick_place: pick ({a['pick']['u']},{a['pick']['v']}) -> place "
+                     f"({a['place']['u']},{a['place']['v']},{a['place']['r']})"
+                     for a in two["actions"]]
+
+
 def test_eval_round_trip_byte_identical(tmp_path):
     config = {"tasks": ["packing_shapes"], "episodes": 3, "seed": 1,
               "rotations": 12, "backend": "oracle"}
@@ -282,6 +310,28 @@ def test_eval_flags_missing_file(tmp_path, flags):
     out = run_cli("eval", "--tasks", "packing_shapes", "--episodes", "1",
                   "--output-dir", str(tmp_path / "o"), *flags)
     assert_clean_exit_1(out)
+
+
+@pytest.mark.parametrize("command", ["run", "repl", "eval", "config"])
+def test_oracle_backend_refuses_weights(tmp_path, scene_file, command):
+    """Weights are for the embedding backend: with the oracle backend a
+    --weights flag, or a config's weights, exits 1 before any file is read."""
+    path, ep = scene_file
+    weights = "/nonexistent/w.txt"
+    if command == "config":
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 1,
+                                   "weights": weights}))
+        args = ["eval", "--config", str(cfg)]
+    elif command == "eval":
+        args = ["eval", "--tasks", "packing_shapes", "--episodes", "1", "--weights", weights]
+    else:
+        args = [command, "--scene", str(path), "--weights", weights,
+                *([ep.instruction] if command == "run" else [])]
+    out = run_cli(*args, "--backend", "oracle", "--output-dir", str(tmp_path / "o"),
+                  stdin=":quit\n")
+    assert_clean_exit_1(out)
+    assert "embedding backend" in out.stderr
 
 
 # Loads fine, but its cv expects 2 features where the scene has 11.

@@ -78,6 +78,14 @@ def test_actionconcat_types():
         type_check(ActionConcat(Scene(), plan))
 
 
+def test_goals_are_the_do_leaves_left_to_right():
+    a, b, c = (Do(Goal(Filter(Scene(), prop(w)), Filter(Scene(), prop("box")), rel("in")),
+                  act("pack")) for w in ("star", "ring", "disc"))
+    assert dsl.goals(a) == [a]
+    assert dsl.goals(ActionConcat(ActionConcat(a, b), c)) == [a, b, c]
+    assert dsl.goals(ActionConcat(a, ActionConcat(b, c))) == [a, b, c]
+
+
 def test_serialize_scene():
     assert serialize(Scene()) == "scene()"
 

@@ -257,11 +257,11 @@ def test_execute_golden_example():
     grid = PoseGrid(64, 128, 12)
     ctx = ExecutionContext(scene, OracleBackend(), grid, RelationConfig())
     result = execute(program, ctx)
-    pick, place = result.all_params[0].pick, result.all_params[0].place
+    pick, place = result.params.pick, result.params.place
     assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
     assert world.interior_mask(box, (1, 1), np.array([float(place.u)]),
                                np.array([float(place.v)]))[0, 0]
-    after, moved = world.apply_pick_place(scene, result.all_params[0])
+    after, moved = world.apply_pick_place(scene, result.params)
     assert moved
     foot = world.footprint_mask(after.find(2), (64, 128))
     interior = world.interior_mask(box, (64, 128))
@@ -291,26 +291,25 @@ def test_pick_place_looks_up_the_picked_item_once(monkeypatch):
                         lambda *args: calls.append(args) or pick_target(*args))
     ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
     result = execute(dsl.parse_program(GOLDEN_TEXT), ctx)
-    pick = result.all_params[0].pick
+    pick = result.params.pick
     assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
     assert len(calls) == 1
 
 
 def test_execute_leaves_no_cyclic_garbage():
-    """execute frees its maps by reference counting alone; a reference cycle
-    would keep every intermediate GroundingMap alive until the cyclic
-    collector runs."""
+    """Each execute of a two-goal step frees its maps by reference counting
+    alone; a reference cycle would keep every intermediate GroundingMap alive until
+    the cyclic collector runs."""
     box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
     hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
     star = world.SceneObject(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
     scene = world.Scene(128, 64, (box, hexagon, star), rng_seed=0)
-    ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
     program = dsl.parse_program(
         "actionconcat(" + GOLDEN_TEXT + ", do(goal(filter(star), filter(box), in), push))")
     gc.disable()
     try:
         gc.collect()
-        assert execute(program, ctx).all_params
+        assert len(bm.step(program, scene, OracleBackend(), PoseGrid(64, 128, 12))[0]) == 2
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -353,13 +352,13 @@ def test_execute_push_primitive(monkeypatch):
     grid = PoseGrid(64, 128, 12)
     result = execute(program, ExecutionContext(scene, OracleBackend(), grid, RelationConfig()))
     assert calls == {"_place_scores": 0}
-    assert result.all_params[0].primitive == "push"
-    pre, post = result.all_params[0].pick, result.all_params[0].place
+    assert result.params.primitive == "push"
+    pre, post = result.params.pick, result.params.place
     # pre-push sits behind the block relative to the zone, post at the zone center
     assert pre.v < 40.0
     assert abs(pre.u - 32) <= 1
     assert abs(post.v - 100.0) <= 2 and abs(post.u - 32.0) <= 2
-    after, moved = world.apply_push(scene, result.all_params[0])
+    after, moved = world.apply_push(scene, result.params)
     assert moved
     assert world.footprint_mask(zone, (1, 1), np.array([after.find(2).y]),
                                 np.array([after.find(2).x]))[0, 0]
@@ -390,15 +389,29 @@ def test_execute_requires_plan():
         execute(dsl.Scene(), ctx)
 
 
-def test_execute_actionconcat_returns_sequence():
-    ep = bm.generate_episode(bm.TaskSpec("packing_shapes"), 3)
-    lex = ccg.default_lexicon()
-    program = ccg.parse(ccg.tokenize(ep.instruction, lex), lex, 1)[0].program
-    double = dsl.ActionConcat(program, program)
+def test_step_plans_each_goal_on_the_scene_the_last_left():
+    """Two goals joined by "and" run goal by goal: the hexagon is planned on
+    the scene with the star already packed, so both end up in the box with
+    no footprint pixel shared (planned on the start scene, both landed at one
+    pose, 37 pixels overlapping). execute itself plans one goal only."""
+    ep = bm.generate_episode(bm.TaskSpec("packing_shapes"), 7)
+    program = bm.read_instruction(
+        "pack the star in the brown box and pack the hexagon in the brown box",
+        ccg.default_lexicon()).program
+    assert isinstance(program, dsl.ActionConcat)
     grid = PoseGrid(ep.scene.height, ep.scene.width, 12)
-    result = execute(double, ExecutionContext(ep.scene, OracleBackend(), grid,
-                                              RelationConfig()))
-    assert len(result.all_params) == 2
+    results, after = bm.step(program, ep.scene, OracleBackend(), grid)
+    assert len(results) == 2 and results[0].params.place != results[1].params.place
+    middle, _ = world.apply(ep.scene, results[0].params)
+    assert execute(program.b, ExecutionContext(middle, OracleBackend(), grid)).params \
+        == results[1].params
+    star, hexagon = (next(o for o in after.objects if o.shape == s) for s in ("star", "hexagon"))
+    assert world.inside(after.find(1), star.y, star.x)
+    assert world.inside(after.find(1), hexagon.y, hexagon.x)
+    hw = (after.height, after.width)
+    assert not (star.mask(hw) & hexagon.mask(hw)).any()
+    with pytest.raises(dsl.TypeMismatch):
+        execute(program, ExecutionContext(ep.scene, OracleBackend(), grid))
 
 
 def test_execute_deterministic():
@@ -408,12 +421,12 @@ def test_execute_deterministic():
     grid = PoseGrid(ep.scene.height, ep.scene.width, 12)
     a = execute(program, ExecutionContext(ep.scene, OracleBackend(), grid, RelationConfig()))
     b = execute(program, ExecutionContext(ep.scene, OracleBackend(), grid, RelationConfig()))
-    assert a.all_params == b.all_params
+    assert a.params == b.params
     assert np.array_equal(a.place_map, b.place_map)
     assert np.array_equal(a.pick_map.values, b.pick_map.values)
     # control parameters are re-derivable as argmaxes of the recorded maps
-    assert select_pick(a.pick_map) == a.all_params[0].pick
-    assert select_place(a.place_map) == a.all_params[0].place
+    assert select_pick(a.pick_map) == a.params.pick
+    assert select_place(a.place_map) == a.params.place
 
 
 def test_goal_zero_reference_annihilates():
@@ -438,7 +451,7 @@ def test_oracle_end_to_end_invariants():
         grid = PoseGrid(ep.scene.height, ep.scene.width, 12)
         result = execute(program, ExecutionContext(ep.scene, OracleBackend(),
                                                    grid, RelationConfig()))
-        pick, place = result.all_params[0].pick, result.all_params[0].place
+        pick, place = result.params.pick, result.params.place
         picked = world.pick_target(ep.scene, pick.u, pick.v)
         assert picked is not None and picked.id in ep.goal.target_ids
         regions = [ep.scene.find(rid) for rid in ep.goal.region_ids]
