@@ -554,9 +554,9 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def read_instruction(text: str, lexicon) -> ccg.Derivation:
-    """The instruction's top-ranked derivation; raises ccg.NoParse."""
-    return ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=1)[0]
+def read_instruction(text: str, lexicon, cells: dict | None = None) -> ccg.Derivation:
+    """The instruction's top-ranked derivation (cells as in ccg.parse); raises ccg.NoParse."""
+    return ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=1, cells=cells)[0]
 
 
 def step(program: dsl.ProgramNode, scene: world.Scene, backend,
@@ -573,10 +573,11 @@ def step(program: dsl.ProgramNode, scene: world.Scene, backend,
     return results, scene
 
 
-def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict:
+def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
+                cells: dict | None = None) -> dict:
     """Parse, execute stepwise, apply, and score one episode. An error is
     recorded as the episode's failure ("parse", "grounding", "placement", or
-    "internal" for any other exception) instead of being raised."""
+    "internal" for any other exception) instead of being raised. cells as in ccg.parse."""
     task = TaskSpec(episode.task_name, episode.split)
     record = {
         "task": episode.task_name,
@@ -591,7 +592,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict
     scene = episode.scene
     grid = PoseGrid(scene.height, scene.width, rotations)
     try:
-        derivation = read_instruction(episode.instruction, lexicon)
+        derivation = read_instruction(episode.instruction, lexicon, cells)
         record["program"] = dsl.serialize(derivation.program)
         for n in range(episode.max_steps):
             if score_success(task, scene, episode) >= 1.0:
@@ -616,7 +617,12 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict
 def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
               rotations: int = 12) -> EvalReport:
     """Evaluate each task over n seeded episodes; per-task means are on the
-    0-100 scale. Episode errors score 0 and never abort the suite."""
+    0-100 scale. Episode errors score 0 and never abort the suite.
+
+    Instructions come from a few templates per task, so their sub-phrases
+    repeat: the suite's parses share one memo of CKY chart cells by token
+    span (ccg.parse's cells), and each distinct span is built once per call.
+    The memo lives for this call only; it never changes a result."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if seed < 0:
@@ -631,6 +637,7 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
     episodes = []
     per_task = {}
     seeds = list(range(seed, seed + n_episodes))
+    cells: dict = {}
     for task in tasks:
         scores = []
         for i in range(n_episodes):
@@ -643,7 +650,7 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
                                  "failure": "generation", "error": str(exc)})
                 scores.append(0.0)
                 continue
-            record = run_episode(episode, backend, lexicon, rotations)
+            record = run_episode(episode, backend, lexicon, rotations, cells=cells)
             episodes.append(record)
             scores.append(record["score"])
         per_task[f"{task.name}/{task.split}"] = round(100.0 * float(np.mean(scores)), 4)

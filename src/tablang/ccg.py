@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -134,14 +135,21 @@ def parse_category(text: str) -> Category:
 # chart normalizes every combination, and a call per node shows in parse time.
 
 
+def _rebuilt(node: ProgramNode, values: list) -> ProgramNode:
+    """node with values for its fields; node itself if each value is the field it replaces."""
+    if all(map(operator.is_, values, vars(node).values())):
+        return node
+    return type(node)(*values)
+
+
 def _shift(term, by: int, cutoff: int = 0):
     """term with by added to every index that points past its cutoff binders."""
     if isinstance(term, Var):
         return Var(term.index + by) if term.index >= cutoff else term
     if isinstance(term, Lam):
-        return Lam(_shift(term.body, by, cutoff + 1))
+        return _rebuilt(term, [_shift(term.body, by, cutoff + 1)])
     if isinstance(term, ProgramNode):
-        return type(term)(*[_shift(v, by, cutoff) for v in vars(term).values()])
+        return _rebuilt(term, [_shift(v, by, cutoff) for v in vars(term).values()])
     return term
 
 
@@ -154,21 +162,22 @@ def _open(body, arg: ProgramNode, depth: int = 0):
             return _shift(arg, depth) if depth else arg
         return Var(body.index - 1) if body.index > depth else body
     if isinstance(body, Lam):
-        return Lam(_open(body.body, arg, depth + 1))
+        return _rebuilt(body, [_open(body.body, arg, depth + 1)])
     if isinstance(body, ProgramNode):
-        return type(body)(*[_open(v, arg, depth) for v in vars(body).values()])
+        return _rebuilt(body, [_open(v, arg, depth) for v in vars(body).values()])
     return body
 
 
 def beta_normalize(term):
+    """term's beta normal form; a normal subterm is returned as itself."""
     if isinstance(term, App):
         fn = beta_normalize(term.fn)
         arg = beta_normalize(term.arg)
         if isinstance(fn, Lam):
             return beta_normalize(_open(fn.body, arg))
-        return App(fn, arg)
+        return _rebuilt(term, [fn, arg])
     if isinstance(term, ProgramNode) and type(term) is not Var:
-        return type(term)(*map(beta_normalize, vars(term).values()))
+        return _rebuilt(term, [beta_normalize(v) for v in vars(term).values()])
     return term
 
 
@@ -265,12 +274,11 @@ class Lexicon:
     def __init__(self, entries):
         self._entries: dict[str, tuple[LexiconEntry, ...]] = {}
         for e in entries:
-            self._entries.setdefault(e.word, ())
-            self._entries[e.word] = self._entries[e.word] + (e,)
+            self._entries[e.word] = self._entries.get(e.word, ()) + (e,)
 
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self._entries)
+    @functools.cached_property
+    def vocabulary(self) -> frozenset[str]:
+        return frozenset(self._entries)
 
     @functools.cached_property
     def readings(self) -> list[tuple[Category, ProgramNode, float]]:
@@ -378,39 +386,50 @@ class Derivation:
     oov_assignments: tuple[OovAssignment, ...] = ()
 
 
-def _chart_roots(tokens, lookup) -> list:
+def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
     """CKY chart over the token sequence; lookup(token) yields
     (category, sem, log_score, oov_tuple) leaves. A chart that would hold
-    more than MAX_CHART_ITEMS items, summed over its cells, is a NoParse."""
+    more than MAX_CHART_ITEMS items, summed over its cells, is a NoParse.
+
+    cells, if given, memoizes finished cells by their tokens and is read and
+    filled here: share it only between lookups that give each token the same
+    leaves. A reused cell counts as if built, so no result or refusal changes."""
     n = len(tokens)
-    cells: dict[tuple[int, int], dict] = {}
-    for i, tok in enumerate(tokens):
-        cell: dict = {}
-        for cat, sem, logp, oov in lookup(tok):
-            key = (cat, sem, oov)
-            if key not in cell or logp > cell[key]:
-                cell[key] = logp
-        cells[(i, i + 1)] = cell
-    items = sum(map(len, cells.values()))
-    for span in range(2, n + 1):
+    memo = {} if cells is None else cells
+    items = 0
+    for span in range(1, n + 1):
         for i in range(0, n - span + 1):
-            j = i + span
-            cell = {}
-            for split in range(i + 1, j):
-                for (lcat, lsem, loov), llog in cells[(i, split)].items():
-                    for (rcat, rsem, roov), rlog in cells[(split, j)].items():
-                        for cat, sem in _combinations((lcat, lsem), (rcat, rsem)):
-                            key = (cat, sem, loov + roov)
-                            logp = llog + rlog
-                            if key not in cell:
-                                items += 1
-                                if items > MAX_CHART_ITEMS:
-                                    raise NoParse(tokens)
-                            elif logp <= cell[key]:
-                                continue
-                            cell[key] = logp
-            cells[(i, j)] = cell
-    return [(cat, sem, logp, oov) for (cat, sem, oov), logp in cells[(0, n)].items()]
+            words = tuple(tokens[i:i + span])
+            cell = memo.get(words)
+            if cell is not None:
+                items += len(cell)
+                # The leaves alone are never refused, as when they are built.
+                if span > 1 and cell and items > MAX_CHART_ITEMS:
+                    raise NoParse(tokens)
+            elif span == 1:
+                cell = {}
+                for cat, sem, logp, oov in lookup(tokens[i]):
+                    key = (cat, sem, oov)
+                    if key not in cell or logp > cell[key]:
+                        cell[key] = logp
+                items += len(cell)
+            else:
+                cell = {}
+                for split in range(1, span):
+                    for (lcat, lsem, loov), llog in memo[words[:split]].items():
+                        for (rcat, rsem, roov), rlog in memo[words[split:]].items():
+                            for cat, sem in _combinations((lcat, lsem), (rcat, rsem)):
+                                key = (cat, sem, loov + roov)
+                                logp = llog + rlog
+                                if key not in cell:
+                                    items += 1
+                                    if items > MAX_CHART_ITEMS:
+                                        raise NoParse(tokens)
+                                elif logp <= cell[key]:
+                                    continue
+                                cell[key] = logp
+            memo[words] = cell
+    return [(cat, sem, logp, oov) for (cat, sem, oov), logp in memo[tuple(tokens)].items()]
 
 
 def _lexicon_leaves(lexicon: Lexicon, extra: dict[str, list]):
@@ -468,7 +487,7 @@ def _derivations_from_roots(roots) -> list[Derivation]:
                                          tuple(a.describe() for a in d.oov_assignments)))
 
 
-def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
+def parse(tokens, lexicon: Lexicon, k: int = 1, cells: dict | None = None) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
     log priors of any novel-word assignments. Deterministic: ties break on
     the program string.
@@ -477,7 +496,8 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     one of lexicon.readings, all in one chart, and only roots that give each
     unknown word a single reading survive, so a repeated unknown word never
     mixes two guesses. More than MAX_TOKENS tokens, or a chart of more than
-    MAX_CHART_ITEMS items, is a NoParse."""
+    MAX_CHART_ITEMS items, is a NoParse. cells (see _chart_roots) is the
+    caller's, shared only between parses with this lexicon."""
     if k < 1:
         raise ValueError("k must be positive")
     tokens = list(tokens)
@@ -489,7 +509,7 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     extra = {w: [OovAssignment(w, *r) for r in lexicon.readings] for w in unknown}
     # Every unknown token is a leaf of every root, so a root holds one
     # distinct assignment per unknown word exactly when it mixes no guesses.
-    roots = [root for root in _chart_roots(tokens, _lexicon_leaves(lexicon, extra))
+    roots = [root for root in _chart_roots(tokens, _lexicon_leaves(lexicon, extra), cells)
              if len(set(root[3])) == len(unknown)]
     derivs = _derivations_from_roots(roots)
     if not derivs:

@@ -3,6 +3,7 @@ import functools
 import gc
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ def test_run_suite_deterministic_json(lex):
     assert report_to_json(a) == report_to_json(b)
     payload = json.loads(report_to_json(a))
     assert payload["per_task"]["packing_shapes/seen"] == 100.0
+
+
+def test_run_suite_shares_no_cells_between_calls(lex):
+    """run_suite's chart-cell memo lives for one call. A heavier "the" makes
+    \\x.x the likeliest reading of a novel color word, so packing_color_box
+    on the unseen split fails; each lexicon's report is the same alone as
+    before or after a suite under the other."""
+    text = (Path(ccg.__file__).parent / "data" / "lexicon.txt").read_text()
+    assert "the\tN/N\t\\x.x\n" in text
+    heavy = ccg.Lexicon.from_string(text.replace("the\tN/N\t\\x.x\n", "the\tN/N\t\\x.x\t40\n"))
+    tasks = [TaskSpec("packing_color_box", "unseen")]
+
+    def report(lexicon):
+        return report_to_json(run_suite(tasks, 2, OracleBackend(), lexicon))
+
+    alone = {"default": report(lex), "heavy": report(heavy)}
+    assert json.loads(alone["default"])["per_task"] == {"packing_color_box/unseen": 100.0}
+    assert json.loads(alone["heavy"])["per_task"] == {"packing_color_box/unseen": 0.0}
+    assert report(lex) == alone["default"]
+    assert report(heavy) == alone["heavy"]
+    assert report(lex) == alone["default"]
 
 
 def test_run_suite_records_parse_failures():

@@ -68,6 +68,12 @@ def test_template_alpha_equivalence():
     assert parse_template(r"\x.filter(x, red)") == parse_template(r"\q.filter(q, red)")
 
 
+def test_vocabulary_is_built_once(lex):
+    assert isinstance(lex.vocabulary, frozenset)
+    assert lex.vocabulary is lex.vocabulary
+    assert {"pack", "blicket"} & lex.vocabulary == {"pack"}
+
+
 def test_lexicon_rejects_type_mismatch():
     with pytest.raises(LexiconError):
         Lexicon.from_string("bad\tN\t\\x.x\n")
@@ -82,6 +88,15 @@ def test_combine_forward_application():
     hexagon = (N, parse_template("filter(hexagon)"))
     assert _combinations(blue, hexagon) == \
         [(N, parse_template("filter(filter(hexagon), blue)"))]
+
+
+def test_application_shares_the_argument_tree():
+    """A combination copies no subtree it leaves unchanged: the modifier's
+    result holds the noun's own node."""
+    blue = (parse_category("N/N"), parse_template(r"\x.filter(x, blue)"))
+    hexagon = (N, parse_template("filter(hexagon)"))
+    (_, sem), = _combinations(blue, hexagon)
+    assert sem.child is hexagon[1]
 
 
 def test_combine_no_rule_for_adjacent_nouns():
@@ -218,6 +233,63 @@ def test_chart_bound_counts_items_over_all_cells(lex, monkeypatch):
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
     with pytest.raises(NoParse):
         parse(toks, lex, k=3)
+    # With every cell reused from a warm memo, the same bound refuses it.
+    warm: dict = {}
+    monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
+    assert parse(toks, lex, k=3, cells=warm) == want
+    assert parse(toks, lex, k=3, cells=warm) == want
+    monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
+    with pytest.raises(NoParse):
+        parse(toks, lex, k=3, cells=warm)
+    # A refused parse keeps only the cells it finished, each as built in full.
+    cold: dict = {}
+    with pytest.raises(NoParse):
+        parse(toks, lex, k=3, cells=cold)
+    assert tuple(toks) not in cold
+    assert all(cold[words] == warm[words] for words in cold)
+    monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
+    assert parse(toks, lex, k=3, cells=cold) == want
+    assert cold == warm
+
+
+def _parse_outcome(tokens, lexicon, k, cells=None):
+    try:
+        return parse(tokens, lexicon, k=k, cells=cells)
+    except NoParse as exc:
+        return exc.tokens
+
+
+GENERATED = sorted({generate_episode(TaskSpec(name, split), seed).instruction
+                    for name in TASK_NAMES for split in ("seen", "unseen")
+                    for seed in range(3)})
+
+
+@st.composite
+def memo_sentences(draw, lexicon):
+    """Token lists: a generated instruction (mostly), one with one or two of
+    its tokens replaced by novel words, or a sentence the chart bound refuses."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return tokenize(draw(st.sampled_from(CHART_BLOW_UPS)), lexicon)
+    toks = tokenize(draw(st.sampled_from(GENERATED)), lexicon)
+    if kind < 5:
+        for i in draw(st.lists(st.integers(0, len(toks) - 1), min_size=1, max_size=2,
+                               unique=True)):
+            toks[i] = draw(st.sampled_from(("blicket", "daxy")))
+    return toks
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_cells_give_the_fresh_parse(lex, data):
+    """Over any sequence of sentences, a parse that reads and fills one shared
+    cell memo returns (or refuses) exactly what a parse without it does."""
+    fresh = functools.cache(functools.partial(_parse_outcome, lexicon=lex))
+    cells: dict = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        toks = data.draw(memo_sentences(lex))
+        k = data.draw(st.sampled_from((1, 3)))
+        assert _parse_outcome(toks, lex, k, cells) == fresh(tuple(toks), k=k), toks
 
 
 def test_lexicon_words_tokenize_to_themselves(lex):
@@ -489,6 +561,13 @@ def test_redex_under_binder_shifts_open_argument():
     assert dsl.serialize(ccg.beta_normalize(term)) == "\\x.\\y.relate(y, x, left)"
 
 
+def test_beta_normalize_returns_a_normal_term_itself(lex):
+    for entry in lex.all_entries():
+        assert ccg.beta_normalize(entry.template) is entry.template
+    program = parse(tokenize("pack the blue hexagon in the orange box", lex), lex)[0].program
+    assert ccg.beta_normalize(program) is program
+
+
 # --------------------------------------------------------------------------
 # Reference beta reduction over named binders, with capture-avoiding
 # substitution, on random well-typed templates
@@ -646,7 +725,9 @@ def named_term(draw, ty, ctx=(), budget=3):
 def test_beta_normalize_matches_named_reference(data):
     term = data.draw(named_term(data.draw(TYPES)))
     expected = dsl.serialize(nameless(named_beta_normalize(term)))
-    assert dsl.serialize(ccg.beta_normalize(nameless(term))) == expected
+    normal = ccg.beta_normalize(nameless(term))
+    assert dsl.serialize(normal) == expected
+    assert ccg.beta_normalize(normal) is normal
 
 
 @settings(max_examples=100, deadline=None)

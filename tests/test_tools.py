@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_bench = load_tool("ab_bench")
+BASE = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+
+
+def test_verdict_gain_needs_ten_pairs_nine_wins_and_a_median_past_the_iqr():
+    better = [b * 1.13 for b in BASE]
+    assert ab_bench.verdict(BASE, better, "higher", 0.2) == "gain"
+    assert ab_bench.verdict(BASE, [b * 0.87 for b in BASE], "lower", 0.2) == "gain"
+    # Fewer than ten pairs cannot claim a gain.
+    assert ab_bench.verdict(BASE[:4], better[:4], "higher", 0.2) == \
+        "within bound (better by 13.0%; bound 20%)"
+    # Eight wins of ten are not nine tenths.
+    two_losses = better[:8] + [90.0, 90.0]
+    assert ab_bench.wins(BASE, two_losses, "higher") == 8
+    assert ab_bench.verdict(BASE, two_losses, "higher", 0.2).startswith("within bound")
+    # Nine wins, but the medians differ by less than the base's IQR (1.0).
+    close = [b + 0.5 for b in BASE[:9]] + [BASE[9]]
+    assert ab_bench.wins(BASE, close, "higher") == 9
+    assert ab_bench.verdict(BASE, close, "higher", 0.2).startswith("within bound")
+
+
+def test_verdict_compares_a_worsening_with_the_bound():
+    assert ab_bench.verdict(BASE, [b * 1.1 for b in BASE], "lower", 0.2) == \
+        "within bound (worse by 10.0%; bound 20%)"
+    assert ab_bench.verdict(BASE, [b * 1.3 for b in BASE], "lower", 0.2) == \
+        "beyond bound (worse by 30.0%; bound 20%)"
+    assert ab_bench.verdict([1.0] * 10, [1.0] * 10, "higher", 0.01) == \
+        "within bound (same median; bound 1%)"
+    wide = [50.0, 150.0] * 5
+    assert ab_bench.verdict(BASE, wide, "higher", 0.2) == \
+        "unresolved (spread 100.0% > bound 20%)"

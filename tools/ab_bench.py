@@ -8,9 +8,10 @@ it is odd, so slow drift of the host's speed falls on both sides alike.
 
     python3 tools/ab_bench.py --base HEAD~1 --workload oracle-seen --seed 7 --pairs 10
 
-For every end-to-end metric it prints each side's median and quartiles and
-the number of pairs in which the working tree did better (by the metric's
-``better`` direction; a tie is not a win). It refuses to run when
+For every end-to-end metric it prints each side's median and quartiles, the
+number of pairs in which the working tree did better (by the metric's
+``better`` direction; a tie is not a win), and a verdict (see ``verdict``).
+It refuses to run when
 ``benchmarks/`` differs between the two trees, since the two sides would then
 not be measured alike, and exits 1 when any run reports ``correct: false``.
 """
@@ -61,10 +62,39 @@ def run(tree: Path, command: list[str], args) -> dict:
     return json.loads(lines[-1])
 
 
-def quartiles(values: list[float]) -> str:
-    """The values' quartiles, formatted "q1 / median / q3"."""
-    qs = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return " / ".join(f"{q:.4g}" for q in qs)
+def quartiles(values: list[float]) -> list[float]:
+    """The values' quartiles [q1, median, q3]."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
+def wins(base: list[float], work: list[float], better: str) -> int:
+    """Pairs in which work did better than base; a tie is not a win."""
+    sign = 1 if better == "higher" else -1
+    return sum(1 for b, w in zip(base, work) if sign * (w - b) > 0)
+
+
+def verdict(base: list[float], work: list[float], better: str, bound: float) -> str:
+    """One metric's verdict on paired runs (base[i] and work[i] ran as a pair).
+
+    "gain" when there are at least 10 pairs, the working tree won at least
+    nine tenths of them (a tie is not a win), and its median is better than
+    the base's by more than the base's interquartile range. Otherwise
+    "unresolved" when the wider of the two sides' interquartile ranges,
+    as a share of the base median, exceeds bound; then "beyond bound" or
+    "within bound" by how much worse the working tree's median is, as a share
+    of the base median."""
+    sign = 1 if better == "higher" else -1
+    (b1, b_med, b3), (w1, w_med, w3) = quartiles(base), quartiles(work)
+    won = wins(base, work, better)
+    if len(base) >= 10 and 10 * won >= 9 * len(base) and sign * (w_med - b_med) > b3 - b1:
+        return "gain"
+    scale = abs(b_med) or 1.0
+    spread = max(b3 - b1, w3 - w1) / scale
+    if spread > bound:
+        return f"unresolved (spread {spread:.1%} > bound {bound:.0%})"
+    worse = sign * (b_med - w_med) / scale
+    change = f"{'worse' if worse > 0 else 'better'} by {abs(worse):.1%}" if worse else "same median"
+    return f"{'beyond' if worse > bound else 'within'} bound ({change}; bound {bound:.0%})"
 
 
 def main(argv=None) -> int:
@@ -102,10 +132,11 @@ def main(argv=None) -> int:
         name = m["name"]
         base = [r["metrics"][name]["value"] for r in results["base"]]
         work = [r["metrics"][name]["value"] for r in results["work"]]
-        sign = 1 if m["better"] == "higher" else -1
-        won = sum(1 for b, w in zip(base, work) if sign * (w - b) > 0)
-        print(f"  {name:16s} base {quartiles(base)}   work {quartiles(work)}"
-              f"   work won {won}/{args.pairs}")
+        shown = {side: " / ".join(f"{q:.4g}" for q in quartiles(v))
+                 for side, v in (("base", base), ("work", work))}
+        print(f"  {name:16s} base {shown['base']}   work {shown['work']}"
+              f"   work won {wins(base, work, m['better'])}/{args.pairs}")
+        print(f"  {'':16s} verdict: {verdict(base, work, m['better'], m['bound'])}")
     correct = all(r["correct"] for side in results.values() for r in side)
     if not correct:
         print("error: a run reported correct: false", file=sys.stderr)
