@@ -6,14 +6,17 @@ plus \\x. binders (dsl.read) and type-checked by dsl.type_check against the
 category's image (N -> Object, PP -> Object -> Goal, S -> Plan). Parsing is
 CKY over two universal combinators (forward and backward application), so a
 closed S root is itself the program; coordination is carried by ordinary
-entries for "and". A word outside the vocabulary is handled by guessing its
-reading: a category of the lexicon with a template drawn from the empirical
-prior p(semantics | syntax), the word slot filled by the literal token, such
-that the sentence still parses completely. The lexicon ranks these readings
-once; every unknown word gets a leaf per reading, all in one chart. Chart keys
-carry each item's novel-word assignments, so derivations under different
-guesses never merge, and a root is kept only if it gives each unknown word a
-single reading.
+entries for "and". Types are checked once, when an entry loads: application
+needs the argument's category and preserves types, so every chart item is
+well-typed (one of a Complex category is a Lam, an S root a plan) and no
+parse result is checked again. A word outside the vocabulary is handled by
+guessing its reading: a category of the lexicon with a template drawn from
+the empirical prior p(semantics | syntax), the word slot filled by the
+literal token, such that the sentence still parses completely. The lexicon
+ranks these readings once; every unknown word gets a leaf per reading, all
+in one chart. Chart keys carry each item's novel-word assignments, so
+derivations under different guesses never merge, and a root is kept only if
+it gives each unknown word a single reading.
 """
 
 from __future__ import annotations
@@ -181,9 +184,7 @@ def beta_normalize(term):
     return term
 
 
-def apply_sem(fn: ProgramNode, arg: ProgramNode) -> ProgramNode | None:
-    if not isinstance(fn, Lam):
-        return None
+def apply_sem(fn: Lam, arg: ProgramNode) -> ProgramNode:
     # Chart items are normal already, so only the opened body needs normalizing.
     return beta_normalize(_open(fn.body, arg))
 
@@ -358,13 +359,9 @@ def _combinations(left: tuple[Category, ProgramNode], right: tuple[Category, Pro
     lcat, lsem = left
     rcat, rsem = right
     if isinstance(lcat, Complex) and lcat.direction == FORWARD and lcat.argument == rcat:
-        sem = apply_sem(lsem, rsem)
-        if sem is not None:
-            results.append((lcat.result, sem))
+        results.append((lcat.result, apply_sem(lsem, rsem)))
     if isinstance(rcat, Complex) and rcat.direction == BACKWARD and rcat.argument == lcat:
-        sem = apply_sem(rsem, lsem)
-        if sem is not None:
-            results.append((rcat.result, sem))
+        results.append((rcat.result, apply_sem(rsem, lsem)))
     return results
 
 
@@ -474,15 +471,7 @@ MAX_CHART_ITEMS = 4096
 
 
 def _derivations_from_roots(roots) -> list[Derivation]:
-    derivs = []
-    for cat, sem, logp, oov in roots:
-        if cat != S:
-            continue
-        try:
-            dsl.type_check(sem)
-        except dsl.TypeMismatch:
-            continue
-        derivs.append(Derivation(sem, logp, oov))
+    derivs = [Derivation(sem, logp, oov) for cat, sem, logp, oov in roots if cat == S]
     return sorted(derivs, key=lambda d: (-d.log_score, dsl.serialize(d.program),
                                          tuple(a.describe() for a in d.oov_assignments)))
 

@@ -353,12 +353,10 @@ def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
     elif isinstance(node, dsl.ObjUnion):
         result = union(_eval_obj(node.a, f"{path}.0", ctx, intermediates),
                        _eval_obj(node.b, f"{path}.1", ctx, intermediates))
-    elif isinstance(node, dsl.Relate):
+    else:  # a relate, the last object node: execute type-checks the program first
         target = _eval_obj(node.target, f"{path}.0", ctx, intermediates)
         reference = _eval_obj(node.reference, f"{path}.1", ctx, intermediates)
         result = eval_relate(target, reference, node.rel, ctx)
-    else:
-        raise TypeError(f"not an object node: {node!r}")
     intermediates[path] = result
     return result
 

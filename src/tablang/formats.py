@@ -54,20 +54,6 @@ def known_keys(data: dict, keys, what: str) -> None:
         raise ValueError(f"unknown {what} key {unknown[0]!r}")
 
 
-def _write_matrix(lines: list[str], name: str, matrix: np.ndarray) -> None:
-    rows, cols = matrix.shape
-    lines.append(f"{name} {rows} {cols}")
-    for row in matrix:
-        lines.append(" ".join(repr(float(v)) for v in row))
-
-
-def save_projection_weights(path, weights: ProjectionWeights) -> None:
-    lines: list[str] = []
-    _write_matrix(lines, "cv", weights.cv)
-    _write_matrix(lines, "cl", weights.cl)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_projection_weights(path) -> ProjectionWeights:
     tokens = Path(path).read_text().split("\n")
     matrices: dict[str, np.ndarray] = {}

@@ -27,10 +27,16 @@ class NonFinite(ValueError):
     pass
 
 
-def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    if ndim is not None and arr.ndim != ndim:
+def _checked(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of values, checked to be ndim-d, non-empty
+    and finite."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim:
         raise DimMismatch(f"expected {ndim}-d values, got {arr.ndim}-d")
+    if arr.size == 0:
+        raise DimMismatch(f"empty {what} shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"{what} has non-finite values")
     arr.setflags(write=False)
     return arr
 
@@ -40,11 +46,7 @@ class GroundingMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, ndim=2)
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimMismatch(f"empty map shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("grounding map has non-finite values")
+        arr = _checked(self.values, 2, "grounding map")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("grounding map values outside [0, 1]")
         object.__setattr__(self, "values", arr)
@@ -70,12 +72,7 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, ndim=3)
-        if min(arr.shape) < 1:
-            raise DimMismatch(f"empty feature map shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("feature map has non-finite values")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked(self.values, 3, "feature map"))
 
     @property
     def dim(self) -> int:
@@ -87,12 +84,7 @@ class ConceptEmbedding:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, ndim=1)
-        if arr.shape[0] < 1:
-            raise DimMismatch("empty embedding")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("embedding has non-finite values")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked(self.values, 1, "embedding"))
 
     @property
     def dim(self) -> int:
@@ -108,14 +100,12 @@ class ProjectionWeights:
     cl: np.ndarray
 
     def __post_init__(self):
-        cv = _frozen_array(self.cv, ndim=2)
-        cl = _frozen_array(self.cl, ndim=2)
+        cv = _checked(self.cv, 2, "cv")
+        cl = _checked(self.cl, 2, "cl")
         if cl.shape[0] != cl.shape[1]:
             raise DimMismatch(f"cl must be square, got {cl.shape}")
         if cl.shape[1] != cv.shape[0]:
             raise DimMismatch(f"cl {cl.shape} does not compose with cv {cv.shape}")
-        if not (np.all(np.isfinite(cv)) and np.all(np.isfinite(cl))):
-            raise NonFinite("projection weights have non-finite values")
         object.__setattr__(self, "cv", cv)
         object.__setattr__(self, "cl", cl)
 

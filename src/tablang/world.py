@@ -395,27 +395,28 @@ def _clamp_workspace(scene: Scene, obj: SceneObject) -> SceneObject:
 
 
 def _clamp_against_container(item: SceneObject, cont: SceneObject) -> SceneObject:
-    """Resolve wall overlap. Containers are assumed axis-aligned. If the
-    item's center is on the container footprint it is clamped fully into the
-    interior; otherwise it is pushed outside the walls."""
+    """Resolve wall overlap. If the item's center is on the container
+    footprint it is clamped fully into the interior; otherwise it is pushed
+    outside the walls. A box is clamped in its own (rotated) frame."""
     ri = item.circumradius
     dx = item.x - cont.x
     dy = item.y - cont.y
     if cont.shape == "box":
+        c, s = math.cos(cont.angle), math.sin(cont.angle)
+        ux, uy = dx * c + dy * s, -dx * s + dy * c
         hx = _RECTS["box"][0] * cont.size
         hy = _RECTS["box"][1] * cont.size
-        if abs(dx) > hx + ri or abs(dy) > hy + ri:
+        if abs(ux) > hx + ri or abs(uy) > hy + ri:
             return item
-        if abs(dx) <= hx and abs(dy) <= hy:
+        if abs(ux) <= hx and abs(uy) <= hy:
             ix = max(hx - WALL_PX - ri, 0.0)
             iy = max(hy - WALL_PX - ri, 0.0)
-            return replace(item, x=cont.x + min(max(dx, -ix), ix),
-                           y=cont.y + min(max(dy, -iy), iy))
-        pen_x = hx + ri - abs(dx)
-        pen_y = hy + ri - abs(dy)
-        if pen_x <= pen_y:
-            return replace(item, x=cont.x + math.copysign(hx + ri, dx if dx else 1.0))
-        return replace(item, y=cont.y + math.copysign(hy + ri, dy if dy else 1.0))
+            ux, uy = min(max(ux, -ix), ix), min(max(uy, -iy), iy)
+        elif hx + ri - abs(ux) <= hy + ri - abs(uy):
+            ux = math.copysign(hx + ri, ux if ux else 1.0)
+        else:
+            uy = math.copysign(hy + ri, uy if uy else 1.0)
+        return replace(item, x=cont.x + ux * c - uy * s, y=cont.y + ux * s + uy * c)
     r_out = _DISCS["bowl"] * cont.size
     d = math.hypot(dx, dy)
     if d > r_out + ri:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,7 @@ from tablang import benchmark as bm
 from tablang import world
 from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, make_backend
 from tablang.dsl import ACTION, PROPERTY, ConceptToken
-from tablang.formats import (
-    load_projection_weights,
-    save_projection_weights,
-    write_pgm,
-)
+from tablang.formats import load_projection_weights, write_pgm
 from tablang.grounding import (
     ConceptEmbedding,
     DimMismatch,
@@ -204,24 +202,25 @@ def test_bad_weights_raise_on_every_ground():
                 backend.ground(scene, prop("blue"))
 
 
-def test_projection_weights_file_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    weights = ProjectionWeights(rng.normal(size=(3, 5)), rng.normal(size=(3, 3)))
+def test_projection_weights_file_parses_repr_floats_exactly(tmp_path):
+    """Each matrix is a "name rows cols" line and then its rows; every entry
+    reads back as the float its repr spells, extremes included."""
     path = tmp_path / "weights.txt"
-    save_projection_weights(path, weights)
+    path.write_text("cv 2 3\n0.1 -2.5e-300 1.7976931348623157e308\n5e-324 -0.0 3\n"
+                    "cl 2 2\n1.0 0.30000000000000004\n-1e+16 2.220446049250313e-16\n")
     loaded = load_projection_weights(path)
-    assert np.array_equal(loaded.cv, weights.cv)
-    assert np.array_equal(loaded.cl, weights.cl)
+    assert loaded.cv.tolist() == [[0.1, -2.5e-300, 1.7976931348623157e308], [5e-324, -0.0, 3.0]]
+    assert loaded.cl.tolist() == [[1.0, 0.30000000000000004], [-1e16, 2.220446049250313e-16]]
+    assert math.copysign(1.0, loaded.cv[1, 1]) == -1.0
 
 
 def test_backend_factory(tmp_path):
     assert make_backend("oracle", (8, 16)) == OracleBackend((8, 16))
     assert make_backend("embedding").weights is None
-    weights = ProjectionWeights(np.eye(2), np.eye(2))
     path = tmp_path / "weights.txt"
-    save_projection_weights(path, weights)
+    path.write_text("cv 2 2\n1 0\n0 1\ncl 2 2\n1 0\n0 1\n")
     loaded = make_backend("embedding", weights_path=path).weights
-    assert np.array_equal(loaded.cv, weights.cv)
+    assert np.array_equal(loaded.cv, np.eye(2)) and np.array_equal(loaded.cl, np.eye(2))
     with pytest.raises(ValueError, match="embedding backend"):
         make_backend("oracle", weights_path=path)
     with pytest.raises(ValueError):

@@ -749,3 +749,42 @@ def test_apply_sem_matches_named_reference(data):
     expected = dsl.serialize(closed(nameless(named_beta_normalize(NApp(fn, arg)), bound)))
     got = ccg.apply_sem(nameless(fn, bound), nameless(arg, bound))
     assert dsl.serialize(closed(got)) == expected
+
+
+# Categories of the entries a random lexicon adds (modifiers, relations,
+# prepositions, verbs, and higher-order ones the default lexicon lacks), and
+# their words: a new one, and words common in generated instructions, so
+# that the entries join most charts.
+RANDOM_ENTRY_CATEGORIES = ("N/N", "(N\\N)/N", "PP/N", "(S/PP)/N", "N/(N/N)", "(N/N)/(N/N)")
+RANDOM_ENTRY_WORDS = ("fep", "the", "into", "pack", "brown", "of")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_lexicon_charts_are_typed_by_construction(data):
+    """parse checks no type: a template is checked against its category when
+    its entry loads, and application needs matching categories. So with 1-4
+    random well-typed entries added, and 0-2 words of a generated instruction
+    replaced by theirs or by novel words, every derivation is a plan and
+    every chart item of a Complex category is a Lam."""
+    lines = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        cat = data.draw(st.sampled_from(RANDOM_ENTRY_CATEGORIES))
+        term = data.draw(named_term(ccg.category_sem_type(parse_category(cat))))
+        template = dsl.serialize(ccg.beta_normalize(nameless(term)))
+        lines.append(f"{data.draw(st.sampled_from(RANDOM_ENTRY_WORDS))}\t{cat}\t{template}")
+    lexicon = extended_lexicon(lines)
+    cells: dict = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        toks = tokenize(data.draw(st.sampled_from(GENERATED)), lexicon)
+        for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=2, unique=True)):
+            toks[i] = data.draw(st.sampled_from(("fep", "blicket", "daxy")))
+        try:
+            derivs = parse(toks, lexicon, k=10**6, cells=cells)
+        except NoParse:
+            derivs = []
+        for d in derivs:
+            assert dsl.type_check(d.program) is dsl.SemanticType.PLAN
+    for cell in cells.values():
+        for cat, sem, _ in cell:
+            assert not isinstance(cat, Complex) or isinstance(sem, dsl.Lam)

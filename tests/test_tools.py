@@ -2,6 +2,10 @@ import importlib.util
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src" / "tablang"
+# ROADMAP's standing rule: src/ stays at or below 3,300 lines, so a change
+# that adds code removes some too.
+SRC_LINE_BUDGET = 3300
 
 
 def load_tool(name: str):
@@ -42,3 +46,10 @@ def test_verdict_compares_a_worsening_with_the_bound():
     wide = [50.0, 150.0] * 5
     assert ab_bench.verdict(BASE, wide, "higher", 0.2) == \
         "unresolved (spread 100.0% > bound 20%)"
+
+
+def test_src_stays_within_its_line_budget():
+    """Counted as benchmarks/run.py's provenance counts src_lines."""
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in sorted(SRC.rglob("*.py")))
+    assert lines <= SRC_LINE_BUDGET

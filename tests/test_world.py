@@ -556,13 +556,29 @@ def item_points(scene):
     return [(int(round(o.y)), int(round(o.x))) for o in scene.objects if o.kind == ITEM]
 
 
+def turned_boxes(scene, angle):
+    """scene with every box container turned to angle; scene itself if that
+    puts a box out of bounds or an item on a box wall."""
+    turned = dataclasses.replace(scene, objects=tuple(
+        dataclasses.replace(o, angle=angle) if o.kind == CONTAINER and o.shape == "box" else o
+        for o in scene.objects))
+    try:
+        world.check_bounds(turned)
+    except OutOfBounds:
+        return scene
+    return turned if wall_overlaps(turned) == [] else scene
+
+
 @st.composite
 def action_runs(draw):
-    """A generated scene and a few random push or pick-place actions; about
-    half the picks start on an item's centre."""
+    """A generated scene, its boxes sometimes turned to a random angle, and a
+    few random push or pick-place actions; about half the picks start on an
+    item's centre."""
     name = draw(st.sampled_from(TASK_NAMES))
     scene = generate_episode(TaskSpec(name, draw(st.sampled_from(["seen", "unseen"]))),
                              draw(st.integers(0, 200))).scene
+    if draw(st.booleans()):
+        scene = turned_boxes(scene, draw(st.floats(-math.pi, math.pi)))
     h, w = scene.height, scene.width
     pose = st.builds(Pose2, st.integers(0, h - 1), st.integers(0, w - 1), st.integers(0, 11))
     on_item = st.sampled_from(item_points(scene)).map(lambda p: Pose2(p[0], p[1], 0))
@@ -580,11 +596,19 @@ def covers(obj, row, col):
 
 @settings(max_examples=120, deadline=None)
 @given(action_runs())
+@example((Scene(128, 64, (
+    SceneObject(1, CONTAINER, "box", "brown", 64.0, 32.0, angle=math.pi / 4, size=10.0),
+    *(SceneObject(i, ITEM, "block", "red", x, y, size=3.4)
+      for i, x, y in ((2, 20.0, 20.0), (3, 20.0, 44.0), (4, 108.0, 20.0))))),
+    [ControlParams(Pose2(20, 20), Pose2(26, 70), "pick_place"),
+     ControlParams(Pose2(44, 20), Pose2(38, 58), "pick_place"),
+     ControlParams(Pose2(20, 108), Pose2(28, 74), "pick_place")]))
 def test_actions_keep_scene_invariants(run):
     """Through world.apply: object ids and their order are kept, containers
     and zones never move, a pick that covers no item returns the same scene
     and False (one that covers an item moves it), and every object stays in
-    bounds with no item on a container wall."""
+    bounds with no item on a container wall. The example places blocks by
+    the walls of a box turned by pi/4, which is clamped in its own frame."""
     scene, actions = run
     fixed = [o for o in scene.objects if o.kind != ITEM]
     for params in actions:
