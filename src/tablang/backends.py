@@ -73,7 +73,7 @@ class EmbeddingBackend(_Backend):
     Concept embeddings are one-hot rows of the scene's attribute vocabulary;
     words outside the vocabulary embed to zero and thus ground to the
     all-zero map. Projection weights default to identity sized to the
-    vocabulary.
+    vocabulary, which leaves the features as they are, so none is applied.
     """
 
     weights: ProjectionWeights | None = None
@@ -89,8 +89,7 @@ class EmbeddingBackend(_Backend):
         if hit is not None and hit[0] is scene and hit[1] is self.weights:
             return hit[2], hit[3]
         fmap, vocab = world.features(scene, self.shape_for(scene))
-        weights = self.weights if self.weights is not None else ProjectionWeights.identity(fmap.dim)
-        projected = project(fmap, weights)
+        projected = fmap.values if self.weights is None else project(fmap, self.weights)
         self._cache = (scene, self.weights, vocab, projected)
         return vocab, projected
 

@@ -26,6 +26,7 @@ import itertools
 import math
 import operator
 import re
+import types
 from dataclasses import dataclass
 
 from . import dsl
@@ -425,7 +426,7 @@ def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
                                 elif logp <= cell[key]:
                                     continue
                                 cell[key] = logp
-            memo[words] = cell
+            memo[words] = cell or EMPTY_CELL
     return [(cat, sem, logp, oov) for (cat, sem, oov), logp in memo[tuple(tokens)].items()]
 
 
@@ -468,12 +469,20 @@ MAX_OOV_READINGS = 64
 # (75 at most for a generated instruction).
 MAX_TOKENS = 32
 MAX_CHART_ITEMS = 4096
+# Every empty chart cell is this one read-only mapping.
+EMPTY_CELL = types.MappingProxyType({})
 
 
-def _derivations_from_roots(roots) -> list[Derivation]:
+def _derivations_from_roots(roots, k: int) -> list[Derivation]:
+    """The k best S roots by log score, then program text, then assignments;
+    only roots scoring at least the k-th best score are serialized."""
     derivs = [Derivation(sem, logp, oov) for cat, sem, logp, oov in roots if cat == S]
-    return sorted(derivs, key=lambda d: (-d.log_score, dsl.serialize(d.program),
-                                         tuple(a.describe() for a in d.oov_assignments)))
+    if len(derivs) > k:
+        kth = sorted((d.log_score for d in derivs), reverse=True)[k - 1]
+        derivs = [d for d in derivs if d.log_score >= kth]
+    derivs.sort(key=lambda d: (-d.log_score, dsl.serialize(d.program),
+                               tuple(a.describe() for a in d.oov_assignments)))
+    return derivs[:k]
 
 
 def parse(tokens, lexicon: Lexicon, k: int = 1, cells: dict | None = None) -> list[Derivation]:
@@ -500,7 +509,7 @@ def parse(tokens, lexicon: Lexicon, k: int = 1, cells: dict | None = None) -> li
     # distinct assignment per unknown word exactly when it mixes no guesses.
     roots = [root for root in _chart_roots(tokens, _lexicon_leaves(lexicon, extra), cells)
              if len(set(root[3])) == len(unknown)]
-    derivs = _derivations_from_roots(roots)
+    derivs = _derivations_from_roots(roots, k)
     if not derivs:
         raise NoParse(tokens)
-    return derivs[:k]
+    return derivs

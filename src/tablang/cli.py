@@ -108,8 +108,8 @@ def cmd_run(args) -> int:
     # The maps are the first goal's.
     result = results[0]
     formats.write_pgm(out / "pick.pgm", result.pick_map.values)
-    for r in range(result.place_map.shape[0]):
-        formats.write_pgm(out / f"place_r{r:02d}.pgm", result.place_map[r])
+    for r in range(grid.rotations):
+        formats.write_pgm(out / f"place_r{r:02d}.pgm", result.place_plane(r))
     map_files = {}
     for path, gmap in sorted(result.intermediates.items()):
         fname = f"map_{path.replace('.', '_')}.pgm"
@@ -123,7 +123,7 @@ def cmd_run(args) -> int:
         **actions[0],
         "actions": actions,
         "pick_score": float(result.pick_map.values.max()),
-        "place_score": float(result.place_map.max()),
+        "place_score": float(result.place_scores.max()),
         "intermediates": map_files,
         "novel_words": [a.describe() for a in derivation.oov_assignments],
     }

@@ -10,7 +10,9 @@ exact number of those cells on the kernel, times the upsampled reference
 map (Hadamard), so no place score survives off the referenced region. Pick
 and place poses are argmaxes over the pose grid with deterministic
 tie-breaking. A push goal is not place-scored: its post-push pose comes
-from the goal kernel's centroid.
+from the goal kernel's centroid. An ExecutionResult keeps the (R, n) scores
+of the n cells that can score (a push: its post-push cell); the dense
+(R, H, W) place_map is built only when it is read.
 
 The relation kernels are boolean geometric surrogates for a learned goal
 module: containment relations use the reference interior eroded by one
@@ -23,6 +25,7 @@ of every other item.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -77,9 +80,12 @@ HALF_PLANES = {
 # thinner than the true footprint, so obstacles are grown to keep placements
 # from physically stacking.
 OBSTACLE_PAD_PX = 2
-# Most rotations a pose grid takes, 6x the default: with scenes at most
-# world.MAX_SIDE square, the place scores fit in 72 x 1024 x 1024 float64 (0.6 GB).
+# Most rotations a pose grid takes, 6x the default. Planning and cli run hold
+# no dense place grid (72 x 1024 x 1024 float64, 0.6 GB, on a world.MAX_SIDE
+# square scene); only reading ExecutionResult.place_map builds one.
 MAX_ROTATIONS = 72
+# Kernel-window cells gathered at once while place scoring (1 MB of float32).
+WINDOW_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,20 @@ class ExecutionResult:
     params: ControlParams
     intermediates: dict[str, GroundingMap]
     pick_map: GroundingMap
-    place_map: np.ndarray  # (R, H, W) per-rotation scores
+    place_cells: tuple[np.ndarray, np.ndarray]  # (rows, cols) that can score, row-major
+    place_scores: np.ndarray  # (R, n) per-rotation scores of those cells
+    pose_grid: PoseGrid
+
+    def place_plane(self, r: int) -> np.ndarray:
+        """Rotation r's (H, W) place scores, zero off place_cells."""
+        out = np.zeros((self.pose_grid.height, self.pose_grid.width))
+        out[self.place_cells] = self.place_scores[r]
+        return out
+
+    @functools.cached_property
+    def place_map(self) -> np.ndarray:
+        """The (R, H, W) per-rotation place scores, built on first read."""
+        return np.stack([self.place_plane(r) for r in range(self.pose_grid.rotations)])
 
 
 def _erode(mask: np.ndarray) -> np.ndarray:
@@ -209,7 +228,7 @@ def select_place(place_grids: np.ndarray) -> Pose2:
     grids = np.asarray(place_grids, dtype=np.float64)
     if grids.ndim != 3:
         raise ValueError("place grids must be (R, H, W)")
-    if grids.max() <= 0.0:
+    if grids.max(initial=0.0) <= 0.0:
         raise NoFeasiblePlace("all place scores are zero")
     flat = int(np.argmax(grids))
     r, rest = divmod(flat, grids.shape[1] * grids.shape[2])
@@ -278,13 +297,14 @@ def _obstacle_mask(ctx: ExecutionContext, exclude: world.SceneObject | None) -> 
 
 
 def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndarray,
-                  grid: PoseGrid) -> np.ndarray:
-    """(R, H, W) place scores. Rotation r turns the silhouette's offsets from
-    its rounded centroid into a boolean stencil of n cells. Where the
-    reference is nonzero the score is (overlap / n)^2 times the reference,
-    overlap counting the stencil cells on the boolean kernel (off-grid cells
-    count as zero); every other score is zero."""
-    rows, cols = np.nonzero(reference > 0)
+                  grid: PoseGrid) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The cells where the reference is nonzero, row-major, and their (R, n)
+    place scores; every other pose scores zero. Rotation r turns the
+    silhouette's offsets from its rounded centroid into a boolean stencil of
+    n cells, and a cell scores (overlap / n)^2 times the reference, overlap
+    counting the stencil cells on the boolean kernel (off-grid cells count
+    as zero)."""
+    cells = rows, cols = np.nonzero(reference > 0)
     sil_rows, sil_cols = np.nonzero(silhouette)
     off_u = sil_rows - int(round(sil_rows.mean()))
     off_v = sil_cols - int(round(sil_cols.mean()))
@@ -298,24 +318,27 @@ def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndar
     stencils = np.zeros((grid.rotations, side, side), dtype=bool)
     stencils[np.arange(grid.rotations)[:, None], du + m, dv + m] = True
     # Overlaps are sums of 0/1 terms, exact in float32 below 2**24 cells.
-    # Taking one stencil row at a time keeps the gathered windows at
-    # (support cells, side).
-    windows = sliding_window_view(np.pad(kernel, m).astype(np.float32), side, axis=1)
-    weights = stencils.astype(np.float32)
-    counts = np.zeros((len(rows), grid.rotations), dtype=np.float32)
-    for i in range(side):
-        counts += windows[rows + i, cols] @ weights[:, i, :].T
-    scores = np.square(counts.astype(np.float64) / stencils.sum(axis=(1, 2)))
-    out = np.zeros((grid.rotations, grid.height, grid.width))
-    out[:, rows, cols] = (scores * reference[rows, cols][:, None]).T
-    return out
+    # The support cells' kernel windows are gathered WINDOW_CELLS at a time.
+    padded = np.zeros((grid.height + 2 * m, grid.width + 2 * m), dtype=np.float32)
+    padded[m:m + grid.height, m:m + grid.width] = kernel
+    windows = sliding_window_view(padded, (side, side))
+    weights = stencils.reshape(grid.rotations, -1).astype(np.float32)
+    scores = np.empty((grid.rotations, len(rows)))
+    chunk = max(1, WINDOW_CELLS // (side * side))
+    for i in range(0, len(rows), chunk):
+        gathered = windows[rows[i:i + chunk], cols[i:i + chunk]]
+        scores[:, i:i + chunk] = (gathered.reshape(len(gathered), -1) @ weights.T).T
+    scores /= stencils.sum(axis=(1, 2))[:, None]
+    np.square(scores, out=scores)
+    scores *= reference[cells]
+    return cells, scores
 
 
-def _push_params(silhouette: np.ndarray, support: np.ndarray,
-                 grid: PoseGrid) -> tuple[ControlParams, GroundingMap, np.ndarray]:
+def _push_params(silhouette: np.ndarray, support: np.ndarray, grid: PoseGrid):
     """Pre-push pose behind the object relative to the goal direction,
     post-push pose at the support's centroid (nearest supported cell).
-    Recorded maps are one-hot so the argmax invariant still holds."""
+    Recorded maps are one-hot (the place: rotation 0 of the post-push cell)
+    so the argmax invariant still holds."""
     sil_rows, sil_cols = np.nonzero(silhouette)
     c_u, c_v = sil_rows.mean(), sil_cols.mean()
     if not support.any():
@@ -338,9 +361,8 @@ def _push_params(silhouette: np.ndarray, support: np.ndarray,
                 min(max(int(round(pre_v)), 0), grid.width - 1), 0)
     pick_map = np.zeros((grid.height, grid.width))
     pick_map[pre.u, pre.v] = 1.0
-    place_grids = np.zeros((grid.rotations, grid.height, grid.width))
-    place_grids[0, post.u, post.v] = 1.0
-    return ControlParams(pre, post, PUSH), GroundingMap._unchecked(pick_map), place_grids
+    return (ControlParams(pre, post, PUSH), GroundingMap._unchecked(pick_map),
+            (np.array([post.u]), np.array([post.v])), np.eye(grid.rotations, 1))
 
 
 def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
@@ -393,10 +415,12 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     effective = kernel & ~_dilate(_obstacle_mask(ctx, picked), OBSTACLE_PAD_PX)
 
     if program.action.word in PUSH_ACTIONS:
-        params, pick_map, place_grids = _push_params(
+        params, pick_map, cells, scores = _push_params(
             silhouette, effective if effective.any() else kernel, grid)
     else:
-        place_grids = _place_scores(effective, silhouette, reference, grid)
-        params = ControlParams(pick, select_place(place_grids), PICK_PLACE)
+        cells, scores = _place_scores(effective, silhouette, reference, grid)
+        best = select_place(scores[:, None, :])  # row-major cells: (r, 0, j) is (r, u, v) order
+        place = Pose2(int(cells[0][best.v]), int(cells[1][best.v]), best.r)
+        params = ControlParams(pick, place, PICK_PLACE)
     intermediates["0"] = pick_map
-    return ExecutionResult(params, intermediates, pick_map, place_grids)
+    return ExecutionResult(params, intermediates, pick_map, cells, scores, grid)

@@ -41,8 +41,21 @@ def _checked(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+class _Values:
+    """A frozen holder of one read-only float64 array, its values."""
+
+    @classmethod
+    def _unchecked(cls, values: np.ndarray):
+        """The holder of a fresh float64 array known to pass cls's checks,
+        made read-only in place: no copy, no scan."""
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
-class GroundingMap:
+class GroundingMap(_Values):
     values: np.ndarray
 
     def __post_init__(self):
@@ -51,22 +64,13 @@ class GroundingMap:
             raise ValueError("grounding map values outside [0, 1]")
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def _unchecked(cls, values: np.ndarray) -> "GroundingMap":
-        """The map of a fresh non-empty 2-d float64 array known to be finite
-        and in [0, 1], made read-only in place: no copy, no scan."""
-        values.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", values)
-        return out
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMap:
+class FeatureMap(_Values):
     """Per-pixel feature vectors, shape (H', W', D1)."""
 
     values: np.ndarray

@@ -363,7 +363,7 @@ def features(scene: Scene, shape: tuple[int, int]) -> tuple[FeatureMap, tuple[st
         for attr in obj.attributes:
             vec[index[attr]] = 1.0
         feats[gmask] = vec
-    return FeatureMap(feats), vocab
+    return FeatureMap._unchecked(feats), vocab
 
 
 def render(scene: Scene) -> RenderedScene:

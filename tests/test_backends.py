@@ -127,6 +127,21 @@ def test_embedding_agreement_on_generator_scenes():
                 assert np.array_equal(argmax_pixels, o > 0)
 
 
+def test_default_weights_ground_as_explicit_identity_weights():
+    """The default backend applies no projection; identity weights sized to
+    the scene's feature count ground every word, and an unknown one, to the
+    same bits."""
+    for name in bm.TASK_NAMES:
+        ep = bm.generate_episode(bm.TaskSpec(name, "unseen"), 4)
+        vocab = world.attribute_vocabulary(ep.scene)
+        default = EmbeddingBackend()
+        identity = EmbeddingBackend(weights=ProjectionWeights.identity(max(1, len(vocab))))
+        for word in (*vocab, "gorp"):
+            a = default.ground(ep.scene, prop(word)).values
+            b = identity.ground(ep.scene, prop(word)).values
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, word)
+
+
 def test_embedding_unknown_word_zero():
     out = EmbeddingBackend().ground(scene_one_hexagon(), prop("gorp"))
     assert np.all(out.values == 0.0)

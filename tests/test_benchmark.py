@@ -31,6 +31,7 @@ from tablang.executor import (
     PUSH_ACTIONS,
     ControlParams,
     EmptyGrounding,
+    ExecutionResult,
     NoFeasiblePlace,
     Pose2,
     PoseGrid,
@@ -321,6 +322,18 @@ def test_run_suite_records_feature_width_mismatch(lex):
     report = run_suite([TaskSpec("packing_shapes")], 2, narrow, lex)
     assert report.per_task["packing_shapes/seen"] == 0.0
     assert [ep["failure"] for ep in report.episodes] == ["grounding", "grounding"]
+
+
+def test_suite_never_builds_the_dense_place_grid(lex, monkeypatch):
+    """Only reading ExecutionResult.place_map builds the (R, H, W) grid; the
+    step loop of run_suite never reads it, on pick-place and push goals."""
+    def refuse(result):
+        raise AssertionError("place_map was read")
+    monkeypatch.setattr(ExecutionResult, "place_map", property(refuse))
+    report = run_suite([TaskSpec("packing_shapes"), TaskSpec("pushing_shapes")], 2,
+                       OracleBackend(), lex)
+    assert [ep["failure"] for ep in report.episodes] == [None] * 4
+    assert report.per_task == {"packing_shapes/seen": 100.0, "pushing_shapes/seen": 100.0}
 
 
 class FirstGroundFails(OracleBackend):

@@ -331,6 +331,14 @@ def test_readings_ranked_by_prior_then_text(lex):
     assert len(set(keys)) == len(keys)
 
 
+def full_key_sort(roots) -> list[ccg.Derivation]:
+    """Every S root as a derivation, sorted on the whole key: descending log
+    score, then program text, then assignment descriptions."""
+    derivs = [ccg.Derivation(sem, logp, oov) for cat, sem, logp, oov in roots if cat == ccg.S]
+    return sorted(derivs, key=lambda d: (-d.log_score, dsl.serialize(d.program),
+                                         tuple(a.describe() for a in d.oov_assignments)))
+
+
 def reference_parse(tokens, lexicon, k):
     """parse with one CKY chart per joint reading of the unknown words, the
     way it worked before all candidates shared one chart."""
@@ -342,7 +350,7 @@ def reference_parse(tokens, lexicon, k):
     for combo in itertools.product(lexicon.readings, repeat=len(unknown)):
         extra = {w: [ccg.OovAssignment(w, *r)] for w, r in zip(unknown, combo)}
         roots.extend(ccg._chart_roots(tokens, ccg._lexicon_leaves(lexicon, extra)))
-    derivs = ccg._derivations_from_roots(roots)
+    derivs = full_key_sort(roots)
     if not derivs:
         raise NoParse(tokens)
     return derivs[:k]
@@ -428,6 +436,30 @@ def test_shared_chart_matches_per_combo_charts_with_more_readings(data):
     assert parse(toks, lexicon, k=10**6) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_top_k_roots_match_the_full_key_sort(data):
+    """Ranking by score and serializing only the roots tied with the k-th
+    best score gives the full-key sort's first k, over random lexicons whose
+    few distinct weights tie many roots."""
+    extra = data.draw(st.lists(st.sampled_from(EXTRA_ENTRIES), max_size=6, unique=True))
+    weights = data.draw(st.lists(st.sampled_from((0.5, 1.0, 2.0)),
+                                 min_size=len(extra), max_size=len(extra)))
+    lexicon = extended_lexicon(extra, weights)
+    toks = tokenize(data.draw(st.sampled_from(SEEN_INSTRUCTIONS)), lexicon)
+    for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=2, unique=True)):
+        toks[i] = data.draw(st.sampled_from(("blicket", "daxy")))
+    unknown = [t for t in dict.fromkeys(toks) if not lexicon.entries_for(t)]
+    extra_leaves = {w: [ccg.OovAssignment(w, *r) for r in lexicon.readings] for w in unknown}
+    try:
+        roots = ccg._chart_roots(toks, ccg._lexicon_leaves(lexicon, extra_leaves))
+    except NoParse:
+        return
+    expected = full_key_sort(roots)
+    k = data.draw(st.integers(1, len(expected) + 2))
+    assert ccg._derivations_from_roots(roots, k) == expected[:k]
+
+
 def per_sentence_rule_parse(tokens, lexicon):
     """parse under the earlier bound on novel words: all joint assignments
     of the unknown words ranked by summed log prior, then by their text, and
@@ -444,7 +476,7 @@ def per_sentence_rule_parse(tokens, lexicon):
     for combo in combos:
         extra = {c.word: [c] for c in combo}
         roots.extend(ccg._chart_roots(tokens, ccg._lexicon_leaves(lexicon, extra)))
-    return ccg._derivations_from_roots(roots), {frozenset(c) for c in combos}
+    return full_key_sort(roots), {frozenset(c) for c in combos}
 
 
 def test_more_readings_parse_a_superset_of_the_top_joint_assignments():

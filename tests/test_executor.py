@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,10 +431,10 @@ def test_execute_deterministic():
 
 
 def test_goal_zero_reference_annihilates():
-    """A reference word no object carries grounds to the zero map, which
-    zeroes every place score."""
+    """A reference word no object carries grounds to the zero map: no cell
+    can score, and the error reports keep is the one a zero grid gave."""
     ctx = fixture_context()
-    with pytest.raises(NoFeasiblePlace):
+    with pytest.raises(NoFeasiblePlace, match=r"^all place scores are zero$"):
         execute(make_plan("shape", "nonexistent"), ctx)
 
 
@@ -530,6 +531,75 @@ def place_cases(draw):
 @example((np.ones((5, 5), dtype=bool), np.ones((2, 2), dtype=bool), np.zeros((5, 5)),
           PoseGrid(5, 5, 4)))
 def test_place_scores_match_offset_loop(case):
-    kernel, silhouette, reference, grid = case
-    assert np.array_equal(_place_scores(kernel, silhouette, reference, grid),
-                          reference_place_scores(kernel, silhouette, reference, grid))
+    assert_sparse_scores_match_offset_loop(*case)
+
+
+def assert_sparse_scores_match_offset_loop(kernel, silhouette, reference, grid):
+    """The sparse scores sit on the reference's nonzero cells, row-major,
+    and written onto a zero grid they are the offset loop's grid exactly."""
+    (rows, cols), scores = _place_scores(kernel, silhouette, reference, grid)
+    assert np.array_equal((rows, cols), np.nonzero(reference > 0))
+    dense = np.zeros((grid.rotations, grid.height, grid.width))
+    dense[:, rows, cols] = scores
+    assert np.array_equal(dense, reference_place_scores(kernel, silhouette, reference, grid))
+
+
+@pytest.mark.parametrize("window_cells", [1, 100, 1 << 18])
+def test_place_scores_gather_windows_in_chunks(monkeypatch, window_cells):
+    """Gathering the kernel windows of one cell, or of a few, at a time gives
+    the offset loop's scores too."""
+    monkeypatch.setattr(executor, "WINDOW_CELLS", window_cells)
+    rng = np.random.default_rng(3)
+    kernel = rng.random((20, 24)) < 0.6
+    reference = np.where(rng.random((20, 24)) < 0.5, rng.random((20, 24)), 0.0)
+    assert_sparse_scores_match_offset_loop(kernel, np.ones((7, 5), dtype=bool), reference,
+                                           PoseGrid(20, 24, 12))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(("disc", "block", "star", "hexagon", "letter-l")),
+       st.floats(2.0, 6.0), st.floats(0.0, 2 * math.pi), st.integers(8, 24),
+       st.sampled_from((1, 4, 8, 12)), st.booleans(), st.sampled_from(("box", "bowl")))
+@example("disc", 3.0, 0.0, 20, 12, True, "box")
+@example("disc", 3.0, 0.0, 20, 4, True, "bowl")
+def test_execute_place_is_the_place_map_argmax(shape, size, angle, row, rotations, full,
+                                               container):
+    """execute's place is select_place over the dense place_map, the first
+    maximum in (r, u, v) order, also when rotations and cells tie (a bowl's
+    tied cells are no rectangle, so their first in row-major order is not
+    their first in column-major order). A disc at an integer centre on the
+    full-resolution lattice scores the same at every quarter turn."""
+    receptacle = world.SceneObject(1, world.CONTAINER, container, "orange", 44.0, 20.0,
+                                   size=11.0)
+    item = world.SceneObject(2, world.ITEM, shape, "blue", 12.0, float(row), angle, size)
+    scene = world.Scene(64, 40, (receptacle, item))
+    backend = OracleBackend((40, 64) if full else None)
+    result = execute(make_plan(shape, container),
+                     ExecutionContext(scene, backend, PoseGrid(40, 64, rotations)))
+    place_map = result.place_map
+    assert result.params.place == select_place(place_map)
+    r, u, v = np.argwhere(place_map == place_map.max())[0]
+    assert result.params.place == Pose2(u, v, r)
+    if (shape, angle, full) == ("disc", 0.0, True) and rotations % 4 == 0:
+        quarters = place_map[::rotations // 4]
+        assert all(np.array_equal(quarters[0], plane) for plane in quarters)
+
+
+def test_pick_place_goal_builds_no_dense_place_grid():
+    """A 512 x 512 scene with 72 rotations: the dense grid would be 151 MB of
+    float64, but planning keeps R scores per support cell, so one pick-place
+    goal peaks far below it; reading place_map then builds the grid."""
+    box = world.SceneObject(1, world.CONTAINER, "box", "orange", 320.0, 256.0, size=24.0)
+    star = world.SceneObject(2, world.ITEM, "star", "blue", 120.0, 256.0, size=16.0)
+    grid = PoseGrid(512, 512, 72)
+    ctx = ExecutionContext(world.Scene(512, 512, (box, star)), OracleBackend(), grid)
+    tracemalloc.start()
+    try:
+        result = execute(make_plan("star", "box"), ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert result.place_scores.shape == (72, len(result.place_cells[0]))
+    assert result.place_map.shape == (72, 512, 512)
+    assert select_place(result.place_map) == result.params.place
