@@ -3,10 +3,11 @@
 This is the only module that grounds; the world only paints. OracleBackend
 reads ground-truth attributes straight off the scene (the perfect-perception
 regime). EmbeddingBackend runs the same query through the feature/embedding
-projection path: per-pixel attribute-indicator features from world.features,
-one-hot concept embeddings, and configurable projection weights (identity by
-default), exercising the full dot-product grounding algebra. Both ground on
-the lattice shape_for gives.
+projection path: attribute-indicator features, one-hot concept embeddings,
+and configurable projection weights (identity by default), exercising the
+full dot-product grounding algebra. The synthetic features are constant per
+object, so it grounds a scene from world.paint's id raster and one attribute
+row per painted object. Both ground on the lattice shape_for gives.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .grounding import (
     ExecutionError,
     GroundingMap,
     ProjectionWeights,
+    concept_scores,
+    normalize,
     project,
-    score_projected,
 )
 
 
@@ -69,37 +71,36 @@ class OracleBackend(_Backend):
 class EmbeddingBackend(_Backend):
     """Feature-space grounding over synthetic attribute indicators.
 
-    Features are rasterized per scene; the projection is cached per scene.
-    Concept embeddings are one-hot rows of the scene's attribute vocabulary;
-    words outside the vocabulary embed to zero and thus ground to the
-    all-zero map. Projection weights default to identity sized to the
-    vocabulary, which leaves the features as they are, so none is applied.
+    Each scene is painted once (world.paint) into ids and a table of the
+    painted objects' attribute rows, row 0 the background's zeros; weights,
+    when set, project only the table. Concept embeddings are one-hot rows of
+    the scene's attribute vocabulary (other words ground to all zeros), and
+    a concept map is the normalized table scores gathered by the ids.
     """
 
     weights: ProjectionWeights | None = None
-    # (scene, weights, vocab, projected features) of the last scene grounded.
+    # (scene, weights, vocab, projected table, ids) of the last scene grounded.
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     name = "embedding"
 
-    def _projected(self, scene: world.Scene) -> tuple[tuple[str, ...], np.ndarray]:
-        """The scene's vocabulary and its features projected by the weights;
-        reused while both the scene and the weights are the same objects."""
-        hit = self._cache
-        if hit is not None and hit[0] is scene and hit[1] is self.weights:
-            return hit[2], hit[3]
-        fmap, vocab = world.features(scene, self.shape_for(scene))
-        projected = fmap.values if self.weights is None else project(fmap, self.weights)
-        self._cache = (scene, self.weights, vocab, projected)
-        return vocab, projected
-
     def ground(self, scene: world.Scene, concept: ConceptToken) -> GroundingMap:
         _check_concept(concept)
-        vocab, projected = self._projected(scene)
+        hit = self._cache
+        if hit is None or hit[0] is not scene or hit[1] is not self.weights:
+            order, ids = world.paint(scene, self.shape_for(scene))
+            vocab = world.attribute_vocabulary(scene)
+            table = np.zeros((len(order) + 1, max(1, len(vocab))), dtype=np.float64)
+            for k, obj in enumerate(order, 1):
+                table[k, [vocab.index(a) for a in obj.attributes]] = 1.0
+            if self.weights is not None:
+                table = project(table, self.weights)
+            self._cache = (scene, self.weights, vocab, table, ids)
+        _, _, vocab, table, ids = self._cache
         emb = np.zeros(max(1, len(vocab)), dtype=np.float64)
         if concept.word in vocab:
             emb[vocab.index(concept.word)] = 1.0
-        return score_projected(projected, ConceptEmbedding(emb))
+        return normalize(concept_scores(table, ConceptEmbedding(emb))[ids])
 
 
 def make_backend(name: str, ground_shape: tuple[int, int] | None = None,

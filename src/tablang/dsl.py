@@ -371,10 +371,3 @@ def read(text: str) -> ProgramNode:
         raise reader.error("trailing input")
     return node
 
-
-def parse_program(text: str) -> ProgramNode:
-    """Parse and type-check program text; a binder or variable is rejected.
-    Inverse of serialize on valid trees."""
-    node = read(text)
-    type_check(node)
-    return node

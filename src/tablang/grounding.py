@@ -41,21 +41,8 @@ def _checked(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-class _Values:
-    """A frozen holder of one read-only float64 array, its values."""
-
-    @classmethod
-    def _unchecked(cls, values: np.ndarray):
-        """The holder of a fresh float64 array known to pass cls's checks,
-        made read-only in place: no copy, no scan."""
-        values.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", values)
-        return out
-
-
 @dataclass(frozen=True, eq=False)
-class GroundingMap(_Values):
+class GroundingMap:
     values: np.ndarray
 
     def __post_init__(self):
@@ -64,13 +51,22 @@ class GroundingMap(_Values):
             raise ValueError("grounding map values outside [0, 1]")
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _unchecked(cls, values: np.ndarray) -> "GroundingMap":
+        """The map of a fresh float64 array known to be 2-d, non-empty and
+        within [0, 1], made read-only in place: no copy, no scan."""
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        return out
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMap(_Values):
+class FeatureMap:
     """Per-pixel feature vectors, shape (H', W', D1)."""
 
     values: np.ndarray
@@ -186,23 +182,20 @@ def resample(mapping: GroundingMap, new_height: int, new_width: int) -> Groundin
     return GroundingMap._unchecked(np.clip(out, 0.0, 1.0))
 
 
-def project(features: FeatureMap, weights: ProjectionWeights) -> np.ndarray:
-    """The (H', W', D2) projected features, features @ cv.T @ cl.T."""
-    if weights.cv.shape[1] != features.dim:
-        raise DimMismatch(
-            f"cv expects dim {weights.cv.shape[1]}, features have {features.dim}"
-        )
-    return features.values @ weights.cv.T @ weights.cl.T
+def project(features: np.ndarray, weights: ProjectionWeights) -> np.ndarray:
+    """The (..., D2) projection features @ cv.T @ cl.T of (..., D1) features."""
+    dim = features.shape[-1]
+    if weights.cv.shape[1] != dim:
+        raise DimMismatch(f"cv expects dim {weights.cv.shape[1]}, features have {dim}")
+    return features @ weights.cv.T @ weights.cl.T
 
 
-def score_projected(projected: np.ndarray, embedding: ConceptEmbedding) -> GroundingMap:
-    """Min-max normalized dot product of each projected feature with the
+def concept_scores(projected: np.ndarray, embedding: ConceptEmbedding) -> np.ndarray:
+    """The raw dot product of each (..., D2) projected feature with the
     embedding."""
-    if embedding.dim != projected.shape[2]:
-        raise DimMismatch(
-            f"embedding dim {embedding.dim} != projected dim {projected.shape[2]}"
-        )
-    return normalize(projected @ embedding.values)
+    if embedding.dim != projected.shape[-1]:
+        raise DimMismatch(f"embedding dim {embedding.dim} != projected dim {projected.shape[-1]}")
+    return projected @ embedding.values
 
 
 def ground_embedding(
@@ -214,7 +207,6 @@ def ground_embedding(
 
     raw(i, j) = sum_d embedding_d * (cl @ (cv @ features[i, j]))_d, then
     min-max normalized. Equivalent to tiling the embedding over the grid and
-    summing the Hadamard product along the feature dimension. The projection
-    is computed first, so one project serves any number of embeddings.
+    summing the Hadamard product along the feature dimension.
     """
-    return score_projected(project(features, weights), embedding)
+    return normalize(concept_scores(project(features.values, weights), embedding))

@@ -1,10 +1,11 @@
 """Kinematic 2D tabletop world.
 
 Objects are parametric footprints (polygons, discs, rings) with a continuous
-center, rotation, and scale. render rasterizes them top-down in painter's
-order (zones, then containers, then items) into an RGB + height image and an
-id segmentation; features paints per-pixel attribute indicators in the same
-order on a lattice the caller chooses (the grounding backends' input).
+center, rotation, and scale. paint rasterizes them in painter's order (zones,
+then containers, then items) into an int raster of the topmost object at
+each sample of a lattice the caller chooses; render reads that raster on the
+pixel lattice into an RGB + height image and an id segmentation, and the
+embedding backend reads it on its grounding lattice.
 Actions are kinematic: pick/place teleports an item, push sweeps a corridor.
 No mass, no friction; the only collision rule is that items may not overlap
 container walls (they are clamped inward or outward).
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .grounding import FeatureMap, axis_coords
+from .grounding import axis_coords
 
 ITEM = "item"
 CONTAINER = "container"
@@ -33,6 +34,8 @@ PUSH_HALF_WIDTH = 6.0
 SETTLE_ROUNDS = 8
 # Widest and highest scene a file may give, in pixels: 8x the generated workspace's width.
 MAX_SIDE = 1024
+# Largest object id a file may give: the segmentation is int32, and 0 is the background.
+MAX_ID = 2**31 - 1
 
 COLORS: dict[str, tuple[float, float, float]] = {
     "red": (0.87, 0.18, 0.18),
@@ -301,11 +304,6 @@ def inside(obj: SceneObject, y: float, x: float) -> bool:
     return bool(_interior_test(obj)(*_to_unit(obj, x, y)))
 
 
-def _paint_order(scene: Scene) -> list[SceneObject]:
-    rank = {ZONE: 0, CONTAINER: 1, ITEM: 2}
-    return sorted(scene.objects, key=lambda o: rank[o.kind])
-
-
 def check_bounds(scene: Scene) -> None:
     """Raise OutOfBounds when an object's centre lies outside the workspace
     or its footprint covers a sample of the one-pixel ring around it (rows
@@ -349,41 +347,35 @@ class RenderedScene:
     segmentation: np.ndarray   # (H, W) int32 object ids, 0 = background
 
 
-def features(scene: Scene, shape: tuple[int, int]) -> tuple[FeatureMap, tuple[str, ...]]:
-    """Attribute-indicator features on the corner-aligned (gh, gw) = shape
-    lattice, painted in render's order, and their vocabulary. Raises
-    OutOfBounds as render does."""
+def paint(scene: Scene, lattice: tuple[int, int] | None = None
+          ) -> tuple[tuple[SceneObject, ...], np.ndarray]:
+    """The objects in painter's order (zones, then containers, then items)
+    and the int raster of the topmost object at each sample of the
+    corner-aligned lattice (the pixel lattice when None): k is
+    order[k - 1] and 0 the background. Raises OutOfBounds as check_bounds
+    does."""
     check_bounds(scene)
-    vocab = attribute_vocabulary(scene)
-    index = {a: i for i, a in enumerate(vocab)}
-    feats = np.zeros((*shape, max(1, len(vocab))), dtype=np.float64)
-    for obj in _paint_order(scene):
-        gmask = obj.mask((scene.height, scene.width), shape)
-        vec = np.zeros(max(1, len(vocab)), dtype=np.float64)
-        for attr in obj.attributes:
-            vec[index[attr]] = 1.0
-        feats[gmask] = vec
-    return FeatureMap._unchecked(feats), vocab
+    hw = (scene.height, scene.width)
+    rank = {ZONE: 0, CONTAINER: 1, ITEM: 2}
+    order = tuple(sorted(scene.objects, key=lambda o: rank[o.kind]))
+    ids = np.zeros(lattice or hw, dtype=np.intp)
+    for k, obj in enumerate(order, 1):
+        ids[obj.mask(hw, lattice)] = k
+    return order, ids
 
 
 def render(scene: Scene) -> RenderedScene:
-    """Rasterize the scene. Deterministic; raises OutOfBounds when any
-    footprint exits the workspace."""
-    check_bounds(scene)
-    h, w = scene.height, scene.width
-    image = np.zeros((h, w, 4), dtype=np.float64)
-    image[:, :, :3] = BACKGROUND
-    seg = np.zeros((h, w), dtype=np.int32)
-    for obj in _paint_order(scene):
-        mask = footprint_mask(obj, (h, w))
-        image[mask, :3] = COLORS[obj.color]
-        seg[mask] = obj.id
-        if obj.kind == CONTAINER:
-            wall = mask & ~interior_mask(obj, (h, w))
-            image[mask, 3] = 0.0
-            image[wall, 3] = _height_of(obj)
-        else:
-            image[mask, 3] = _height_of(obj)
+    """Rasterize the scene: each channel gathers a per-object table with
+    paint's ids. Deterministic; raises OutOfBounds when any footprint exits
+    the workspace."""
+    order, ids = paint(scene)
+    image = np.empty((*ids.shape, 4), dtype=np.float64)
+    image[:, :, :3] = np.array([BACKGROUND, *(COLORS[o.color] for o in order)])[ids]
+    image[:, :, 3] = np.array([0.0, *map(_height_of, order)])[ids]
+    for k, obj in enumerate(order, 1):
+        if obj.kind == CONTAINER:  # only the walls stand up
+            image[(ids == k) & obj.mask(ids.shape, interior=True), 3] = 0.0
+    seg = np.array([0, *(o.id for o in order)], dtype=np.int32)[ids]
     return RenderedScene(image, seg)
 
 
@@ -530,7 +522,8 @@ def scene_to_dict(scene: Scene) -> dict:
 def scene_from_dict(data) -> Scene:
     """The scene a scene_to_dict mapping describes (angle, size and seed may
     be absent); ValueError on an unknown key, a number of the wrong JSON type,
-    or anything but an "objects" list of objects with string attributes."""
+    an id outside 1..MAX_ID, or anything but an "objects" list of objects
+    with string attributes."""
     if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
         raise ValueError('a scene must be an object with an "objects" list')
     formats.known_keys(data, ("width", "height", "seed", "objects"), "scene")
@@ -542,8 +535,8 @@ def scene_from_dict(data) -> Scene:
     num = formats.json_number
     objects = tuple(
         SceneObject(
-            id=num("id", d["id"], True), kind=d["kind"], shape=d["shape"], color=d["color"],
-            x=float(num("x", d["x"])), y=float(num("y", d["y"])),
+            id=num("id", d["id"], True, 1, MAX_ID), kind=d["kind"], shape=d["shape"],
+            color=d["color"], x=float(num("x", d["x"])), y=float(num("y", d["y"])),
             attributes=tuple(d.get("attributes", ())),
             **{k: float(num(k, d[k])) for k in ("angle", "size") if k in d},
         )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_paint import reference_features
 from tablang import benchmark as bm
 from tablang import world
 from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, make_backend
@@ -11,6 +12,7 @@ from tablang.formats import load_projection_weights, write_pgm
 from tablang.grounding import (
     ConceptEmbedding,
     DimMismatch,
+    FeatureMap,
     ProjectionWeights,
     axis_coords,
     ground_embedding,
@@ -148,14 +150,15 @@ def test_embedding_unknown_word_zero():
 
 
 def test_cached_projection_matches_ground_embedding():
-    """Grounding every concept of a scene through the per-scene projection
-    gives the bits of projecting the scene's features once per concept,
-    under random non-identity weights."""
+    """Grounding every concept of a scene through the per-scene projected
+    table gives the bits of projecting the reference painter's features once
+    per concept, under random non-identity weights."""
     rng = np.random.default_rng(4)
     backend = EmbeddingBackend()
     for name in ("packing_nested_prepositions", "put_blocks_in_bowls", "separating_piles"):
         scene = bm.generate_episode(bm.TaskSpec(name), 2).scene
-        fmap, vocab = world.features(scene, backend.shape_for(scene))
+        feats, vocab = reference_features(scene, backend.shape_for(scene))
+        fmap = FeatureMap(feats)
         dim = fmap.dim
         weights = ProjectionWeights(rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
         backend.weights = weights
@@ -192,7 +195,7 @@ def test_new_weights_invalidate_cached_projection():
     backend.weights = swapped
     after = backend.ground(scene, prop("blue")).values
     assert not np.array_equal(before, after)
-    fmap, _ = world.features(scene, backend.shape_for(scene))
+    fmap = FeatureMap(reference_features(scene, backend.shape_for(scene))[0])
     want = ground_embedding(fmap, ConceptEmbedding(np.eye(dim)[0]), swapped)
     assert np.array_equal(after, want.values)
 

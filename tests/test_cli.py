@@ -435,11 +435,13 @@ def set_on_first(kind, key, value):
     lambda data: {**data, "height": 2 ** 40},
     lambda data: {**data, "width": world.MAX_SIDE + 1},
     lambda data: {**data, "height": 0},
+    lambda data: {**data, "objects": [{**o, "id": o["id"] + 2 ** 40} for o in data["objects"]]},
+    set_on_first("item", "id", 0),
 ], ids=["list", "null", "objects_not_list", "disc_container", "infinite_angle",
         "string_attributes", "null_x", "float_width", "string_height", "float_seed",
         "bool_seed", "float_id", "string_id", "string_x", "string_size", "bool_angle",
         "unknown_object_key", "unknown_scene_key", "huge_int_x", "huge_width",
-        "huge_height", "width_past_max", "zero_height"])
+        "huge_height", "width_past_max", "zero_height", "ids_past_int32", "zero_id"])
 def test_run_rejects_malformed_scene(tmp_path, scene_file, capsys, mutate):
     path, ep = scene_file
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
@@ -626,7 +628,7 @@ def input_files(tmp_path_factory):
     where = tmp_path_factory.mktemp("inputs")
     ep = bm.generate_episode(bm.TaskSpec("packing_shapes"), 7)
     world.save_scene(where / "scene.json", ep.scene)
-    n = len(world.features(ep.scene, (ep.scene.height, ep.scene.width))[1])
+    n = len(world.attribute_vocabulary(ep.scene))
     eye = [" ".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
     weights = "\n".join([f"cv {n} {n}", *eye, f"cl {n} {n}", *eye]) + "\n"
     config = {"tasks": [{"name": "packing_shapes", "split": "seen"}], "episodes": 1,

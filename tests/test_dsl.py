@@ -17,7 +17,7 @@ from tablang.dsl import (
     SemanticType,
     TypeMismatch,
     Var,
-    parse_program,
+    read,
     serialize,
     type_check,
 )
@@ -25,6 +25,13 @@ from tablang.dsl import (
 
 def prop(w):
     return ConceptToken(w, dsl.PROPERTY)
+
+
+def read_checked(text):
+    """The tree read from text, after type_check accepts it."""
+    tree = read(text)
+    type_check(tree)
+    return tree
 
 
 def rel(w):
@@ -98,41 +105,41 @@ def test_serialize_objunion_elides_scene():
     tree = ObjUnion(Filter(Scene(), prop("red")), Filter(Scene(), prop("blue")))
     text = serialize(tree)
     assert text == "objunion(filter(red), filter(blue))"
-    assert parse_program(text) == tree
+    assert read_checked(text) == tree
 
 
 def test_parse_scene():
-    assert parse_program("scene()") == Scene()
+    assert read_checked("scene()") == Scene()
 
 
 def test_parse_example():
-    assert parse_program(EXAMPLE_TEXT) == example_tree()
+    assert read_checked(EXAMPLE_TEXT) == example_tree()
 
 
 def test_parse_missing_goals():
     with pytest.raises(ProgramSyntaxError):
-        parse_program("do(pack)")
+        read_checked("do(pack)")
 
 
 def test_parse_do_with_two_goals():
     goal = "goal(filter(red), filter(box), in)"
     with pytest.raises(ProgramSyntaxError):
-        parse_program(f"do({goal}, {goal}, pack)")
+        read_checked(f"do({goal}, {goal}, pack)")
 
 
 def test_parse_trailing_garbage():
     with pytest.raises(ProgramSyntaxError):
-        parse_program("scene() junk")
+        read_checked("scene() junk")
 
 
 def test_parse_unknown_operation():
     with pytest.raises(ProgramSyntaxError):
-        parse_program("frobnicate(x)")
+        read_checked("frobnicate(x)")
 
 
 def test_parse_type_error():
     with pytest.raises(TypeMismatch):
-        parse_program("do(filter(blue), pack)")
+        read_checked("do(filter(blue), pack)")
 
 
 WORDS = ["red", "blue", "hexagon", "box", "star", "zone-3", "letter-l"]
@@ -167,14 +174,14 @@ def test_round_trip_property():
     for _ in range(300):
         tree = random_plan(rng, 3)
         assert type_check(tree) is SemanticType.PLAN
-        assert parse_program(serialize(tree)) == tree
+        assert read_checked(serialize(tree)) == tree
 
 
 def test_round_trip_object_trees():
     rng = np.random.default_rng(7)
     for _ in range(200):
         tree = random_object(rng, 3)
-        assert parse_program(serialize(tree)) == tree
+        assert read_checked(serialize(tree)) == tree
 
 
 def test_operation_coverage():
@@ -238,9 +245,9 @@ def test_type_check_template_body_with_env():
 
 def test_parse_program_rejects_binders():
     with pytest.raises(TypeMismatch):
-        parse_program(r"\x.filter(x, red)")
+        read_checked(r"\x.filter(x, red)")
     with pytest.raises(ProgramSyntaxError):
-        parse_program("filter(x, red)")
+        read_checked("filter(x, red)")
 
 
 def test_open_word_slot_prints_but_does_not_read():

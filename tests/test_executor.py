@@ -242,8 +242,15 @@ def test_eval_relate_full_kernel_keeps_target():
     assert np.array_equal(out.values, target)
 
 
+def read_checked(text):
+    """The tree dsl.read makes of text, after dsl.type_check accepts it."""
+    tree = dsl.read(text)
+    dsl.type_check(tree)
+    return tree
+
+
 def make_plan(obj_word, ref_word, rel="in", action="pack"):
-    return dsl.parse_program(f"do(goal(filter({obj_word}), filter({ref_word}), {rel}), {action})")
+    return read_checked(f"do(goal(filter({obj_word}), filter({ref_word}), {rel}), {action})")
 
 
 def test_execute_golden_example():
@@ -254,7 +261,7 @@ def test_execute_golden_example():
     distractor = world.SceneObject(3, world.ITEM, "star", "red", 30.0, 52.0,
                                    size=5.0, attributes=("shape",))
     scene = world.Scene(128, 64, (box, hexagon, distractor), rng_seed=0)
-    program = dsl.parse_program(GOLDEN_TEXT)
+    program = read_checked(GOLDEN_TEXT)
     grid = PoseGrid(64, 128, 12)
     ctx = ExecutionContext(scene, OracleBackend(), grid, RelationConfig())
     result = execute(program, ctx)
@@ -291,7 +298,7 @@ def test_pick_place_looks_up_the_picked_item_once(monkeypatch):
     monkeypatch.setattr(world, "pick_target",
                         lambda *args: calls.append(args) or pick_target(*args))
     ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
-    result = execute(dsl.parse_program(GOLDEN_TEXT), ctx)
+    result = execute(read_checked(GOLDEN_TEXT), ctx)
     pick = result.params.pick
     assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
     assert len(calls) == 1
@@ -305,7 +312,7 @@ def test_execute_leaves_no_cyclic_garbage():
     hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
     star = world.SceneObject(3, world.ITEM, "star", "red", 30.0, 52.0, size=5.0)
     scene = world.Scene(128, 64, (box, hexagon, star), rng_seed=0)
-    program = dsl.parse_program(
+    program = read_checked(
         "actionconcat(" + GOLDEN_TEXT + ", do(goal(filter(star), filter(box), in), push))")
     gc.disable()
     try:
@@ -372,7 +379,7 @@ def test_execute_push_primitive(monkeypatch):
     # the golden pick-place plan scores its place once
     box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=10.0)
     hexagon = world.SceneObject(2, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
-    execute(dsl.parse_program(GOLDEN_TEXT),
+    execute(read_checked(GOLDEN_TEXT),
             ExecutionContext(world.Scene(128, 64, (box, hexagon)), OracleBackend(), grid))
     assert calls == {"_place_scores": 1}
 

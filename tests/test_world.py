@@ -11,6 +11,7 @@ from tablang import world
 from tablang.benchmark import TASK_NAMES, TaskSpec, generate_episode
 from tablang.executor import ControlParams, Pose2
 from tablang.grounding import axis_coords
+from reference_paint import reference_features, reference_paint
 from tablang.world import (
     CONTAINER,
     ITEM,
@@ -100,8 +101,8 @@ def test_segmentation_image_consistency_random_scenes():
 def test_features_match_segmented_attributes():
     scene = fixture_scene()
     gh, gw = scene.height // 2, scene.width // 2
-    fmap, vocab = world.features(scene, (gh, gw))
-    assert fmap.values.shape == (gh, gw, len(vocab))
+    feats, vocab = reference_features(scene, (gh, gw))
+    assert feats.shape == (gh, gw, len(vocab))
     ys = np.arange(gh) * (scene.height - 1) / (gh - 1)
     xs = np.arange(gw) * (scene.width - 1) / (gw - 1)
     seg_g = np.zeros((gh, gw), dtype=int)
@@ -114,11 +115,11 @@ def test_features_match_segmented_attributes():
                 attrs = scene.find(int(seg_g[i, j])).attributes
                 for a in attrs:
                     expected[vocab.index(a)] = 1.0
-            assert np.array_equal(fmap.values[i, j], expected)
+            assert np.array_equal(feats[i, j], expected)
 
 
 def half_features(scene):
-    return world.features(scene, (scene.height // 2, scene.width // 2))
+    return reference_features(scene, (scene.height // 2, scene.width // 2))
 
 
 def test_out_of_bounds_raises():
@@ -481,24 +482,40 @@ def test_ring_check_matches_padded_lattice(scene):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(scenes(), scenes(central, 6, 48, 32, 4.0)))
 def test_features_match_render(scene):
-    """On the pixel lattice, features holds at each pixel the attributes of
-    the object render's segmentation shows there, and raises where render
-    raises. The crowded scenes overlap objects of every kind, listed in any
-    order, so paint order shows."""
-    got = outcome(world.features, scene, (scene.height, scene.width))
+    """On the pixel lattice, the reference painter's features hold at each
+    pixel the attributes of the object render's segmentation shows there,
+    and it raises where render raises. The crowded scenes overlap objects of
+    every kind, listed in any order, so paint order shows."""
+    got = outcome(reference_features, scene, (scene.height, scene.width))
     want = outcome(render, scene)
     assert got[0] == want[0]
     if got[0] == "raised":
         assert got[1] == want[1]
         return
-    fmap, vocab = got[1]
+    feats, vocab = got[1]
     assert vocab == world.attribute_vocabulary(scene)
-    expected = np.zeros((scene.height, scene.width, len(vocab)))
+    expected = np.zeros((scene.height, scene.width, max(1, len(vocab))))
     for obj in scene.objects:
         shown = want[1].segmentation == obj.id
         for attr in obj.attributes:
             expected[shown, vocab.index(attr)] = 1.0
-    assert np.array_equal(fmap.values, expected)
+    assert np.array_equal(feats, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scenes(), scenes(central, 6, 48, 32, 4.0)), st.booleans())
+def test_paint_matches_reference_painter(scene, half):
+    """world.paint gives the reference painter's order and ids, on the pixel
+    lattice and on the half lattice, and raises the same OutOfBounds."""
+    lattice = (max(1, scene.height // 2), max(1, scene.width // 2)) if half else None
+    got = outcome(world.paint, scene, lattice)
+    want = outcome(reference_paint, scene, lattice or (scene.height, scene.width))
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] == want[1]
+        return
+    assert got[1][0] == want[1][0]
+    assert np.array_equal(got[1][1], want[1][1])
 
 
 @settings(max_examples=60, deadline=None)
