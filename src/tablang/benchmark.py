@@ -171,15 +171,17 @@ def _pose_at(x: float, y: float, r: int = 0) -> Pose2:
 
 
 def _containment(scene: world.Scene, target_id: int, region: world.SceneObject) -> float:
-    """1.0 when 90% of the target's footprint and its centre are in the region's interior."""
+    """1.0 when the target's centre, then 90% of its footprint, are in the region's interior."""
     obj = scene.find(target_id)
+    if not world.inside(region, obj.y, obj.x):
+        return 0.0
     hw = (scene.height, scene.width)
     foot = obj.mask(hw)
     total = int(foot.sum())
     if total == 0:
         return 0.0
     frac = float((foot & region.mask(hw, interior=True)).sum()) / total
-    return 1.0 if (frac >= 0.9 and world.inside(region, obj.y, obj.x)) else 0.0
+    return 1.0 if frac >= 0.9 else 0.0
 
 
 def score_success(task: TaskSpec, final: world.Scene, episode: Episode) -> float:

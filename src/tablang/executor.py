@@ -19,8 +19,8 @@ module: containment relations use the reference interior eroded by one
 pixel, surface relations the footprint, directional relations open
 half-planes at the reference centroid. Candidates already satisfying a
 containment goal are masked out of the pick map so multi-step episodes
-progress, and a pick-place goal keeps its placements OBSTACLE_PAD_PX clear
-of every other item.
+progress, and pick-place and push goals read the kernel kept OBSTACLE_PAD_PX
+clear of every other item (a push takes the raw kernel if nothing is left).
 """
 
 from __future__ import annotations
@@ -286,13 +286,28 @@ def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarr
     return pick, pick_map, None
 
 
-def _obstacle_mask(ctx: ExecutionContext, exclude: world.SceneObject | None) -> np.ndarray:
-    hw = (ctx.scene.height, ctx.scene.width)
-    out = np.zeros(hw, dtype=bool)
-    for obj in ctx.scene.objects:
-        if obj.kind != world.ITEM or obj is exclude:
-            continue
-        out |= obj.mask(hw)
+def _clear_of_items(kernel: np.ndarray, scene: world.Scene,
+                    exclude: world.SceneObject | None) -> np.ndarray:
+    """The kernel minus every cell within P = OBSTACLE_PAD_PX 4-neighbour
+    steps of an item other than exclude; the kernel itself if no item covers
+    its box grown by P. P steps move no cell more than P rows or columns, so
+    only items whose reach window meets that box are read, and only there."""
+    rows, cols = np.flatnonzero(kernel.any(axis=1)), np.flatnonzero(kernel.any(axis=0))
+    if not len(rows):
+        return kernel
+    (h, w), pad = kernel.shape, OBSTACLE_PAD_PX
+    r0, r1 = max(int(rows[0]) - pad, 0), min(int(rows[-1]) + pad + 1, h)
+    c0, c1 = max(int(cols[0]) - pad, 0), min(int(cols[-1]) + pad + 1, w)
+    blocked = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    for obj in scene.objects:
+        reach = obj.reach
+        if (obj.kind == world.ITEM and obj is not exclude and obj.y - reach <= r1 - 1
+                and r0 < obj.y + reach and obj.x - reach <= c1 - 1 and c0 < obj.x + reach):
+            blocked |= obj.mask((h, w))[r0:r1, c0:c1]
+    if not blocked.any():
+        return kernel
+    out = kernel.copy()
+    out[r0:r1, c0:c1] &= ~_dilate(blocked, pad)
     return out
 
 
@@ -412,7 +427,7 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     pick = select_pick(pick_map)
     silhouette = _component(up_obj >= 0.5, (pick.u, pick.v))
     pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
-    effective = kernel & ~_dilate(_obstacle_mask(ctx, picked), OBSTACLE_PAD_PX)
+    effective = _clear_of_items(kernel, ctx.scene, picked)
 
     if program.action.word in PUSH_ACTIONS:
         params, pick_map, cells, scores = _push_params(

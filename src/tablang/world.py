@@ -156,6 +156,12 @@ class SceneObject:
     def circumradius(self) -> float:
         return self.size * unit_circumradius(self.shape)
 
+    @property
+    def reach(self) -> float:
+        """No sample outside obj.y - reach <= y < obj.y + reach (the same
+        for x) is inside the object; _sample tests only that window."""
+        return self.circumradius + 1.0
+
     # mask's memo; not a field, so ==, hash, asdict and dataclasses.replace skip it.
     _masks = functools.cached_property(lambda self: {})
 
@@ -260,14 +266,12 @@ def _to_unit(obj: SceneObject, x, y):
 def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
             xs: np.ndarray | None, test) -> np.ndarray:
     """(len(ys), len(xs)) boolean raster of test(ux, uy), evaluated only on
-    the lattice window within circumradius + 1 of the object's centre
-    (obj.y - reach <= y < obj.y + reach, the same for x); no sample outside
-    that window can be inside the object."""
+    the object's reach window; every other sample is False."""
     h, w = hw
     ys = np.arange(h, dtype=np.float64) if ys is None else np.asarray(ys, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64) if xs is None else np.asarray(xs, dtype=np.float64)
     out = np.zeros((len(ys), len(xs)), dtype=bool)
-    reach = obj.circumradius + 1.0
+    reach = obj.reach
     r0, r1 = ys.searchsorted((obj.y - reach, obj.y + reach))
     c0, c1 = xs.searchsorted((obj.x - reach, obj.x + reach))
     if r0 < r1 and c0 < c1:
@@ -280,8 +284,8 @@ def footprint_mask(obj: SceneObject, hw: tuple[int, int],
     """Boolean raster of the object's footprint sampled at (ys, xs) scene
     coordinates (defaults to the integer pixel lattice of shape hw; hw is
     ignored where ys and xs are given). ys and xs must be ascending: the
-    inside test runs only on the rows and columns within circumradius + 1 of
-    the centre, found by binary search, and every other sample is False."""
+    inside test runs only on the rows and columns of the object's reach
+    window, found by binary search, and every other sample is False."""
     return _sample(obj, hw, ys, xs, _unit_test(obj.shape))
 
 
@@ -298,7 +302,7 @@ def inside(obj: SceneObject, y: float, x: float) -> bool:
     containers. The point is tested alone, in Python floats, with
     _sample's window rule and the same arithmetic and predicate."""
     y, x = float(y), float(x)
-    reach = obj.circumradius + 1.0
+    reach = obj.reach
     if not (obj.y - reach <= y < obj.y + reach and obj.x - reach <= x < obj.x + reach):
         return False
     return bool(_interior_test(obj)(*_to_unit(obj, x, y)))
@@ -317,7 +321,7 @@ def check_bounds(scene: Scene) -> None:
         # The ring test alone misses an object lying wholly outside the ring.
         if not (0.0 <= obj.x <= w - 1 and 0.0 <= obj.y <= h - 1):
             raise OutOfBounds(f"object {obj.id} has its centre outside the workspace")
-        reach = obj.circumradius + 1.0
+        reach = obj.reach
         if (-1.0 < obj.x - reach and obj.x + reach < w
                 and -1.0 < obj.y - reach and obj.y + reach < h):
             continue  # no ring sample lies within the object's window

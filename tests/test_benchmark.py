@@ -195,6 +195,54 @@ def test_score_untouched_packing_is_zero():
     assert score_success(task, ep.scene, ep) == 0.0
 
 
+def old_containment(scene, target_id, region):
+    """The containment score as first written: footprint fraction first,
+    from fresh rasters, then the centre."""
+    obj, hw = scene.find(target_id), (scene.height, scene.width)
+    foot = world.footprint_mask(obj, hw)
+    if not foot.any():
+        return 0.0
+    frac = float((foot & world.interior_mask(region, hw)).sum()) / int(foot.sum())
+    return 1.0 if (frac >= 0.9 and world.inside(region, obj.y, obj.x)) else 0.0
+
+
+@st.composite
+def containment_cases(draw):
+    """A container or zone of any pose and a target item near it."""
+    shape = draw(st.sampled_from(world.SHAPE_NAMES))
+    kind = draw(st.sampled_from((world.CONTAINER, world.ZONE) if shape in ("box", "bowl")
+                                else (world.ZONE,)))
+    angle = lambda: draw(st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi)))
+    region = world.SceneObject(1, kind, shape, "green", draw(st.floats(20.0, 108.0)),
+                               draw(st.floats(15.0, 49.0)), angle=angle(),
+                               size=draw(st.floats(3.0, 14.0)))
+    offset = st.floats(-region.reach, region.reach)
+    target = world.SceneObject(2, world.ITEM, draw(st.sampled_from(world.SHAPE_NAMES)), "red",
+                               region.x + draw(offset), region.y + draw(offset),
+                               angle=angle(), size=draw(st.floats(1.0, 8.0)))
+    return world.Scene(128, 64, (region, target)), region
+
+
+RING_ZONE = world.SceneObject(1, world.ZONE, "ring", "green", 60.0, 30.0, size=10.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(containment_cases())
+@example((world.Scene(128, 64, (RING_ZONE, dataclasses.replace(RING_ZONE, id=2, kind=world.ITEM))),
+          RING_ZONE))
+@example((world.Scene(128, 64, (world.SceneObject(1, world.CONTAINER, "box", "green", 60.0, 30.0,
+                                                  size=10.0),
+                                world.SceneObject(2, world.ITEM, "disc", "red", 61.5, 29.5,
+                                                  size=3.0))),
+          world.SceneObject(1, world.CONTAINER, "box", "green", 60.0, 30.0, size=10.0)))
+def test_containment_tests_the_centre_first(case):
+    """Testing the centre before rasterizing scores as the footprint-first
+    formula did, also for a ring in a ring zone of the same pose: its whole
+    footprint is inside, its centre (the hole) is not."""
+    scene, region = case
+    assert bm._containment(scene, 2, region) == old_containment(scene, 2, region)
+
+
 def test_separating_score_monotone():
     task = TaskSpec("separating_piles")
     ep = generate_episode(task, 5)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -610,3 +611,149 @@ def test_pick_place_goal_builds_no_dense_place_grid():
     assert result.place_scores.shape == (72, len(result.place_cells[0]))
     assert result.place_map.shape == (72, 512, 512)
     assert select_place(result.place_map) == result.params.place
+
+
+def manhattan_dilate(mask, px):
+    """Every cell within px 4-neighbour steps of a set cell of mask: the
+    union of mask shifted by every offset of L1 length <= px, cut at the
+    lattice border."""
+    h, w = mask.shape
+    out = np.zeros_like(mask)
+    for du in range(-px, px + 1):
+        for dv in range(abs(du) - px, px - abs(du) + 1):
+            out[max(du, 0):h + min(du, 0), max(dv, 0):w + min(dv, 0)] |= \
+                mask[max(-du, 0):h + min(-du, 0), max(-dv, 0):w + min(-dv, 0)]
+    return out
+
+
+def reference_clear_of_items(kernel, scene, exclude):
+    """The full-lattice definition: the kernel minus the OBSTACLE_PAD_PX
+    dilation of the union of every other item's fresh footprint raster."""
+    hw = (scene.height, scene.width)
+    items = np.zeros(hw, dtype=bool)
+    for obj in scene.objects:
+        if obj.kind == world.ITEM and obj is not exclude:
+            items |= world.footprint_mask(obj, hw)
+    return kernel & ~manhattan_dilate(items, executor.OBSTACLE_PAD_PX)
+
+
+@st.composite
+def clearance_cases(draw):
+    """A kernel on a small lattice, set only inside a random rectangle (often
+    on the border, sometimes empty), and items of any shape and turn. Some
+    items are rings or bowls of integer size at integer centres, so their
+    footprint or reach window often begins or ends exactly on, or next to,
+    an edge of the kernel's padded box; a few objects are zones, which never
+    block."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 32))
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
+    kernel = np.zeros((h, w), dtype=bool)
+    kernel[r0:r1, c0:c1] = draw(st.one_of(st.just(True), arrays(np.bool_, (r1 - r0, c1 - c0))))
+    rows, cols = np.nonzero(kernel)
+    pad = executor.OBSTACLE_PAD_PX
+    box = ((max(rows.min() - pad, 0), min(rows.max() + pad + 1, h)) if len(rows) else (r0, r1),
+           (max(cols.min() - pad, 0), min(cols.max() + pad + 1, w)) if len(cols) else (c0, c1))
+    objects = []
+    for oid in range(1, draw(st.integers(0, 5)) + 1):
+        angle = draw(st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi)))
+        kind = draw(st.sampled_from((world.ITEM, world.ITEM, world.ITEM, world.ZONE)))
+        if draw(st.booleans()):
+            shape, size = draw(st.sampled_from(("ring", "bowl"))), draw(st.integers(1, 4))
+            # Unit radius 1: the footprint's and the window's edges are integers.
+            y, x = (float(draw(st.one_of(
+                st.integers(max(lo - 3, -4), min(hi + 2, n + 4)),
+                st.builds(sum, st.tuples(st.sampled_from((lo - 1, lo, hi - 1, hi)),
+                                         st.sampled_from((-size - 1, -size, size, size + 1)))))))
+                for n, (lo, hi) in ((h, box[0]), (w, box[1])))
+            size = float(size)
+        else:
+            shape, size = draw(st.sampled_from(world.SHAPE_NAMES)), draw(st.floats(0.5, 8.0))
+            y, x = draw(st.floats(-8.0, h + 8.0)), draw(st.floats(-8.0, w + 8.0))
+        objects.append(world.SceneObject(oid, kind, shape, "red", x, y, angle=angle, size=size))
+    scene = world.Scene(w, h, tuple(objects))
+    exclude = draw(st.one_of(st.none(), st.sampled_from(objects))) if objects else None
+    return kernel, scene, exclude
+
+
+@settings(deadline=None, max_examples=300)
+@given(clearance_cases())
+@example((np.zeros((6, 8), dtype=bool),
+          world.Scene(8, 6, (world.SceneObject(1, world.ITEM, "disc", "red", 3.0, 3.0),)), None))
+@example((np.ones((6, 8), dtype=bool),
+          world.Scene(8, 6, (world.SceneObject(1, world.ITEM, "ring", "red", 0.0, 7.0,
+                                               size=3.0),)), None))
+@example((np.pad(np.ones((3, 3), dtype=bool), ((2, 3), (2, 9))),
+          world.Scene(14, 8, (world.SceneObject(1, world.ITEM, "ring", "red", 8.0, 3.0,
+                                                size=2.0),)), None))
+def test_clear_of_items_matches_full_lattice_definition(case):
+    """Clearing on the kernel's padded box equals clearing the full lattice
+    with every other item's footprint, and leaves the kernel unchanged."""
+    kernel, scene, exclude = case
+    before = kernel.copy()
+    out = executor._clear_of_items(kernel, scene, exclude)
+    assert out.dtype == bool
+    assert np.array_equal(out, reference_clear_of_items(kernel, scene, exclude))
+    assert np.array_equal(kernel, before)
+
+
+@pytest.mark.parametrize("picked", [False, True])
+def test_clear_of_items_rasterizes_only_items_near_the_kernel(monkeypatch, picked):
+    """The kernel's padded box is rows and columns 8..16. A ring whose reach
+    window (reach 4) begins on the box's last row is rasterized; one whose
+    window ends just before the box's first row, a far one and the picked
+    item are not; with no item near, the kernel itself comes back."""
+    rasterized = []
+    footprint_mask = world.footprint_mask
+    monkeypatch.setattr(world, "footprint_mask",
+                        lambda obj, *args: rasterized.append(obj.id) or footprint_mask(obj, *args))
+    ring = functools.partial(world.SceneObject, kind=world.ITEM, shape="ring", color="red",
+                             size=3.0)
+    below, above = ring(1, x=12.0, y=20.0), ring(2, x=12.0, y=4.0)
+    far, on_kernel = ring(3, x=100.0, y=12.0), ring(4, x=12.0, y=12.0)
+    scene = world.Scene(128, 64, (below, above, far, on_kernel))
+    kernel = np.zeros((64, 128), dtype=bool)
+    kernel[10:15, 10:15] = True
+    exclude = on_kernel if picked else None
+    out = executor._clear_of_items(kernel, scene, exclude)
+    assert rasterized == ([1] if picked else [1, 4])
+    assert executor._clear_of_items(kernel, world.Scene(128, 64, (above, far)), None) is kernel
+    assert rasterized == ([1] if picked else [1, 4])
+    assert np.array_equal(out, reference_clear_of_items(kernel, scene, exclude))
+
+
+def test_pick_place_keeps_its_place_clear_of_a_resident_item():
+    """A box already holds a star in its top-left corner, where the first
+    row-major full overlap of the box's kernel would lie without the pad; the
+    placed hexagon's footprint is more than OBSTACLE_PAD_PX 4-neighbour
+    steps from the star's."""
+    box = world.SceneObject(1, world.CONTAINER, "box", "orange", 90.0, 32.0, size=14.0)
+    star = world.SceneObject(2, world.ITEM, "star", "red", 76.0, 22.0, size=4.0)
+    hexagon = world.SceneObject(3, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=4.0)
+    scene = world.Scene(128, 64, (box, star, hexagon))
+    result = execute(make_plan("hexagon", "box"),
+                     ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12)))
+    after, moved = world.apply_pick_place(scene, result.params)
+    placed = after.find(3)
+    assert moved and world.inside(box, placed.y, placed.x)
+    steps = np.abs(np.argwhere(placed.mask((64, 128)))[:, None]
+                   - np.argwhere(star.mask((64, 128)))[None]).sum(axis=2)
+    assert steps.min() >= executor.OBSTACLE_PAD_PX + 1
+
+
+def test_push_into_a_crowded_zone_falls_back_to_the_raw_kernel():
+    """Grounded on the pixel lattice, the zone's kernel is 3 x 3 cells, and a
+    one-cell disc sits on its centre: the disc covers one kernel cell and its
+    pad covers them all, so the push goes to the raw kernel's centroid, that
+    centre cell."""
+    zone = world.SceneObject(1, world.ZONE, "square", "green", 100.0, 32.0, size=4.0)
+    resident = world.SceneObject(2, world.ITEM, "disc", "blue", 100.0, 32.0, size=0.5)
+    block = world.SceneObject(3, world.ITEM, "block", "red", 40.0, 32.0, size=3.4)
+    scene = world.Scene(128, 64, (zone, resident, block))
+    result = execute(make_plan("red", "green", action="push"),
+                     ExecutionContext(scene, OracleBackend((64, 128)), PoseGrid(64, 128, 12)))
+    kernel = relation_kernel(zone.mask((64, 128)).astype(float), "in", RelationConfig())
+    assert np.array_equal(np.argwhere(kernel), [(u, v) for u in (31, 32, 33) for v in (99, 100, 101)])
+    assert (kernel & resident.mask((64, 128))).sum() == 1
+    assert not executor._clear_of_items(kernel, scene, block).any()
+    assert result.params.place == Pose2(32, 100, 0)
