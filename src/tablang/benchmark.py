@@ -99,10 +99,10 @@ class Episode:
 # Placement sampling
 
 
-# Rejection-sampling attempts per placement, drawn in chunks of 4, 16, 64,
-# then 256: most placements succeed within a few attempts.
+# Rejection-sampling attempts per placement: the first 4 drawn one pair at a
+# time (most placements succeed within them), then chunks of 16, 64 and 256.
 PLACE_ATTEMPTS = 1000
-_FIRST_CHUNK, _LAST_CHUNK = 4, 256
+_SCALAR_TRIES, _FIRST_CHUNK, _LAST_CHUNK = 4, 16, 256
 
 
 class _Placer:
@@ -118,15 +118,26 @@ class _Placer:
         window that lies farther than radius + pr + pad from every placed
         (px, py, pr). The draws, and the generator state left behind, are
         exactly those of one rng.uniform(x_lo, x_hi), rng.uniform(y_lo,
-        y_hi) pair per attempt: a chunk is drawn as doubles, and after an
-        accepted row the state saved before the chunk is restored and only
-        the rows up to it are drawn again."""
+        y_hi) pair per attempt: the first _SCALAR_TRIES pairs are drawn as
+        scalars, then a chunk is drawn as doubles, and after an accepted row
+        the state saved before the chunk is restored and only the rows up to
+        it are drawn again."""
         x_lo = max(radius + 1.5, x_range[0]) if x_range else radius + 1.5
         x_hi = min(self.width - 2.5 - radius, x_range[1]) if x_range else self.width - 2.5 - radius
         y_lo = max(radius + 1.5, y_range[0]) if y_range else radius + 1.5
         y_hi = min(self.height - 2.5 - radius, y_range[1]) if y_range else self.height - 2.5 - radius
         if x_hi < x_lo or y_hi < y_lo:
             raise GenerationFailure("placement window is empty")
+
+        def clear_at(x: float, y: float) -> bool:
+            return all(math.hypot(x - px, y - py) > radius + pr + pad for px, py, pr in self.placed)
+
+        for _ in range(_SCALAR_TRIES):
+            x = x_lo + (x_hi - x_lo) * self.rng.random()
+            y = y_lo + (y_hi - y_lo) * self.rng.random()
+            if clear_at(x, y):
+                self.placed.append((x, y, radius))
+                return x, y
         lo = np.array([x_lo, y_lo])
         span = np.array([x_hi - x_lo, y_hi - y_lo])
         placed = np.array(self.placed).reshape(-1, 3)
@@ -134,7 +145,7 @@ class _Placer:
         # ulp, so the slack keeps every row the exact test below accepts.
         bound = radius + placed[:, 2] + pad - 1e-6
         bitgen = self.rng.bit_generator
-        left, k = PLACE_ATTEMPTS, _FIRST_CHUNK
+        left, k = PLACE_ATTEMPTS - _SCALAR_TRIES, _FIRST_CHUNK
         while left:
             k = min(k, left)
             saved = bitgen.state
@@ -143,8 +154,7 @@ class _Placer:
                               points[:, 1, None] - placed[:, 1]) > bound).all(axis=1)
             for i in np.flatnonzero(clear):
                 x, y = float(points[i, 0]), float(points[i, 1])
-                if all(math.hypot(x - px, y - py) > radius + pr + pad
-                       for px, py, pr in self.placed):
+                if clear_at(x, y):
                     if i + 1 < k:
                         bitgen.state = saved
                         self.rng.random((i + 1, 2))
@@ -191,19 +201,13 @@ def score_success(task: TaskSpec, final: world.Scene, episode: Episode) -> float
     if goal.kind == "contain":
         return _containment(final, goal.target_ids[0], final.find(goal.region_ids[0]))
     if goal.kind == "bowls":
-        bowls = [final.find(rid) for rid in goal.region_ids]
-        blocks = [final.find(tid) for tid in goal.target_ids]
-        filled: set[int] = set()
-        hits = 0
-        for block in blocks:
-            for bowl in bowls:
-                if bowl.id in filled:
-                    continue
-                if world.inside(bowl, block.y, block.x):
-                    filled.add(bowl.id)
-                    hits += 1
-                    break
-        return hits / len(blocks)
+        free = {rid: final.find(rid) for rid in goal.region_ids}
+        bowls = len(free)
+        for block in map(final.find, goal.target_ids):
+            # Each block fills the first still-free bowl it is inside.
+            free.pop(next((rid for rid, bowl in free.items()
+                           if world.inside(bowl, block.y, block.x)), None), None)
+        return (bowls - len(free)) / len(goal.target_ids)
     if goal.kind == "zone_fraction":
         zone = final.find(goal.region_ids[0])
         blocks = [final.find(tid) for tid in goal.target_ids]
@@ -551,11 +555,6 @@ class EvalReport:
     config_hash: str
 
 
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def read_instruction(text: str, lexicon, cells: dict | None = None) -> ccg.Derivation:
     """The instruction's top-ranked derivation (cells as in ccg.parse); raises ccg.NoParse."""
     return ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=1, cells=cells)[0]
@@ -581,16 +580,9 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
     recorded as the episode's failure ("parse", "grounding", "placement", or
     "internal" for any other exception) instead of being raised. cells as in ccg.parse."""
     task = TaskSpec(episode.task_name, episode.split)
-    record = {
-        "task": episode.task_name,
-        "split": episode.split,
-        "seed": episode.seed,
-        "instruction": episode.instruction,
-        "score": 0.0,
-        "steps": 0,
-        "failure": None,
-        "program": None,
-    }
+    record = {"task": episode.task_name, "split": episode.split, "seed": episode.seed,
+              "instruction": episode.instruction, "score": 0.0, "steps": 0,
+              "failure": None, "program": None}
     scene = episode.scene
     grid = PoseGrid(scene.height, scene.width, rotations)
     try:
@@ -604,12 +596,9 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
     except ccg.NoParse:
         record["failure"] = "parse"
         return record
-    except ExecutionError as exc:
-        record["failure"] = "placement" if isinstance(exc, NoFeasiblePlace) else "grounding"
-        record["error"] = str(exc)
-        return record
     except Exception as exc:
-        record["failure"] = "internal"
+        record["failure"] = ("placement" if isinstance(exc, NoFeasiblePlace) else
+                             "grounding" if isinstance(exc, ExecutionError) else "internal")
         record["error"] = str(exc)
         return record
     record["score"] = round(float(score_success(task, scene, episode)), 6)
@@ -656,16 +645,13 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
             episodes.append(record)
             scores.append(record["score"])
         per_task[f"{task.name}/{task.split}"] = round(100.0 * float(np.mean(scores)), 4)
-    return EvalReport(per_task, episodes, seeds, _config_hash(config))
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return EvalReport(per_task, episodes, seeds, hashlib.sha256(blob).hexdigest())
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "config_hash": report.config_hash,
-        "per_task": report.per_task,
-        "seeds": report.seeds,
-        "episodes": report.episodes,
-    }
+    payload = {"config_hash": report.config_hash, "per_task": report.per_task,
+               "seeds": report.seeds, "episodes": report.episodes}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -432,16 +432,10 @@ def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
 
 def _lexicon_leaves(lexicon: Lexicon, extra: dict[str, list]):
     def lookup(token: str):
-        leaves = [
-            (e.category, e.template, math.log(e.weight), ())
-            for e in lexicon.entries_for(token)
-        ]
-        for assignment in extra.get(token, ()):
-            leaves.append(
-                (assignment.category, instantiate_template(assignment.template, token),
-                 assignment.log_prior, (assignment,))
-            )
-        return leaves
+        return ([(e.category, e.template, math.log(e.weight), ())
+                 for e in lexicon.entries_for(token)]
+                + [(a.category, instantiate_template(a.template, token), a.log_prior, (a,))
+                   for a in extra.get(token, ())])
 
     return lookup
 

@@ -29,9 +29,7 @@ LOAD_ERRORS = (OSError, ValueError, TypeError, KeyError, OverflowError, ccg.Lexi
 
 
 def _load_lexicon(path: str | None) -> ccg.Lexicon:
-    if path is None:
-        return ccg.default_lexicon()
-    return ccg.Lexicon.from_file(path)
+    return ccg.default_lexicon() if path is None else ccg.Lexicon.from_file(path)
 
 
 def _out_dir(args) -> Path:

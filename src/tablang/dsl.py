@@ -157,11 +157,8 @@ SIGNATURES = {
 }
 _BY_CLASS = {cls: (op, args, result) for op, (cls, args, result) in SIGNATURES.items()}
 
-_KIND_TYPE = {
-    PROPERTY: SemanticType.OBJ_PROP,
-    RELATION: SemanticType.OBJ_REL,
-    ACTION: SemanticType.ACTION,
-}
+_KIND_TYPE = {PROPERTY: SemanticType.OBJ_PROP, RELATION: SemanticType.OBJ_REL,
+              ACTION: SemanticType.ACTION}
 
 
 def fields(node: ProgramNode):

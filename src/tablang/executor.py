@@ -34,7 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsl, world
-from .grounding import ExecutionError, GroundingMap, intersect, normalize, resample, union
+from .grounding import (ExecutionError, GroundingMap, intersect, normalize, resample,
+                        support_box, union)
 
 
 class EmptyGrounding(ExecutionError):
@@ -164,6 +165,12 @@ class ExecutionResult:
         return np.stack([self.place_plane(r) for r in range(self.pose_grid.rotations)])
 
 
+def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-d mask, the same (rows, cols) in row-major order,
+    from one flat scan."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def _erode(mask: np.ndarray) -> np.ndarray:
     """One 4-neighbour erosion; border cells are always dropped."""
     out = mask.copy()
@@ -210,7 +217,8 @@ def relation_kernel(reference: np.ndarray, relation: str, config: RelationConfig
     if kind == SURFACE or not binary.any():
         return binary
     axis, side = HALF_PLANES[kind]
-    return side(np.indices(reference.shape)[axis], np.nonzero(binary)[axis].mean())
+    index = np.expand_dims(np.arange(reference.shape[axis]), 1 - axis)
+    return np.broadcast_to(side(index, _cells(binary)[axis].mean()), reference.shape).copy()
 
 
 def select_pick(pick_map: GroundingMap) -> Pose2:
@@ -273,7 +281,7 @@ def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarr
     item = world.pick_target(ctx.scene, pick.u, pick.v)
     if item is not None:
         return pick, pick_map, item
-    rows, cols = np.nonzero(silhouette)
+    rows, cols = _cells(silhouette)
     order = np.argsort((rows - rows.mean()) ** 2 + (cols - cols.mean()) ** 2,
                        kind="stable")
     for idx in order:
@@ -292,12 +300,12 @@ def _clear_of_items(kernel: np.ndarray, scene: world.Scene,
     steps of an item other than exclude; the kernel itself if no item covers
     its box grown by P. P steps move no cell more than P rows or columns, so
     only items whose reach window meets that box are read, and only there."""
-    rows, cols = np.flatnonzero(kernel.any(axis=1)), np.flatnonzero(kernel.any(axis=0))
-    if not len(rows):
+    box = support_box(kernel)
+    if box is None:
         return kernel
     (h, w), pad = kernel.shape, OBSTACLE_PAD_PX
-    r0, r1 = max(int(rows[0]) - pad, 0), min(int(rows[-1]) + pad + 1, h)
-    c0, c1 = max(int(cols[0]) - pad, 0), min(int(cols[-1]) + pad + 1, w)
+    r0, r1 = max(box[0] - pad, 0), min(box[1] + pad + 1, h)
+    c0, c1 = max(box[2] - pad, 0), min(box[3] + pad + 1, w)
     blocked = np.zeros((r1 - r0, c1 - c0), dtype=bool)
     for obj in scene.objects:
         reach = obj.reach
@@ -319,8 +327,8 @@ def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndar
     n cells, and a cell scores (overlap / n)^2 times the reference, overlap
     counting the stencil cells on the boolean kernel (off-grid cells count
     as zero)."""
-    cells = rows, cols = np.nonzero(reference > 0)
-    sil_rows, sil_cols = np.nonzero(silhouette)
+    cells = rows, cols = _cells(reference > 0)
+    sil_rows, sil_cols = _cells(silhouette)
     off_u = sil_rows - int(round(sil_rows.mean()))
     off_v = sil_cols - int(round(sil_cols.mean()))
     angles = [grid.angle(r) for r in range(grid.rotations)]
@@ -354,11 +362,11 @@ def _push_params(silhouette: np.ndarray, support: np.ndarray, grid: PoseGrid):
     post-push pose at the support's centroid (nearest supported cell).
     Recorded maps are one-hot (the place: rotation 0 of the post-push cell)
     so the argmax invariant still holds."""
-    sil_rows, sil_cols = np.nonzero(silhouette)
+    sil_rows, sil_cols = _cells(silhouette)
     c_u, c_v = sil_rows.mean(), sil_cols.mean()
     if not support.any():
         raise NoFeasiblePlace("push goal region is empty")
-    sup_rows, sup_cols = np.nonzero(support)
+    sup_rows, sup_cols = _cells(support)
     g_u, g_v = sup_rows.mean(), sup_cols.mean()
     nearest = int(np.argmin((sup_rows - g_u) ** 2 + (sup_cols - g_v) ** 2))
     post = Pose2(int(sup_rows[nearest]), int(sup_cols[nearest]), 0)

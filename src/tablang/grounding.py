@@ -10,6 +10,7 @@ linear projections (ground_embedding).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,24 +163,53 @@ def axis_coords(n_out: int, n_in: int) -> np.ndarray:
     return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
 
 
+def support_box(values: np.ndarray) -> tuple[int, int, int, int] | None:
+    """The first and last nonzero row, then column, of a 2-d array; None if
+    it is all zero."""
+    rows = np.flatnonzero(values.any(axis=1))
+    if not len(rows):
+        return None
+    cols = np.flatnonzero(values.any(axis=0))
+    return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
+
+
+@functools.lru_cache(maxsize=32)
+def _bilinear_axis(n_out: int, n_in: int) -> tuple[np.ndarray, ...]:
+    """Each output sample's corners i0, i1 and weights 1 - f, f along one
+    axis, read-only. Corners never decrease along the axis."""
+    pos = axis_coords(n_out, n_in)
+    i0 = np.floor(pos).astype(int)
+    f = pos - i0
+    table = (i0, np.minimum(i0 + 1, n_in - 1), 1 - f, f)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _window(table: tuple[np.ndarray, ...], lo: int, hi: int):
+    """The run [a, b) of samples with a corner in rows (or columns) lo..hi,
+    and the table cut to it."""
+    a, b = np.searchsorted(table[1], lo), np.searchsorted(table[0], hi, side="right")
+    return a, b, [t[a:b] for t in table]
+
+
 def resample(mapping: GroundingMap, new_height: int, new_width: int) -> GroundingMap:
-    """Corner-aligned bilinear resampling; corner pixels are preserved."""
+    """Corner-aligned bilinear resampling; corner pixels are preserved. Only
+    samples with a corner on the source's nonzero box are computed; every
+    other one is 0 * (1 - f) + 0 * f, the +0.0 it is left at."""
     if new_height < 1 or new_width < 1:
         raise DimMismatch("target dimensions must be positive")
     src = mapping.values
-    h, w = src.shape
-    ys = axis_coords(new_height, h)
-    xs = axis_coords(new_width, w)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
+    out = np.zeros((new_height, new_width))
+    box = support_box(src)
+    if box is None:
+        return GroundingMap._unchecked(out)
+    i, i_end, (y0, y1, wy0, wy1) = _window(_bilinear_axis(new_height, src.shape[0]), *box[:2])
+    j, j_end, (x0, x1, wx0, wx1) = _window(_bilinear_axis(new_width, src.shape[1]), *box[2:])
     # One pass per axis: the same float operations as gathering four corners.
-    cols = src[:, x0] * (1 - fx) + src[:, x1] * fx
-    out = cols[y0] * (1 - fy) + cols[y1] * fy
-    return GroundingMap._unchecked(np.clip(out, 0.0, 1.0))
+    cols = src[:, x0] * wx0 + src[:, x1] * wx1
+    out[i:i_end, j:j_end] = np.clip(cols[y0] * wy0[:, None] + cols[y1] * wy1[:, None], 0.0, 1.0)
+    return GroundingMap._unchecked(out)
 
 
 def project(features: np.ndarray, weights: ProjectionWeights) -> np.ndarray:

@@ -482,26 +482,18 @@ def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
         return scene, False
     direction = vec / length
     perp = np.array([-direction[1], direction[0]])
-    new_objects = []
-    moved_any = False
-    for obj in scene.objects:
-        if obj.kind != ITEM:
-            new_objects.append(obj)
-            continue
-        rel = np.array([obj.x, obj.y]) - pre
-        t = float(rel @ direction)
-        s = float(rel @ perp)
-        if 0.0 <= t <= length and abs(s) <= PUSH_HALF_WIDTH:
-            dest = post + perp * s
-            moved = replace(obj, x=float(dest[0]), y=float(dest[1]))
-            moved = _settle(scene, moved, obj)
-            new_objects.append(moved)
-            moved_any = True
-        else:
-            new_objects.append(obj)
+    objects, moved_any = list(scene.objects), False
+    for i, obj in enumerate(objects):
+        if obj.kind == ITEM:
+            rel = np.array([obj.x, obj.y]) - pre
+            t, s = float(rel @ direction), float(rel @ perp)
+            if 0.0 <= t <= length and abs(s) <= PUSH_HALF_WIDTH:
+                dest = post + perp * s
+                objects[i] = _settle(scene, replace(obj, x=float(dest[0]), y=float(dest[1])), obj)
+                moved_any = True
     if not moved_any:
         return scene, False
-    return replace(scene, objects=tuple(new_objects)), True
+    return replace(scene, objects=tuple(objects)), True
 
 
 def apply(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:
@@ -515,12 +507,8 @@ def apply(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "width": scene.width,
-        "height": scene.height,
-        "seed": scene.rng_seed,
-        "objects": [asdict(o) for o in scene.objects],
-    }
+    return {"width": scene.width, "height": scene.height, "seed": scene.rng_seed,
+            "objects": [asdict(o) for o in scene.objects]}
 
 
 def scene_from_dict(data) -> Scene:

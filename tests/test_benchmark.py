@@ -468,12 +468,44 @@ def placements(draw):
             draw(st.sampled_from([2.0, 2.5])))
 
 
+# (case, the attempt that accepts, None when none does) around the switch
+# from the scalar first draws to the chunks (attempts 1-4 scalar, then
+# chunks of 16, 64 and 256: attempts 5-20, 21-84, 85-340, ...).
+PLACE_BOUNDARIES = [
+    ((0, [(64.0, 32.0, 28.0)], 128, 64, 2.0, None, None, 2.0), 1),
+    ((24, [(64.0, 32.0, 28.0)], 128, 64, 2.0, None, None, 2.0), 4),
+    ((6, [(64.0, 32.0, 28.0)], 128, 64, 2.0, None, None, 2.0), 5),
+    ((120, grid(128, 64, 10.0, 3.0, 0.0, 0.0), 128, 64, 2.0, None, None, 2.0), 175),
+    ((0, grid(128, 64, 10.0, 3.0, 0.0, 0.0), 128, 64, 2.0, None, None, 2.0), None),
+]
+
+
+@pytest.mark.parametrize("case, attempt", PLACE_BOUNDARIES)
+def test_place_boundary_examples_accept_on_their_attempt(case, attempt):
+    """Each boundary example's scalar loop draws exactly its attempts' pairs
+    (all PLACE_ATTEMPTS of them when it never places)."""
+    seed, placed, width, height, radius, x_range, y_range, pad = case
+    rng, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng.integers(7)
+    drawn.integers(7)
+    outcome = placement_outcome(reference_place, rng, list(placed), width, height,
+                                radius, x_range, y_range, pad)
+    assert outcome[0] == ("raised" if attempt is None else "ok")
+    drawn.random(2 * (attempt or bm.PLACE_ATTEMPTS))
+    assert rng.bit_generator.state == drawn.bit_generator.state
+
+
 @settings(max_examples=150, deadline=None)
 @given(placements())
 @example((0, grid(128, 64, 8.0, 5.0, 0.0, 0.0), 128, 64, 3.4, None, None, 2.5))
 @example((1, [], 128, 64, 3.4, (54.0, 54.0), None, 2.0))
 @example((2, [], 128, 64, 3.4, (60.0, 50.0), None, 2.0))
 @example((3, [(64.0, 32.0, 8.0)], 128, 64, 5.0, None, (30.0, 34.0), 2.0))
+@example(PLACE_BOUNDARIES[0][0])  # accepts on attempt 1
+@example(PLACE_BOUNDARIES[1][0])  # on the last scalar attempt
+@example(PLACE_BOUNDARIES[2][0])  # on the first chunked attempt
+@example(PLACE_BOUNDARIES[3][0])  # deep inside the 256-chunk
+@example(PLACE_BOUNDARIES[4][0])  # never places
 def test_place_matches_scalar_loop(case):
     """The chunked placement returns the scalar loop's point (or raises its
     error), leaves the generator in the same state, and keeps the buffered

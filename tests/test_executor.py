@@ -216,6 +216,25 @@ def test_relation_kernel_is_boolean_reference(relation, reference):
     assert np.array_equal(kernel, reference_relation_kernel(reference, relation).astype(bool))
 
 
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))), st.booleans())
+@example(np.zeros((4, 6), dtype=bool), False)
+@example(np.zeros((1, 9), dtype=bool), False)
+@example(np.ones((1, 9), dtype=bool), False)
+@example(np.ones((9, 1), dtype=bool), True)
+@example(np.random.default_rng(0).random((64, 128)) < 0.05, False)
+def test_cells_is_nonzero(mask, transposed):
+    """The flat-index helper gives np.nonzero's rows and columns: the same
+    values, dtype and row-major order, also for an empty mask, 1 x n and
+    n x 1 masks and a transposed (non-contiguous) view."""
+    mask = mask.T if transposed else mask
+    got, want = executor._cells(mask), np.nonzero(mask)
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def fixture_context(rotations=12):
     scene = bm.generate_episode(bm.TaskSpec("packing_shapes"), 11).scene
     grid = PoseGrid(scene.height, scene.width, rotations)

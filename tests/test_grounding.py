@@ -221,3 +221,50 @@ def test_resample_matches_four_gathers():
         src[rng.random((h, w)) < 0.3] = 0.0
         got = resample(gmap(src), nh, nw).values
         assert np.array_equal(got, four_gather_resample(src, nh, nw)), (h, w, nh, nw)
+
+
+def assert_resamples_exactly(src, nh, nw):
+    """resample equals the four-gather formula on every cell, and every
+    zero it returns is +0.0."""
+    got = resample(gmap(src), nh, nw).values
+    assert np.array_equal(got, four_gather_resample(src, nh, nw)), (src.shape, nh, nw)
+    assert not np.signbit(got).any(), (src.shape, nh, nw)
+
+
+@pytest.mark.parametrize("border", [None, "top", "bottom", "left", "right"])
+def test_resample_of_a_sub_box_support_matches_four_gathers(border):
+    """Sources nonzero only on a random sub-box (touching the named border,
+    or none in particular), 1-row and 1-column ones included, each up- and
+    downsampled and resampled to 1-row, 1-column and random targets."""
+    rng = np.random.default_rng(["top", "bottom", "left", "right", None].index(border))
+    for _ in range(60):
+        h, w = (int(n) for n in rng.choice([1, 2, 3, 17, 32, 45], size=2))
+        r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        r1, c1 = int(rng.integers(r0, h)) + 1, int(rng.integers(c0, w)) + 1
+        r0, r1 = {"top": (0, r1), "bottom": (r0, h)}.get(border, (r0, r1))
+        c0, c1 = {"left": (0, c1), "right": (c0, w)}.get(border, (c0, c1))
+        src = np.zeros((h, w))
+        src[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0))
+        src[rng.random((h, w)) < 0.3] = 0.0
+        targets = [(2 * h, 2 * w), (max(1, h // 3), max(1, w // 3)), (1, 2 * w),
+                   (2 * h, 1), (1, 1), tuple(int(n) for n in rng.integers(1, 90, size=2))]
+        for nh, nw in targets:
+            assert_resamples_exactly(src, nh, nw)
+
+
+def test_resample_of_a_single_nonzero_cell_matches_four_gathers():
+    for h, w in ((1, 1), (1, 6), (6, 1), (5, 7)):
+        for r in range(h):
+            for c in range(w):
+                src = np.zeros((h, w))
+                src[r, c] = 0.75
+                for nh, nw in ((1, 1), (1, 9), (9, 1), (3, 4), (13, 17), (64, 128)):
+                    assert_resamples_exactly(src, nh, nw)
+
+
+def test_resample_of_an_all_zero_map_is_positive_zero():
+    for h, w in ((1, 1), (1, 5), (5, 1), (32, 64)):
+        for nh, nw in ((1, 1), (1, 7), (7, 1), (64, 128), (3, 2)):
+            assert_resamples_exactly(np.zeros((h, w)), nh, nw)
+            assert np.array_equal(resample(gmap(np.zeros((h, w))), nh, nw).values,
+                                  np.zeros((nh, nw)))
