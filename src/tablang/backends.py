@@ -4,10 +4,10 @@ This is the only module that grounds; the world only paints. OracleBackend
 reads ground-truth attributes straight off the scene (the perfect-perception
 regime). EmbeddingBackend runs the same query through the feature/embedding
 projection path: attribute-indicator features, one-hot concept embeddings,
-and configurable projection weights (identity by default), exercising the
-full dot-product grounding algebra. The synthetic features are constant per
-object, so it grounds a scene from world.paint's id raster and one attribute
-row per painted object. Both ground on the lattice shape_for gives.
+and configurable projection weights (identity by default). The synthetic
+features are constant per object, so it grounds a scene from world.paint's
+id raster and one attribute row per painted object, and a concept's scores
+are one column of that projected table. Both ground on shape_for's lattice.
 """
 
 from __future__ import annotations
@@ -18,15 +18,8 @@ import numpy as np
 
 from . import formats, world
 from .dsl import PROPERTY, ConceptToken
-from .grounding import (
-    ConceptEmbedding,
-    ExecutionError,
-    GroundingMap,
-    ProjectionWeights,
-    concept_scores,
-    normalize,
-    project,
-)
+from .grounding import (DimMismatch, ExecutionError, GroundingMap, NonFinite,
+                        ProjectionWeights, project)
 
 
 class GroundingError(ExecutionError):
@@ -69,17 +62,14 @@ class OracleBackend(_Backend):
 
 @dataclass
 class EmbeddingBackend(_Backend):
-    """Feature-space grounding over synthetic attribute indicators.
-
-    Each scene is painted once (world.paint) into ids and a table of the
-    painted objects' attribute rows, row 0 the background's zeros; weights,
-    when set, project only the table. Concept embeddings are one-hot rows of
-    the scene's attribute vocabulary (other words ground to all zeros), and
-    a concept map is the normalized table scores gathered by the ids.
-    """
+    """Feature-space grounding over synthetic attribute indicators. Each
+    scene is painted once (world.paint) into ids and a table of the painted
+    objects' attribute rows, row 0 the background's; weights, when set,
+    project only the table. A word's one-hot embedding picks one column (an
+    unknown word's is zeros), normalized over the painted rows."""
 
     weights: ProjectionWeights | None = None
-    # (scene, weights, vocab, projected table, ids) of the last scene grounded.
+    # (scene, weights, widths, word -> column, normalized columns, ids) of the last scene.
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     name = "embedding"
@@ -88,19 +78,39 @@ class EmbeddingBackend(_Backend):
         _check_concept(concept)
         hit = self._cache
         if hit is None or hit[0] is not scene or hit[1] is not self.weights:
-            order, ids = world.paint(scene, self.shape_for(scene))
-            vocab = world.attribute_vocabulary(scene)
-            table = np.zeros((len(order) + 1, max(1, len(vocab))), dtype=np.float64)
-            for k, obj in enumerate(order, 1):
-                table[k, [vocab.index(a) for a in obj.attributes]] = 1.0
-            if self.weights is not None:
-                table = project(table, self.weights)
-            self._cache = (scene, self.weights, vocab, table, ids)
-        _, _, vocab, table, ids = self._cache
-        emb = np.zeros(max(1, len(vocab)), dtype=np.float64)
-        if concept.word in vocab:
-            emb[vocab.index(concept.word)] = 1.0
-        return normalize(concept_scores(table, ConceptEmbedding(emb))[ids])
+            self._cache = (scene, self.weights, *self._scene_table(scene))
+        _, _, (dim, width), columns, normalized, ids = self._cache
+        if width != dim:
+            raise DimMismatch(f"embedding dim {dim} != projected dim {width}")
+        column = normalized[columns.get(concept.word, -1)]
+        if column is None:
+            raise NonFinite("cannot normalize non-finite scores or their range")
+        return GroundingMap._unchecked(column[ids])
+
+    def _scene_table(self, scene: world.Scene) -> tuple:
+        """The scene's cache entry. normalized[c] is column c rescaled as in
+        normalize(column[ids]), or None where that raises NonFinite: the
+        range overflows, or a painted row has a non-finite entry (inf * 0 in
+        the one-hot product). The last column, all zeros, is unknown words'."""
+        order, ids = world.paint(scene, self.shape_for(scene))
+        columns = {w: c for c, w in enumerate(world.attribute_vocabulary(scene))}
+        table = np.zeros((len(order) + 1, max(1, len(columns))), dtype=np.float64)
+        for k, obj in enumerate(order, 1):
+            table[k, [columns[a] for a in obj.attributes]] = 1.0
+        if self.weights is not None:
+            table = project(table, self.weights)
+        # + 0.0: the one-hot product sums a -0.0 entry to +0.0.
+        scores = np.vstack([table.T, np.zeros(len(table))]) + 0.0
+        shown = np.zeros(len(table), dtype=bool)  # the rows ids paints
+        shown[ids] = True
+        painted = scores[:, shown]
+        lo = painted.min(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            span = painted.max(axis=1, keepdims=True) - lo
+            rescaled = np.where(span > 1e-9, (scores - lo) / span, 0.0)
+        finite = np.isfinite(span[:, 0]) & np.isfinite(painted).all()
+        return ((max(1, len(columns)), table.shape[1]), columns,
+                [row if ok else None for row, ok in zip(rescaled, finite)], ids)
 
 
 def make_backend(name: str, ground_shape: tuple[int, int] | None = None,

@@ -588,8 +588,9 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
     try:
         derivation = read_instruction(episode.instruction, lexicon, cells)
         record["program"] = dsl.serialize(derivation.program)
-        for n in range(episode.max_steps):
-            if score_success(task, scene, episode) >= 1.0:
+        for n in range(episode.max_steps + 1):  # the scene after the last step is scored too
+            score = score_success(task, scene, episode)
+            if score >= 1.0 or n == episode.max_steps:
                 break
             _, scene = step(derivation.program, scene, backend, grid)
             record["steps"] = n + 1
@@ -601,7 +602,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
                              "grounding" if isinstance(exc, ExecutionError) else "internal")
         record["error"] = str(exc)
         return record
-    record["score"] = round(float(score_success(task, scene, episode)), 6)
+    record["score"] = round(float(score), 6)
     return record
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +84,7 @@ OBSTACLE_PAD_PX = 2
 # no dense place grid (72 x 1024 x 1024 float64, 0.6 GB, on a world.MAX_SIDE
 # square scene); only reading ExecutionResult.place_map builds one.
 MAX_ROTATIONS = 72
-# Kernel-window cells gathered at once while place scoring (1 MB of float32).
+# Most multiply-adds per place-scoring product: OpenBLAS runs a GEMM of <= 2**18 on one thread.
 WINDOW_CELLS = 1 << 18
 
 
@@ -253,23 +252,22 @@ def eval_relate(target_map: GroundingMap, reference_map: GroundingMap,
 
 
 def _component(mask: np.ndarray, seed: tuple[int, int]) -> np.ndarray:
-    """4-connected component of the boolean mask containing the seed pixel.
-    A seed outside the mask yields the single seed pixel."""
-    out = np.zeros_like(mask)
+    """4-connected component of the boolean mask containing the seed pixel
+    (just the seed when it is off the mask), filled over the flat indices of
+    the mask framed by zeros: a cell's neighbours are i +- 1 and i +- (w + 2)."""
     h, w = mask.shape
-    if not mask[seed]:
-        out[seed] = True
-        return out
-    queue = deque([seed])
-    out[seed] = True
-    while queue:
-        u, v = queue.popleft()
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nu, nv = u + du, v + dv
-            if 0 <= nu < h and 0 <= nv < w and mask[nu, nv] and not out[nu, nv]:
-                out[nu, nv] = True
-                queue.append((nu, nv))
-    return out
+    framed = np.zeros((h + 2, w + 2), dtype=bool)
+    framed[1:-1, 1:-1] = mask
+    cells = bytearray(framed.tobytes())  # 1: on the mask, not reached yet
+    start = (seed[0] + 1) * (w + 2) + seed[1] + 1
+    cells[start] = 2
+    reached = [start] if mask[seed] else []
+    for i in reached:  # the list grows while it is walked
+        for j in (i - w - 2, i - 1, i + 1, i + w + 2):
+            if cells[j] == 1:
+                cells[j] = 2
+                reached.append(j)
+    return np.frombuffer(cells, dtype=np.uint8).reshape(h + 2, w + 2)[1:-1, 1:-1] == 2
 
 
 def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarray,
@@ -341,13 +339,13 @@ def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndar
     stencils = np.zeros((grid.rotations, side, side), dtype=bool)
     stencils[np.arange(grid.rotations)[:, None], du + m, dv + m] = True
     # Overlaps are sums of 0/1 terms, exact in float32 below 2**24 cells.
-    # The support cells' kernel windows are gathered WINDOW_CELLS at a time.
+    # Chunks of cells x side^2 x rotations <= WINDOW_CELLS keep each product on this thread.
     padded = np.zeros((grid.height + 2 * m, grid.width + 2 * m), dtype=np.float32)
     padded[m:m + grid.height, m:m + grid.width] = kernel
     windows = sliding_window_view(padded, (side, side))
     weights = stencils.reshape(grid.rotations, -1).astype(np.float32)
     scores = np.empty((grid.rotations, len(rows)))
-    chunk = max(1, WINDOW_CELLS // (side * side))
+    chunk = max(1, WINDOW_CELLS // (side * side * grid.rotations))
     for i in range(0, len(rows), chunk):
         gathered = windows[rows[i:i + chunk], cols[i:i + chunk]]
         scores[:, i:i + chunk] = (gathered.reshape(len(gathered), -1) @ weights.T).T

@@ -87,10 +87,6 @@ class ConceptEmbedding:
     def __post_init__(self):
         object.__setattr__(self, "values", _checked(self.values, 1, "embedding"))
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectionWeights:
@@ -152,15 +148,16 @@ def union(a: GroundingMap, b: GroundingMap) -> GroundingMap:
     return GroundingMap._unchecked(np.maximum(a.values, b.values))
 
 
+@functools.lru_cache(maxsize=32)
 def axis_coords(n_out: int, n_in: int) -> np.ndarray:
-    """Corner-aligned sample positions: output index i maps to input
-    coordinate i * (n_in - 1) / (n_out - 1); a single output sample sits at 0.
-    """
+    """Corner-aligned sample positions, read-only: output index i maps to
+    input coordinate i * (n_in - 1) / (n_out - 1), so axis_coords(n, n) is
+    np.arange(n) exactly; a single output sample sits at 0."""
     if n_out < 1 or n_in < 1:
         raise DimMismatch("axis sizes must be positive")
-    if n_out == 1:
-        return np.zeros(1)
-    return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
+    out = np.arange(n_out, dtype=np.float64) * (n_in - 1) / max(1, n_out - 1)
+    out.setflags(write=False)
+    return out
 
 
 def support_box(values: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -223,8 +220,9 @@ def project(features: np.ndarray, weights: ProjectionWeights) -> np.ndarray:
 def concept_scores(projected: np.ndarray, embedding: ConceptEmbedding) -> np.ndarray:
     """The raw dot product of each (..., D2) projected feature with the
     embedding."""
-    if embedding.dim != projected.shape[-1]:
-        raise DimMismatch(f"embedding dim {embedding.dim} != projected dim {projected.shape[-1]}")
+    dim = embedding.values.shape[0]
+    if dim != projected.shape[-1]:
+        raise DimMismatch(f"embedding dim {dim} != projected dim {projected.shape[-1]}")
     return projected @ embedding.values
 
 

@@ -268,8 +268,8 @@ def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
     """(len(ys), len(xs)) boolean raster of test(ux, uy), evaluated only on
     the object's reach window; every other sample is False."""
     h, w = hw
-    ys = np.arange(h, dtype=np.float64) if ys is None else np.asarray(ys, dtype=np.float64)
-    xs = np.arange(w, dtype=np.float64) if xs is None else np.asarray(xs, dtype=np.float64)
+    ys = axis_coords(h, h) if ys is None else np.asarray(ys, dtype=np.float64)
+    xs = axis_coords(w, w) if xs is None else np.asarray(xs, dtype=np.float64)
     out = np.zeros((len(ys), len(xs)), dtype=bool)
     reach = obj.reach
     r0, r1 = ys.searchsorted((obj.y - reach, obj.y + reach))

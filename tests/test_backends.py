@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from reference_paint import reference_features
+from reference_paint import reference_features, reference_paint
 from tablang import benchmark as bm
-from tablang import world
+from tablang import backends, world
 from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, make_backend
 from tablang.dsl import ACTION, PROPERTY, ConceptToken
 from tablang.formats import load_projection_weights, write_pgm
@@ -13,11 +13,14 @@ from tablang.grounding import (
     ConceptEmbedding,
     DimMismatch,
     FeatureMap,
+    NonFinite,
     ProjectionWeights,
     axis_coords,
+    concept_scores,
     ground_embedding,
     intersect,
     normalize,
+    project,
     union,
 )
 
@@ -172,6 +175,142 @@ def test_cached_projection_matches_ground_embedding():
             # The association order of the unsplit ground_embedding.
             raw = fmap.values @ weights.cv.T @ weights.cl.T @ emb
             assert np.array_equal(got, normalize(raw).values)
+
+
+def one_hot_ground(scene, word, weights, lattice, projector=project):
+    """A concept map grounded per call: the painted attribute table
+    (projected by weights when set) dotted with word's one-hot embedding
+    over the scene's vocabulary, gathered by the ids, then normalized."""
+    order, ids = reference_paint(scene, lattice)
+    vocab = world.attribute_vocabulary(scene)
+    table = np.zeros((len(order) + 1, max(1, len(vocab))))
+    for k, obj in enumerate(order, 1):
+        table[k, [vocab.index(a) for a in obj.attributes]] = 1.0
+    if weights is not None:
+        table = projector(table, weights)
+    emb = np.zeros(max(1, len(vocab)))
+    if word in vocab:
+        emb[vocab.index(word)] = 1.0
+    return normalize(concept_scores(table, ConceptEmbedding(emb))[ids])
+
+
+def covered_scene():
+    """A red disc wholly under a later blue block: painted over, so its
+    attributes are on no sample."""
+    hidden = world.SceneObject(1, world.ITEM, "disc", "red", 30.0, 30.0, size=2.0,
+                               attributes=("hidden",))
+    cover = world.SceneObject(2, world.ITEM, "block", "blue", 30.0, 30.0, size=8.0)
+    ring = world.SceneObject(3, world.ZONE, "ring", "green", 90.0, 30.0, size=10.0)
+    return world.Scene(128, 64, (hidden, cover, ring))
+
+
+def grounding_scenes():
+    scenes = [bm.generate_episode(bm.TaskSpec(name), 2).scene
+              for name in ("packing_nested_prepositions", "put_blocks_in_bowls",
+                           "separating_piles")]
+    return scenes + [covered_scene(), scene_one_hexagon(), world.Scene(16, 8, ())]
+
+
+def test_scene_table_grounds_the_one_hot_bytes():
+    """Each concept map, an unknown word's included, is the bytes of
+    grounding it alone through the one-hot product, under default, identity
+    and random weights (30% of their entries -0.0), with an object
+    painted over, one object, or none."""
+    scene = covered_scene()
+    order, ids = reference_paint(scene, EmbeddingBackend().shape_for(scene))
+    assert order.index(scene.find(1)) + 1 not in ids
+    rng = np.random.default_rng(11)
+    for scene in grounding_scenes():
+        lattice = EmbeddingBackend().shape_for(scene)
+        vocab = world.attribute_vocabulary(scene)
+        dim = max(1, len(vocab))
+        signed = [rng.normal(size=(dim, dim)) for _ in range(2)]
+        for m in signed:
+            m[rng.random(m.shape) < 0.3] = -0.0
+        for weights in (None, ProjectionWeights.identity(dim), ProjectionWeights(*signed)):
+            backend = EmbeddingBackend(weights=weights)
+            for word in (*vocab, "gorp"):
+                got = backend.ground(scene, prop(word)).values
+                want = one_hot_ground(scene, word, weights, lattice).values
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), word
+
+
+def write_weights(path, cv, cl):
+    lines = []
+    for name, m in (("cv", cv), ("cl", cl)):
+        lines.append(f"{name} {m.shape[0]} {m.shape[1]}")
+        lines += [" ".join(map(repr, map(float, row))) for row in m]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def outcome(ground):
+    """ground()'s map bytes, or its NonFinite message; numpy's overflow
+    warnings from the projection are not errors here."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ground().values.tobytes()
+    except NonFinite as exc:
+        return str(exc)
+
+
+def test_overflowing_weights_raise_on_the_same_calls(tmp_path):
+    """Weights files whose projection overflows: a call raises NonFinite
+    exactly when grounding the word alone through the one-hot product does,
+    on every call, and otherwise gives its bytes. A painted row with an
+    infinite entry fails every word; a painted-over one fails none."""
+    rng = np.random.default_rng(12)
+    outcomes = []
+    for scene in grounding_scenes()[:5]:
+        lattice = EmbeddingBackend().shape_for(scene)
+        vocab = world.attribute_vocabulary(scene)
+        dim = max(1, len(vocab))
+        for trial in range(6):
+            cv = rng.choice([-1.7e308, 1.7e308, 0.0, 1.0, -0.0], size=(dim, dim),
+                            p=[0.05, 0.05, 0.6, 0.2, 0.1])
+            path = tmp_path / f"w{trial}.txt"
+            write_weights(path, cv, np.eye(dim))
+            backend = make_backend("embedding", weights_path=path)
+            for word in (*vocab, "gorp"):
+                want = outcome(lambda: one_hot_ground(scene, word, backend.weights, lattice))
+                for _ in range(2):
+                    assert outcome(lambda: backend.ground(scene, prop(word))) == want, (trial, word)
+                outcomes.append(isinstance(want, str))
+    assert any(outcomes) and not all(outcomes)
+    # Rows that sum two 1.7e308 entries: the painted-over disc's fails no
+    # word, the block's on top of it fails every word.
+    scene = covered_scene()
+    lattice = EmbeddingBackend().shape_for(scene)
+    vocab = world.attribute_vocabulary(scene)
+    for pair, fails in ((("disc", "hidden"), False), (("block", "blue"), True)):
+        cv = np.eye(len(vocab))
+        cv[:, [vocab.index(a) for a in pair]] = 1.7e308
+        write_weights(tmp_path / "w.txt", cv, np.eye(len(vocab)))
+        backend = make_backend("embedding", weights_path=tmp_path / "w.txt")
+        for word in (*vocab, "gorp"):
+            got = outcome(lambda: backend.ground(scene, prop(word)))
+            want = outcome(lambda: one_hot_ground(scene, word, backend.weights, lattice))
+            assert got == want and isinstance(got, str) == fails, (pair, word)
+
+
+def test_negative_zero_entries_score_as_the_one_hot_product(monkeypatch):
+    """A table entry of -0.0 scores +0.0 in the one-hot product, which sums
+    from +0.0; the column path grounds the same bytes when a column mixes
+    both zeros with its minimum at zero."""
+    def signed_project(features, weights):
+        out = project(features, weights)
+        out[1::2][out[1::2] == 0.0] = -0.0
+        return out
+
+    monkeypatch.setattr(backends, "project", signed_project)
+    for scene in grounding_scenes():
+        vocab = world.attribute_vocabulary(scene)
+        weights = ProjectionWeights.identity(max(1, len(vocab)))
+        backend = EmbeddingBackend(weights=weights)
+        for word in (*vocab, "gorp"):
+            got = backend.ground(scene, prop(word)).values
+            want = one_hot_ground(scene, word, weights, backend.shape_for(scene),
+                                  signed_project).values
+            assert got.tobytes() == want.tobytes(), word
 
 
 def test_embedding_grounds_without_render(monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -532,6 +533,62 @@ def reference_place_scores(kernel, silhouette, reference, grid):
     return out
 
 
+def reference_component(mask, seed):
+    """The breadth-first fill that _component replaced: a deque of (row,
+    col) pairs, bounds-checked 4-neighbours, one numpy read per neighbour."""
+    out = np.zeros_like(mask)
+    h, w = mask.shape
+    if not mask[seed]:
+        out[seed] = True
+        return out
+    queue = deque([seed])
+    out[seed] = True
+    while queue:
+        u, v = queue.popleft()
+        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nu, nv = u + du, v + dv
+            if 0 <= nu < h and 0 <= nv < w and mask[nu, nv] and not out[nu, nv]:
+                out[nu, nv] = True
+                queue.append((nu, nv))
+    return out
+
+
+@st.composite
+def component_cases(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    mask = draw(arrays(np.bool_, (h, w)))
+    u, v = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    # Most seeds are moved onto one border, where a bounds check would matter.
+    edge = draw(st.sampled_from((None, "top", "bottom", "left", "right")))
+    return mask, ({"top": 0, "bottom": h - 1}.get(edge, u), {"left": 0, "right": w - 1}.get(edge, v))
+
+
+@settings(deadline=None)
+@given(component_cases())
+@example((np.ones((1, 7), dtype=bool), (0, 6)))
+@example((np.ones((7, 1), dtype=bool), (0, 0)))
+@example((np.zeros((3, 3), dtype=bool), (1, 1)))
+@example((np.eye(5, dtype=bool) | np.eye(5, dtype=bool)[::-1], (4, 4)))
+def test_component_matches_breadth_first_fill(case):
+    mask, seed = case
+    got = _component(mask, seed)
+    assert got.dtype == np.bool_ and got.shape == mask.shape
+    assert np.array_equal(got, reference_component(mask, seed))
+
+
+def test_component_from_every_border_seed():
+    """Seeds on each border cell, on and off the mask, of 1 x n, n x 1 and
+    wider masks."""
+    rng = np.random.default_rng(5)
+    for h, w in ((1, 1), (1, 9), (9, 1), (2, 2), (6, 8)):
+        mask = rng.random((h, w)) < 0.7
+        for u in range(h):
+            for v in range(w):
+                if u in (0, h - 1) or v in (0, w - 1):
+                    assert np.array_equal(_component(mask, (u, v)),
+                                          reference_component(mask, (u, v)))
+
+
 @st.composite
 def place_cases(draw):
     h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
@@ -571,10 +628,11 @@ def assert_sparse_scores_match_offset_loop(kernel, silhouette, reference, grid):
     assert np.array_equal(dense, reference_place_scores(kernel, silhouette, reference, grid))
 
 
-@pytest.mark.parametrize("window_cells", [1, 100, 1 << 18])
+@pytest.mark.parametrize("window_cells", [1, 100, 1 << 12, 1 << 18])
 def test_place_scores_gather_windows_in_chunks(monkeypatch, window_cells):
-    """Gathering the kernel windows of one cell, or of a few, at a time gives
-    the offset loop's scores too."""
+    """Gathering the kernel windows of one cell, of a few (4 cells of 9 x 9
+    windows at 12 rotations for 1 << 12), or of all at a time gives the
+    offset loop's scores too."""
     monkeypatch.setattr(executor, "WINDOW_CELLS", window_cells)
     rng = np.random.default_rng(3)
     kernel = rng.random((20, 24)) < 0.6
