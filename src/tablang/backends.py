@@ -69,7 +69,7 @@ class EmbeddingBackend(_Backend):
     unknown word's is zeros), normalized over the painted rows."""
 
     weights: ProjectionWeights | None = None
-    # (scene, weights, widths, word -> column, normalized columns, ids) of the last scene.
+    # (scene, weights, word -> column, normalized columns, ids) of the last scene.
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     name = "embedding"
@@ -78,39 +78,36 @@ class EmbeddingBackend(_Backend):
         _check_concept(concept)
         hit = self._cache
         if hit is None or hit[0] is not scene or hit[1] is not self.weights:
-            self._cache = (scene, self.weights, *self._scene_table(scene))
-        _, _, (dim, width), columns, normalized, ids = self._cache
-        if width != dim:
-            raise DimMismatch(f"embedding dim {dim} != projected dim {width}")
-        column = normalized[columns.get(concept.word, -1)]
-        if column is None:
-            raise NonFinite("cannot normalize non-finite scores or their range")
-        return GroundingMap._unchecked(column[ids])
+            self._cache = hit = (scene, self.weights, *self._scene_table(scene))
+        _, _, columns, normalized, ids = hit
+        return GroundingMap._unchecked(normalized[columns.get(concept.word, -1)][ids])
 
     def _scene_table(self, scene: world.Scene) -> tuple:
         """The scene's cache entry. normalized[c] is column c rescaled as in
-        normalize(column[ids]), or None where that raises NonFinite: the
-        range overflows, or a painted row has a non-finite entry (inf * 0 in
-        the one-hot product). The last column, all zeros, is unknown words'."""
+        normalize(column[ids]); the last column, all zeros, is unknown words'.
+        Raises DimMismatch when the weights do not fit the scene, and
+        NonFinite when any column's range over the painted rows is not."""
         order, ids = world.paint(scene, self.shape_for(scene))
         columns = {w: c for c, w in enumerate(world.attribute_vocabulary(scene))}
-        table = np.zeros((len(order) + 1, max(1, len(columns))), dtype=np.float64)
+        dim = max(1, len(columns))
+        table = np.zeros((len(order) + 1, dim), dtype=np.float64)
         for k, obj in enumerate(order, 1):
             table[k, [columns[a] for a in obj.attributes]] = 1.0
-        if self.weights is not None:
-            table = project(table, self.weights)
-        # + 0.0: the one-hot product sums a -0.0 entry to +0.0.
-        scores = np.vstack([table.T, np.zeros(len(table))]) + 0.0
         shown = np.zeros(len(table), dtype=bool)  # the rows ids paints
         shown[ids] = True
-        painted = scores[:, shown]
-        lo = painted.min(axis=1, keepdims=True)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.weights is not None:
+                table = project(table, self.weights)
+            if table.shape[1] != dim:
+                raise DimMismatch(f"embedding dim {dim} != projected dim {table.shape[1]}")
+            # + 0.0: the one-hot product sums a -0.0 entry to +0.0.
+            scores = np.vstack([table.T, np.zeros(len(table))]) + 0.0
+            painted = scores[:, shown]
+            lo = painted.min(axis=1, keepdims=True)
             span = painted.max(axis=1, keepdims=True) - lo
-            rescaled = np.where(span > 1e-9, (scores - lo) / span, 0.0)
-        finite = np.isfinite(span[:, 0]) & np.isfinite(painted).all()
-        return ((max(1, len(columns)), table.shape[1]), columns,
-                [row if ok else None for row, ok in zip(rescaled, finite)], ids)
+            if not np.isfinite(span).all():
+                raise NonFinite("cannot normalize non-finite scores or their range")
+            return columns, np.where(span > 1e-9, (scores - lo) / span, 0.0), ids
 
 
 def make_backend(name: str, ground_shape: tuple[int, int] | None = None,

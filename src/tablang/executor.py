@@ -51,7 +51,6 @@ class NoFeasiblePlace(ExecutionError):
 
 PICK_PLACE = "pick_place"
 PUSH = "push"
-PUSH_ACTIONS = frozenset({"push"})
 
 INTERIOR = "interior"
 SURFACE = "surface"
@@ -435,7 +434,7 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
     effective = _clear_of_items(kernel, ctx.scene, picked)
 
-    if program.action.word in PUSH_ACTIONS:
+    if program.action.word == PUSH:
         params, pick_map, cells, scores = _push_params(
             silhouette, effective if effective.any() else kernel, grid)
     else:

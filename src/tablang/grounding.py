@@ -24,7 +24,7 @@ class DimMismatch(ExecutionError, ValueError):
     pass
 
 
-class NonFinite(ValueError):
+class NonFinite(ExecutionError, ValueError):
     pass
 
 
@@ -75,10 +75,6 @@ class FeatureMap:
     def __post_init__(self):
         object.__setattr__(self, "values", _checked(self.values, 3, "feature map"))
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
 
 @dataclass(frozen=True, eq=False)
 class ConceptEmbedding:
@@ -105,10 +101,6 @@ class ProjectionWeights:
             raise DimMismatch(f"cl {cl.shape} does not compose with cv {cv.shape}")
         object.__setattr__(self, "cv", cv)
         object.__setattr__(self, "cl", cl)
-
-    @classmethod
-    def identity(cls, dim: int) -> "ProjectionWeights":
-        return cls(np.eye(dim), np.eye(dim))
 
 
 def normalize(raw) -> GroundingMap:

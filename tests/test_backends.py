@@ -29,6 +29,11 @@ def prop(w):
     return ConceptToken(w, PROPERTY)
 
 
+def eye_weights(dim):
+    """Identity cv and cl over dim features."""
+    return ProjectionWeights(np.eye(dim), np.eye(dim))
+
+
 def scene_one_hexagon():
     hexagon = world.SceneObject(1, world.ITEM, "hexagon", "blue", 30.0, 30.0,
                                 size=5.0, attributes=("shape", "daxy"))
@@ -140,7 +145,7 @@ def test_default_weights_ground_as_explicit_identity_weights():
         ep = bm.generate_episode(bm.TaskSpec(name, "unseen"), 4)
         vocab = world.attribute_vocabulary(ep.scene)
         default = EmbeddingBackend()
-        identity = EmbeddingBackend(weights=ProjectionWeights.identity(max(1, len(vocab))))
+        identity = EmbeddingBackend(weights=eye_weights(max(1, len(vocab))))
         for word in (*vocab, "gorp"):
             a = default.ground(ep.scene, prop(word)).values
             b = identity.ground(ep.scene, prop(word)).values
@@ -162,7 +167,7 @@ def test_cached_projection_matches_ground_embedding():
         scene = bm.generate_episode(bm.TaskSpec(name), 2).scene
         feats, vocab = reference_features(scene, backend.shape_for(scene))
         fmap = FeatureMap(feats)
-        dim = fmap.dim
+        dim = feats.shape[2]
         weights = ProjectionWeights(rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)))
         backend.weights = weights
         for word in vocab + ("gorp",):
@@ -227,12 +232,15 @@ def test_scene_table_grounds_the_one_hot_bytes():
         signed = [rng.normal(size=(dim, dim)) for _ in range(2)]
         for m in signed:
             m[rng.random(m.shape) < 0.3] = -0.0
-        for weights in (None, ProjectionWeights.identity(dim), ProjectionWeights(*signed)):
+        for weights in (None, eye_weights(dim), ProjectionWeights(*signed)):
             backend = EmbeddingBackend(weights=weights)
             for word in (*vocab, "gorp"):
                 got = backend.ground(scene, prop(word)).values
                 want = one_hot_ground(scene, word, weights, lattice).values
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), word
+
+
+NON_FINITE = "cannot normalize non-finite scores or their range"
 
 
 def write_weights(path, cv, cl):
@@ -244,24 +252,30 @@ def write_weights(path, cv, cl):
 
 
 def outcome(ground):
-    """ground()'s map bytes, or its NonFinite message; numpy's overflow
-    warnings from the projection are not errors here."""
+    """ground()'s map bytes, or its NonFinite message."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ground().values.tobytes()
+        return ground().values.tobytes()
     except NonFinite as exc:
         return str(exc)
 
 
-def test_overflowing_weights_raise_on_the_same_calls(tmp_path):
-    """Weights files whose projection overflows: a call raises NonFinite
-    exactly when grounding the word alone through the one-hot product does,
-    on every call, and otherwise gives its bytes. A painted row with an
-    infinite entry fails every word; a painted-over one fails none."""
+def one_hot_outcome(scene, word, weights):
+    """outcome of one_hot_ground; numpy's overflow warnings from its
+    projection are not errors here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return outcome(lambda: one_hot_ground(scene, word, weights,
+                                              EmbeddingBackend().shape_for(scene)))
+
+
+def test_overflowing_weights_fail_every_word_of_the_scene(tmp_path):
+    """Weights files whose projection overflows: when grounding some word
+    alone through the one-hot product raises NonFinite, every word of the
+    scene raises it, on every call and with no numpy warning; otherwise each
+    word gets that product's bytes. A painted row with an infinite entry
+    fails every word; a painted-over one fails none."""
     rng = np.random.default_rng(12)
-    outcomes = []
+    failed = []
     for scene in grounding_scenes()[:5]:
-        lattice = EmbeddingBackend().shape_for(scene)
         vocab = world.attribute_vocabulary(scene)
         dim = max(1, len(vocab))
         for trial in range(6):
@@ -270,16 +284,18 @@ def test_overflowing_weights_raise_on_the_same_calls(tmp_path):
             path = tmp_path / f"w{trial}.txt"
             write_weights(path, cv, np.eye(dim))
             backend = make_backend("embedding", weights_path=path)
-            for word in (*vocab, "gorp"):
-                want = outcome(lambda: one_hot_ground(scene, word, backend.weights, lattice))
+            words = (*vocab, "gorp")
+            want = [one_hot_outcome(scene, word, backend.weights) for word in words]
+            fails = any(isinstance(w, str) for w in want)
+            for word, w in zip(words, want):
                 for _ in range(2):
-                    assert outcome(lambda: backend.ground(scene, prop(word))) == want, (trial, word)
-                outcomes.append(isinstance(want, str))
-    assert any(outcomes) and not all(outcomes)
+                    got = outcome(lambda: backend.ground(scene, prop(word)))
+                    assert got == (NON_FINITE if fails else w), (trial, word)
+            failed.append(fails)
+    assert any(failed) and not all(failed)
     # Rows that sum two 1.7e308 entries: the painted-over disc's fails no
     # word, the block's on top of it fails every word.
     scene = covered_scene()
-    lattice = EmbeddingBackend().shape_for(scene)
     vocab = world.attribute_vocabulary(scene)
     for pair, fails in ((("disc", "hidden"), False), (("block", "blue"), True)):
         cv = np.eye(len(vocab))
@@ -288,8 +304,8 @@ def test_overflowing_weights_raise_on_the_same_calls(tmp_path):
         backend = make_backend("embedding", weights_path=tmp_path / "w.txt")
         for word in (*vocab, "gorp"):
             got = outcome(lambda: backend.ground(scene, prop(word)))
-            want = outcome(lambda: one_hot_ground(scene, word, backend.weights, lattice))
-            assert got == want and isinstance(got, str) == fails, (pair, word)
+            assert got == one_hot_outcome(scene, word, backend.weights), (pair, word)
+            assert isinstance(got, str) == fails, (pair, word)
 
 
 def test_negative_zero_entries_score_as_the_one_hot_product(monkeypatch):
@@ -304,7 +320,7 @@ def test_negative_zero_entries_score_as_the_one_hot_product(monkeypatch):
     monkeypatch.setattr(backends, "project", signed_project)
     for scene in grounding_scenes():
         vocab = world.attribute_vocabulary(scene)
-        weights = ProjectionWeights.identity(max(1, len(vocab)))
+        weights = eye_weights(max(1, len(vocab)))
         backend = EmbeddingBackend(weights=weights)
         for word in (*vocab, "gorp"):
             got = backend.ground(scene, prop(word)).values

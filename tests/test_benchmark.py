@@ -28,7 +28,7 @@ from tablang.benchmark import (
 )
 from tablang.executor import (
     DEFAULT_RELATION_KINDS,
-    PUSH_ACTIONS,
+    PUSH,
     ControlParams,
     EmptyGrounding,
     ExecutionResult,
@@ -366,7 +366,7 @@ def test_run_suite_records_parse_failures():
 
 
 def test_run_suite_records_feature_width_mismatch(lex):
-    narrow = EmbeddingBackend(weights=ProjectionWeights.identity(2))
+    narrow = EmbeddingBackend(weights=ProjectionWeights(np.eye(2), np.eye(2)))
     report = run_suite([TaskSpec("packing_shapes")], 2, narrow, lex)
     assert report.per_task["packing_shapes/seen"] == 0.0
     assert [ep["failure"] for ep in report.episodes] == ["grounding", "grounding"]
@@ -403,6 +403,34 @@ def test_run_suite_records_internal_failures(lex):
     assert [ep["failure"] for ep in report.episodes] == ["internal", None, None]
     assert report.episodes[0]["error"] == "first ground call fails"
     assert [ep["score"] for ep in report.episodes] == [0.0, 1.0, 1.0]
+
+
+def test_run_suite_records_generation_failures(lex, monkeypatch):
+    """A seed whose episode cannot be generated is recorded as a generation
+    failure scoring 0, counted in its task's mean, and the suite goes on."""
+    generate = bm.generate_episode
+
+    def fail_seed_1(task, seed):
+        if seed == 1:
+            raise bm.GenerationFailure("no room for seed 1")
+        return generate(task, seed)
+
+    monkeypatch.setattr(bm, "generate_episode", fail_seed_1)
+    report = run_suite([TaskSpec("packing_shapes")], 3, OracleBackend(), lex)
+    assert report.episodes[1] == {"task": "packing_shapes", "split": "seen", "seed": 1,
+                                  "score": 0.0, "failure": "generation",
+                                  "error": "no room for seed 1"}
+    assert [ep["failure"] for ep in report.episodes] == [None, "generation", None]
+    assert [ep["score"] for ep in report.episodes] == [1.0, 0.0, 1.0]
+    assert report.per_task == {"packing_shapes/seen": round(100.0 * 2 / 3, 4)}
+
+
+def test_expert_push_from_the_zone_centre_goes_along_x():
+    """An item already on the zone centre has no push direction; the expert
+    pushes along +x, from one circumradius behind it to the centre."""
+    block = world.SceneObject(1, world.ITEM, "block", "red", 40.0, 30.0, size=3.4)
+    params = bm._push_action(block, 40.0, 30.0)
+    assert params == ControlParams(Pose2(30, 37), Pose2(30, 40), PUSH)
 
 
 def test_report_table_format(lex):
@@ -599,7 +627,7 @@ def test_random_programs_step_cleanly(backend, data):
             assert v.dtype == np.float64 and v.ndim == 2 and not v.flags.writeable
             assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() <= 1.0
             assert np.array_equal(GroundingMap(v).values, v)
-        if goal.action.word not in PUSH_ACTIONS:
+        if goal.action.word != PUSH:
             assert result.params.pick == select_pick(result.pick_map)
             up_ref = resample(result.intermediates["0.0.1"], grid.height, grid.width).values
             assert not result.place_map[:, up_ref == 0.0].any()

@@ -380,6 +380,53 @@ def test_repl_feature_width_mismatch(tmp_path, scene_file):
     assert "error: cv expects dim 2" in out.stdout
 
 
+def overflowing_weights(tmp_path, ep):
+    """Weights whose cv and cl are diagonals of 1e200 over the scene's
+    features: every painted object's projected entry overflows."""
+    n = len(world.attribute_vocabulary(ep.scene))
+    diag = [" ".join("1e200" if i == j else "0" for j in range(n)) for i in range(n)]
+    path = tmp_path / "w.txt"
+    path.write_text("\n".join([f"cv {n} {n}", *diag, f"cl {n} {n}", *diag]) + "\n")
+    return path
+
+
+def test_run_overflowing_weights_is_execution_failure(tmp_path, scene_file):
+    path, ep = scene_file
+    out = run_cli("run", "--scene", str(path), "--backend", "embedding",
+                  "--weights", str(overflowing_weights(tmp_path, ep)),
+                  "--output-dir", str(tmp_path / "o"), "pack the star in the brown box")
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "execution failed: cannot normalize non-finite scores or their range\n"
+
+
+def test_repl_overflowing_weights_keeps_session(tmp_path, scene_file):
+    path, ep = scene_file
+    out = run_cli("repl", "--scene", str(path), "--backend", "embedding",
+                  "--weights", str(overflowing_weights(tmp_path, ep)),
+                  "--output-dir", str(tmp_path / "o"),
+                  stdin="pack the star in the brown box\n:undo\n:quit\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert out.stdout.splitlines()[1:] == [
+        "error: cannot normalize non-finite scores or their range", "nothing to undo"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cv 2 2\n1 0\n0 1\ncl 2 3\n1 0 0\n0 1 0\n", "cl must be square, got (2, 3)"),
+    ("cv 2 2\n1 0\n0 1\ncl 3 3\n1 0 0\n0 1 0\n0 0 1\n",
+     "cl (3, 3) does not compose with cv (2, 2)"),
+], ids=["non_square_cl", "cl_does_not_compose"])
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_misshapen_cl_exits_1_in_process(tmp_path, scene_file, command, text, message):
+    path, ep = scene_file
+    weights = tmp_path / "w.txt"
+    weights.write_text(text)
+    code, err = main_in_process([command, "--scene", str(path), "--backend", "embedding",
+                                 "--weights", str(weights), "--output-dir", str(tmp_path / "o"),
+                                 *([ep.instruction] if command == "run" else [])])
+    assert code == 1 and err == f"error: {message}\n", err
+
+
 @pytest.mark.parametrize("bad_line", [
     "foo\tN/Q\tfilter(foo)",               # unknown category primitive
     "foo\tN\tfrobnicate(filter(red))",     # unknown template operation

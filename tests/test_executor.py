@@ -15,6 +15,8 @@ from tablang import ccg, dsl, executor, world
 from tablang.backends import OracleBackend
 from tablang.executor import (
     DEFAULT_RELATION_KINDS,
+    PUSH,
+    ControlParams,
     EmptyGrounding,
     ExecutionContext,
     NoFeasiblePlace,
@@ -816,6 +818,19 @@ def test_pick_place_keeps_its_place_clear_of_a_resident_item():
     steps = np.abs(np.argwhere(placed.mask((64, 128)))[:, None]
                    - np.argwhere(star.mask((64, 128)))[None]).sum(axis=2)
     assert steps.min() >= executor.OBSTACLE_PAD_PX + 1
+
+
+def test_push_onto_its_own_centroid_starts_there():
+    """When the support's centroid is the silhouette's, the push has no
+    direction: pre- and post-push poses are both the shared centroid cell."""
+    grid = PoseGrid(9, 11, 12)
+    mask = np.zeros((9, 11), dtype=bool)
+    mask[3:6, 4:7] = True
+    params, pick_map, cells, scores = executor._push_params(mask, mask, grid)
+    assert params == ControlParams(Pose2(4, 5), Pose2(4, 5), PUSH)
+    assert np.flatnonzero(pick_map.values).tolist() == [4 * 11 + 5]
+    assert [c.tolist() for c in cells] == [[4], [5]]
+    assert np.array_equal(scores, np.eye(12, 1))
 
 
 def test_push_into_a_crowded_zone_falls_back_to_the_raw_kernel():

@@ -18,6 +18,11 @@ from tablang.grounding import (
 )
 
 
+def eye_weights(dim):
+    """Identity cv and cl over dim features."""
+    return ProjectionWeights(np.eye(dim), np.eye(dim))
+
+
 def gmap(values):
     return GroundingMap(np.asarray(values, dtype=float))
 
@@ -138,14 +143,14 @@ def test_resample_preserves_corners():
 
 def test_ground_embedding_identity_one_hot():
     features = FeatureMap(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-    weights = ProjectionWeights.identity(2)
+    weights = eye_weights(2)
     out = ground_embedding(features, ConceptEmbedding(np.array([1.0, 0.0])), weights)
     assert np.allclose(out.values, [[1.0], [0.0]])
 
 
 def test_ground_embedding_zero_embedding():
     features = FeatureMap(np.random.default_rng(0).random((3, 3, 4)))
-    weights = ProjectionWeights.identity(4)
+    weights = eye_weights(4)
     out = ground_embedding(features, ConceptEmbedding(np.zeros(4)), weights)
     assert np.all(out.values == 0.0)
 
@@ -168,8 +173,7 @@ def test_ground_embedding_matches_brute_force():
 def test_ground_embedding_dim_mismatch():
     features = FeatureMap(np.zeros((2, 2, 3)))
     with pytest.raises(DimMismatch):
-        ground_embedding(features, ConceptEmbedding(np.zeros(2)),
-                         ProjectionWeights.identity(4))
+        ground_embedding(features, ConceptEmbedding(np.zeros(2)), eye_weights(4))
     with pytest.raises(DimMismatch):
         ground_embedding(features, ConceptEmbedding(np.zeros(4)),
                          ProjectionWeights(np.zeros((3, 3)), np.zeros((3, 3))))

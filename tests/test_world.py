@@ -153,6 +153,35 @@ def test_pick_place_moves_item_into_box():
     assert np.all(~foot | interior)
 
 
+@pytest.mark.parametrize("angle, place, side", [
+    (0.0, Pose2(32, 78), 0), (0.0, Pose2(43, 64), 1), (math.pi / 6, Pose2(39, 77), 0),
+])
+def test_pick_place_by_a_box_wall_pushes_the_item_out(angle, place, side):
+    """A block placed with its centre outside a box wall but within its
+    circumradius ri of it is pushed out along that wall's normal, in the
+    box's own frame: to hx + ri (side 0) or hy + ri (side 1) from the box
+    centre, its other frame coordinate kept. It then covers no box pixel."""
+    box = SceneObject(1, CONTAINER, "box", "brown", 64.0, 32.0, angle=angle, size=10.0)
+    block = SceneObject(2, ITEM, "block", "red", 20.0, 20.0, size=3.4)
+    after, moved = apply_pick_place(Scene(128, 64, (box, block)),
+                                    ControlParams(Pose2(20, 20), place, "pick_place"))
+    assert moved
+    placed = after.find(2)
+
+    def frame(x, y):
+        c, s = math.cos(angle), math.sin(angle)
+        return [(x - 64.0) * c + (y - 32.0) * s, -(x - 64.0) * s + (y - 32.0) * c]
+
+    want = frame(float(place.v), float(place.u))
+    assert abs(want[side]) < (13.0, 10.0)[side] + block.circumradius
+    want[side] = (13.0, 10.0)[side] + block.circumradius
+    assert np.allclose(frame(placed.x, placed.y), want, rtol=0, atol=1e-9)
+    on_box = footprint_mask(placed, (64, 128)) & footprint_mask(box, (64, 128))
+    assert not on_box.any()
+    if angle == 0.0 and side == 0:
+        assert round(placed.x, 2) == 80.46 and placed.y == 32.0
+
+
 def test_pick_on_background_is_noop():
     scene = fixture_scene()
     params = ControlParams(Pose2(5, 5, 0), Pose2(32, 90, 0), "pick_place")
