@@ -134,9 +134,10 @@ def parse_category(text: str) -> Category:
 
 # --------------------------------------------------------------------------
 # Semantic terms: dsl program trees with binders (Lam, Var, App, Slot). A Var
-# is a de Bruijn index, so alpha-equivalent terms are equal as values. The
-# walks read a node's fields as vars(node).values(), dsl.fields inlined: the
-# chart normalizes every combination, and a call per node shows in parse time.
+# is a de Bruijn index, so alpha-equivalent terms are equal as values. _open
+# reduces each redex where its substitution creates it (hereditary substitution),
+# so a normal argument is not normalized again, only shifted under binders. The
+# walks read fields as vars(node).values(), dsl.fields inlined: calls show in parse time.
 
 
 def _rebuilt(node: ProgramNode, values: list) -> ProgramNode:
@@ -160,34 +161,37 @@ def _shift(term, by: int, cutoff: int = 0):
 def _open(body, arg: ProgramNode, depth: int = 0):
     """body, a Lam's body depth binders down, with arg for the Lam's variable:
     arg is shifted over those binders, and the indices of binders outside
-    the Lam drop by one."""
+    the Lam drop by one. A redex this creates, or finds, is reduced in turn,
+    so for a normal arg the result is normal and arg is not normalized again."""
     if isinstance(body, Var):
         if body.index == depth:
             return _shift(arg, depth) if depth else arg
         return Var(body.index - 1) if body.index > depth else body
     if isinstance(body, Lam):
         return _rebuilt(body, [_open(body.body, arg, depth + 1)])
+    if isinstance(body, App):
+        fn, opened = _open(body.fn, arg, depth), _open(body.arg, arg, depth)
+        return _open(fn.body, opened) if isinstance(fn, Lam) else _rebuilt(body, [fn, opened])
     if isinstance(body, ProgramNode):
         return _rebuilt(body, [_open(v, arg, depth) for v in vars(body).values()])
     return body
 
 
 def beta_normalize(term):
-    """term's beta normal form; a normal subterm is returned as itself."""
+    """term's beta normal form; a normal subterm is returned as itself. A
+    redex's parts are normalized first, so opening its body finishes it."""
     if isinstance(term, App):
         fn = beta_normalize(term.fn)
         arg = beta_normalize(term.arg)
-        if isinstance(fn, Lam):
-            return beta_normalize(_open(fn.body, arg))
-        return _rebuilt(term, [fn, arg])
+        return _open(fn.body, arg) if isinstance(fn, Lam) else _rebuilt(term, [fn, arg])
     if isinstance(term, ProgramNode) and type(term) is not Var:
         return _rebuilt(term, [beta_normalize(v) for v in vars(term).values()])
     return term
 
 
 def apply_sem(fn: Lam, arg: ProgramNode) -> ProgramNode:
-    # Chart items are normal already, so only the opened body needs normalizing.
-    return beta_normalize(_open(fn.body, arg))
+    # arg must be normal, as every chart item is: it is not normalized again.
+    return _open(fn.body, arg)
 
 
 def parse_template(text: str) -> ProgramNode:
@@ -283,6 +287,11 @@ class Lexicon:
         return frozenset(self._entries)
 
     @functools.cached_property
+    def phrase_tokens(self) -> int:
+        """Tokens in the longest vocabulary word, 1 without multiword phrases."""
+        return max((w.count(" ") + 1 for w in self._entries), default=1)
+
+    @functools.cached_property
     def readings(self) -> list[tuple[Category, ProgramNode, float]]:
         """The MAX_OOV_READINGS likeliest (category, abstract template, log
         prior) readings of a novel word under semantic_prior, ties broken on
@@ -334,12 +343,10 @@ def tokenize(text: str, lexicon: Lexicon) -> list[str]:
     """Lowercase, strip punctuation, split on whitespace; multiword
     vocabulary phrases are greedily joined, longest match first."""
     raw = re.findall(TOKEN, text.lower())
-    phrases = [w for w in lexicon.vocabulary if " " in w]
-    max_len = max((p.count(" ") + 1 for p in phrases), default=1)
     out: list[str] = []
     i = 0
     while i < len(raw):
-        for span in range(min(max_len, len(raw) - i), 1, -1):
+        for span in range(min(lexicon.phrase_tokens, len(raw) - i), 1, -1):
             joined = " ".join(raw[i:i + span])
             if joined in lexicon.vocabulary:
                 out.append(joined)
@@ -417,15 +424,14 @@ def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
                     for (lcat, lsem, loov), llog in memo[words[:split]].items():
                         for (rcat, rsem, roov), rlog in memo[words[split:]].items():
                             for cat, sem in _combinations((lcat, lsem), (rcat, rsem)):
-                                key = (cat, sem, loov + roov)
-                                logp = llog + rlog
-                                if key not in cell:
+                                # One hash of the key per combination, unless it scores higher.
+                                key, logp, size = (cat, sem, loov + roov), llog + rlog, len(cell)
+                                if cell.setdefault(key, logp) < logp:
+                                    cell[key] = logp
+                                elif len(cell) > size:
                                     items += 1
                                     if items > MAX_CHART_ITEMS:
                                         raise NoParse(tokens)
-                                elif logp <= cell[key]:
-                                    continue
-                                cell[key] = logp
             memo[words] = cell or EMPTY_CELL
     return [(cat, sem, logp, oov) for (cat, sem, oov), logp in memo[tuple(tokens)].items()]
 

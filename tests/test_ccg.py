@@ -74,6 +74,22 @@ def test_vocabulary_is_built_once(lex):
     assert {"pack", "blicket"} & lex.vocabulary == {"pack"}
 
 
+def test_phrase_length_is_built_once():
+    """tokenize reads the longest phrase's length from the lexicon, built on
+    first use and kept: overwriting the kept value changes what is joined."""
+    lexicon = Lexicon.from_string("porcelain plate\tN\tfilter(plate)\n"
+                                  "big porcelain plate\tN\tfilter(plate)\n")
+    assert "phrase_tokens" not in vars(lexicon)
+    text = "the big porcelain plate and the porcelain plate"
+    assert tokenize(text, lexicon) == ["the", "big porcelain plate", "and", "the",
+                                       "porcelain plate"]
+    assert vars(lexicon)["phrase_tokens"] == 3
+    vars(lexicon)["phrase_tokens"] = 2
+    assert tokenize(text, lexicon) == ["the", "big", "porcelain plate", "and", "the",
+                                       "porcelain plate"]
+    assert default_lexicon().phrase_tokens == 1
+
+
 def test_lexicon_rejects_type_mismatch():
     with pytest.raises(LexiconError):
         Lexicon.from_string("bad\tN\t\\x.x\n")
@@ -593,6 +609,35 @@ def test_redex_under_binder_shifts_open_argument():
     assert dsl.serialize(ccg.beta_normalize(term)) == "\\x.\\y.relate(y, x, left)"
 
 
+def test_apply_sem_never_walks_its_argument(monkeypatch):
+    """A function that uses its variable first-order gets its argument as
+    is: no node of the argument tree reaches _rebuilt, however deep it is,
+    so such a chart item costs its template's size, not its span's."""
+    blue = parse_template(r"\x.filter(x, blue)")
+    arg = dsl.Scene()
+    for depth in range(60):
+        red = dsl.Filter(dsl.Scene(), dsl.ConceptToken("red", dsl.PROPERTY))
+        arg = dsl.ObjUnion(arg, red) if depth % 2 else dsl.Filter(arg, red.prop)
+    nodes = set()
+    stack = [arg]
+    while stack:
+        node = stack.pop()
+        nodes.add(id(node))
+        stack.extend(v for v in vars(node).values() if isinstance(v, dsl.ProgramNode))
+    seen = []
+    rebuilt = ccg._rebuilt
+
+    def recording(node, values):
+        seen.append(id(node))
+        return rebuilt(node, values)
+
+    monkeypatch.setattr(ccg, "_rebuilt", recording)
+    result = ccg.apply_sem(blue, arg)
+    assert result == dsl.Filter(arg, dsl.ConceptToken("blue", dsl.PROPERTY))
+    assert result.child is arg
+    assert seen and not nodes.intersection(seen)
+
+
 def test_beta_normalize_returns_a_normal_term_itself(lex):
     for entry in lex.all_entries():
         assert ccg.beta_normalize(entry.template) is entry.template
@@ -767,7 +812,9 @@ def test_beta_normalize_matches_named_reference(data):
 def test_apply_sem_matches_named_reference(data):
     """apply_sem under outer binders ctx. An argument typed like a variable of
     ctx is often open, and a function-typed body puts binders between the
-    argument and its uses, so the argument must be shifted over them."""
+    argument and its uses, so the argument must be shifted over them. The
+    argument is normalized first, as every chart item is: apply_sem does not
+    normalize it again. The body may hold redexes of its own."""
     ctx = tuple(data.draw(st.lists(st.tuples(NAMES, TYPES), min_size=1, max_size=3)))
     arg_ty = data.draw(st.sampled_from([ty for _, ty in ctx]))
     result_ty, name = data.draw(st.tuples(TYPES, TYPES)), data.draw(NAMES)
@@ -779,7 +826,7 @@ def test_apply_sem_matches_named_reference(data):
         return functools.reduce(lambda body, _: dsl.Lam(body), bound, term)
 
     expected = dsl.serialize(closed(nameless(named_beta_normalize(NApp(fn, arg)), bound)))
-    got = ccg.apply_sem(nameless(fn, bound), nameless(arg, bound))
+    got = ccg.apply_sem(nameless(fn, bound), ccg.beta_normalize(nameless(arg, bound)))
     assert dsl.serialize(closed(got)) == expected
 
 
