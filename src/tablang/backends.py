@@ -69,7 +69,8 @@ class EmbeddingBackend(_Backend):
     unknown word's is zeros), normalized over the painted rows."""
 
     weights: ProjectionWeights | None = None
-    # (scene, weights, word -> column, normalized columns, ids) of the last scene.
+    # (scene, weights, key, ids, word -> column, normalized columns) of the last
+    # scene; key is the painted objects' attributes and which rows ids paints.
     _cache: tuple | None = field(default=None, repr=False, compare=False)
 
     name = "embedding"
@@ -78,23 +79,27 @@ class EmbeddingBackend(_Backend):
         _check_concept(concept)
         hit = self._cache
         if hit is None or hit[0] is not scene or hit[1] is not self.weights:
-            self._cache = hit = (scene, self.weights, *self._scene_table(scene))
-        _, _, columns, normalized, ids = hit
+            self._cache = hit = self._scene_table(scene, hit)
+        *_, ids, columns, normalized = hit
         return GroundingMap._unchecked(normalized[columns.get(concept.word, -1)][ids])
 
-    def _scene_table(self, scene: world.Scene) -> tuple:
+    def _scene_table(self, scene: world.Scene, last: tuple | None) -> tuple:
         """The scene's cache entry. normalized[c] is column c rescaled as in
         normalize(column[ids]); the last column, all zeros, is unknown words'.
-        Raises DimMismatch when the weights do not fit the scene, and
-        NonFinite when any column's range over the painted rows is not."""
+        A scene with last's weights and key reuses its table. Raises
+        DimMismatch when the weights do not fit the scene, and NonFinite
+        when any column's range over the painted rows is not."""
         order, ids = world.paint(scene, self.shape_for(scene))
+        shown = np.zeros(len(order) + 1, dtype=bool)  # the rows ids paints
+        shown[ids] = True
+        key = (tuple(obj.attributes for obj in order), shown.tobytes())
+        if last is not None and last[1] is self.weights and last[2] == key:
+            return scene, self.weights, key, ids, *last[4:]
         columns = {w: c for c, w in enumerate(world.attribute_vocabulary(scene))}
         dim = max(1, len(columns))
         table = np.zeros((len(order) + 1, dim), dtype=np.float64)
         for k, obj in enumerate(order, 1):
             table[k, [columns[a] for a in obj.attributes]] = 1.0
-        shown = np.zeros(len(table), dtype=bool)  # the rows ids paints
-        shown[ids] = True
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.weights is not None:
                 table = project(table, self.weights)
@@ -107,7 +112,8 @@ class EmbeddingBackend(_Backend):
             span = painted.max(axis=1, keepdims=True) - lo
             if not np.isfinite(span).all():
                 raise NonFinite("cannot normalize non-finite scores or their range")
-            return columns, np.where(span > 1e-9, (scores - lo) / span, 0.0), ids
+            return (scene, self.weights, key, ids, columns,
+                    np.where(span > 1e-9, (scores - lo) / span, 0.0))
 
 
 def make_backend(name: str, ground_shape: tuple[int, int] | None = None,

@@ -284,11 +284,6 @@ def _target_and_distractors(rng, split, n_drawn, n_kept):
     return target, [s for s in drawn if s != target][:n_kept]
 
 
-def _expert_pick_place(target: world.SceneObject, region: world.SceneObject) -> ControlParams:
-    return ControlParams(_pose_at(*reversed(_pick_point(target))),
-                         _pose_at(region.x, region.y), PICK_PLACE)
-
-
 def _push_action(obj: world.SceneObject, goal_x: float, goal_y: float) -> ControlParams:
     dx, dy = goal_x - obj.x, goal_y - obj.y
     norm = math.hypot(dx, dy)
@@ -503,8 +498,9 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
             budget = len(goal.target_ids) + 2
             expert, final = _closed_loop_push_expert(scene, goal.target_ids, region, budget)
         else:
-            expert = [_expert_pick_place(scene.find(t), scene.find(r))
-                      for t, r in zip(goal.target_ids, goal.region_ids)]
+            expert = [ControlParams(_pose_at(*reversed(_pick_point(scene.find(t)))),
+                                    _pose_at(r.x, r.y), PICK_PLACE)
+                      for t, r in zip(goal.target_ids, map(scene.find, goal.region_ids))]
             budget, final = len(expert), _replay(scene, expert)
         episode = Episode(scene, instruction, tuple(expert), goal, budget,
                           task.name, task.split, seed)

@@ -166,7 +166,7 @@ class ExecutionResult:
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.nonzero of a 2-d mask, the same (rows, cols) in row-major order,
     from one flat scan."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+    return np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
 
 
 def _erode(mask: np.ndarray) -> np.ndarray:
@@ -359,12 +359,13 @@ def _push_params(silhouette: np.ndarray, support: np.ndarray, grid: PoseGrid):
     post-push pose at the support's centroid (nearest supported cell).
     Recorded maps are one-hot (the place: rotation 0 of the post-push cell)
     so the argmax invariant still holds."""
+    # Index means as integer sum / count: exactly ndarray.mean below 2**53.
     sil_rows, sil_cols = _cells(silhouette)
-    c_u, c_v = sil_rows.mean(), sil_cols.mean()
-    if not support.any():
-        raise NoFeasiblePlace("push goal region is empty")
+    c_u, c_v = sil_rows.sum() / len(sil_rows), sil_cols.sum() / len(sil_cols)
     sup_rows, sup_cols = _cells(support)
-    g_u, g_v = sup_rows.mean(), sup_cols.mean()
+    if not len(sup_rows):
+        raise NoFeasiblePlace("push goal region is empty")
+    g_u, g_v = sup_rows.sum() / len(sup_rows), sup_cols.sum() / len(sup_cols)
     nearest = int(np.argmin((sup_rows - g_u) ** 2 + (sup_cols - g_v) ** 2))
     post = Pose2(int(sup_rows[nearest]), int(sup_cols[nearest]), 0)
 

@@ -162,8 +162,17 @@ class SceneObject:
         for x) is inside the object; _sample tests only that window."""
         return self.circumradius + 1.0
 
-    # mask's memo; not a field, so ==, hash, asdict and dataclasses.replace skip it.
+    # mask's memo; not a field, so ==, hash, asdict, replace and moved skip it.
     _masks = functools.cached_property(lambda self: {})
+
+    def moved(self, **pose: float) -> SceneObject:
+        """dataclasses.replace(self, **pose) for a new x, y or angle, with an
+        empty mask memo, checking only that the new values are finite."""
+        if not all(map(math.isfinite, pose.values())):
+            raise ValueError(f"object {self.id}: x, y, angle and size must be finite")
+        out = object.__new__(type(self))
+        vars(out).update({k: v for k, v in vars(self).items() if k != "_masks"}, **pose)
+        return out
 
     def mask(self, hw: tuple[int, int], lattice: tuple[int, int] | None = None,
              interior: bool = False) -> np.ndarray:
@@ -330,14 +339,6 @@ def check_bounds(scene: Scene) -> None:
             raise OutOfBounds(f"object {obj.id} exits the workspace")
 
 
-def _height_of(obj: SceneObject) -> float:
-    if obj.kind == ZONE:
-        return 0.0
-    if obj.kind == CONTAINER:
-        return 0.05
-    return 0.02 * obj.size
-
-
 def attribute_vocabulary(scene: Scene) -> tuple[str, ...]:
     vocab: set[str] = set()
     for obj in scene.objects:
@@ -375,7 +376,8 @@ def render(scene: Scene) -> RenderedScene:
     order, ids = paint(scene)
     image = np.empty((*ids.shape, 4), dtype=np.float64)
     image[:, :, :3] = np.array([BACKGROUND, *(COLORS[o.color] for o in order)])[ids]
-    image[:, :, 3] = np.array([0.0, *map(_height_of, order)])[ids]
+    heights = {ZONE: 0.0, CONTAINER: 0.05}  # an item stands 0.02 of its size
+    image[:, :, 3] = np.array([0.0, *(heights.get(o.kind, 0.02 * o.size) for o in order)])[ids]
     for k, obj in enumerate(order, 1):
         if obj.kind == CONTAINER:  # only the walls stand up
             image[(ids == k) & obj.mask(ids.shape, interior=True), 3] = 0.0
@@ -387,7 +389,7 @@ def _clamp_workspace(scene: Scene, obj: SceneObject) -> SceneObject:
     cr = obj.circumradius
     x = min(max(obj.x, cr), scene.width - 1 - cr)
     y = min(max(obj.y, cr), scene.height - 1 - cr)
-    return obj if (x, y) == (obj.x, obj.y) else replace(obj, x=x, y=y)
+    return obj if (x, y) == (obj.x, obj.y) else obj.moved(x=x, y=y)
 
 
 def _clamp_against_container(item: SceneObject, cont: SceneObject) -> SceneObject:
@@ -412,7 +414,7 @@ def _clamp_against_container(item: SceneObject, cont: SceneObject) -> SceneObjec
             ux = math.copysign(hx + ri, ux if ux else 1.0)
         else:
             uy = math.copysign(hy + ri, uy if uy else 1.0)
-        return replace(item, x=cont.x + ux * c - uy * s, y=cont.y + ux * s + uy * c)
+        return item.moved(x=cont.x + ux * c - uy * s, y=cont.y + ux * s + uy * c)
     r_out = _DISCS["bowl"] * cont.size
     d = math.hypot(dx, dy)
     if d > r_out + ri:
@@ -422,9 +424,9 @@ def _clamp_against_container(item: SceneObject, cont: SceneObject) -> SceneObjec
         if d <= r_in:
             return item
         f = r_in / d
-        return replace(item, x=cont.x + dx * f, y=cont.y + dy * f)
+        return item.moved(x=cont.x + dx * f, y=cont.y + dy * f)
     f = (r_out + ri) / d
-    return replace(item, x=cont.x + dx * f, y=cont.y + dy * f)
+    return item.moved(x=cont.x + dx * f, y=cont.y + dy * f)
 
 
 def _settle(scene: Scene, item: SceneObject, before: SceneObject) -> SceneObject:
@@ -453,16 +455,16 @@ def pick_target(scene: Scene, row: int, col: int) -> SceneObject | None:
 
 def apply_pick_place(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:
     """Teleport the item under the pick pixel to the place pose. Returns the
-    new scene and a flag; a miss is a silent no-op (False)."""
+    new scene and a flag; a miss, or an item that does not come to rest
+    (_settle), is a silent no-op: the same scene and False."""
     if params.primitive != "pick_place":
         raise ValueError("apply_pick_place needs a pick_place primitive")
     target = pick_target(scene, params.pick.u, params.pick.v)
-    if target is None:
-        return scene, False
     theta = 2 * math.pi * params.place.r / rotations
-    moved = replace(target, x=float(params.place.v), y=float(params.place.u),
-                    angle=target.angle + theta)
-    moved = _settle(scene, moved, target)
+    moved = target and _settle(scene, target.moved(x=float(params.place.v), y=float(params.place.u),
+                                                   angle=target.angle + theta), target)
+    if moved is target:  # a miss (None), or an item that did not come to rest
+        return scene, False
     objects = tuple(moved if o.id == target.id else o for o in scene.objects)
     return replace(scene, objects=objects), True
 
@@ -471,7 +473,7 @@ def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
     """Sweep a straight corridor, PUSH_HALF_WIDTH to either side, from the
     pre-push to the post-push location. Items whose centroid lies in the
     corridor keep their lateral offset and stop on the plane through the
-    post-push point."""
+    post-push point; with none that comes to rest, the same scene and False."""
     if params.primitive != "push":
         raise ValueError("apply_push needs a push primitive")
     pre = np.array([float(params.pick.v), float(params.pick.u)])
@@ -482,15 +484,17 @@ def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
         return scene, False
     direction = vec / length
     perp = np.array([-direction[1], direction[0]])
+    reach = length / 2 + PUSH_HALF_WIDTH + 1e-6  # of every corridor point from the midpoint
+    mid_x, mid_y = ((pre + post) / 2).tolist()
     objects, moved_any = list(scene.objects), False
     for i, obj in enumerate(objects):
-        if obj.kind == ITEM:
+        if obj.kind == ITEM and abs(obj.x - mid_x) <= reach and abs(obj.y - mid_y) <= reach:
             rel = np.array([obj.x, obj.y]) - pre
             t, s = float(rel @ direction), float(rel @ perp)
             if 0.0 <= t <= length and abs(s) <= PUSH_HALF_WIDTH:
                 dest = post + perp * s
-                objects[i] = _settle(scene, replace(obj, x=float(dest[0]), y=float(dest[1])), obj)
-                moved_any = True
+                objects[i] = _settle(scene, obj.moved(x=float(dest[0]), y=float(dest[1])), obj)
+                moved_any |= objects[i] is not obj
     if not moved_any:
         return scene, False
     return replace(scene, objects=tuple(objects)), True

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from reference_paint import reference_features, reference_paint
 from tablang import benchmark as bm
-from tablang import backends, world
+from tablang import backends, ccg, world
 from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, make_backend
 from tablang.dsl import ACTION, PROPERTY, ConceptToken
 from tablang.formats import load_projection_weights, write_pgm
@@ -353,6 +354,103 @@ def test_new_weights_invalidate_cached_projection():
     fmap = FeatureMap(reference_features(scene, backend.shape_for(scene))[0])
     want = ground_embedding(fmap, ConceptEmbedding(np.eye(dim)[0]), swapped)
     assert np.array_equal(after, want.values)
+
+
+@dataclasses.dataclass
+class SceneLog(EmbeddingBackend):
+    """An embedding backend that keeps each new scene it grounds, in order."""
+
+    scenes: list = dataclasses.field(default_factory=list)
+
+    def ground(self, scene, concept):
+        if not self.scenes or self.scenes[-1] is not scene:
+            self.scenes.append(scene)
+        return super().ground(scene, concept)
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gets the arguments of each call of module.name from here on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_long_lived_backend_grounds_episode_scenes_as_fresh_ones(monkeypatch):
+    """Over every scene that seeded embedding bowl and pile episodes ground,
+    one long-lived backend maps each vocabulary word and an unknown one to
+    the bytes a fresh backend per scene gives. Scenes whose painted rows
+    are the last scene's reuse its table, so it builds fewer tables than
+    it sees scenes."""
+    log = SceneLog()
+    lexicon = ccg.default_lexicon()
+    for name in ("put_blocks_in_bowls", "separating_piles", "separating_location_piles"):
+        for seed in range(3):
+            bm.run_episode(bm.generate_episode(bm.TaskSpec(name), seed), log, lexicon)
+    words = [(*world.attribute_vocabulary(scene), "gorp") for scene in log.scenes]
+    want = [[EmbeddingBackend().ground(scene, prop(w)).values.tobytes() for w in scene_words]
+            for scene, scene_words in zip(log.scenes, words)]
+    builds = count_calls(monkeypatch, world, "attribute_vocabulary")
+    backend = EmbeddingBackend()
+    got = [[backend.ground(scene, prop(w)).values.tobytes() for w in scene_words]
+           for scene, scene_words in zip(log.scenes, words)]
+    assert got == want
+    assert len(builds) < len(log.scenes)  # 27 tables for 55 scenes
+
+
+def test_table_is_rebuilt_when_painted_rows_or_weights_change(monkeypatch):
+    """A moved object that stays painted reuses the table; an object painted
+    over, or an equal but new weights object, rebuilds it. Every map is a
+    fresh backend's."""
+    hexagon = world.SceneObject(1, world.ITEM, "hexagon", "blue", 30.0, 30.0, size=5.0)
+    disc = world.SceneObject(2, world.ITEM, "disc", "red", 90.0, 30.0, size=2.0)
+    block = world.SceneObject(3, world.ITEM, "block", "green", 60.0, 30.0, size=8.0)
+    scene = world.Scene(128, 64, (hexagon, disc, block))
+    dim = len(world.attribute_vocabulary(scene))
+    first, second = eye_weights(dim), eye_weights(dim)
+    covered = (hexagon, disc.moved(x=60.0), block)
+    steps = [  # (scene, weights, tables built so far)
+        (scene, first, 1),
+        (world.Scene(128, 64, (hexagon, disc.moved(x=100.0), block)), first, 1),
+        (world.Scene(128, 64, covered), first, 2),
+        (world.Scene(128, 64, (hexagon.moved(y=20.0), *covered[1:])), first, 2),
+        (world.Scene(128, 64, (hexagon.moved(y=20.0), *covered[1:])), second, 3),
+        (scene, second, 4),
+    ]
+    words = ("red", "blue", "green", "gorp")
+    want = [[EmbeddingBackend(weights=w).ground(s, prop(word)).values.tobytes() for word in words]
+            for s, w, _ in steps]
+    builds = count_calls(monkeypatch, backends, "project")
+    backend = EmbeddingBackend()
+    for (current, weights, built), maps in zip(steps, want):
+        backend.weights = weights
+        assert [backend.ground(current, prop(word)).values.tobytes() for word in words] == maps
+        assert len(builds) == built
+
+
+def test_failed_build_raises_on_every_call_between_reused_tables(tmp_path):
+    """Weights that overflow on the red disc's row: the scene that shows the
+    disc fails every call, before and after scenes that hide it under the
+    block, which reuse one table."""
+    scene = covered_scene()
+    vocab = world.attribute_vocabulary(scene)
+    cv = np.eye(len(vocab))
+    cv[:, [vocab.index("disc"), vocab.index("hidden")]] = 1.7e308
+    write_weights(tmp_path / "w.txt", cv, np.eye(len(vocab)))
+    backend = make_backend("embedding", weights_path=tmp_path / "w.txt")
+    disc, *others = scene.objects
+    shown = world.Scene(128, 64, (disc.moved(x=10.0), *others))
+    hidden_again = world.Scene(128, 64, (disc.moved(x=31.0), *others))
+    for current, fails in ((scene, False), (shown, True), (shown, True),
+                           (hidden_again, False), (shown, True)):
+        for word in (*vocab, "gorp"):
+            got = outcome(lambda: backend.ground(current, prop(word)))
+            assert got == one_hot_outcome(current, word, backend.weights), word
+            assert isinstance(got, str) == fails, word
 
 
 def test_shape_for_halves_the_scene_unless_set():
