@@ -136,8 +136,8 @@ def parse_category(text: str) -> Category:
 # Semantic terms: dsl program trees with binders (Lam, Var, App, Slot). A Var
 # is a de Bruijn index, so alpha-equivalent terms are equal as values. _open
 # reduces each redex where its substitution creates it (hereditary substitution),
-# so a normal argument is not normalized again, only shifted under binders. The
-# walks read fields as vars(node).values(), dsl.fields inlined: calls show in parse time.
+# so a normal argument is not normalized again, only shifted under binders. It is
+# the only normalizer. Walks read vars(node).values(): a wrapper's calls show in parse time.
 
 
 def _rebuilt(node: ProgramNode, values: list) -> ProgramNode:
@@ -177,27 +177,16 @@ def _open(body, arg: ProgramNode, depth: int = 0):
     return body
 
 
-def beta_normalize(term):
-    """term's beta normal form; a normal subterm is returned as itself. A
-    redex's parts are normalized first, so opening its body finishes it."""
-    if isinstance(term, App):
-        fn = beta_normalize(term.fn)
-        arg = beta_normalize(term.arg)
-        return _open(fn.body, arg) if isinstance(fn, Lam) else _rebuilt(term, [fn, arg])
-    if isinstance(term, ProgramNode) and type(term) is not Var:
-        return _rebuilt(term, [beta_normalize(v) for v in vars(term).values()])
-    return term
-
-
 def apply_sem(fn: Lam, arg: ProgramNode) -> ProgramNode:
     # arg must be normal, as every chart item is: it is not normalized again.
     return _open(fn.body, arg)
 
 
 def parse_template(text: str) -> ProgramNode:
-    """Read a lexicon template: dsl program syntax plus \\x. binders."""
+    """Read a lexicon template: dsl program syntax plus \\x. binders. It is
+    normal as read: read applies arguments only to bound variables, never to a Lam."""
     try:
-        return beta_normalize(dsl.read(text))
+        return dsl.read(text)
     except dsl.ProgramSyntaxError as exc:
         raise LexiconError(f"{exc} in template {text!r}") from None
 

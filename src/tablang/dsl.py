@@ -161,11 +161,6 @@ _KIND_TYPE = {PROPERTY: SemanticType.OBJ_PROP, RELATION: SemanticType.OBJ_REL,
               ACTION: SemanticType.ACTION}
 
 
-def fields(node: ProgramNode):
-    """The node's fields in declaration order: its arguments, for an operation."""
-    return vars(node).values()
-
-
 # A type is a SemanticType, or a function type (argument, result) for a
 # template's bound variable.
 
@@ -190,7 +185,7 @@ def _check(node, env: tuple, path: str):
     signature = _BY_CLASS.get(type(node))
     if signature is None:
         raise TypeMismatch(path, "an operation", type(node).__name__)
-    for i, (value, want) in enumerate(zip(fields(node), signature[1])):
+    for i, (value, want) in enumerate(zip(vars(node).values(), signature[1])):
         if isinstance(want, str):
             _expect_kind(value, want, f"{path}.{i}")
         else:
@@ -248,7 +243,7 @@ def _text(node, depth: int) -> str:
     if signature is not None:
         if isinstance(node, Filter) and isinstance(node.child, Scene):
             return f"filter({_text(node.prop, depth)})"
-        inner = ", ".join([_text(value, depth) for value in fields(node)])
+        inner = ", ".join([_text(value, depth) for value in vars(node).values()])
         return f"{signature[0]}({inner})"
     if isinstance(node, ConceptToken):
         return node.word

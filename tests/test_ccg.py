@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,6 +98,15 @@ def test_lexicon_rejects_type_mismatch():
         Lexicon.from_string("bad\tPP/N\t\\y.\\x.filter(x, y)\n")
     with pytest.raises(LexiconError):  # do takes exactly one goal
         Lexicon.from_string("bad\t(S/PP)/N\t\\o.\\p.do(p(o), p(o), pack)\n")
+    # A variable applied though it is no function, and a function-typed one
+    # used where its result is wanted: the error names both types.
+    with pytest.raises(LexiconError) as exc:
+        Lexicon.from_string("fep\tN/N\t\\x.x(scene())\n")
+    assert str(exc.value).endswith(
+        "template \\x.x(scene()): at 0: expected a function, found Object")
+    with pytest.raises(LexiconError) as exc:
+        Lexicon.from_string("fep\t(S/PP)/N\t\\o.\\p.do(p, pack)\n")
+    assert str(exc.value).endswith("at 0.0: expected Goal, found (Object -> Goal)")
 
 
 def test_combine_forward_application():
@@ -266,6 +276,24 @@ def test_chart_bound_counts_items_over_all_cells(lex, monkeypatch):
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
     assert parse(toks, lex, k=3, cells=cold) == want
     assert cold == warm
+
+
+@pytest.mark.parametrize("weights", [(1, 3), (3, 1)])
+def test_chart_keeps_the_best_score_of_a_repeated_item(weights):
+    """red big block is one N item reached by two splits: red applied to big
+    block, and red big applied to block. Whichever split scores higher, the
+    cell holds that item once, with the higher score, first or not."""
+    modifier, higher_order = weights
+    lexicon = Lexicon.from_string(
+        "big\tN/N\t\\x.filter(x, big)\n"
+        f"red\tN/N\t\\x.filter(x, red)\t{modifier}\n"
+        f"red\t(N/N)/(N/N)\t\\f.\\x.filter(f(x), red)\t{higher_order}\n"
+        "block\tN\tfilter(block)\n"
+        "pack\tS/N\t\\o.do(goal(o, scene(), in), pack)\n")
+    derivs = parse(["pack", "red", "big", "block"], lexicon, k=10)
+    assert [dsl.serialize(d.program) for d in derivs] == \
+        ["do(goal(filter(filter(filter(block), big), red), scene(), in), pack)"]
+    assert derivs[0].log_score == math.log(3)
 
 
 def _parse_outcome(tokens, lexicon, k, cells=None):
@@ -588,25 +616,30 @@ def test_lexicon_weight_must_be_positive():
         Lexicon.from_string("red\tN/N\t\\x.filter(x, red)\t0\n")
 
 
-def test_beta_normalize_leaves_no_cyclic_garbage():
-    term = parse_template(r"\o.\p.do(p(o), pack)")
-    arg = parse_template(r"\y.\x.goal(x, y, in)")
+def test_apply_sem_leaves_no_cyclic_garbage():
+    """A verb's chart path: its object, then its goal, whose application
+    turns p(o) into a redex and reduces it."""
+    verb = parse_template(r"\o.\p.do(p(o), pack)")
+    obj = parse_template("filter(hexagon)")
+    goal = parse_template(r"\x.goal(x, filter(box), in)")
     gc.disable()
     try:
         gc.collect()
-        assert ccg.beta_normalize(ccg.App(term, arg)) is not None
+        result = ccg.apply_sem(ccg.apply_sem(verb, obj), goal)
+        assert dsl.serialize(result) == "do(goal(filter(hexagon), filter(box), in), pack)"
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_redex_under_binder_shifts_open_argument():
-    """\\z.(\\y.\\z.relate(z, y, left))(z): the argument z crosses the inner
-    binder, so it must not be captured by it."""
-    inner = dsl.Lam(dsl.Lam(dsl.Relate(dsl.Var(0), dsl.Var(1),
-                                       dsl.ConceptToken("left", dsl.RELATION))))
-    term = dsl.Lam(dsl.App(inner, dsl.Var(0)))
-    assert dsl.serialize(ccg.beta_normalize(term)) == "\\x.\\y.relate(y, x, left)"
+    """(\\p.\\z.p(z))(\\y.\\z.relate(z, y, left)) creates the redex
+    (\\y.\\z.relate(z, y, left))(z) under a binder: the argument z crosses the
+    inner binder, so it must not be captured by it."""
+    fn = dsl.Lam(dsl.Lam(dsl.App(dsl.Var(1), dsl.Var(0))))
+    arg = dsl.Lam(dsl.Lam(dsl.Relate(dsl.Var(0), dsl.Var(1),
+                                     dsl.ConceptToken("left", dsl.RELATION))))
+    assert dsl.serialize(ccg.apply_sem(fn, arg)) == "\\x.\\y.relate(y, x, left)"
 
 
 def test_apply_sem_never_walks_its_argument(monkeypatch):
@@ -636,13 +669,6 @@ def test_apply_sem_never_walks_its_argument(monkeypatch):
     assert result == dsl.Filter(arg, dsl.ConceptToken("blue", dsl.PROPERTY))
     assert result.child is arg
     assert seen and not nodes.intersection(seen)
-
-
-def test_beta_normalize_returns_a_normal_term_itself(lex):
-    for entry in lex.all_entries():
-        assert ccg.beta_normalize(entry.template) is entry.template
-    program = parse(tokenize("pack the blue hexagon in the orange box", lex), lex)[0].program
-    assert ccg.beta_normalize(program) is program
 
 
 # --------------------------------------------------------------------------
@@ -797,14 +823,19 @@ def named_term(draw, ty, ctx=(), budget=3):
     return dsl.ObjUnion(draw(sub(_O)), draw(sub(_O)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_beta_normalize_matches_named_reference(data):
-    term = data.draw(named_term(data.draw(TYPES)))
-    expected = dsl.serialize(nameless(named_beta_normalize(term)))
-    normal = ccg.beta_normalize(nameless(term))
-    assert dsl.serialize(normal) == expected
-    assert ccg.beta_normalize(normal) is normal
+def test_read_template_is_normal(data):
+    """parse_template does not normalize, so a template must be normal as
+    read: a normal term's text reads back as that term, with no redex."""
+    term = nameless(named_beta_normalize(data.draw(named_term(data.draw(TYPES)))))
+    template = parse_template(dsl.serialize(term))
+    assert template == term
+    stack = [template]
+    while stack:
+        node = stack.pop()
+        assert not (isinstance(node, dsl.App) and isinstance(node.fn, dsl.Lam))
+        stack.extend(v for v in vars(node).values() if isinstance(v, dsl.ProgramNode))
 
 
 @settings(max_examples=100, deadline=None)
@@ -813,7 +844,7 @@ def test_apply_sem_matches_named_reference(data):
     """apply_sem under outer binders ctx. An argument typed like a variable of
     ctx is often open, and a function-typed body puts binders between the
     argument and its uses, so the argument must be shifted over them. The
-    argument is normalized first, as every chart item is: apply_sem does not
+    argument is normal, as every chart item is: apply_sem does not
     normalize it again. The body may hold redexes of its own."""
     ctx = tuple(data.draw(st.lists(st.tuples(NAMES, TYPES), min_size=1, max_size=3)))
     arg_ty = data.draw(st.sampled_from([ty for _, ty in ctx]))
@@ -826,7 +857,7 @@ def test_apply_sem_matches_named_reference(data):
         return functools.reduce(lambda body, _: dsl.Lam(body), bound, term)
 
     expected = dsl.serialize(closed(nameless(named_beta_normalize(NApp(fn, arg)), bound)))
-    got = ccg.apply_sem(nameless(fn, bound), ccg.beta_normalize(nameless(arg, bound)))
+    got = ccg.apply_sem(nameless(fn, bound), nameless(named_beta_normalize(arg), bound))
     assert dsl.serialize(closed(got)) == expected
 
 
@@ -850,7 +881,7 @@ def test_random_lexicon_charts_are_typed_by_construction(data):
     for _ in range(data.draw(st.integers(1, 4))):
         cat = data.draw(st.sampled_from(RANDOM_ENTRY_CATEGORIES))
         term = data.draw(named_term(ccg.category_sem_type(parse_category(cat))))
-        template = dsl.serialize(ccg.beta_normalize(nameless(term)))
+        template = dsl.serialize(nameless(named_beta_normalize(term)))
         lines.append(f"{data.draw(st.sampled_from(RANDOM_ENTRY_WORDS))}\t{cat}\t{template}")
     lexicon = extended_lexicon(lines)
     cells: dict = {}
