@@ -607,10 +607,10 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
     """Evaluate each task over n seeded episodes; per-task means are on the
     0-100 scale. Episode errors score 0 and never abort the suite.
 
-    Instructions come from a few templates per task, so their sub-phrases
-    repeat: the suite's parses share one memo of CKY chart cells by token
-    span (ccg.parse's cells), and each distinct span is built once per call.
-    The memo lives for this call only; it never changes a result."""
+    Instructions come from a few templates per task, so their shapes repeat:
+    the suite's parses share one memo of CKY chart cells keyed by span shape
+    (ccg.parse's cells, one-to-one with words), so each shape is built once
+    per call. The memo lives for this call only; it never changes a result."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if seed < 0:

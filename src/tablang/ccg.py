@@ -4,19 +4,16 @@ Each lexicon entry pairs a word with a syntactic category and a semantic
 template: a dsl program tree with binders, written in dsl's program syntax
 plus \\x. binders (dsl.read) and type-checked by dsl.type_check against the
 category's image (N -> Object, PP -> Object -> Goal, S -> Plan). Parsing is
-CKY over two universal combinators (forward and backward application), so a
-closed S root is itself the program; coordination is carried by ordinary
-entries for "and". Types are checked once, when an entry loads: application
-needs the argument's category and preserves types, so every chart item is
-well-typed (one of a Complex category is a Lam, an S root a plan) and no
-parse result is checked again. A word outside the vocabulary is handled by
-guessing its reading: a category of the lexicon with a template drawn from
-the empirical prior p(semantics | syntax), the word slot filled by the
-literal token, such that the sentence still parses completely. The lexicon
-ranks these readings once; every unknown word gets a leaf per reading, all
-in one chart. Chart keys carry each item's novel-word assignments, so
-derivations under different guesses never merge, and a root is kept only if
-it gives each unknown word a single reading.
+CKY over forward and backward application, so a closed S root is itself the
+program ("and" is an ordinary entry). Types are checked once, when an entry
+loads: application needs the argument's category and preserves types, so
+every chart item is well-typed and no parse result is checked again. A word
+outside the vocabulary gets a leaf per reading that the lexicon ranks once
+from the empirical prior p(semantics | syntax), its slot filled by the word;
+chart keys carry these guesses, so they never merge, and a root must give
+each unknown word one reading. The chart is built over placeholders for
+word classes, one-to-one with the words, so an instruction shape is parsed
+once and its best roots are renamed back to the words.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import math
 import operator
 import re
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import dsl
 from .dsl import App, Lam, ProgramNode, Var
@@ -227,21 +224,22 @@ def check_template(term: ProgramNode, cat: Category) -> None:
         raise LexiconError("template body type does not match category")
 
 
+def _reword(term, leaf):
+    """term with leaf(c) for each ConceptToken or Slot c: the one word walk."""
+    if isinstance(term, (dsl.ConceptToken, dsl.Slot)):
+        return leaf(term)
+    if isinstance(term, ProgramNode):
+        return type(term)(*[_reword(v, leaf) for v in vars(term).values()])
+    return term
+
+
 def abstract_template(term, word: str):
     """Replace occurrences of the entry's own word with an open slot."""
-    if isinstance(term, dsl.ConceptToken):
-        return dsl.Slot(term.kind) if term.word == word else term
-    if isinstance(term, ProgramNode):
-        return type(term)(*[abstract_template(v, word) for v in vars(term).values()])
-    return term
+    return _reword(term, lambda c: dsl.Slot(c.kind) if getattr(c, "word", None) == word else c)
 
 
 def instantiate_template(term, word: str):
-    if isinstance(term, dsl.Slot):
-        return dsl.ConceptToken(word, term.kind)
-    if isinstance(term, ProgramNode):
-        return type(term)(*[instantiate_template(v, word) for v in vars(term).values()])
-    return term
+    return _reword(term, lambda c: dsl.ConceptToken(word, c.kind) if isinstance(c, dsl.Slot) else c)
 
 
 # --------------------------------------------------------------------------
@@ -284,18 +282,41 @@ class Lexicon:
     def readings(self) -> list[tuple[Category, ProgramNode, float]]:
         """The MAX_OOV_READINGS likeliest (category, abstract template, log
         prior) readings of a novel word under semantic_prior, ties broken on
-        their text. Built on first use and kept, since the entries never
-        change; shared by every caller, so read-only."""
+        their text. Built on first use and kept; read-only."""
         readings = [(cat, tmpl, math.log(p))
                     for cat, dist in semantic_prior(self).items() for tmpl, p in dist]
         readings.sort(key=lambda r: (-r[2], f"{category_to_str(r[0])} {dsl.serialize(r[1])}"))
         return readings[:MAX_OOV_READINGS]
 
+    @functools.cached_property
+    def placeholders(self) -> dict[str | None, tuple[str, ...]]:
+        """word (None: any unknown word) -> the MAX_TOKENS placeholders of its
+        class, the sorted (category, abstract template, weight) of its entries,
+        or -> (word,) if a template holds it as a fixed concept; placeholders
+        lead with more underscores than such a word has characters."""
+        classes = {w: tuple(sorted(((e.category, abstract_template(e.template, w), e.weight)
+                                    for e in es), key=repr)) for w, es in self._entries.items()}
+        found: list = []
+        for _, tmpl, _ in itertools.chain(*classes.values()):
+            _reword(tmpl, lambda c: found.append(c) or c)
+        fixed = {c.word for c in found if isinstance(c, dsl.ConceptToken)}
+        under = "_" * (1 + max(map(len, fixed), default=0))
+        ids = {c: tuple(f"{under}{i}_{n}" for n in range(MAX_TOKENS))
+               for i, c in enumerate(dict.fromkeys([(), *classes.values()]))}
+        return {None: ids[()], **{w: ids[c] for w, c in classes.items()}, **{w: (w,) for w in fixed}}
+
+    def shape(self, tokens) -> dict[str, str]:
+        """Each distinct token (at most MAX_TOKENS) -> its placeholder, the
+        next of its class by first occurrence. So the map is one-to-one, and
+        one shape is the same strings in every parse."""
+        names, counts, places = {}, {}, self.placeholders
+        for t in dict.fromkeys(tokens):
+            ph = places.get(t, places[None])
+            names[t] = ph[next(counts.setdefault(ph[0], itertools.count()))]
+        return names
+
     def entries_for(self, word: str) -> tuple[LexiconEntry, ...]:
         return self._entries.get(word, ())
-
-    def all_entries(self) -> list[LexiconEntry]:
-        return [e for word in self._entries for e in self._entries[word]]
 
     @classmethod
     def from_string(cls, text: str) -> "Lexicon":
@@ -385,9 +406,10 @@ def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
     (category, sem, log_score, oov_tuple) leaves. A chart that would hold
     more than MAX_CHART_ITEMS items, summed over its cells, is a NoParse.
 
-    cells, if given, memoizes finished cells by their tokens and is read and
-    filled here: share it only between lookups that give each token the same
-    leaves. A reused cell counts as if built, so no result or refusal changes."""
+    cells, if given, memoizes finished cells by their tokens (from parse, span
+    shapes) and is read and filled here: share it only between lookups that
+    give each token the same leaves. A reused cell counts as built, so no
+    result or refusal changes."""
     n = len(tokens)
     memo = {} if cells is None else cells
     items = 0
@@ -425,29 +447,15 @@ def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
     return [(cat, sem, logp, oov) for (cat, sem, oov), logp in memo[tuple(tokens)].items()]
 
 
-def _lexicon_leaves(lexicon: Lexicon, extra: dict[str, list]):
-    def lookup(token: str):
-        return ([(e.category, e.template, math.log(e.weight), ())
-                 for e in lexicon.entries_for(token)]
-                + [(a.category, instantiate_template(a.template, token), a.log_prior, (a,))
-                   for a in extra.get(token, ())])
-
-    return lookup
-
-
 def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[ProgramNode, float]]]:
     """Weight-proportional distribution over abstract templates per category."""
     weights: dict[Category, dict[ProgramNode, float]] = {}
-    for e in lexicon.all_entries():
+    for e in itertools.chain(*lexicon._entries.values()):
         abstract = abstract_template(e.template, e.word)
         per_cat = weights.setdefault(e.category, {})
         per_cat[abstract] = per_cat.get(abstract, 0.0) + e.weight
-    prior: dict[Category, list[tuple[ProgramNode, float]]] = {}
-    for cat, per_cat in weights.items():
-        total = sum(per_cat.values())
-        ranked = sorted(per_cat.items(), key=lambda kv: (-kv[1], dsl.serialize(kv[0])))
-        prior[cat] = [(tmpl, w / total) for tmpl, w in ranked]
-    return prior
+    return {cat: [(tmpl, w / total) for tmpl, w in per_cat.items()]
+            for cat, per_cat in weights.items() for total in [sum(per_cat.values())]}
 
 
 MAX_JOINT_OOV = 2
@@ -462,43 +470,51 @@ MAX_CHART_ITEMS = 4096
 EMPTY_CELL = types.MappingProxyType({})
 
 
-def _derivations_from_roots(roots, k: int) -> list[Derivation]:
+def _derivations_from_roots(roots, k: int, words: dict[str, str]) -> list[Derivation]:
     """The k best S roots by log score, then program text, then assignments;
-    only roots scoring at least the k-th best score are serialized."""
-    derivs = [Derivation(sem, logp, oov) for cat, sem, logp, oov in roots if cat == S]
-    if len(derivs) > k:
-        kth = sorted((d.log_score for d in derivs), reverse=True)[k - 1]
-        derivs = [d for d in derivs if d.log_score >= kth]
-    derivs.sort(key=lambda d: (-d.log_score, dsl.serialize(d.program),
-                               tuple(a.describe() for a in d.oov_assignments)))
-    return derivs[:k]
+    only roots scoring at least the k-th best are renamed (words) and serialized."""
+    kth = min(sorted((r[2] for r in roots if r[0] == S), reverse=True)[:k], default=0.0)
+    derivs = [Derivation(_reword(sem, lambda c: dsl.ConceptToken(words.get(c.word, c.word), c.kind)),
+                         logp, tuple(replace(a, word=words[a.word]) for a in oov))
+              for cat, sem, logp, oov in roots if cat == S and logp >= kth]
+    return derivs if len(derivs) < 2 else sorted(derivs, key=lambda d: (
+        -d.log_score, dsl.serialize(d.program), tuple(a.describe() for a in d.oov_assignments)))[:k]
 
 
 def parse(tokens, lexicon: Lexicon, k: int = 1, cells: dict | None = None) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
-    log priors of any novel-word assignments. Deterministic: ties break on
-    the program string.
+    log priors of novel-word assignments; ties break on the program string.
 
-    Each unknown word (at most MAX_JOINT_OOV of them) gets a leaf for every
-    one of lexicon.readings, all in one chart, and only roots that give each
-    unknown word a single reading survive, so a repeated unknown word never
-    mixes two guesses. More than MAX_TOKENS tokens, or a chart of more than
-    MAX_CHART_ITEMS items, is a NoParse. cells (see _chart_roots) is the
-    caller's, shared only between parses with this lexicon."""
+    The chart runs over the tokens' shape (Lexicon.shape), so cells (see
+    _chart_roots; shared only between parses with this lexicon) is keyed by
+    span shapes. Placeholders are one-to-one with words (a fixed concept word
+    keeps its text), so the shape's chart maps item for item onto the word
+    chart, and roots at or above the k-th best score are renamed to words.
+    Each unknown word (at most MAX_JOINT_OOV) gets a leaf per reading of the
+    lexicon, and a root must give each one reading. More than MAX_TOKENS
+    tokens, or a chart of more than MAX_CHART_ITEMS items, is a NoParse."""
     if k < 1:
         raise ValueError("k must be positive")
     tokens = list(tokens)
-    if not tokens or len(tokens) > MAX_TOKENS:
-        raise NoParse(tokens)
     unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
-    if len(unknown) > MAX_JOINT_OOV:
+    if not tokens or len(tokens) > MAX_TOKENS or len(unknown) > MAX_JOINT_OOV:
         raise NoParse(tokens)
-    extra = {w: [OovAssignment(w, *r) for r in lexicon.readings] for w in unknown}
+    names = lexicon.shape(tokens)
+    words = {s: t for t, s in names.items()}
+
+    def leaves(s: str):
+        rows = [(e.category, abstract_template(e.template, words[s]), math.log(e.weight), ())
+                for e in lexicon.entries_for(words[s])]
+        rows = rows or [(c, t, lp, (OovAssignment(s, c, t, lp),)) for c, t, lp in lexicon.readings]
+        return [(c, instantiate_template(t, s), lp, oov) for c, t, lp, oov in rows]
+
+    try:
+        roots = _chart_roots([names[t] for t in tokens], leaves, cells)
+    except NoParse:
+        raise NoParse(tokens) from None
     # Every unknown token is a leaf of every root, so a root holds one
     # distinct assignment per unknown word exactly when it mixes no guesses.
-    roots = [root for root in _chart_roots(tokens, _lexicon_leaves(lexicon, extra), cells)
-             if len(set(root[3])) == len(unknown)]
-    derivs = _derivations_from_roots(roots, k)
+    derivs = _derivations_from_roots([r for r in roots if len(set(r[3])) == len(unknown)], k, words)
     if not derivs:
         raise NoParse(tokens)
     return derivs
