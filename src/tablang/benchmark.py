@@ -176,8 +176,8 @@ def _pick_point(obj: world.SceneObject) -> tuple[int, int]:
     return int(round(obj.y + dy)), int(round(obj.x + dx))
 
 
-def _pose_at(x: float, y: float, r: int = 0) -> Pose2:
-    return Pose2(int(round(y)), int(round(x)), r)
+def _pose_at(x: float, y: float) -> Pose2:
+    return Pose2(int(round(y)), int(round(x)), 0)
 
 
 def _containment(scene: world.Scene, target_id: int, region: world.SceneObject) -> float:
@@ -551,9 +551,9 @@ class EvalReport:
     config_hash: str
 
 
-def read_instruction(text: str, lexicon, cells: dict | None = None) -> ccg.Derivation:
-    """The instruction's top-ranked derivation (cells as in ccg.parse); raises ccg.NoParse."""
-    return ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=1, cells=cells)[0]
+def read_instruction(text: str, lexicon) -> ccg.Derivation:
+    """The instruction's top-ranked derivation; raises ccg.NoParse."""
+    return ccg.parse(ccg.tokenize(text, lexicon), lexicon, k=1)[0]
 
 
 def step(program: dsl.ProgramNode, scene: world.Scene, backend,
@@ -570,11 +570,10 @@ def step(program: dsl.ProgramNode, scene: world.Scene, backend,
     return results, scene
 
 
-def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
-                cells: dict | None = None) -> dict:
+def run_episode(episode: Episode, backend, lexicon, rotations: int = 12) -> dict:
     """Parse, execute stepwise, apply, and score one episode. An error is
     recorded as the episode's failure ("parse", "grounding", "placement", or
-    "internal" for any other exception) instead of being raised. cells as in ccg.parse."""
+    "internal" for any other exception) instead of being raised."""
     task = TaskSpec(episode.task_name, episode.split)
     record = {"task": episode.task_name, "split": episode.split, "seed": episode.seed,
               "instruction": episode.instruction, "score": 0.0, "steps": 0,
@@ -582,7 +581,7 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
     scene = episode.scene
     grid = PoseGrid(scene.height, scene.width, rotations)
     try:
-        derivation = read_instruction(episode.instruction, lexicon, cells)
+        derivation = read_instruction(episode.instruction, lexicon)
         record["program"] = dsl.serialize(derivation.program)
         for n in range(episode.max_steps + 1):  # the scene after the last step is scored too
             score = score_success(task, scene, episode)
@@ -605,12 +604,8 @@ def run_episode(episode: Episode, backend, lexicon, rotations: int = 12,
 def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
               rotations: int = 12) -> EvalReport:
     """Evaluate each task over n seeded episodes; per-task means are on the
-    0-100 scale. Episode errors score 0 and never abort the suite.
-
-    Instructions come from a few templates per task, so their shapes repeat:
-    the suite's parses share one memo of CKY chart cells keyed by span shape
-    (ccg.parse's cells, one-to-one with words), so each shape is built once
-    per call. The memo lives for this call only; it never changes a result."""
+    0-100 scale. Episode errors score 0 and never abort the suite. Parses
+    reuse the lexicon's chart cells, so a repeated shape is built once."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if seed < 0:
@@ -625,7 +620,6 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
     episodes = []
     per_task = {}
     seeds = list(range(seed, seed + n_episodes))
-    cells: dict = {}
     for task in tasks:
         scores = []
         for i in range(n_episodes):
@@ -638,7 +632,7 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
                                  "failure": "generation", "error": str(exc)})
                 scores.append(0.0)
                 continue
-            record = run_episode(episode, backend, lexicon, rotations, cells=cells)
+            record = run_episode(episode, backend, lexicon, rotations)
             episodes.append(record)
             scores.append(record["score"])
         per_task[f"{task.name}/{task.split}"] = round(100.0 * float(np.mean(scores)), 4)

@@ -305,6 +305,9 @@ class Lexicon:
                for i, c in enumerate(dict.fromkeys([(), *classes.values()]))}
         return {None: ids[()], **{w: ids[c] for w, c in classes.items()}, **{w: (w,) for w in fixed}}
 
+    # parse's memo of finished chart cells by span shape (_chart_roots), kept with the lexicon.
+    cells = functools.cached_property(lambda self: {})
+
     def shape(self, tokens) -> dict[str, str]:
         """Each distinct token (at most MAX_TOKENS) -> its placeholder, the
         next of its class by first occurrence. So the map is one-to-one, and
@@ -401,17 +404,16 @@ class Derivation:
     oov_assignments: tuple[OovAssignment, ...] = ()
 
 
-def _chart_roots(tokens, lookup, cells: dict | None = None) -> list:
+def _chart_roots(tokens, lookup, memo: dict) -> list:
     """CKY chart over the token sequence; lookup(token) yields
     (category, sem, log_score, oov_tuple) leaves. A chart that would hold
     more than MAX_CHART_ITEMS items, summed over its cells, is a NoParse.
 
-    cells, if given, memoizes finished cells by their tokens (from parse, span
-    shapes) and is read and filled here: share it only between lookups that
-    give each token the same leaves. A reused cell counts as built, so no
-    result or refusal changes."""
+    memo holds finished cells by their tokens (from parse, span shapes) and is
+    read and filled here: share it only between lookups that give each token
+    the same leaves. A reused cell counts as built, so no result or refusal
+    changes."""
     n = len(tokens)
-    memo = {} if cells is None else cells
     items = 0
     for span in range(1, n + 1):
         for i in range(0, n - span + 1):
@@ -481,15 +483,15 @@ def _derivations_from_roots(roots, k: int, words: dict[str, str]) -> list[Deriva
         -d.log_score, dsl.serialize(d.program), tuple(a.describe() for a in d.oov_assignments)))[:k]
 
 
-def parse(tokens, lexicon: Lexicon, k: int = 1, cells: dict | None = None) -> list[Derivation]:
+def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
     log priors of novel-word assignments; ties break on the program string.
 
-    The chart runs over the tokens' shape (Lexicon.shape), so cells (see
-    _chart_roots; shared only between parses with this lexicon) is keyed by
-    span shapes. Placeholders are one-to-one with words (a fixed concept word
-    keeps its text), so the shape's chart maps item for item onto the word
-    chart, and roots at or above the k-th best score are renamed to words.
+    The chart runs over the tokens' shape (Lexicon.shape) and reuses the
+    lexicon's cells, so each shape is built once per lexicon. Placeholders
+    are one-to-one with words (a fixed concept word keeps its text), so the
+    shape's chart maps item for item onto the word chart, and roots at or
+    above the k-th best score are renamed to words.
     Each unknown word (at most MAX_JOINT_OOV) gets a leaf per reading of the
     lexicon, and a root must give each one reading. More than MAX_TOKENS
     tokens, or a chart of more than MAX_CHART_ITEMS items, is a NoParse."""
@@ -509,7 +511,7 @@ def parse(tokens, lexicon: Lexicon, k: int = 1, cells: dict | None = None) -> li
         return [(c, instantiate_template(t, s), lp, oov) for c, t, lp, oov in rows]
 
     try:
-        roots = _chart_roots([names[t] for t in tokens], leaves, cells)
+        roots = _chart_roots([names[t] for t in tokens], leaves, lexicon.cells)
     except NoParse:
         raise NoParse(tokens) from None
     # Every unknown token is a leaf of every root, so a root holds one

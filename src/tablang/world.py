@@ -183,7 +183,7 @@ class SceneObject:
         key = (h, w, rows, cols, interior)
         if key not in self._masks:
             rasterize = interior_mask if interior else footprint_mask
-            out = rasterize(self, (rows, cols), axis_coords(rows, h), axis_coords(cols, w))
+            out = rasterize(self, axis_coords(rows, h), axis_coords(cols, w))
             out.setflags(write=False)
             self._masks[key] = out
         return self._masks[key]
@@ -272,13 +272,9 @@ def _to_unit(obj: SceneObject, x, y):
     return ux, uy
 
 
-def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
-            xs: np.ndarray | None, test) -> np.ndarray:
+def _sample(obj: SceneObject, ys: np.ndarray, xs: np.ndarray, test) -> np.ndarray:
     """(len(ys), len(xs)) boolean raster of test(ux, uy), evaluated only on
     the object's reach window; every other sample is False."""
-    h, w = hw
-    ys = axis_coords(h, h) if ys is None else np.asarray(ys, dtype=np.float64)
-    xs = axis_coords(w, w) if xs is None else np.asarray(xs, dtype=np.float64)
     out = np.zeros((len(ys), len(xs)), dtype=bool)
     reach = obj.reach
     r0, r1 = ys.searchsorted((obj.y - reach, obj.y + reach))
@@ -288,21 +284,18 @@ def _sample(obj: SceneObject, hw: tuple[int, int], ys: np.ndarray | None,
     return out
 
 
-def footprint_mask(obj: SceneObject, hw: tuple[int, int],
-                   ys: np.ndarray | None = None, xs: np.ndarray | None = None) -> np.ndarray:
+def footprint_mask(obj: SceneObject, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Boolean raster of the object's footprint sampled at (ys, xs) scene
-    coordinates (defaults to the integer pixel lattice of shape hw; hw is
-    ignored where ys and xs are given). ys and xs must be ascending: the
-    inside test runs only on the rows and columns of the object's reach
-    window, found by binary search, and every other sample is False."""
-    return _sample(obj, hw, ys, xs, _unit_test(obj.shape))
+    coordinates. ys and xs must be ascending: the inside test runs only on
+    the rows and columns of the object's reach window, found by binary
+    search, and every other sample is False."""
+    return _sample(obj, ys, xs, _unit_test(obj.shape))
 
 
-def interior_mask(obj: SceneObject, hw: tuple[int, int],
-                  ys: np.ndarray | None = None, xs: np.ndarray | None = None) -> np.ndarray:
+def interior_mask(obj: SceneObject, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Like footprint_mask but excluding container walls. For items and
     zones the interior is the footprint itself."""
-    return _sample(obj, hw, ys, xs, _interior_test(obj))
+    return _sample(obj, ys, xs, _interior_test(obj))
 
 
 def inside(obj: SceneObject, y: float, x: float) -> bool:
@@ -334,8 +327,7 @@ def check_bounds(scene: Scene) -> None:
         if (-1.0 < obj.x - reach and obj.x + reach < w
                 and -1.0 < obj.y - reach and obj.y + reach < h):
             continue  # no ring sample lies within the object's window
-        if (footprint_mask(obj, (2, w + 2), ring_ys, xs).any()
-                or footprint_mask(obj, (h + 2, 2), ys, ring_xs).any()):
+        if footprint_mask(obj, ring_ys, xs).any() or footprint_mask(obj, ys, ring_xs).any():
             raise OutOfBounds(f"object {obj.id} exits the workspace")
 
 

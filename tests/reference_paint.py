@@ -23,7 +23,7 @@ def reference_paint(scene, lattice):
     ys, xs = axis_coords(gh, scene.height), axis_coords(gw, scene.width)
     ids = np.zeros(lattice, dtype=int)
     for k, obj in enumerate(order, 1):
-        ids[world.footprint_mask(obj, lattice, ys, xs)] = k
+        ids[world.footprint_mask(obj, ys, xs)] = k
     return order, ids
 
 

@@ -44,8 +44,7 @@ def scene_one_hexagon():
 def lattice_footprint(backend, scene, obj):
     """obj's footprint sampled on backend's grounding lattice."""
     gh, gw = backend.shape_for(scene)
-    return world.footprint_mask(obj, (gh, gw), axis_coords(gh, scene.height),
-                                axis_coords(gw, scene.width))
+    return world.footprint_mask(obj, axis_coords(gh, scene.height), axis_coords(gw, scene.width))
 
 
 def test_oracle_grounds_attribute_footprint():
@@ -93,7 +92,7 @@ def test_concept_composition_selects_intersection():
     both = intersect(hexagons, blues)
     assert both.values.sum() > 0
     only_blue_hexagon = world.footprint_mask(
-        objs[0], (32, 64), np.arange(32) * 63 / 31, np.arange(64) * 127 / 63)
+        objs[0], np.arange(32) * 63 / 31, np.arange(64) * 127 / 63)
     assert np.array_equal(both.values, only_blue_hexagon)
 
 

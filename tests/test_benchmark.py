@@ -37,7 +37,7 @@ from tablang.executor import (
     PoseGrid,
     select_pick,
 )
-from tablang.grounding import GroundingMap, ProjectionWeights, resample
+from tablang.grounding import GroundingMap, ProjectionWeights, axis_coords, resample
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +198,12 @@ def test_score_untouched_packing_is_zero():
 def old_containment(scene, target_id, region):
     """The containment score as first written: footprint fraction first,
     from fresh rasters, then the centre."""
-    obj, hw = scene.find(target_id), (scene.height, scene.width)
-    foot = world.footprint_mask(obj, hw)
+    obj = scene.find(target_id)
+    ys, xs = axis_coords(scene.height, scene.height), axis_coords(scene.width, scene.width)
+    foot = world.footprint_mask(obj, ys, xs)
     if not foot.any():
         return 0.0
-    frac = float((foot & world.interior_mask(region, hw)).sum()) / int(foot.sum())
+    frac = float((foot & world.interior_mask(region, ys, xs)).sum()) / int(foot.sum())
     return 1.0 if (frac >= 0.9 and world.inside(region, obj.y, obj.x)) else 0.0
 
 
@@ -337,11 +338,11 @@ def test_run_suite_deterministic_json(lex):
     assert payload["per_task"]["packing_shapes/seen"] == 100.0
 
 
-def test_run_suite_shares_no_cells_between_calls(lex):
-    """run_suite's chart-cell memo lives for one call. A heavier "the" makes
-    \\x.x the likeliest reading of a novel color word, so packing_color_box
-    on the unseen split fails; each lexicon's report is the same alone as
-    before or after a suite under the other."""
+def test_run_suite_shares_no_cells_between_lexicons(lex):
+    """Each lexicon keeps its own chart-cell memo, so two lexicons never share
+    cells. A heavier "the" makes \\x.x the likeliest reading of a novel color
+    word, so packing_color_box on the unseen split fails; each lexicon's
+    report is the same alone as before or after a suite under the other."""
     text = (Path(ccg.__file__).parent / "data" / "lexicon.txt").read_text()
     assert "the\tN/N\t\\x.x\n" in text
     heavy = ccg.Lexicon.from_string(text.replace("the\tN/N\t\\x.x\n", "the\tN/N\t\\x.x\t40\n"))
@@ -356,6 +357,21 @@ def test_run_suite_shares_no_cells_between_calls(lex):
     assert report(lex) == alone["default"]
     assert report(heavy) == alone["heavy"]
     assert report(lex) == alone["default"]
+
+
+def test_a_second_suite_with_one_lexicon_combines_nothing(monkeypatch):
+    """The lexicon keeps its chart cells between run_suite calls: a second
+    suite over the same instructions applies no semantics and reports the same bytes."""
+    lexicon = ccg.default_lexicon()
+    tasks = [TaskSpec("packing_shapes", "unseen"), TaskSpec("pushing_shapes")]
+    first = report_to_json(run_suite(tasks, 2, OracleBackend(), lexicon))
+    applied = []
+    apply_sem = ccg.apply_sem
+    monkeypatch.setattr(ccg, "apply_sem", lambda fn, arg: applied.append(fn) or apply_sem(fn, arg))
+    assert report_to_json(run_suite(tasks, 2, OracleBackend(), lexicon)) == first
+    assert applied == []
+    assert report_to_json(run_suite(tasks, 2, OracleBackend(), ccg.default_lexicon())) == first
+    assert applied
 
 
 def test_run_suite_records_parse_failures():
@@ -644,13 +660,12 @@ def test_episode_rasterizes_each_object_once_per_lattice(backend, lex, monkeypat
     for name in ("footprint_mask", "interior_mask"):
         fn = getattr(world, name)
 
-        def counted(obj, hw, ys=None, xs=None, name=name, fn=fn):
-            if not (ys is not None and ys[0] < 0 or xs is not None and xs[0] < 0):
-                key = (name, id(obj), tuple(hw), None if ys is None else ys.tobytes(),
-                       None if xs is None else xs.tobytes())
+        def counted(obj, ys, xs, name=name, fn=fn):
+            if not (ys[0] < 0 or xs[0] < 0):
+                key = (name, id(obj), ys.tobytes(), xs.tobytes())
                 seen[key] = seen.get(key, 0) + 1
                 keep.append(obj)
-            return fn(obj, hw, ys, xs)
+            return fn(obj, ys, xs)
         monkeypatch.setattr(world, name, counted)
     steps = 0
     for task in TASK_NAMES:

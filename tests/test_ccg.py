@@ -250,33 +250,44 @@ def test_chart_bound_refuses_exponential_charts(sentence, lex):
 
 def test_chart_bound_counts_items_over_all_cells(lex, monkeypatch):
     """The largest chart of any generated instruction holds 75 items, leaves
-    included: it parses under a bound of 75 and not under 74."""
+    included: on a fresh lexicon it parses under a bound of 75 and not under 74."""
     toks = tokenize("pack the letter-l into the brown box right of the diamond left of "
                     "the hexagon", lex)
-    want = parse(toks, lex, k=3)
+    want = parse(toks, default_lexicon(), k=3)
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
-    assert parse(toks, lex, k=3) == want
+    assert parse(toks, default_lexicon(), k=3) == want
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
     with pytest.raises(NoParse):
-        parse(toks, lex, k=3)
-    # With every cell reused from a warm memo, the same bound refuses it.
-    warm: dict = {}
+        parse(toks, default_lexicon(), k=3)
+    # With every cell reused from a warm lexicon's memo, the same bound refuses it.
+    warm = default_lexicon()
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
-    assert parse(toks, lex, k=3, cells=warm) == want
-    assert parse(toks, lex, k=3, cells=warm) == want
+    assert parse(toks, warm, k=3) == want
+    assert parse(toks, warm, k=3) == want
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
     with pytest.raises(NoParse):
-        parse(toks, lex, k=3, cells=warm)
+        parse(toks, warm, k=3)
     # A refused parse keeps only the cells it finished, each as built in full.
-    cold: dict = {}
+    cold = default_lexicon()
     with pytest.raises(NoParse):
-        parse(toks, lex, k=3, cells=cold)
-    assert shape_key(toks, lex) in warm
-    assert shape_key(toks, lex) not in cold
-    assert all(cold[key] == warm[key] for key in cold)
+        parse(toks, cold, k=3)
+    assert shape_key(toks, warm) in warm.cells
+    assert shape_key(toks, cold) not in cold.cells
+    assert all(cold.cells[key] == warm.cells[key] for key in cold.cells)
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
-    assert parse(toks, lex, k=3, cells=cold) == want
-    assert cold == warm
+    assert parse(toks, cold, k=3) == want
+    assert cold.cells == warm.cells
+
+
+def test_a_warm_memo_never_refuses_the_leaves(monkeypatch):
+    """Leaves are never refused, as when they are built: under a bound of 0
+    a one-word sentence parses from a fresh memo and again from the warm one."""
+    lexicon = Lexicon.from_string("go\tS\tdo(goal(scene(), scene(), in), pack)\n")
+    monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 0)
+    first = parse(["go"], lexicon)
+    assert lexicon.cells
+    assert parse(["go"], lexicon) == first
+    assert dsl.serialize(first[0].program) == "do(goal(scene(), scene(), in), pack)"
 
 
 @pytest.mark.parametrize("weights", [(1, 3), (3, 1)])
@@ -297,9 +308,9 @@ def test_chart_keeps_the_best_score_of_a_repeated_item(weights):
     assert derivs[0].log_score == math.log(3)
 
 
-def _parse_outcome(tokens, lexicon, k, cells=None):
+def _parse_outcome(tokens, lexicon, k):
     try:
-        return parse(tokens, lexicon, k=k, cells=cells)
+        return parse(tokens, lexicon, k=k)
     except NoParse as exc:
         return exc.tokens
 
@@ -327,14 +338,14 @@ def memo_sentences(draw, lexicon):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_shared_cells_give_the_fresh_parse(lex, data):
-    """Over any sequence of sentences, a parse that reads and fills one shared
-    cell memo returns (or refuses) exactly what a parse without it does."""
-    fresh = functools.cache(functools.partial(_parse_outcome, lexicon=lex))
-    cells: dict = {}
+    """Over any sequence of sentences, parses with one lexicon, which read and
+    fill its cell memo, return (or refuse) exactly what a fresh lexicon does."""
+    fresh = functools.cache(lambda toks, k: _parse_outcome(toks, default_lexicon(), k))
+    shared = default_lexicon()
     for _ in range(data.draw(st.integers(1, 6))):
         toks = data.draw(memo_sentences(lex))
         k = data.draw(st.sampled_from((1, 3)))
-        assert _parse_outcome(toks, lex, k, cells) == fresh(tuple(toks), k=k), toks
+        assert _parse_outcome(toks, shared, k) == fresh(tuple(toks), k), toks
 
 
 def test_lexicon_words_tokenize_to_themselves(lex):
@@ -406,7 +417,7 @@ def reference_parse(tokens, lexicon, k):
     roots = []
     for combo in itertools.product(lexicon.readings, repeat=len(unknown)):
         extra = {w: [ccg.OovAssignment(w, *r)] for w, r in zip(unknown, combo)}
-        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra)))
+        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra), {}))
     derivs = full_key_sort(roots)
     if not derivs:
         raise NoParse(tokens)
@@ -509,7 +520,7 @@ def test_top_k_roots_match_the_full_key_sort(data):
     unknown = [t for t in dict.fromkeys(toks) if not lexicon.entries_for(t)]
     extra_leaves = {w: [ccg.OovAssignment(w, *r) for r in lexicon.readings] for w in unknown}
     try:
-        roots = ccg._chart_roots(toks, word_leaves(lexicon, extra_leaves))
+        roots = ccg._chart_roots(toks, word_leaves(lexicon, extra_leaves), {})
     except NoParse:
         return
     expected = full_key_sort(roots)
@@ -532,7 +543,7 @@ def per_sentence_rule_parse(tokens, lexicon):
     roots = []
     for combo in combos:
         extra = {c.word: [c] for c in combo}
-        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra)))
+        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra), {}))
     return full_key_sort(roots), {frozenset(c) for c in combos}
 
 
@@ -562,17 +573,17 @@ def test_a_parsed_shape_adds_no_cell_and_applies_nothing(lex, monkeypatch):
     applied = []
     apply_sem = ccg.apply_sem
     monkeypatch.setattr(ccg, "apply_sem", lambda fn, arg: applied.append(fn) or apply_sem(fn, arg))
-    cells: dict = {}
-    first = tokenize("pack the red block in the blue box", lex)
-    parse(first, lex, k=3, cells=cells)
+    lexicon = default_lexicon()
+    first = tokenize("pack the red block in the blue box", lexicon)
+    parse(first, lexicon, k=3)
     assert applied
-    built, applied[:] = dict(cells), []
-    toks = tokenize("pack the green ring in the brown box", lex)
-    assert shape_key(toks, lex) == shape_key(first, lex)
-    got = parse(toks, lex, k=3, cells=cells)
-    assert cells == built
+    built, applied[:] = dict(lexicon.cells), []
+    toks = tokenize("pack the green ring in the brown box", lexicon)
+    assert shape_key(toks, lexicon) == shape_key(first, lexicon)
+    got = parse(toks, lexicon, k=3)
+    assert lexicon.cells == built
     assert applied == []
-    assert got == parse(toks, lex, k=3)
+    assert got == parse(toks, default_lexicon(), k=3)
     assert dsl.serialize(got[0].program) == \
         "do(goal(filter(filter(ring), green), filter(filter(box), brown), in), pack)"
 
@@ -580,18 +591,18 @@ def test_a_parsed_shape_adds_no_cell_and_applies_nothing(lex, monkeypatch):
 @pytest.mark.parametrize("split", ["seen", "unseen"])
 def test_a_window_of_instructions_builds_nine_shapes(lex, split):
     """A cost guard: the 180 instructions of seeds 0-19 (about a hundred
-    distinct) come in 9 shapes, one per task, and with one memo only the
+    distinct) come in 9 shapes, one per task, and with one lexicon only the
     first parse of each shape adds cells."""
     sentences = [tokenize(generate_episode(TaskSpec(name, split), seed).instruction, lex)
                  for name in TASK_NAMES for seed in range(20)]
     assert len({tuple(toks) for toks in sentences}) > 90
     assert len({shape_key(toks, lex) for toks in sentences}) == 9
-    cells: dict = {}
+    lexicon = default_lexicon()
     grew = 0
     for toks in sentences:
-        before = len(cells)
-        parse(toks, lex, k=1, cells=cells)
-        grew += len(cells) > before
+        before = len(lexicon.cells)
+        parse(toks, lexicon, k=1)
+        grew += len(lexicon.cells) > before
     assert grew == 9
 
 
@@ -640,7 +651,7 @@ def test_fixed_concept_words_keep_their_text(box_entry, sentence, monkeypatch):
     assert parse(toks, lexicon, k=10**6) == derivs
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", items - 1)
     with pytest.raises(NoParse):
-        ccg._chart_roots(toks, lookup)
+        ccg._chart_roots(toks, lookup, {})
     with pytest.raises(NoParse) as refused:
         parse(toks, lexicon, k=10**6)
     assert refused.value.tokens == tuple(toks)
@@ -994,17 +1005,16 @@ def test_random_lexicon_charts_are_typed_by_construction(data):
         template = dsl.serialize(nameless(named_beta_normalize(term)))
         lines.append(f"{data.draw(st.sampled_from(RANDOM_ENTRY_WORDS))}\t{cat}\t{template}")
     lexicon = extended_lexicon(lines)
-    cells: dict = {}
     for _ in range(data.draw(st.integers(1, 3))):
         toks = tokenize(data.draw(st.sampled_from(GENERATED)), lexicon)
         for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=2, unique=True)):
             toks[i] = data.draw(st.sampled_from(("fep", "blicket", "daxy")))
         try:
-            derivs = parse(toks, lexicon, k=10**6, cells=cells)
+            derivs = parse(toks, lexicon, k=10**6)
         except NoParse:
             derivs = []
         for d in derivs:
             assert dsl.type_check(d.program) is dsl.SemanticType.PLAN
-    for cell in cells.values():
+    for cell in lexicon.cells.values():
         for cat, sem, _ in cell:
             assert not isinstance(cat, Complex) or isinstance(sem, dsl.Lam)

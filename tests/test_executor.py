@@ -32,7 +32,12 @@ from tablang.executor import (
     select_pick,
     select_place,
 )
-from tablang.grounding import GroundingMap, resample
+from tablang.grounding import GroundingMap, axis_coords, resample
+
+
+def pixel_axes(h, w):
+    """The (ys, xs) sample axes of the integer pixel lattice of an h x w scene."""
+    return axis_coords(h, h), axis_coords(w, w)
 
 
 def gmap(values):
@@ -289,13 +294,12 @@ def test_execute_golden_example():
     ctx = ExecutionContext(scene, OracleBackend(), grid, RelationConfig())
     result = execute(program, ctx)
     pick, place = result.params.pick, result.params.place
-    assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
-    assert world.interior_mask(box, (1, 1), np.array([float(place.u)]),
-                               np.array([float(place.v)]))[0, 0]
+    assert world.footprint_mask(hexagon, *pixel_axes(64, 128))[pick.u, pick.v]
+    assert world.interior_mask(box, np.array([float(place.u)]), np.array([float(place.v)]))[0, 0]
     after, moved = world.apply_pick_place(scene, result.params)
     assert moved
-    foot = world.footprint_mask(after.find(2), (64, 128))
-    interior = world.interior_mask(box, (64, 128))
+    foot = world.footprint_mask(after.find(2), *pixel_axes(64, 128))
+    interior = world.interior_mask(box, *pixel_axes(64, 128))
     assert (foot & interior).sum() / foot.sum() >= 0.9
 
 
@@ -323,7 +327,7 @@ def test_pick_place_looks_up_the_picked_item_once(monkeypatch):
     ctx = ExecutionContext(scene, OracleBackend(), PoseGrid(64, 128, 12), RelationConfig())
     result = execute(read_checked(GOLDEN_TEXT), ctx)
     pick = result.params.pick
-    assert world.footprint_mask(hexagon, (64, 128))[pick.u, pick.v]
+    assert world.footprint_mask(hexagon, *pixel_axes(64, 128))[pick.u, pick.v]
     assert len(calls) == 1
 
 
@@ -391,8 +395,7 @@ def test_execute_push_primitive(monkeypatch):
     assert abs(post.v - 100.0) <= 2 and abs(post.u - 32.0) <= 2
     after, moved = world.apply_push(scene, result.params)
     assert moved
-    assert world.footprint_mask(zone, (1, 1), np.array([after.find(2).y]),
-                                np.array([after.find(2).x]))[0, 0]
+    assert world.footprint_mask(zone, np.array([after.find(2).y]), np.array([after.find(2).x]))[0, 0]
     # recorded maps stay argmax-consistent
     assert select_pick(result.pick_map) == pre
     assert select_place(result.place_map) == post
@@ -487,8 +490,7 @@ def test_oracle_end_to_end_invariants():
         assert picked is not None and picked.id in ep.goal.target_ids
         regions = [ep.scene.find(rid) for rid in ep.goal.region_ids]
         in_region = any(
-            world.interior_mask(r, (1, 1), np.array([float(place.u)]),
-                                np.array([float(place.v)]))[0, 0]
+            world.interior_mask(r, np.array([float(place.u)]), np.array([float(place.v)]))[0, 0]
             for r in regions
         )
         assert in_region, (name, i, place)
@@ -708,11 +710,10 @@ def manhattan_dilate(mask, px):
 def reference_clear_of_items(kernel, scene, exclude):
     """The full-lattice definition: the kernel minus the OBSTACLE_PAD_PX
     dilation of the union of every other item's fresh footprint raster."""
-    hw = (scene.height, scene.width)
-    items = np.zeros(hw, dtype=bool)
+    items = np.zeros((scene.height, scene.width), dtype=bool)
     for obj in scene.objects:
         if obj.kind == world.ITEM and obj is not exclude:
-            items |= world.footprint_mask(obj, hw)
+            items |= world.footprint_mask(obj, *pixel_axes(scene.height, scene.width))
     return kernel & ~manhattan_dilate(items, executor.OBSTACLE_PAD_PX)
 
 

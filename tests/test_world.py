@@ -30,6 +30,11 @@ from tablang.world import (
 )
 
 
+def pixel_axes(h, w):
+    """The (ys, xs) sample axes of the integer pixel lattice of an h x w scene."""
+    return axis_coords(h, h), axis_coords(w, w)
+
+
 def fixture_scene():
     """One blue hexagon and one brown box, well separated."""
     box = SceneObject(1, CONTAINER, "box", "brown", 90.0, 32.0, size=10.0)
@@ -109,7 +114,7 @@ def test_features_match_segmented_attributes():
     xs = np.arange(gw) * (scene.width - 1) / (gw - 1)
     seg_g = np.zeros((gh, gw), dtype=int)
     for obj in scene.objects:
-        seg_g[footprint_mask(obj, (gh, gw), ys, xs)] = obj.id
+        seg_g[footprint_mask(obj, ys, xs)] = obj.id
     for i in range(gh):
         for j in range(gw):
             expected = np.zeros(len(vocab))
@@ -147,11 +152,10 @@ def test_pick_place_moves_item_into_box():
     after, moved = apply_pick_place(scene, params)
     assert moved
     moved_hex = after.find(2)
-    inside = interior_mask(after.find(1), (1, 1),
-                           np.array([moved_hex.y]), np.array([moved_hex.x]))
+    inside = interior_mask(after.find(1), np.array([moved_hex.y]), np.array([moved_hex.x]))
     assert inside[0, 0]
-    foot = footprint_mask(moved_hex, (after.height, after.width))
-    interior = interior_mask(after.find(1), (after.height, after.width))
+    foot = footprint_mask(moved_hex, *pixel_axes(after.height, after.width))
+    interior = interior_mask(after.find(1), *pixel_axes(after.height, after.width))
     assert np.all(~foot | interior)
 
 
@@ -178,7 +182,8 @@ def test_pick_place_by_a_box_wall_pushes_the_item_out(angle, place, side):
     assert abs(want[side]) < (13.0, 10.0)[side] + block.circumradius
     want[side] = (13.0, 10.0)[side] + block.circumradius
     assert np.allclose(frame(placed.x, placed.y), want, rtol=0, atol=1e-9)
-    on_box = footprint_mask(placed, (64, 128)) & footprint_mask(box, (64, 128))
+    axes = pixel_axes(64, 128)
+    on_box = footprint_mask(placed, *axes) & footprint_mask(box, *axes)
     assert not on_box.any()
     if angle == 0.0 and side == 0:
         assert round(placed.x, 2) == 80.46 and placed.y == 32.0
@@ -234,7 +239,7 @@ def test_push_sweeps_pile_into_zone():
     zone_after = after.find(9)
     for i in range(1, 6):
         b = after.find(i)
-        assert footprint_mask(zone_after, (1, 1), np.array([b.y]), np.array([b.x]))[0, 0]
+        assert footprint_mask(zone_after, np.array([b.y]), np.array([b.x]))[0, 0]
 
 
 def test_apply_dispatches_on_primitive_at_call_time(monkeypatch):
@@ -273,22 +278,22 @@ def test_actions_preserve_object_count_and_walls():
         )
         current, _ = apply_pick_place(current, params)
         assert len(current.objects) == len(scene.objects)
-        hw = (current.height, current.width)
+        axes = pixel_axes(current.height, current.width)
         box = current.find(1)
-        wall = footprint_mask(box, hw) & ~interior_mask(box, hw)
+        wall = footprint_mask(box, *axes) & ~interior_mask(box, *axes)
         for obj in current.objects:
             if obj.kind == ITEM:
-                assert not np.any(footprint_mask(obj, hw) & wall)
+                assert not np.any(footprint_mask(obj, *axes) & wall)
 
 
 def wall_overlaps(scene):
     """(item id, container id) of every item whose footprint shares a
     pixel with a container's wall."""
-    hw = (scene.height, scene.width)
-    walls = [(c.id, footprint_mask(c, hw) & ~interior_mask(c, hw))
+    axes = pixel_axes(scene.height, scene.width)
+    walls = [(c.id, footprint_mask(c, *axes) & ~interior_mask(c, *axes))
              for c in scene.objects if c.kind == CONTAINER]
     return [(o.id, cid) for o in scene.objects if o.kind == ITEM
-            for cid, wall in walls if np.any(footprint_mask(o, hw) & wall)]
+            for cid, wall in walls if np.any(footprint_mask(o, *axes) & wall)]
 
 
 def test_push_into_gap_between_bowls_keeps_pre_action_pose():
@@ -472,12 +477,9 @@ def reference_point_in_polygon(verts, px, py):
     return inside
 
 
-def reference_masks(obj, hw, ys=None, xs=None):
+def reference_masks(obj, ys, xs):
     """(footprint, interior) evaluated on the whole lattice, edge by edge:
     the rasterizer as it was before windowing."""
-    h, w = hw
-    ys = np.arange(h, dtype=np.float64) if ys is None else ys
-    xs = np.arange(w, dtype=np.float64) if xs is None else xs
     X = np.asarray(xs, dtype=np.float64)[None, :] - obj.x
     Y = np.asarray(ys, dtype=np.float64)[:, None] - obj.y
     c, s = math.cos(obj.angle), math.sin(obj.angle)
@@ -527,14 +529,14 @@ def raster_cases(draw):
 
 def lattice_args(lattice, width, height, point):
     if lattice == "pixel":
-        return (height, width), None, None
+        return pixel_axes(height, width)
     if lattice == "grounding":
         gh, gw = max(1, height // 2), max(1, width // 2)
-        return (gh, gw), axis_coords(gh, height), axis_coords(gw, width)
+        return axis_coords(gh, height), axis_coords(gw, width)
     if lattice == "padded":
-        return ((height + 2, width + 2), np.arange(-1, height + 1, dtype=np.float64),
+        return (np.arange(-1, height + 1, dtype=np.float64),
                 np.arange(-1, width + 1, dtype=np.float64))
-    return (1, 1), np.array([point[0]]), np.array([point[1]])
+    return np.array([point[0]]), np.array([point[1]])
 
 
 @settings(max_examples=300, deadline=None)
@@ -552,10 +554,10 @@ def test_windowed_masks_match_full_lattice(case):
     interior is empty, not a disc of the negative inner radius."""
     shape, kind, width, height, x, y, angle, size, lattice, point = case
     obj = SceneObject(1, kind, shape, "red", x, y, angle=angle, size=size)
-    hw, ys, xs = lattice_args(lattice, width, height, point)
-    foot, interior = reference_masks(obj, hw, ys, xs)
-    got_foot = footprint_mask(obj, hw, ys, xs)
-    got_interior = interior_mask(obj, hw, ys, xs)
+    ys, xs = lattice_args(lattice, width, height, point)
+    foot, interior = reference_masks(obj, ys, xs)
+    got_foot = footprint_mask(obj, ys, xs)
+    got_interior = interior_mask(obj, ys, xs)
     for got, want in ((got_foot, foot), (got_interior, interior)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -570,7 +572,7 @@ def reference_check_bounds(scene):
     for obj in scene.objects:
         if not (0.0 <= obj.x <= w - 1 and 0.0 <= obj.y <= h - 1):
             raise OutOfBounds(f"object {obj.id} has its centre outside the workspace")
-        mask = footprint_mask(obj, (h + 2, w + 2), ys, xs)
+        mask = footprint_mask(obj, ys, xs)
         border = np.zeros_like(mask)
         border[0, :] = border[-1, :] = True
         border[:, 0] = border[:, -1] = True
@@ -674,7 +676,7 @@ def test_inside_matches_interior_mask(scene):
     """The point test agrees with the interior raster at every integer
     pixel: items and zones by footprint, containers inside their walls."""
     for obj in scene.objects:
-        mask = interior_mask(obj, (scene.height, scene.width))
+        mask = interior_mask(obj, *pixel_axes(scene.height, scene.width))
         got = [[world.inside(obj, y, x) for x in range(scene.width)]
                for y in range(scene.height)]
         assert np.array_equal(np.array(got), mask)
@@ -715,7 +717,7 @@ def test_inside_matches_point_sample(case):
     float point, window edges included (the low edge is in the window, the
     high edge is not)."""
     obj, (y, x) = case
-    want = interior_mask(obj, (1, 1), np.array([y]), np.array([x]))[0, 0]
+    want = interior_mask(obj, np.array([y]), np.array([x]))[0, 0]
     assert world.inside(obj, y, x) == want
 
 
@@ -772,8 +774,7 @@ def action_runs(draw):
 
 
 def covers(obj, row, col):
-    return bool(footprint_mask(obj, (1, 1), np.array([float(row)]),
-                               np.array([float(col)]))[0, 0])
+    return bool(footprint_mask(obj, np.array([float(row)]), np.array([float(col)]))[0, 0])
 
 
 @settings(max_examples=120, deadline=None)
@@ -849,7 +850,7 @@ def test_mask_memo_matches_fresh_rasters(lineage):
                 ys, xs = axis_coords(rows, scene.height), axis_coords(cols, scene.width)
                 for interior, fresh in ((False, footprint_mask), (True, interior_mask)):
                     got = obj.mask(hw, (rows, cols), interior)
-                    assert np.array_equal(got, fresh(obj, (rows, cols), ys, xs))
+                    assert np.array_equal(got, fresh(obj, ys, xs))
                     assert got is obj.mask(hw, (rows, cols), interior)
                     assert not got.flags.writeable
             assert obj.mask(hw) is obj.mask(hw, hw)
@@ -870,7 +871,7 @@ def test_mask_memo_keys_on_scene_size():
     obj = SceneObject(1, ITEM, "star", "red", 20.0, 20.0, size=4.0)
     for hw in ((40, 40), (80, 60), (40, 40)):
         ys, xs = axis_coords(20, hw[0]), axis_coords(20, hw[1])
-        assert np.array_equal(obj.mask(hw, (20, 20)), footprint_mask(obj, (20, 20), ys, xs))
+        assert np.array_equal(obj.mask(hw, (20, 20)), footprint_mask(obj, ys, xs))
 
 
 def test_pixel_lattice_is_arange():
