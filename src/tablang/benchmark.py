@@ -25,8 +25,6 @@ import numpy as np
 
 from . import ccg, dsl, world
 from .executor import (
-    PICK_PLACE,
-    PUSH,
     ControlParams,
     ExecutionContext,
     ExecutionResult,
@@ -291,7 +289,7 @@ def _push_action(obj: world.SceneObject, goal_x: float, goal_y: float) -> Contro
         dx, dy, norm = 1.0, 0.0, 1.0
     pre_x = obj.x - obj.circumradius * dx / norm
     pre_y = obj.y - obj.circumradius * dy / norm
-    return ControlParams(_pose_at(pre_x, pre_y), _pose_at(goal_x, goal_y), PUSH)
+    return ControlParams(_pose_at(pre_x, pre_y), _pose_at(goal_x, goal_y), world.PUSH)
 
 
 def _closed_loop_push_expert(scene, block_ids, zone, max_steps):
@@ -499,7 +497,7 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
             expert, final = _closed_loop_push_expert(scene, goal.target_ids, region, budget)
         else:
             expert = [ControlParams(_pose_at(*reversed(_pick_point(scene.find(t)))),
-                                    _pose_at(r.x, r.y), PICK_PLACE)
+                                    _pose_at(r.x, r.y), world.PICK_PLACE)
                       for t, r in zip(goal.target_ids, map(scene.find, goal.region_ids))]
             budget, final = len(expert), _replay(scene, expert)
         episode = Episode(scene, instruction, tuple(expert), goal, budget,

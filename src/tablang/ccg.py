@@ -3,17 +3,17 @@
 Each lexicon entry pairs a word with a syntactic category and a semantic
 template: a dsl program tree with binders, written in dsl's program syntax
 plus \\x. binders (dsl.read) and type-checked by dsl.type_check against the
-category's image (N -> Object, PP -> Object -> Goal, S -> Plan). Parsing is
-CKY over forward and backward application, so a closed S root is itself the
-program ("and" is an ordinary entry). Types are checked once, when an entry
-loads: application needs the argument's category and preserves types, so
-every chart item is well-typed and no parse result is checked again. A word
-outside the vocabulary gets a leaf per reading that the lexicon ranks once
-from the empirical prior p(semantics | syntax), its slot filled by the word;
-chart keys carry these guesses, so they never merge, and a root must give
-each unknown word one reading. The chart is built over placeholders for
-word classes, one-to-one with the words, so an instruction shape is parsed
-once and its best roots are renamed back to the words.
+category's image (PRIMITIVES). Parsing is CKY over forward and backward
+application, so a closed S root is itself the program ("and" is an ordinary
+entry). Types are checked once, when an entry loads: application needs the
+argument's category and preserves types, so every chart item is well-typed
+and no parse result is checked again. A word outside the vocabulary gets a
+leaf per reading that the lexicon ranks once from the empirical prior
+p(semantics | syntax), its slot filled by the word; chart keys carry these
+guesses, so they never merge, and a root must give each unknown word one
+reading. The chart is built over placeholders for word classes, one-to-one
+with the words, so an instruction shape is parsed once and its best roots
+are renamed back to the words.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import itertools
 import math
 import operator
 import re
-import types
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import dsl
 from .dsl import App, Lam, ProgramNode, Var
 
-PRIMITIVES = ("N", "NP", "S", "PP")
 FORWARD = "/"
 BACKWARD = "\\"
 # Deepest parenthesis nesting parse_category accepts: it recurses once per level.
@@ -49,35 +48,25 @@ class NoParse(Exception):
 
 
 # --------------------------------------------------------------------------
-# Syntactic categories
+# Syntactic categories: a primitive is its name, a complex category a Complex.
 
 
-@dataclass(frozen=True)
-class Category:
-    pass
-
-
-@dataclass(frozen=True)
-class Prim(Category):
-    name: str
-
-
-@dataclass(frozen=True)
-class Complex(Category):
+class Complex(NamedTuple):
     result: Category
     direction: str  # FORWARD or BACKWARD
     argument: Category
 
 
-N = Prim("N")
-NP = Prim("NP")
-S = Prim("S")
-PP = Prim("PP")
+Category = str | Complex
+N, NP, S, PP = "N", "NP", "S", "PP"
+# The category image: each primitive's dsl type (a SemanticType, or (argument, result)).
+PRIMITIVES = {N: dsl.SemanticType.OBJECT, NP: dsl.SemanticType.OBJECT, S: dsl.SemanticType.PLAN,
+              PP: (dsl.SemanticType.OBJECT, dsl.SemanticType.GOAL)}
 
 
 def category_to_str(cat: Category) -> str:
-    if isinstance(cat, Prim):
-        return cat.name
+    if isinstance(cat, str):
+        return cat
     left = category_to_str(cat.result)
     right = category_to_str(cat.argument)
     if isinstance(cat.result, Complex):
@@ -110,7 +99,7 @@ def parse_category(text: str) -> Category:
             return inner
         if tok in PRIMITIVES:
             pos += 1
-            return Prim(tok)
+            return tok
         raise LexiconError(f"unknown primitive {tok!r} in {text!r}")
 
     def expr() -> Category:
@@ -194,20 +183,13 @@ def parse_template(text: str) -> ProgramNode:
 
 def category_sem_type(cat: Category):
     """The dsl type of a category: a SemanticType, or (argument, result)."""
-    if isinstance(cat, Prim):
-        if cat.name in ("N", "NP"):
-            return dsl.SemanticType.OBJECT
-        if cat.name == "S":
-            return dsl.SemanticType.PLAN
-        if cat.name == "PP":
-            return (dsl.SemanticType.OBJECT, dsl.SemanticType.GOAL)
-        raise LexiconError(f"no semantic type for {cat.name}")
+    if isinstance(cat, str):
+        return PRIMITIVES[cat]
     return (category_sem_type(cat.argument), category_sem_type(cat.result))
 
 
 def check_template(term: ProgramNode, cat: Category) -> None:
-    """Verify the template's type matches the category image under the
-    standard homomorphism (N -> Object, PP -> Object -> Goal, S -> Plan)."""
+    """Verify the template's type matches the category's image (PRIMITIVES)."""
     expected = category_sem_type(cat)
     env = ()
     body = term
@@ -445,7 +427,7 @@ def _chart_roots(tokens, lookup, memo: dict) -> list:
                                     items += 1
                                     if items > MAX_CHART_ITEMS:
                                         raise NoParse(tokens)
-            memo[words] = cell or EMPTY_CELL
+            memo[words] = cell
     return [(cat, sem, logp, oov) for (cat, sem, oov), logp in memo[tuple(tokens)].items()]
 
 
@@ -468,8 +450,6 @@ MAX_OOV_READINGS = 64
 # (75 at most for a generated instruction).
 MAX_TOKENS = 32
 MAX_CHART_ITEMS = 4096
-# Every empty chart cell is this one read-only mapping.
-EMPTY_CELL = types.MappingProxyType({})
 
 
 def _derivations_from_roots(roots, k: int, words: dict[str, str]) -> list[Derivation]:

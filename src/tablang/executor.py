@@ -35,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import dsl, world
 from .grounding import (ExecutionError, GroundingMap, intersect, normalize, resample,
                         support_box, union)
+from .world import PICK_PLACE, PUSH
 
 
 class EmptyGrounding(ExecutionError):
@@ -48,9 +49,6 @@ class UnknownRelation(ExecutionError):
 class NoFeasiblePlace(ExecutionError):
     pass
 
-
-PICK_PLACE = "pick_place"
-PUSH = "push"
 
 INTERIOR = "interior"
 SURFACE = "surface"

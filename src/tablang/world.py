@@ -24,6 +24,10 @@ import numpy as np
 from . import formats
 from .grounding import axis_coords
 
+# The action primitives ControlParams.primitive names; apply dispatches on them.
+PICK_PLACE = "pick_place"
+PUSH = "push"
+
 ITEM = "item"
 CONTAINER = "container"
 ZONE = "zone"
@@ -449,7 +453,7 @@ def apply_pick_place(scene: Scene, params, rotations: int = 12) -> tuple[Scene, 
     """Teleport the item under the pick pixel to the place pose. Returns the
     new scene and a flag; a miss, or an item that does not come to rest
     (_settle), is a silent no-op: the same scene and False."""
-    if params.primitive != "pick_place":
+    if params.primitive != PICK_PLACE:
         raise ValueError("apply_pick_place needs a pick_place primitive")
     target = pick_target(scene, params.pick.u, params.pick.v)
     theta = 2 * math.pi * params.place.r / rotations
@@ -466,7 +470,7 @@ def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
     pre-push to the post-push location. Items whose centroid lies in the
     corridor keep their lateral offset and stop on the plane through the
     post-push point; with none that comes to rest, the same scene and False."""
-    if params.primitive != "push":
+    if params.primitive != PUSH:
         raise ValueError("apply_push needs a push primitive")
     pre = np.array([float(params.pick.v), float(params.pick.u)])
     post = np.array([float(params.place.v), float(params.place.u)])
@@ -497,7 +501,7 @@ def apply(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:
     apply_pick_place otherwise. Both are looked up as module globals at call
     time, so a wrapper set on either (benchmarks/layers.py traces them that
     way) sees every action."""
-    if params.primitive == "push":
+    if params.primitive == PUSH:
         return apply_push(scene, params)
     return apply_pick_place(scene, params, rotations)
 

@@ -365,6 +365,19 @@ def test_oov_combinations_never_truncated(lex):
     assert len(lex.readings) <= ccg.MAX_OOV_READINGS
 
 
+def test_readings_keep_the_first_64_of_more():
+    """70 entries with distinct fixed concepts give 70 equally likely
+    readings; readings keeps the first MAX_OOV_READINGS (64) in its order,
+    by prior and then text, so filter(c1) is followed by filter(c10)."""
+    lexicon = Lexicon.from_string("".join(f"a{k}\tN\tfilter(c{k})\n" for k in range(70)))
+    assert sum(len(dist) for dist in semantic_prior(lexicon).values()) == 70
+    texts = [dsl.serialize(tmpl) for _, tmpl, _ in lexicon.readings]
+    assert len(texts) == 64
+    assert texts[:3] == ["filter(c0)", "filter(c1)", "filter(c10)"]
+    assert texts == sorted(f"filter(c{k})" for k in range(70))[:64]
+    assert {cat for cat, _, _ in lexicon.readings} == {ccg.N}
+
+
 def test_lexicon_prior_built_once(monkeypatch):
     calls = []
 

@@ -266,6 +266,20 @@ def test_apply_dispatches_on_primitive_at_call_time(monkeypatch):
     assert calls == ["push", ("pick_place", 6)]
 
 
+def test_apply_pick_place_refuses_a_push():
+    """apply_pick_place runs only the primitive world.PICK_PLACE names."""
+    pushed = ControlParams(Pose2(30, 30, 0), Pose2(32, 90, 0), world.PUSH)
+    with pytest.raises(ValueError, match="apply_pick_place needs a pick_place primitive"):
+        apply_pick_place(fixture_scene(), pushed)
+
+
+def test_apply_push_refuses_a_pick_place():
+    """apply_push runs only the primitive world.PUSH names."""
+    placed = ControlParams(Pose2(30, 20, 0), Pose2(30, 60, 0), world.PICK_PLACE)
+    with pytest.raises(ValueError, match="apply_push needs a push primitive"):
+        apply_push(fixture_scene(), placed)
+
+
 def test_actions_preserve_object_count_and_walls():
     scene = fixture_scene()
     rng = np.random.default_rng(5)
