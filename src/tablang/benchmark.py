@@ -603,7 +603,7 @@ def run_suite(tasks, n_episodes: int, backend, lexicon, *, seed: int = 0,
               rotations: int = 12) -> EvalReport:
     """Evaluate each task over n seeded episodes; per-task means are on the
     0-100 scale. Episode errors score 0 and never abort the suite. Parses
-    reuse the lexicon's chart cells, so a repeated shape is built once."""
+    reuse the lexicon's chart memo, so a repeated shape is built once."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if seed < 0:

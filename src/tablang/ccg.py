@@ -12,8 +12,8 @@ leaf per reading that the lexicon ranks once from the empirical prior
 p(semantics | syntax), its slot filled by the word; chart keys carry these
 guesses, so they never merge, and a root must give each unknown word one
 reading. The chart is built over placeholders for word classes, one-to-one
-with the words, so an instruction shape is parsed once and its best roots
-are renamed back to the words.
+with the words, so an instruction shape is parsed once, its roots are kept
+with the lexicon, and its best roots are renamed back to the words.
 """
 
 from __future__ import annotations
@@ -183,9 +183,11 @@ def parse_template(text: str) -> ProgramNode:
 
 def category_sem_type(cat: Category):
     """The dsl type of a category: a SemanticType, or (argument, result)."""
-    if isinstance(cat, str):
+    if isinstance(cat, Complex):
+        return (category_sem_type(cat.argument), category_sem_type(cat.result))
+    if isinstance(cat, str) and cat in PRIMITIVES:
         return PRIMITIVES[cat]
-    return (category_sem_type(cat.argument), category_sem_type(cat.result))
+    raise LexiconError(f"not a category: {cat!r}")
 
 
 def check_template(term: ProgramNode, cat: Category) -> None:
@@ -287,8 +289,8 @@ class Lexicon:
                for i, c in enumerate(dict.fromkeys([(), *classes.values()]))}
         return {None: ids[()], **{w: ids[c] for w, c in classes.items()}, **{w: (w,) for w in fixed}}
 
-    # parse's memo of finished chart cells by span shape (_chart_roots), kept with the lexicon.
-    cells = functools.cached_property(lambda self: {})
+    # parse's memo of _chart_roots' (root items, item count) by sentence shape.
+    charts = functools.cached_property(lambda self: {})
 
     def shape(self, tokens) -> dict[str, str]:
         """Each distinct token (at most MAX_TOKENS) -> its placeholder, the
@@ -386,49 +388,35 @@ class Derivation:
     oov_assignments: tuple[OovAssignment, ...] = ()
 
 
-def _chart_roots(tokens, lookup, memo: dict) -> list:
+def _chart_roots(tokens, lookup) -> tuple[list, int]:
     """CKY chart over the token sequence; lookup(token) yields
-    (category, sem, log_score, oov_tuple) leaves. A chart that would hold
-    more than MAX_CHART_ITEMS items, summed over its cells, is a NoParse.
-
-    memo holds finished cells by their tokens (from parse, span shapes) and is
-    read and filled here: share it only between lookups that give each token
-    the same leaves. A reused cell counts as built, so no result or refusal
-    changes."""
+    (category, sem, log_score, oov_tuple) leaves. Returns the root cell's
+    items and the items summed over all cells, leaves included. A chart that
+    would hold more than MAX_CHART_ITEMS items is a NoParse, though the
+    leaves alone are never refused."""
     n = len(tokens)
-    items = 0
-    for span in range(1, n + 1):
+    chart, items = {}, 0  # (start, end) -> {(category, sem, oov_tuple): log_score}
+    for i, token in enumerate(tokens):
+        cell = chart[i, i + 1] = {}
+        for cat, sem, logp, oov in lookup(token):
+            cell[cat, sem, oov] = max(logp, cell.get((cat, sem, oov), logp))
+        items += len(cell)
+    for span in range(2, n + 1):
         for i in range(0, n - span + 1):
-            words = tuple(tokens[i:i + span])
-            cell = memo.get(words)
-            if cell is not None:
-                items += len(cell)
-                # The leaves alone are never refused, as when they are built.
-                if span > 1 and cell and items > MAX_CHART_ITEMS:
-                    raise NoParse(tokens)
-            elif span == 1:
-                cell = {}
-                for cat, sem, logp, oov in lookup(tokens[i]):
-                    key = (cat, sem, oov)
-                    if key not in cell or logp > cell[key]:
-                        cell[key] = logp
-                items += len(cell)
-            else:
-                cell = {}
-                for split in range(1, span):
-                    for (lcat, lsem, loov), llog in memo[words[:split]].items():
-                        for (rcat, rsem, roov), rlog in memo[words[split:]].items():
-                            for cat, sem in _combinations((lcat, lsem), (rcat, rsem)):
-                                # One hash of the key per combination, unless it scores higher.
-                                key, logp, size = (cat, sem, loov + roov), llog + rlog, len(cell)
-                                if cell.setdefault(key, logp) < logp:
-                                    cell[key] = logp
-                                elif len(cell) > size:
-                                    items += 1
-                                    if items > MAX_CHART_ITEMS:
-                                        raise NoParse(tokens)
-            memo[words] = cell
-    return [(cat, sem, logp, oov) for (cat, sem, oov), logp in memo[tuple(tokens)].items()]
+            cell = chart[i, i + span] = {}
+            for split in range(i + 1, i + span):
+                for (lcat, lsem, loov), llog in chart[i, split].items():
+                    for (rcat, rsem, roov), rlog in chart[split, i + span].items():
+                        for cat, sem in _combinations((lcat, lsem), (rcat, rsem)):
+                            # One hash of the key per combination, unless it scores higher.
+                            key, logp, size = (cat, sem, loov + roov), llog + rlog, len(cell)
+                            if cell.setdefault(key, logp) < logp:
+                                cell[key] = logp
+                            elif len(cell) > size:
+                                items += 1
+                                if items > MAX_CHART_ITEMS:
+                                    raise NoParse(tokens)
+    return [(cat, sem, logp, oov) for (cat, sem, oov), logp in chart[0, n].items()], items
 
 
 def semantic_prior(lexicon: Lexicon) -> dict[Category, list[tuple[ProgramNode, float]]]:
@@ -467,8 +455,9 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
     log priors of novel-word assignments; ties break on the program string.
 
-    The chart runs over the tokens' shape (Lexicon.shape) and reuses the
-    lexicon's cells, so each shape is built once per lexicon. Placeholders
+    The chart runs over the tokens' shape (Lexicon.shape). Lexicon.charts
+    keeps each shape's root items and item count, so a shape is built once
+    per lexicon, and a kept count is refused as a new chart is. Placeholders
     are one-to-one with words (a fixed concept word keeps its text), so the
     shape's chart maps item for item onto the word chart, and roots at or
     above the k-th best score are renamed to words.
@@ -490,10 +479,15 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
         rows = rows or [(c, t, lp, (OovAssignment(s, c, t, lp),)) for c, t, lp in lexicon.readings]
         return [(c, instantiate_template(t, s), lp, oov) for c, t, lp, oov in rows]
 
-    try:
-        roots = _chart_roots([names[t] for t in tokens], leaves, lexicon.cells)
-    except NoParse:
-        raise NoParse(tokens) from None
+    shape = tuple(names[t] for t in tokens)
+    if shape not in lexicon.charts:
+        try:
+            lexicon.charts[shape] = _chart_roots(shape, leaves)
+        except NoParse:
+            raise NoParse(tokens) from None
+    roots, items = lexicon.charts[shape]
+    if len(tokens) > 1 and items > MAX_CHART_ITEMS:
+        raise NoParse(tokens)
     # Every unknown token is a leaf of every root, so a root holds one
     # distinct assignment per unknown word exactly when it mixes no guesses.
     derivs = _derivations_from_roots([r for r in roots if len(set(r[3])) == len(unknown)], k, words)

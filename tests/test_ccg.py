@@ -5,6 +5,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_lexicon_rejects_type_mismatch():
     with pytest.raises(LexiconError) as exc:
         Lexicon.from_string("fep\t(S/PP)/N\t\\o.\\p.do(p, pack)\n")
     assert str(exc.value).endswith("at 0.0: expected Goal, found (Object -> Goal)")
+
+
+def test_entry_built_in_code_rejects_a_category_that_is_no_category():
+    """An entry built in code, not read by parse_category, gets a LexiconError
+    for an unknown primitive, unparsed category text or no category at all."""
+    template = parse_template("filter(block)")
+    for category in ("Q", "N/N", None, Complex(N, ccg.FORWARD, "Q")):
+        with pytest.raises(LexiconError, match="not a category"):
+            ccg.LexiconEntry("x", category, template)
 
 
 def test_combine_forward_application():
@@ -259,7 +269,7 @@ def test_chart_bound_counts_items_over_all_cells(lex, monkeypatch):
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
     with pytest.raises(NoParse):
         parse(toks, default_lexicon(), k=3)
-    # With every cell reused from a warm lexicon's memo, the same bound refuses it.
+    # With its chart kept by a warm lexicon, the same bound refuses it.
     warm = default_lexicon()
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
     assert parse(toks, warm, k=3) == want
@@ -267,16 +277,19 @@ def test_chart_bound_counts_items_over_all_cells(lex, monkeypatch):
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 74)
     with pytest.raises(NoParse):
         parse(toks, warm, k=3)
-    # A refused parse keeps only the cells it finished, each as built in full.
+    # A refused parse keeps nothing, so it is refused again, and parses once the bound allows.
     cold = default_lexicon()
     with pytest.raises(NoParse):
         parse(toks, cold, k=3)
-    assert shape_key(toks, warm) in warm.cells
-    assert shape_key(toks, cold) not in cold.cells
-    assert all(cold.cells[key] == warm.cells[key] for key in cold.cells)
+    assert cold.charts == {}
+    with pytest.raises(NoParse):
+        parse(toks, cold, k=3)
+    assert cold.charts == {}
+    assert list(warm.charts) == [shape_key(toks, warm)]
+    assert warm.charts[shape_key(toks, warm)][1] == 75
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 75)
     assert parse(toks, cold, k=3) == want
-    assert cold.cells == warm.cells
+    assert cold.charts == warm.charts
 
 
 def test_a_warm_memo_never_refuses_the_leaves(monkeypatch):
@@ -285,7 +298,7 @@ def test_a_warm_memo_never_refuses_the_leaves(monkeypatch):
     lexicon = Lexicon.from_string("go\tS\tdo(goal(scene(), scene(), in), pack)\n")
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", 0)
     first = parse(["go"], lexicon)
-    assert lexicon.cells
+    assert lexicon.charts
     assert parse(["go"], lexicon) == first
     assert dsl.serialize(first[0].program) == "do(goal(scene(), scene(), in), pack)"
 
@@ -339,7 +352,7 @@ def memo_sentences(draw, lexicon):
 @given(data=st.data())
 def test_shared_cells_give_the_fresh_parse(lex, data):
     """Over any sequence of sentences, parses with one lexicon, which read and
-    fill its cell memo, return (or refuse) exactly what a fresh lexicon does."""
+    fill its chart memo, return (or refuse) exactly what a fresh lexicon does."""
     fresh = functools.cache(lambda toks, k: _parse_outcome(toks, default_lexicon(), k))
     shared = default_lexicon()
     for _ in range(data.draw(st.integers(1, 6))):
@@ -430,7 +443,7 @@ def reference_parse(tokens, lexicon, k):
     roots = []
     for combo in itertools.product(lexicon.readings, repeat=len(unknown)):
         extra = {w: [ccg.OovAssignment(w, *r)] for w, r in zip(unknown, combo)}
-        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra), {}))
+        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra))[0])
     derivs = full_key_sort(roots)
     if not derivs:
         raise NoParse(tokens)
@@ -533,7 +546,7 @@ def test_top_k_roots_match_the_full_key_sort(data):
     unknown = [t for t in dict.fromkeys(toks) if not lexicon.entries_for(t)]
     extra_leaves = {w: [ccg.OovAssignment(w, *r) for r in lexicon.readings] for w in unknown}
     try:
-        roots = ccg._chart_roots(toks, word_leaves(lexicon, extra_leaves), {})
+        roots = ccg._chart_roots(toks, word_leaves(lexicon, extra_leaves))[0]
     except NoParse:
         return
     expected = full_key_sort(roots)
@@ -556,7 +569,7 @@ def per_sentence_rule_parse(tokens, lexicon):
     roots = []
     for combo in combos:
         extra = {c.word: [c] for c in combo}
-        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra), {}))
+        roots.extend(ccg._chart_roots(tokens, word_leaves(lexicon, extra))[0])
     return full_key_sort(roots), {frozenset(c) for c in combos}
 
 
@@ -580,9 +593,9 @@ def shape_key(tokens, lexicon) -> tuple[str, ...]:
 
 
 def test_a_parsed_shape_adds_no_cell_and_applies_nothing(lex, monkeypatch):
-    """Words of one class share their chart cells: after one sentence, a
-    sentence that differs from it only by words of the same classes adds no
-    cell and combines nothing, and it parses as it does alone."""
+    """Words of one class share their chart: after one sentence, a sentence
+    that differs from it only by words of the same classes adds no memo
+    entry and combines nothing, and it parses as it does alone."""
     applied = []
     apply_sem = ccg.apply_sem
     monkeypatch.setattr(ccg, "apply_sem", lambda fn, arg: applied.append(fn) or apply_sem(fn, arg))
@@ -590,11 +603,11 @@ def test_a_parsed_shape_adds_no_cell_and_applies_nothing(lex, monkeypatch):
     first = tokenize("pack the red block in the blue box", lexicon)
     parse(first, lexicon, k=3)
     assert applied
-    built, applied[:] = dict(lexicon.cells), []
+    built, applied[:] = dict(lexicon.charts), []
     toks = tokenize("pack the green ring in the brown box", lexicon)
     assert shape_key(toks, lexicon) == shape_key(first, lexicon)
     got = parse(toks, lexicon, k=3)
-    assert lexicon.cells == built
+    assert lexicon.charts == built
     assert applied == []
     assert got == parse(toks, default_lexicon(), k=3)
     assert dsl.serialize(got[0].program) == \
@@ -605,7 +618,7 @@ def test_a_parsed_shape_adds_no_cell_and_applies_nothing(lex, monkeypatch):
 def test_a_window_of_instructions_builds_nine_shapes(lex, split):
     """A cost guard: the 180 instructions of seeds 0-19 (about a hundred
     distinct) come in 9 shapes, one per task, and with one lexicon only the
-    first parse of each shape adds cells."""
+    first parse of each shape adds a memo entry."""
     sentences = [tokenize(generate_episode(TaskSpec(name, split), seed).instruction, lex)
                  for name in TASK_NAMES for seed in range(20)]
     assert len({tuple(toks) for toks in sentences}) > 90
@@ -613,19 +626,15 @@ def test_a_window_of_instructions_builds_nine_shapes(lex, split):
     lexicon = default_lexicon()
     grew = 0
     for toks in sentences:
-        before = len(lexicon.cells)
+        before = len(lexicon.charts)
         parse(toks, lexicon, k=1)
-        grew += len(lexicon.cells) > before
-    assert grew == 9
+        grew += len(lexicon.charts) > before
+    assert grew == len(lexicon.charts) == 9
 
 
 def word_chart_items(tokens, lookup) -> int:
     """Items of the word-level chart summed over all its cells, leaves included."""
-    memo: dict = {}
-    ccg._chart_roots(tokens, lookup, memo)
-    n = len(tokens)
-    return sum(len(memo[tuple(tokens[i:i + span])])
-               for span in range(1, n + 1) for i in range(n - span + 1))
+    return ccg._chart_roots(tokens, lookup)[1]
 
 
 FIXED_CONCEPT_SENTENCES = (
@@ -664,7 +673,7 @@ def test_fixed_concept_words_keep_their_text(box_entry, sentence, monkeypatch):
     assert parse(toks, lexicon, k=10**6) == derivs
     monkeypatch.setattr(ccg, "MAX_CHART_ITEMS", items - 1)
     with pytest.raises(NoParse):
-        ccg._chart_roots(toks, lookup, {})
+        ccg._chart_roots(toks, lookup)
     with pytest.raises(NoParse) as refused:
         parse(toks, lexicon, k=10**6)
     assert refused.value.tokens == tuple(toks)
@@ -1010,7 +1019,8 @@ def test_random_lexicon_charts_are_typed_by_construction(data):
     its entry loads, and application needs matching categories. So with 1-4
     random well-typed entries added, and 0-2 words of a generated instruction
     replaced by theirs or by novel words, every derivation is a plan and
-    every chart item of a Complex category is a Lam."""
+    every chart item of a Complex category is a Lam: each leaf, an entry or
+    a novel-word reading, and each result of a combination."""
     lines = []
     for _ in range(data.draw(st.integers(1, 4))):
         cat = data.draw(st.sampled_from(RANDOM_ENTRY_CATEGORIES))
@@ -1018,16 +1028,25 @@ def test_random_lexicon_charts_are_typed_by_construction(data):
         template = dsl.serialize(nameless(named_beta_normalize(term)))
         lines.append(f"{data.draw(st.sampled_from(RANDOM_ENTRY_WORDS))}\t{cat}\t{template}")
     lexicon = extended_lexicon(lines)
-    for _ in range(data.draw(st.integers(1, 3))):
-        toks = tokenize(data.draw(st.sampled_from(GENERATED)), lexicon)
-        for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=2, unique=True)):
-            toks[i] = data.draw(st.sampled_from(("fep", "blicket", "daxy")))
-        try:
-            derivs = parse(toks, lexicon, k=10**6)
-        except NoParse:
-            derivs = []
-        for d in derivs:
-            assert dsl.type_check(d.program) is dsl.SemanticType.PLAN
-    for cell in lexicon.cells.values():
-        for cat, sem, _ in cell:
-            assert not isinstance(cat, Complex) or isinstance(sem, dsl.Lam)
+    combined = []
+    combinations = ccg._combinations
+
+    def recording(left, right):
+        results = combinations(left, right)
+        combined.extend(results)
+        return results
+
+    with mock.patch.object(ccg, "_combinations", recording):
+        for _ in range(data.draw(st.integers(1, 3))):
+            toks = tokenize(data.draw(st.sampled_from(GENERATED)), lexicon)
+            for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=2, unique=True)):
+                toks[i] = data.draw(st.sampled_from(("fep", "blicket", "daxy")))
+            try:
+                derivs = parse(toks, lexicon, k=10**6)
+            except NoParse:
+                derivs = []
+            for d in derivs:
+                assert dsl.type_check(d.program) is dsl.SemanticType.PLAN
+    leaves = [(e.category, e.template) for w in lexicon.vocabulary for e in lexicon.entries_for(w)]
+    for cat, sem in leaves + [(cat, tmpl) for cat, tmpl, _ in lexicon.readings] + combined:
+        assert not isinstance(cat, Complex) or isinstance(sem, dsl.Lam)

@@ -362,6 +362,28 @@ def test_execute_records_intermediates_by_path():
     assert "0.0.1" in result.intermediates
 
 
+def test_each_verb_executes_its_primitive():
+    """execute picks the push path by the action word's spelling: a generated
+    plan with each verb of the default lexicon runs push for push and
+    pick-and-place for every other verb."""
+    lex = ccg.default_lexicon()
+    verbs = {w for w in lex.vocabulary for e in lex.entries_for(w)
+             if ccg.category_to_str(e.category) == "(S/PP)/N"}
+    expected = {"push": world.PUSH, "pack": world.PICK_PLACE, "put": world.PICK_PLACE,
+                "place": world.PICK_PLACE, "move": world.PICK_PLACE}
+    assert verbs == set(expected)
+    ep = bm.generate_episode(bm.TaskSpec("packing_shapes"), 11)
+    toks = ccg.tokenize(ep.instruction, lex)
+    assert toks[0] == "pack"
+    ctx = fixture_context()
+    for verb, primitive in expected.items():
+        program = ccg.parse([verb, *toks[1:]], lex, 1)[0].program
+        assert program.action.word == verb
+        result = execute(program, ExecutionContext(ep.scene, OracleBackend(),
+                                                   ctx.pose_grid, RelationConfig()))
+        assert result.params.primitive == primitive, verb
+
+
 def count_place_calls(monkeypatch) -> dict[str, int]:
     """Count calls of executor._place_scores."""
     calls = {"_place_scores": 0}

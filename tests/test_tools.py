@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -16,6 +17,7 @@ def load_tool(name: str):
 
 
 ab_bench = load_tool("ab_bench")
+parse_equiv = load_tool("parse_equiv")
 BASE = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
 
 
@@ -53,3 +55,19 @@ def test_src_stays_within_its_line_budget():
     lines = sum(len(p.read_text(encoding="utf-8").splitlines())
                 for p in sorted(SRC.rglob("*.py")))
     assert lines <= SRC_LINE_BUDGET, f"src/ has {lines} lines, over its budget of {SRC_LINE_BUDGET}"
+
+
+def test_parse_equiv_quick_hashes_the_tree_stably(capsys):
+    """The tree against itself, in process: two --quick runs print the same
+    outcome hashes, and a hash that differs or is missing names its sentence."""
+    runs = []
+    for _ in range(2):
+        assert parse_equiv.main(["--quick"]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    first, second = (run["hashes"] for run in runs)
+    assert first == second
+    assert len(first) == 35
+    assert parse_equiv.mismatches(first, second) == []
+    sentence = next(iter(second))
+    assert parse_equiv.mismatches(first, {**second, sentence: "0"}) == [sentence]
+    assert parse_equiv.mismatches(first, {}) == list(first)
