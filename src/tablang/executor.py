@@ -3,12 +3,14 @@
 Object subtrees evaluate to grounding maps (scene = all-ones, filter = min
 with the concept's map, objunion = max, relate = min with a geometric
 relation kernel of the reference). A goal turns the reference map into a
-binary relation kernel and rotates the pick-object silhouette into one
-boolean stencil per pose-grid rotation. A place pose (pixel, rotation)
-scores (overlap / n)^2, where n is the stencil's cell count and overlap the
-exact number of those cells on the kernel, times the upsampled reference
-map (Hadamard), so no place score survives off the referenced region. Pick
-and place poses are argmaxes over the pose grid with deterministic
+binary relation kernel. The pick, the deepest-interior argmax of the
+upsampled object map, is planned on that map's support window and written
+into a zeroed full-lattice pick map; the silhouette is the pick's
+4-connected component there, as row-major (rows, cols) cells. Rotation r
+turns it into a boolean stencil of n cells, and a place pose (pixel, r)
+scores (overlap / n)^2, overlap the exact count of those cells on the
+kernel, times the upsampled reference map (Hadamard), so no place score
+survives off the referenced region. Poses are argmaxes with deterministic
 tie-breaking. A push goal is not place-scored: its post-push pose comes
 from the goal kernel's centroid. An ExecutionResult keeps the (R, n) scores
 of the n cells that can score (a push: its post-push cell); the dense
@@ -17,10 +19,12 @@ of the n cells that can score (a push: its post-push cell); the dense
 The relation kernels are boolean geometric surrogates for a learned goal
 module: containment relations use the reference interior eroded by one
 pixel, surface relations the footprint, directional relations open
-half-planes at the reference centroid. Candidates already satisfying a
-containment goal are masked out of the pick map so multi-step episodes
-progress, and pick-place and push goals read the kernel kept OBSTACLE_PAD_PX
-clear of every other item (a push takes the raw kernel if nothing is left).
+half-planes at the reference centroid; erosion and dilation are one
+4-neighbour _step on the lattice framed by False. Candidates already
+satisfying a containment goal are masked out of the pick map so multi-step
+episodes progress, and pick-place and push goals read the kernel kept
+OBSTACLE_PAD_PX clear of every other item (a push takes the raw kernel if
+nothing is left).
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ OBSTACLE_PAD_PX = 2
 MAX_ROTATIONS = 72
 # Most multiply-adds per place-scoring product: OpenBLAS runs a GEMM of <= 2**18 on one thread.
 WINDOW_CELLS = 1 << 18
+Cells = tuple[np.ndarray, np.ndarray]  # lattice cells as np.nonzero gives them, row-major
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ class ExecutionResult:
     params: ControlParams
     intermediates: dict[str, GroundingMap]
     pick_map: GroundingMap
-    place_cells: tuple[np.ndarray, np.ndarray]  # (rows, cols) that can score, row-major
+    place_cells: Cells  # the cells that can score
     place_scores: np.ndarray  # (R, n) per-rotation scores of those cells
     pose_grid: PoseGrid
 
@@ -161,45 +166,29 @@ class ExecutionResult:
         return np.stack([self.place_plane(r) for r in range(self.pose_grid.rotations)])
 
 
-def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.nonzero of a 2-d mask, the same (rows, cols) in row-major order,
-    from one flat scan."""
+def _cells(mask: np.ndarray) -> Cells:
+    """np.nonzero of a 2-d mask (same values and dtype) from one flat scan."""
     return np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    """One 4-neighbour erosion; border cells are always dropped."""
-    out = mask.copy()
-    out[1:, :] &= mask[:-1, :]
-    out[:-1, :] &= mask[1:, :]
-    out[:, 1:] &= mask[:, :-1]
-    out[:, :-1] &= mask[:, 1:]
-    out[0, :] = out[-1, :] = False
-    out[:, 0] = out[:, -1] = False
-    return out
+def _step(mask: np.ndarray, op) -> np.ndarray:
+    """Each cell combined by op with its four neighbours, on the lattice
+    framed by False: np.logical_and is one erosion (border cells always
+    drop), np.logical_or one dilation (nothing grows past the border)."""
+    framed = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    framed[1:-1, 1:-1] = mask
+    return op.reduce((mask, framed[:-2, 1:-1], framed[2:, 1:-1],
+                      framed[1:-1, :-2], framed[1:-1, 2:]))
 
 
 def _interior_depth(mask: np.ndarray) -> np.ndarray:
     """Erosion rounds each cell survives: 0 outside, 1 at the boundary,
-    growing toward the interior."""
-    depth = np.zeros(mask.shape, dtype=np.float64)
-    cur = mask.copy()
-    while cur.any():
-        depth += cur
-        cur = _erode(cur)
+    growing toward the interior (at most (world.MAX_SIDE + 1) // 2)."""
+    depth = np.zeros(mask.shape, dtype=np.int32)
+    while mask.any():
+        depth += mask
+        mask = _step(mask, np.logical_and)
     return depth
-
-
-def _dilate(mask: np.ndarray, px: int) -> np.ndarray:
-    out = mask.copy()
-    for _ in range(px):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        out = grown
-    return out
 
 
 def relation_kernel(reference: np.ndarray, relation: str, config: RelationConfig) -> np.ndarray:
@@ -207,7 +196,7 @@ def relation_kernel(reference: np.ndarray, relation: str, config: RelationConfig
     kind = config.kind_of(relation)
     binary = reference > 0.5
     if kind == INTERIOR:
-        eroded = _erode(binary)
+        eroded = _step(binary, np.logical_and)
         # tiny references erode away; fall back to the raw footprint
         return eroded if eroded.any() else binary
     if kind == SURFACE or not binary.any():
@@ -248,26 +237,28 @@ def eval_relate(target_map: GroundingMap, reference_map: GroundingMap,
     return normalize(out.values)
 
 
-def _component(mask: np.ndarray, seed: tuple[int, int]) -> np.ndarray:
-    """4-connected component of the boolean mask containing the seed pixel
-    (just the seed when it is off the mask), filled over the flat indices of
-    the mask framed by zeros: a cell's neighbours are i +- 1 and i +- (w + 2)."""
+def _component(mask: np.ndarray, seed: tuple[int, int]) -> Cells:
+    """Row-major (rows, cols) of the 4-connected component of the boolean
+    mask containing the seed pixel (just the seed when it is off the mask),
+    filled over the flat indices of the mask framed by zeros: a cell's
+    neighbours are i +- 1 and i +- (w + 2)."""
     h, w = mask.shape
     framed = np.zeros((h + 2, w + 2), dtype=bool)
     framed[1:-1, 1:-1] = mask
     cells = bytearray(framed.tobytes())  # 1: on the mask, not reached yet
     start = (seed[0] + 1) * (w + 2) + seed[1] + 1
     cells[start] = 2
-    reached = [start] if mask[seed] else []
-    for i in reached:  # the list grows while it is walked
+    reached = [start]
+    for i in reached if mask[seed] else ():  # the list grows while it is walked
         for j in (i - w - 2, i - 1, i + 1, i + w + 2):
             if cells[j] == 1:
                 cells[j] = 2
                 reached.append(j)
-    return np.frombuffer(cells, dtype=np.uint8).reshape(h + 2, w + 2)[1:-1, 1:-1] == 2
+    rows, cols = np.divmod(np.sort(reached), w + 2)
+    return rows - 1, cols - 1
 
 
-def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarray,
+def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: Cells,
                        ctx: ExecutionContext) -> tuple[Pose2, GroundingMap, world.SceneObject | None]:
     """Mask upsampling can read solid where the true footprint has a notch;
     if the argmax pixel is not over an item, move it to the nearest
@@ -276,7 +267,7 @@ def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: np.ndarr
     item = world.pick_target(ctx.scene, pick.u, pick.v)
     if item is not None:
         return pick, pick_map, item
-    rows, cols = _cells(silhouette)
+    rows, cols = silhouette
     order = np.argsort((rows - rows.mean()) ** 2 + (cols - cols.mean()) ** 2,
                        kind="stable")
     for idx in order:
@@ -310,12 +301,14 @@ def _clear_of_items(kernel: np.ndarray, scene: world.Scene,
     if not blocked.any():
         return kernel
     out = kernel.copy()
-    out[r0:r1, c0:c1] &= ~_dilate(blocked, pad)
+    for _ in range(pad):
+        blocked = _step(blocked, np.logical_or)
+    out[r0:r1, c0:c1] &= ~blocked
     return out
 
 
-def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndarray,
-                  grid: PoseGrid) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+def _place_scores(kernel: np.ndarray, silhouette: Cells, reference: np.ndarray,
+                  grid: PoseGrid) -> tuple[Cells, np.ndarray]:
     """The cells where the reference is nonzero, row-major, and their (R, n)
     place scores; every other pose scores zero. Rotation r turns the
     silhouette's offsets from its rounded centroid into a boolean stencil of
@@ -323,7 +316,7 @@ def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndar
     counting the stencil cells on the boolean kernel (off-grid cells count
     as zero)."""
     cells = rows, cols = _cells(reference > 0)
-    sil_rows, sil_cols = _cells(silhouette)
+    sil_rows, sil_cols = silhouette
     off_u = sil_rows - int(round(sil_rows.mean()))
     off_v = sil_cols - int(round(sil_cols.mean()))
     angles = [grid.angle(r) for r in range(grid.rotations)]
@@ -352,13 +345,13 @@ def _place_scores(kernel: np.ndarray, silhouette: np.ndarray, reference: np.ndar
     return cells, scores
 
 
-def _push_params(silhouette: np.ndarray, support: np.ndarray, grid: PoseGrid):
+def _push_params(silhouette: Cells, support: np.ndarray, grid: PoseGrid):
     """Pre-push pose behind the object relative to the goal direction,
     post-push pose at the support's centroid (nearest supported cell).
     Recorded maps are one-hot (the place: rotation 0 of the post-push cell)
     so the argmax invariant still holds."""
     # Index means as integer sum / count: exactly ndarray.mean below 2**53.
-    sil_rows, sil_cols = _cells(silhouette)
+    sil_rows, sil_cols = silhouette
     c_u, c_v = sil_rows.sum() / len(sil_rows), sil_cols.sum() / len(sil_cols)
     sup_rows, sup_cols = _cells(support)
     if not len(sup_rows):
@@ -418,19 +411,26 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     reference = resample(ref_map, grid.height, grid.width).values
     kernel = relation_kernel(reference, goal.rel.word, ctx.relation_config)
 
+    # Plan the pick on up_obj's support window: every cell off it is +0.0.
+    r0, r1, c0, c1 = support_box(up_obj) or (0, 0, 0, 0)
+    window = np.s_[r0:r1 + 1, c0:c1 + 1]
+    obj = up_obj[window]
     # Objects already sitting in a containment goal region are not pick
     # candidates; without this, multi-step episodes would loop on one object.
-    pick_arr = up_obj * ~kernel if kind in (INTERIOR, SURFACE) else up_obj
+    pick_arr = obj * ~kernel[window] if kind in (INTERIOR, SURFACE) else obj
     # Suction-style graspability: prefer the deepest interior pixel of the
     # mask. Upsampled masks can read solid at thin notches (star arms); edge
-    # maxima there would miss the object, the interior never does.
-    depth = _interior_depth(pick_arr >= 0.5)
-    if depth.max() > 0:
-        pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
-    pick_map = GroundingMap._unchecked(pick_arr)
-    pick = select_pick(pick_map)
-    silhouette = _component(up_obj >= 0.5, (pick.u, pick.v))
-    pick, pick_map, picked = _snap_pick_to_item(pick, pick_map, silhouette, ctx)
+    # maxima there would miss the object, the interior never does. The cast
+    # is explicit: numpy 1.x promotes an integer array plus a float by value.
+    depth = _interior_depth(pick_arr >= 0.5).astype(np.float64)
+    pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
+    at = select_pick(GroundingMap._unchecked(pick_arr))
+    rows, cols = _component(obj >= 0.5, (at.u, at.v))
+    silhouette = rows + r0, cols + c0
+    pick_map = np.zeros((grid.height, grid.width))
+    pick_map[window] = pick_arr
+    pick, pick_map, picked = _snap_pick_to_item(Pose2(at.u + r0, at.v + c0),
+                                                GroundingMap._unchecked(pick_map), silhouette, ctx)
     effective = _clear_of_items(kernel, ctx.scene, picked)
 
     if program.action.word == PUSH:

@@ -3,6 +3,7 @@ import gc
 import math
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -596,10 +597,13 @@ def component_cases(draw):
 @example((np.zeros((3, 3), dtype=bool), (1, 1)))
 @example((np.eye(5, dtype=bool) | np.eye(5, dtype=bool)[::-1], (4, 4)))
 def test_component_matches_breadth_first_fill(case):
+    """The fill's cells are the breadth-first fill's np.nonzero: the same
+    rows and columns in row-major order."""
     mask, seed = case
-    got = _component(mask, seed)
-    assert got.dtype == np.bool_ and got.shape == mask.shape
-    assert np.array_equal(got, reference_component(mask, seed))
+    got, want = _component(mask, seed), np.nonzero(reference_component(mask, seed))
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.dtype.kind == "i" and np.array_equal(g, w)
 
 
 def test_component_from_every_border_seed():
@@ -612,7 +616,195 @@ def test_component_from_every_border_seed():
             for v in range(w):
                 if u in (0, h - 1) or v in (0, w - 1):
                     assert np.array_equal(_component(mask, (u, v)),
-                                          reference_component(mask, (u, v)))
+                                          np.nonzero(reference_component(mask, (u, v))))
+
+
+def reference_erode(mask):
+    """The one 4-neighbour erosion that _step(mask, np.logical_and)
+    replaced; border cells are always dropped."""
+    out = mask.copy()
+    out[1:, :] &= mask[:-1, :]
+    out[:-1, :] &= mask[1:, :]
+    out[:, 1:] &= mask[:, :-1]
+    out[:, :-1] &= mask[:, 1:]
+    out[0, :] = out[-1, :] = False
+    out[:, 0] = out[:, -1] = False
+    return out
+
+
+def reference_dilate(mask, px):
+    """The px-round 4-neighbour dilation that px _step(mask, np.logical_or)
+    rounds replaced."""
+    out = mask.copy()
+    for _ in range(px):
+        grown = out.copy()
+        grown[1:, :] |= out[:-1, :]
+        grown[:-1, :] |= out[1:, :]
+        grown[:, 1:] |= out[:, :-1]
+        grown[:, :-1] |= out[:, 1:]
+        out = grown
+    return out
+
+
+def reference_depth(mask):
+    """Erosion rounds each cell survives, counted in float64."""
+    depth = np.zeros(mask.shape, dtype=np.float64)
+    cur = mask.copy()
+    while cur.any():
+        depth += cur
+        cur = reference_erode(cur)
+    return depth
+
+
+@st.composite
+def bordered_masks(draw):
+    """Random masks, most with one whole border row or column set."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    mask = draw(arrays(np.bool_, (h, w)))
+    edge = draw(st.sampled_from((None, "top", "bottom", "left", "right")))
+    if edge is not None:
+        mask[{"top": np.s_[0], "bottom": np.s_[-1], "left": np.s_[:, 0],
+              "right": np.s_[:, -1]}[edge]] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(bordered_masks(), st.integers(0, 3))
+@example(np.ones((1, 1), dtype=bool), 2)
+@example(np.ones((1, 9), dtype=bool), 1)
+@example(np.ones((9, 1), dtype=bool), 3)
+@example(np.ones((5, 7), dtype=bool), 0)
+def test_step_is_one_erosion_or_dilation_round(mask, px):
+    """_step with np.logical_and is the erosion that drops border cells, px
+    rounds with np.logical_or are the dilation that stops at the border, and
+    the interior depth counts erosion rounds; the input is left as it was."""
+    before = mask.copy()
+    eroded = executor._step(mask, np.logical_and)
+    assert eroded.dtype == bool and np.array_equal(eroded, reference_erode(mask))
+    grown = mask
+    for _ in range(px):
+        grown = executor._step(grown, np.logical_or)
+    assert grown.dtype == bool and np.array_equal(grown, reference_dilate(mask, px))
+    assert np.array_equal(executor._interior_depth(mask), reference_depth(mask))
+    assert np.array_equal(mask, before)
+
+
+def test_interior_depth_of_a_solid_square_past_255_rounds():
+    """A solid 520 x 520 mask survives 260 erosion rounds at its centre; a
+    counter of 8 bits would wrap to 4 there."""
+    mask = np.ones((520, 520), dtype=bool)
+    depth = executor._interior_depth(mask)
+    assert depth.max() == 260 and depth[259, 260] == 260
+    assert np.array_equal(depth, reference_depth(mask))
+
+
+def reference_pick(up_obj, kernel, masked):
+    """The full-lattice pick that the support window replaced: mask out the
+    kernel (containment kinds), scale by a float64 erosion depth whose loop
+    drops border cells, take np.argmax and fill the 4-connected silhouette of
+    up_obj >= 0.5 from it. Returns the pick map, the pick and the silhouette's
+    np.nonzero cells."""
+    pick_arr = up_obj * ~kernel if masked else up_obj
+    depth = reference_depth(pick_arr >= 0.5)
+    if depth.max() > 0:
+        pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
+    if pick_arr.max() <= 0.0:
+        raise EmptyGrounding("pick map is identically zero")
+    u, v = divmod(int(np.argmax(pick_arr)), pick_arr.shape[1])
+    return pick_arr, Pose2(u, v, 0), np.nonzero(reference_component(up_obj >= 0.5, (u, v)))
+
+
+class MapBackend:
+    """Grounds each concept word to a fixed map on its own grounding lattice."""
+
+    def __init__(self, maps):
+        self.maps = maps
+        self.shape = next(iter(maps.values())).shape
+
+    def shape_for(self, scene):
+        return self.shape
+
+    def ground(self, scene, concept):
+        return GroundingMap(self.maps[concept.word])
+
+
+@st.composite
+def pick_cases(draw):
+    """A goal's object and reference maps on a grounding lattice at most the
+    pose lattice's size. The object map is nonzero only inside a rectangle
+    that often touches one lattice border, or is all zero; with a
+    containment kind on equal lattices it sometimes lies wholly inside the
+    reference, so the kernel masks the whole pick map to zero."""
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 24))
+    same = draw(st.booleans())
+    gh, gw = (h, w) if same else (draw(st.integers(1, h)), draw(st.integers(1, w)))
+    r0, c0 = draw(st.integers(0, gh - 1)), draw(st.integers(0, gw - 1))
+    r1, c1 = draw(st.integers(r0 + 1, gh)), draw(st.integers(c0 + 1, gw))
+    edge = draw(st.sampled_from((None, "top", "bottom", "left", "right")))
+    r0, r1 = {"top": (0, r1 - r0), "bottom": (gh - (r1 - r0), gh)}.get(edge, (r0, r1))
+    c0, c1 = {"left": (0, c1 - c0), "right": (gw - (c1 - c0), gw)}.get(edge, (c0, c1))
+    values = st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0))
+    obj = np.zeros((gh, gw))
+    obj[r0:r1, c0:c1] = draw(st.one_of(st.just(1.0), st.just(0.0),
+                                       arrays(np.float64, (r1 - r0, c1 - c0), elements=values)))
+    relation = draw(st.sampled_from(sorted(DEFAULT_RELATION_KINDS)))
+    if same and DEFAULT_RELATION_KINDS[relation] == "surface" and draw(st.booleans()):
+        ref = (obj > 0).astype(float)
+    else:
+        ref = draw(arrays(np.float64, (gh, gw), elements=values))
+    return obj, ref, relation, PoseGrid(h, w, 4)
+
+
+class PickRecorded(Exception):
+    pass
+
+
+def planned_pick(obj, ref, relation, grid):
+    """What execute hands to _snap_pick_to_item: the pick, the pick map and
+    the silhouette cells (or the EmptyGrounding it raises first)."""
+    seen = []
+
+    def record(pick, pick_map, silhouette, ctx):
+        seen.append((pick, pick_map.values, silhouette))
+        raise PickRecorded
+
+    ctx = ExecutionContext(world.Scene(grid.width, grid.height, ()),
+                           MapBackend({"star": obj, "box": ref}), grid)
+    with mock.patch.object(executor, "_snap_pick_to_item", record), \
+            pytest.raises(PickRecorded):
+        execute(make_plan("star", "box", relation), ctx)
+    return seen[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick_cases())
+@example((np.zeros((5, 6)), np.ones((5, 6)), "left", PoseGrid(5, 6, 4)))
+@example((np.pad(np.ones((3, 4)), ((0, 2), (2, 0))), np.pad(np.ones((3, 4)), ((0, 2), (2, 0))),
+          "on", PoseGrid(5, 6, 4)))
+@example((np.pad(np.ones((3, 4)), ((2, 0), (0, 2))), np.ones((5, 6)), "in", PoseGrid(5, 6, 4)))
+@example((np.ones((7, 9)), np.zeros((7, 9)), "front", PoseGrid(7, 9, 4)))
+@example((np.ones((4, 4)), np.zeros((4, 4)), "on", PoseGrid(13, 17, 4)))
+def test_pick_on_the_window_is_the_full_lattice_pick(case):
+    """execute's pick map bytes, pick and silhouette cells are the
+    full-lattice computation's, for windows on every border, all-zero maps,
+    maps the kernel masks to zero (the same EmptyGrounding message) and the
+    directional kinds, which mask nothing."""
+    obj, ref, relation, grid = case
+    up_obj = resample(GroundingMap(obj), grid.height, grid.width).values
+    up_ref = resample(GroundingMap(ref), grid.height, grid.width).values
+    kernel = reference_relation_kernel(up_ref, relation).astype(bool)
+    masked = DEFAULT_RELATION_KINDS[relation] in ("interior", "surface")
+    try:
+        want_map, want_pick, want_cells = reference_pick(up_obj, kernel, masked)
+    except EmptyGrounding as exc:
+        with pytest.raises(EmptyGrounding, match=f"^{exc}$"):
+            planned_pick(obj, ref, relation, grid)
+        return
+    pick, pick_map, cells = planned_pick(obj, ref, relation, grid)
+    assert pick == want_pick
+    assert pick_map.dtype == want_map.dtype and pick_map.shape == want_map.shape
+    assert pick_map.tobytes() == want_map.tobytes()
+    assert len(cells) == 2 and all(np.array_equal(g, w) for g, w in zip(cells, want_cells))
 
 
 @st.composite
@@ -627,7 +819,7 @@ def place_cases(draw):
     sh, sw = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     mask = draw(arrays(np.bool_, (sh, sw)))
     seed = (draw(st.integers(0, sh - 1)), draw(st.integers(0, sw - 1)))
-    silhouette = _component(mask, seed)  # one pixel when seed is off the mask
+    silhouette = reference_component(mask, seed)  # one pixel when seed is off the mask
     grid = PoseGrid(h, w, draw(st.sampled_from((1, 4, 12))))
     return kernel, silhouette, reference, grid
 
@@ -645,9 +837,10 @@ def test_place_scores_match_offset_loop(case):
 
 
 def assert_sparse_scores_match_offset_loop(kernel, silhouette, reference, grid):
-    """The sparse scores sit on the reference's nonzero cells, row-major,
-    and written onto a zero grid they are the offset loop's grid exactly."""
-    (rows, cols), scores = _place_scores(kernel, silhouette, reference, grid)
+    """The sparse scores of the silhouette mask's cells sit on the
+    reference's nonzero cells, row-major, and written onto a zero grid they
+    are the offset loop's grid exactly."""
+    (rows, cols), scores = _place_scores(kernel, np.nonzero(silhouette), reference, grid)
     assert np.array_equal((rows, cols), np.nonzero(reference > 0))
     dense = np.zeros((grid.rotations, grid.height, grid.width))
     dense[:, rows, cols] = scores
@@ -849,7 +1042,7 @@ def test_push_onto_its_own_centroid_starts_there():
     grid = PoseGrid(9, 11, 12)
     mask = np.zeros((9, 11), dtype=bool)
     mask[3:6, 4:7] = True
-    params, pick_map, cells, scores = executor._push_params(mask, mask, grid)
+    params, pick_map, cells, scores = executor._push_params(np.nonzero(mask), mask, grid)
     assert params == ControlParams(Pose2(4, 5), Pose2(4, 5), PUSH)
     assert np.flatnonzero(pick_map.values).tolist() == [4 * 11 + 5]
     assert [c.tolist() for c in cells] == [[4], [5]]

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from tablang.benchmark import TASK_NAMES
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src" / "tablang"
 # ROADMAP's standing rule: src/ stays at or below 3,300 lines, so a change
@@ -18,6 +20,7 @@ def load_tool(name: str):
 
 ab_bench = load_tool("ab_bench")
 parse_equiv = load_tool("parse_equiv")
+plan_equiv = load_tool("plan_equiv")
 BASE = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
 
 
@@ -71,3 +74,21 @@ def test_parse_equiv_quick_hashes_the_tree_stably(capsys):
     sentence = next(iter(second))
     assert parse_equiv.mismatches(first, {**second, sentence: "0"}) == [sentence]
     assert parse_equiv.mismatches(first, {}) == list(first)
+
+
+def test_plan_equiv_quick_hashes_the_tree_stably(capsys):
+    """The tree against itself, in process: two --quick runs print the same
+    plan hashes for every goal of seed 0 (each task, split and backend has a
+    goal 0), and a hash that differs or is missing names its goal."""
+    runs = []
+    for _ in range(2):
+        assert plan_equiv.main(["--quick"]) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    first, second = (run["hashes"] for run in runs)
+    assert first == second
+    assert {goal.rsplit("/", 2)[0] for goal in first if goal.endswith("/0/0")} == {
+        f"{backend}/{task}/{split}" for backend in plan_equiv.BACKENDS
+        for task in TASK_NAMES for split in plan_equiv.SPLITS}
+    assert parse_equiv.mismatches(first, second) == []
+    goal = next(iter(second))
+    assert parse_equiv.mismatches(first, {**second, goal: "0"}) == [goal]

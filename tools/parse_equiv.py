@@ -84,9 +84,10 @@ def mismatches(base: dict[str, str], work: dict[str, str]) -> list[str]:
     return [s for s in dict.fromkeys([*base, *work]) if base.get(s) != work.get(s)]
 
 
-def tree_hashes(tree: Path, quick: bool) -> dict[str, str]:
-    """hashes() of the tablang in tree/src, run in a subprocess."""
-    argv = [sys.executable, str(Path(__file__).resolve()), *(["--quick"] if quick else [])]
+def tree_hashes(tree: Path, quick: bool, script: Path = Path(__file__).resolve()) -> dict[str, str]:
+    """The hashes that script (this one by default) prints for the tablang in
+    tree/src, run in a subprocess."""
+    argv = [sys.executable, str(script), *(["--quick"] if quick else [])]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     out = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True)
     result = json.loads(out.stdout)
