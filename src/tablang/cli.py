@@ -1,8 +1,9 @@
 """Command-line interface: parse instructions, run them on scenes, evaluate
 task suites, and drive an interactive session.
 
-Exit codes: 0 ok, 1 I/O or config error, 2 parse failure, 3 grounding or
-execution failure. All file output stays under --output-dir.
+Commands raise, and main maps each error to its exit code and message:
+0 ok, 1 I/O or config error, 2 parse failure, 3 grounding or execution
+failure. All file output stays under --output-dir.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_EXEC = 3
 
-# What loading a lexicon, scene, weights file or eval config may raise.
+# What loading a lexicon, scene, weights file or eval config, or writing an
+# output file, may raise.
 LOAD_ERRORS = (OSError, ValueError, TypeError, KeyError, OverflowError, ccg.LexiconError,
                world.OutOfBounds)
 
@@ -39,36 +41,22 @@ def _out_dir(args) -> Path:
 
 
 def _load_session(args):
-    """(lexicon, scene, output dir, backend, pose grid) for run and repl, or
-    None after printing the error. Actions never change a scene's width or
-    height, so one grid serves a whole session."""
-    try:
-        lexicon = _load_lexicon(args.lexicon)
-        scene = world.load_scene(args.scene)
-        world.check_bounds(scene)
-        backend = make_backend(args.backend, weights_path=args.weights)
-        grid = PoseGrid(scene.height, scene.width, args.rotations)
-        out = _out_dir(args)
-    except LOAD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    return lexicon, scene, out, backend, grid
+    """(lexicon, scene, output dir, backend, pose grid) for run and repl.
+    Actions never change a scene's width or height, so one grid serves a
+    whole session."""
+    lexicon = _load_lexicon(args.lexicon)
+    scene = world.load_scene(args.scene)
+    world.check_bounds(scene)
+    backend = make_backend(args.backend, weights_path=args.weights)
+    grid = PoseGrid(scene.height, scene.width, args.rotations)
+    return lexicon, scene, _out_dir(args), backend, grid
 
 
 def cmd_parse(args) -> int:
-    try:
-        if args.top_k < 1:
-            raise ValueError("--top-k must be >= 1")
-        lexicon = _load_lexicon(args.lexicon)
-    except LOAD_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    tokens = ccg.tokenize(args.instruction, lexicon)
-    try:
-        derivations = ccg.parse(tokens, lexicon, k=args.top_k)
-    except ccg.NoParse as exc:
-        print(f"no parse: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.top_k < 1:
+        raise ValueError("--top-k must be >= 1")
+    lexicon = _load_lexicon(args.lexicon)
+    derivations = ccg.parse(ccg.tokenize(args.instruction, lexicon), lexicon, k=args.top_k)
     for i, d in enumerate(derivations):
         print(dsl.serialize(d.program))
         if args.verbose or len(derivations) > 1 or d.oov_assignments:
@@ -79,21 +67,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_run(args) -> int:
-    session = _load_session(args)
-    if session is None:
-        return EXIT_IO
-    lexicon, scene, out, backend, grid = session
-    try:
-        derivation = benchmark.read_instruction(args.instruction, lexicon)
-    except ccg.NoParse as exc:
-        print(f"no parse: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    program = derivation.program
-    try:
-        results, after = benchmark.step(program, scene, backend, grid)
-    except ExecutionError as exc:
-        print(f"execution failed: {exc}", file=sys.stderr)
-        return EXIT_EXEC
+    lexicon, scene, out, backend, grid = _load_session(args)
+    derivation = benchmark.read_instruction(args.instruction, lexicon)
+    results, after = benchmark.step(derivation.program, scene, backend, grid)
 
     for prefix, rendered in (("before", world.render(scene)), ("after", world.render(after))):
         formats.write_ppm(out / f"{prefix}.ppm", rendered.image[:, :, :3])
@@ -117,7 +93,7 @@ def cmd_run(args) -> int:
     actions = [dataclasses.asdict(r.params) for r in results]
     action = {
         "instruction": args.instruction,
-        "program": dsl.serialize(program),
+        "program": dsl.serialize(derivation.program),
         **actions[0],
         "actions": actions,
         "pick_score": float(result.pick_map.values.max()),
@@ -205,10 +181,7 @@ def _object_table(scene: world.Scene) -> str:
 
 
 def cmd_repl(args) -> int:
-    session = _load_session(args)
-    if session is None:
-        return EXIT_IO
-    lexicon, scene, out, backend, grid = session
+    lexicon, scene, out, backend, grid = _load_session(args)
     history = [scene]
     transcript = []
     render_count = 0
@@ -301,7 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ccg.NoParse as exc:
+        print(f"no parse: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ExecutionError as exc:  # before LOAD_ERRORS: DimMismatch is also a ValueError
+        print(f"execution failed: {exc}", file=sys.stderr)
+        return EXIT_EXEC
+    except LOAD_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -11,10 +11,12 @@ turns it into a boolean stencil of n cells, and a place pose (pixel, r)
 scores (overlap / n)^2, overlap the exact count of those cells on the
 kernel, times the upsampled reference map (Hadamard), so no place score
 survives off the referenced region. Poses are argmaxes with deterministic
-tie-breaking. A push goal is not place-scored: its post-push pose comes
-from the goal kernel's centroid. An ExecutionResult keeps the (R, n) scores
-of the n cells that can score (a push: its post-push cell); the dense
-(R, H, W) place_map is built only when it is read.
+tie-breaking. A goal whose action word is PUSH_VERB pushes and is not
+place-scored: its post-push pose comes from the goal kernel's centroid.
+Every other verb, a novel word's verb reading too, picks and places. An
+ExecutionResult keeps the (R, n) scores of the n cells that can score (a
+push: its post-push cell); the dense (R, H, W) place_map is built only when
+it is read.
 
 The relation kernels are boolean geometric surrogates for a learned goal
 module: containment relations use the reference interior eroded by one
@@ -56,6 +58,8 @@ class NoFeasiblePlace(ExecutionError):
 
 INTERIOR = "interior"
 SURFACE = "surface"
+# The dsl action word of push goals, kept apart from world.PUSH, the primitive's name.
+PUSH_VERB = "push"
 
 DEFAULT_RELATION_KINDS: dict[str, str] = {
     "in": INTERIOR,
@@ -387,7 +391,7 @@ def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
     elif isinstance(node, dsl.ObjUnion):
         result = union(_eval_obj(node.a, f"{path}.0", ctx, intermediates),
                        _eval_obj(node.b, f"{path}.1", ctx, intermediates))
-    else:  # a relate, the last object node: execute type-checks the program first
+    else:  # a relate, the last object node: programs reach execute typed by construction
         target = _eval_obj(node.target, f"{path}.0", ctx, intermediates)
         reference = _eval_obj(node.reference, f"{path}.1", ctx, intermediates)
         result = eval_relate(target, reference, node.rel, ctx)
@@ -401,7 +405,6 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     it. A plan of several goals runs goal by goal (benchmark.step)."""
     if not isinstance(program, dsl.Do):
         raise dsl.TypeMismatch("0", "do", type(program).__name__)
-    dsl.type_check(program)
     intermediates: dict[str, GroundingMap] = {}
     goal, grid = program.goal, ctx.pose_grid
     obj_map = _eval_obj(goal.obj, "0.0.0", ctx, intermediates)
@@ -433,7 +436,7 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
                                                 GroundingMap._unchecked(pick_map), silhouette, ctx)
     effective = _clear_of_items(kernel, ctx.scene, picked)
 
-    if program.action.word == PUSH:
+    if program.action.word == PUSH_VERB:
         params, pick_map, cells, scores = _push_params(
             silhouette, effective if effective.any() else kernel, grid)
     else:

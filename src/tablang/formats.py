@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grounding import ProjectionWeights
+from .grounding import DimMismatch, NonFinite, ProjectionWeights
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -55,6 +55,7 @@ def known_keys(data: dict, keys, what: str) -> None:
 
 
 def load_projection_weights(path) -> ProjectionWeights:
+    """cv and cl from a weights file; unusable weights raise ValueError."""
     tokens = Path(path).read_text().split("\n")
     matrices: dict[str, np.ndarray] = {}
     i = 0
@@ -74,4 +75,7 @@ def load_projection_weights(path) -> ProjectionWeights:
         matrices[name] = np.array(data, dtype=np.float64)
     if set(matrices) != {"cv", "cl"}:
         raise ValueError("weights file must contain exactly cv and cl")
-    return ProjectionWeights(matrices["cv"], matrices["cl"])
+    try:
+        return ProjectionWeights(matrices["cv"], matrices["cl"])
+    except (DimMismatch, NonFinite) as exc:
+        raise ValueError(str(exc)) from None

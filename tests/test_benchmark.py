@@ -29,6 +29,7 @@ from tablang.benchmark import (
 from tablang.executor import (
     DEFAULT_RELATION_KINDS,
     PUSH,
+    PUSH_VERB,
     ControlParams,
     EmptyGrounding,
     ExecutionResult,
@@ -643,7 +644,7 @@ def test_random_programs_step_cleanly(backend, data):
             assert v.dtype == np.float64 and v.ndim == 2 and not v.flags.writeable
             assert np.all(np.isfinite(v)) and v.min() >= 0.0 and v.max() <= 1.0
             assert np.array_equal(GroundingMap(v).values, v)
-        if goal.action.word != PUSH:
+        if goal.action.word != PUSH_VERB:
             assert result.params.pick == select_pick(result.pick_map)
             up_ref = resample(result.intermediates["0.0.1"], grid.height, grid.width).values
             assert not result.place_map[:, up_ref == 0.0].any()

@@ -427,6 +427,24 @@ def test_misshapen_cl_exits_1_in_process(tmp_path, scene_file, command, text, me
     assert code == 1 and err == f"error: {message}\n", err
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "action.json"), ("eval", "report.json"), ("repl", "render_000.ppm")])
+def test_unwritable_output_exits_1(tmp_path, scene_file, command, blocked):
+    """An output file that cannot be written, here because a directory holds
+    its name, exits 1 with one error: line, not a traceback."""
+    path, ep = scene_file
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    if command == "eval":
+        where = ["--tasks", "packing_shapes", "--episodes", "1"]
+    else:
+        where = ["--scene", str(path)] + ([ep.instruction] if command == "run" else [])
+    code, err = main_in_process([command, "--output-dir", str(out), *where],
+                                stdin=":render\n:quit\n")
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad_line", [
     "foo\tN/Q\tfilter(foo)",               # unknown category primitive
     "foo\tN\tfrobnicate(filter(red))",     # unknown template operation
@@ -684,10 +702,10 @@ def input_files(tmp_path_factory):
     return where, ep, world.scene_to_dict(ep.scene), weights, config
 
 
-def main_in_process(argv):
-    """cli.main(argv) with empty stdin: (exit code, stderr)."""
+def main_in_process(argv, stdin=""):
+    """cli.main(argv) reading stdin (empty by default): (exit code, stderr)."""
     err = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO()), contextlib.redirect_stderr(err), \
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     return code, err.getvalue()

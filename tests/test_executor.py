@@ -385,6 +385,18 @@ def test_each_verb_executes_its_primitive():
         assert result.params.primitive == primitive, verb
 
 
+def test_push_path_follows_the_verb_not_the_primitive_name(monkeypatch):
+    """execute chooses the push path by the dsl verb, executor.PUSH_VERB: with
+    the push primitive renamed, a parsed push instruction still pushes, under
+    the new name."""
+    monkeypatch.setattr(executor, "PUSH", "sweep")
+    ep = bm.generate_episode(bm.TaskSpec("pushing_shapes"), 0)
+    program = bm.read_instruction(ep.instruction, ccg.default_lexicon()).program
+    grid = PoseGrid(ep.scene.height, ep.scene.width, 12)
+    result = execute(dsl.goals(program)[0], ExecutionContext(ep.scene, OracleBackend(), grid))
+    assert result.params.primitive == "sweep"
+
+
 def count_place_calls(monkeypatch) -> dict[str, int]:
     """Count calls of executor._place_scores."""
     calls = {"_place_scores": 0}
