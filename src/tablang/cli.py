@@ -2,8 +2,8 @@
 task suites, and drive an interactive session.
 
 Commands raise, and main maps each error to its exit code and message:
-0 ok, 1 I/O or config error, 2 parse failure, 3 grounding or execution
-failure. All file output stays under --output-dir.
+0 ok, 1 I/O, usage or config error, 2 parse failure, 3 grounding or
+execution failure. All file output stays under --output-dir.
 """
 
 from __future__ import annotations
@@ -34,6 +34,31 @@ def _load_lexicon(path: str | None) -> ccg.Lexicon:
     return ccg.default_lexicon() if path is None else ccg.Lexicon.from_file(path)
 
 
+# The eval flags that --config replaces (run and repl take the last four).
+# None has an argparse default, so a parsed namespace holds only those given.
+SUITE_FLAGS = ("tasks", "split", "episodes", "seed", "rotations", "backend", "lexicon", "weights")
+
+
+def _settings(config: dict):
+    """(lexicon, backend, rotations) from the settings given in config, a
+    suite config or parsed flags; an absent one takes its default here."""
+    # run_episode builds its pose grid outside its error handling.
+    rotations = formats.json_number("rotations", config.get("rotations", 12), True, 1,
+                                    MAX_ROTATIONS)
+    for key in ("lexicon", "weights"):
+        if not isinstance(config.get(key), (str, type(None))):
+            raise ValueError(f"{key} must be a path or null, not {config[key]!r}")
+    lexicon = _load_lexicon(config.get("lexicon"))
+    ground_shape = config.get("grounding")
+    if "grounding" in config:
+        if not (isinstance(ground_shape, list) and len(ground_shape) == 2):
+            raise ValueError(f"grounding must be [height, width], not {ground_shape!r}")
+        ground_shape = tuple(formats.json_number("grounding", n, True, 1, world.MAX_SIDE)
+                             for n in ground_shape)
+    backend = make_backend(config.get("backend", "oracle"), ground_shape, config.get("weights"))
+    return lexicon, backend, rotations
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -44,11 +69,10 @@ def _load_session(args):
     """(lexicon, scene, output dir, backend, pose grid) for run and repl.
     Actions never change a scene's width or height, so one grid serves a
     whole session."""
-    lexicon = _load_lexicon(args.lexicon)
+    lexicon, backend, rotations = _settings(vars(args))
     scene = world.load_scene(args.scene)
     world.check_bounds(scene)
-    backend = make_backend(args.backend, weights_path=args.weights)
-    grid = PoseGrid(scene.height, scene.width, args.rotations)
+    grid = PoseGrid(scene.height, scene.width, rotations)
     return lexicon, scene, _out_dir(args), backend, grid
 
 
@@ -72,22 +96,22 @@ def cmd_run(args) -> int:
     results, after = benchmark.step(derivation.program, scene, backend, grid)
 
     for prefix, rendered in (("before", world.render(scene)), ("after", world.render(after))):
-        formats.write_ppm(out / f"{prefix}.ppm", rendered.image[:, :, :3])
+        formats.write_pnm(out / f"{prefix}.ppm", rendered.image[:, :, :3])
         for suffix, values in (("height", rendered.image[:, :, 3]),
                                ("seg", rendered.segmentation)):
             top = values.max()
-            formats.write_pgm(out / f"{prefix}_{suffix}.pgm", values / top if top > 0 else values)
+            formats.write_pnm(out / f"{prefix}_{suffix}.pgm", values / top if top > 0 else values)
     world.save_scene(out / "scene_after.json", after)
 
     # The maps are the first goal's.
     result = results[0]
-    formats.write_pgm(out / "pick.pgm", result.pick_map.values)
+    formats.write_pnm(out / "pick.pgm", result.pick_map.values)
     for r in range(grid.rotations):
-        formats.write_pgm(out / f"place_r{r:02d}.pgm", result.place_plane(r))
+        formats.write_pnm(out / f"place_r{r:02d}.pgm", result.place_plane(r))
     map_files = {}
     for path, gmap in sorted(result.intermediates.items()):
         fname = f"map_{path.replace('.', '_')}.pgm"
-        formats.write_pgm(out / fname, gmap.values)
+        formats.write_pnm(out / fname, gmap.values)
         map_files[path] = fname
 
     actions = [dataclasses.asdict(r.params) for r in results]
@@ -109,8 +133,7 @@ def cmd_run(args) -> int:
 def _tasks_from_config(config: dict) -> list[benchmark.TaskSpec]:
     if not isinstance(config, dict) or not isinstance(config.get("tasks"), list):
         raise ValueError('the config must be an object with a "tasks" list')
-    formats.known_keys(config, ("tasks", "split", "episodes", "seed", "rotations", "backend",
-                                "lexicon", "weights", "grounding"), "config")
+    formats.known_keys(config, (*SUITE_FLAGS, "grounding"), "config")
     if not config["tasks"]:
         raise ValueError("the task list is empty")
     tasks = []
@@ -126,44 +149,24 @@ def _tasks_from_config(config: dict) -> list[benchmark.TaskSpec]:
 
 
 def cmd_eval(args) -> int:
+    given = {key: value for key, value in vars(args).items() if key in SUITE_FLAGS}
     try:
         if args.config:
+            if given:
+                raise ValueError(f"--{next(iter(given))} cannot be given with --config")
             config = json.loads(Path(args.config).read_text())
+        elif "tasks" in given:
+            config = {**given, "tasks": given["tasks"].split(",")}
         else:
-            if not args.tasks:
-                raise ValueError("either --config or --tasks is required")
-            config = {
-                "tasks": args.tasks.split(","),
-                "split": args.split,
-                "episodes": args.episodes,
-                "seed": args.seed,
-                "rotations": args.rotations,
-                "backend": args.backend,
-                "lexicon": args.lexicon,
-                "weights": args.weights,
-            }
+            raise ValueError("either --config or --tasks is required")
         tasks = _tasks_from_config(config)
         episodes = formats.json_number("episodes", config.get("episodes", 10), True, 1)
         seed = formats.json_number("seed", config.get("seed", 0), True, 0)
-        # run_episode builds its pose grid outside its error handling.
-        rotations = formats.json_number("rotations", config.get("rotations", 12), True, 1,
-                                        MAX_ROTATIONS)
-        for key in ("lexicon", "weights"):
-            if not isinstance(config.get(key), (str, type(None))):
-                raise ValueError(f"{key} must be a path or null, not {config[key]!r}")
-        lexicon = _load_lexicon(config.get("lexicon"))
-        ground_shape = config.get("grounding")
-        if "grounding" in config:
-            if not (isinstance(ground_shape, list) and len(ground_shape) == 2):
-                raise ValueError(f"grounding must be [height, width], not {ground_shape!r}")
-            ground_shape = tuple(formats.json_number("grounding", n, True, 1, world.MAX_SIDE)
-                                 for n in ground_shape)
-        backend = make_backend(config.get("backend", "oracle"), ground_shape,
-                               config.get("weights"))
-        out = _out_dir(args)
+        lexicon, backend, rotations = _settings(config)
     except LOAD_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_IO
+    out = _out_dir(args)
     report = benchmark.run_suite(tasks, episodes, backend, lexicon,
                                  seed=seed, rotations=rotations)
     (out / "report.json").write_text(benchmark.report_to_json(report))
@@ -203,7 +206,7 @@ def cmd_repl(args) -> int:
             elif line == ":render":
                 rendered = world.render(history[-1])
                 name = f"render_{render_count:03d}.ppm"
-                formats.write_ppm(out / name, rendered.image[:, :, :3])
+                formats.write_pnm(out / name, rendered.image[:, :, :3])
                 render_count += 1
                 msg = f"wrote {name}"
             else:
@@ -228,21 +231,30 @@ def cmd_repl(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for main to map to exit 1; argparse exits 2, a parse failure's code."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tablang",
         description="Tabletop instructions -> programs -> SE(2) control in a 2D simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scene=False):
-        p.add_argument("--lexicon", default=None, help="lexicon file (default: built-in)")
-        p.add_argument("--backend", choices=("oracle", "embedding"), default="oracle")
-        p.add_argument("--weights", default=None, help="projection weights file (embedding backend)")
-        p.add_argument("--rotations", type=int, default=12)
+    def common(name, help, scene=False):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--lexicon", help="lexicon file (default: built-in)")
+        p.add_argument("--backend", choices=("oracle", "embedding"))
+        p.add_argument("--weights", help="projection weights file (embedding backend)")
+        p.add_argument("--rotations", type=int)
         p.add_argument("--output-dir", default="tablang-out")
         if scene:
             p.add_argument("--scene", required=True, help="scene JSON path")
+        return p
 
     p_parse = sub.add_parser("parse", help="parse an instruction to a program")
     p_parse.add_argument("instruction")
@@ -251,30 +263,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("--verbose", action="store_true")
     p_parse.set_defaults(func=cmd_parse)
 
-    p_run = sub.add_parser("run", help="execute an instruction on a scene")
-    common(p_run, scene=True)
+    p_run = common("run", "execute an instruction on a scene", scene=True)
     p_run.add_argument("instruction")
     p_run.set_defaults(func=cmd_run)
 
-    p_eval = sub.add_parser("eval", help="run an evaluation suite")
-    common(p_eval)
-    p_eval.add_argument("--config", default=None, help="suite config JSON")
-    p_eval.add_argument("--tasks", default=None, help="comma-separated task names")
-    p_eval.add_argument("--split", choices=("seen", "unseen"), default="seen")
-    p_eval.add_argument("--episodes", type=int, default=10)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval = common("eval", "run an evaluation suite")
+    p_eval.add_argument("--config", default=None, help="suite config JSON, instead of the flags")
+    p_eval.add_argument("--tasks", help="comma-separated task names")
+    p_eval.add_argument("--split", choices=("seen", "unseen"))
+    p_eval.add_argument("--episodes", type=int)
+    p_eval.add_argument("--seed", type=int)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_repl = sub.add_parser("repl", help="interactive instruction session")
-    common(p_repl, scene=True)
+    p_repl = common("repl", "interactive instruction session", scene=True)
     p_repl.set_defaults(func=cmd_repl)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ccg.NoParse as exc:
         print(f"no parse: {exc}", file=sys.stderr)

@@ -126,13 +126,10 @@ class ControlParams:
 
 @dataclass(frozen=True)
 class RelationConfig:
-    kinds: tuple[tuple[str, str], ...] = tuple(sorted(DEFAULT_RELATION_KINDS.items()))
-
     def kind_of(self, word: str) -> str:
-        for w, kind in self.kinds:
-            if w == word:
-                return kind
-        raise UnknownRelation(word)
+        if word not in DEFAULT_RELATION_KINDS:
+            raise UnknownRelation(word)
+        return DEFAULT_RELATION_KINDS[word]
 
 
 @dataclass

@@ -10,28 +10,16 @@ import numpy as np
 from .grounding import DimMismatch, NonFinite, ProjectionWeights
 
 
-def write_pgm(path, values: np.ndarray) -> None:
-    """8-bit binary PGM; values in [0, 1] are scaled by 255 and rounded."""
+def write_pnm(path, values: np.ndarray) -> None:
+    """8-bit binary PGM (P5) from an (H, W) array, or PPM (P6) from an
+    (H, W, 3) one; values in [0, 1] are scaled by 255 and rounded."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("PGM needs a 2-d grid")
+    if arr.ndim < 2 or arr.shape[2:] not in ((), (3,)):
+        raise ValueError("PNM needs an (H, W) or (H, W, 3) grid")
     data = np.rint(np.clip(arr, 0.0, 1.0) * 255).astype(np.uint8)
-    h, w = data.shape
+    header = f"P{5 if data.ndim == 2 else 6}\n{data.shape[1]} {data.shape[0]}\n255\n"
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
-
-
-def write_ppm(path, rgb: np.ndarray) -> None:
-    """8-bit binary PPM from an (H, W, 3) float array in [0, 1]."""
-    arr = np.asarray(rgb, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError("PPM needs an (H, W, 3) grid")
-    data = np.rint(np.clip(arr, 0.0, 1.0) * 255).astype(np.uint8)
-    h, w, _ = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+        f.write(header.encode("ascii") + data.tobytes())
 
 
 def json_number(name: str, value, integer: bool = False, least=None, most=None):

@@ -9,7 +9,7 @@ from tablang import benchmark as bm
 from tablang import backends, ccg, world
 from tablang.backends import EmbeddingBackend, GroundingError, OracleBackend, make_backend
 from tablang.dsl import ACTION, PROPERTY, ConceptToken
-from tablang.formats import load_projection_weights, write_pgm
+from tablang.formats import load_projection_weights, write_pnm
 from tablang.grounding import (
     ConceptEmbedding,
     DimMismatch,
@@ -498,10 +498,15 @@ def test_backend_factory(tmp_path):
 
 
 def test_write_pgm_bytes(tmp_path):
-    """A binary PGM header, then each value in [0, 1] times 255, rounded."""
+    """A binary PGM (or, for three channels, PPM) header, then each value in
+    [0, 1] times 255, rounded."""
     rng = np.random.default_rng(1)
-    values = rng.random((9, 13))
-    path = tmp_path / "map.pgm"
-    write_pgm(path, values)
-    data = np.rint(np.clip(values, 0, 1) * 255).astype(np.uint8)
-    assert path.read_bytes() == b"P5\n13 9\n255\n" + data.tobytes()
+    for shape, magic in (((9, 13), b"P5"), ((9, 13, 3), b"P6")):
+        values = rng.random(shape)
+        path = tmp_path / "map.pnm"
+        write_pnm(path, values)
+        data = np.rint(np.clip(values, 0, 1) * 255).astype(np.uint8)
+        assert path.read_bytes() == magic + b"\n13 9\n255\n" + data.tobytes()
+    for shape in ((13,), (9, 13, 4), (9, 13, 3, 1)):
+        with pytest.raises(ValueError):
+            write_pnm(path, np.zeros(shape))

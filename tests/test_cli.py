@@ -321,15 +321,15 @@ def test_oracle_backend_refuses_weights(tmp_path, scene_file, command):
     if command == "config":
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 1,
-                                   "weights": weights}))
+                                   "backend": "oracle", "weights": weights}))
         args = ["eval", "--config", str(cfg)]
     elif command == "eval":
-        args = ["eval", "--tasks", "packing_shapes", "--episodes", "1", "--weights", weights]
+        args = ["eval", "--tasks", "packing_shapes", "--episodes", "1", "--weights", weights,
+                "--backend", "oracle"]
     else:
-        args = [command, "--scene", str(path), "--weights", weights,
+        args = [command, "--scene", str(path), "--weights", weights, "--backend", "oracle",
                 *([ep.instruction] if command == "run" else [])]
-    out = run_cli(*args, "--backend", "oracle", "--output-dir", str(tmp_path / "o"),
-                  stdin=":quit\n")
+    out = run_cli(*args, "--output-dir", str(tmp_path / "o"), stdin=":quit\n")
     assert_clean_exit_1(out)
     assert "embedding backend" in out.stderr
 
@@ -443,6 +443,66 @@ def test_unwritable_output_exits_1(tmp_path, scene_file, command, blocked):
                                 stdin=":render\n:quit\n")
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "repl"])
+def test_output_dir_that_cannot_be_made_exits_1(tmp_path, scene_file, command):
+    """An output directory under a regular file is an I/O error (error:),
+    for eval as for run and repl, not a config error."""
+    path, ep = scene_file
+    if command == "eval":
+        where = ["--tasks", "packing_shapes", "--episodes", "1"]
+    else:
+        where = ["--scene", str(path)] + ([ep.instruction] if command == "run" else [])
+    code, err = main_in_process([command, "--output-dir", str(path / "out"), *where])
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scene", "scene.json", "--rotations", "abc", "pack the box"],
+    ["run", "--scene", "scene.json", "--backend", "foo", "pack the box"],
+    ["run", "--scene", "scene.json", "--bogus", "pack the box"],
+    ["frobnicate"],
+    ["run", "pack the box"],
+], ids=["rotations_not_int", "unknown_backend", "unknown_flag", "unknown_command",
+        "missing_scene"])
+def test_usage_error_exits_1(argv):
+    """A command line argparse rejects is bad input (exit 1), not a failed
+    instruction parse (exit 2): one error: line, nothing read or written."""
+    code, err = main_in_process(argv)
+    assert code == 1 and err.startswith("error: tablang") and err.count("\n") == 1, err
+
+
+def test_help_exits_0():
+    out = run_cli("run", "--help")
+    assert out.returncode == 0 and out.stdout.startswith("usage: tablang run")
+
+
+def test_eval_flags_and_config_write_the_same_report(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 2, "seed": 3,
+                               "rotations": 8, "backend": "embedding"}))
+    by_flags = ["--tasks", "packing_shapes", "--episodes", "2", "--seed", "3",
+                "--rotations", "8", "--backend", "embedding"]
+    for name, where in (("flags", by_flags), ("config", ["--config", str(cfg)])):
+        assert main_in_process(["eval", *where, "--output-dir", str(tmp_path / name)]) == (0, "")
+    assert (tmp_path / "flags" / "report.json").read_bytes() == \
+        (tmp_path / "config" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tasks", "packing_shapes"), ("--split", "unseen"), ("--episodes", "1"), ("--seed", "5"),
+    ("--rotations", "12"), ("--backend", "oracle"), ("--lexicon", "lexicon.txt"),
+    ("--weights", "w.txt")])
+def test_eval_flag_with_config_is_config_error(tmp_path, flag, value):
+    """A suite is built from its flags or from --config, never both: a flag
+    beside --config is refused, not ignored."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tasks": ["packing_shapes"], "episodes": 1}))
+    code, err = main_in_process(["eval", "--config", str(cfg), flag, value,
+                                 "--output-dir", str(tmp_path / "o")])
+    assert code == 1 and err == f"config error: {flag} cannot be given with --config\n", err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("bad_line", [
