@@ -163,15 +163,15 @@ class _Placer:
         raise GenerationFailure("could not place object without overlap")
 
 
-def _pick_point(obj: world.SceneObject) -> tuple[int, int]:
-    """A pixel guaranteed to lie on the object's footprint (rings have a
-    hole at their center)."""
+def _pick_point(obj: world.SceneObject) -> Pose2:
+    """The expert's pick: a pixel guaranteed to lie on the object's
+    footprint (rings have a hole at their center)."""
     dx = dy = 0.0
     if obj.shape == "ring":
         mid = 0.75 * obj.size
         dx = mid * math.cos(obj.angle)
         dy = mid * math.sin(obj.angle)
-    return int(round(obj.y + dy)), int(round(obj.x + dx))
+    return _pose_at(obj.x + dx, obj.y + dy)
 
 
 def _pose_at(x: float, y: float) -> Pose2:
@@ -496,7 +496,7 @@ def generate_episode(task: TaskSpec, seed: int) -> Episode:
             budget = len(goal.target_ids) + 2
             expert, final = _closed_loop_push_expert(scene, goal.target_ids, region, budget)
         else:
-            expert = [ControlParams(_pose_at(*reversed(_pick_point(scene.find(t)))),
+            expert = [ControlParams(_pick_point(scene.find(t)),
                                     _pose_at(r.x, r.y), world.PICK_PLACE)
                       for t, r in zip(goal.target_ids, map(scene.find, goal.region_ids))]
             budget, final = len(expert), _replay(scene, expert)

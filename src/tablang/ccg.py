@@ -11,9 +11,9 @@ and no parse result is checked again. A word outside the vocabulary gets a
 leaf per reading that the lexicon ranks once from the empirical prior
 p(semantics | syntax), its slot filled by the word; chart keys carry these
 guesses, so they never merge, and a root must give each unknown word one
-reading. The chart is built over placeholders for word classes, one-to-one
-with the words, so an instruction shape is parsed once, its roots are kept
-with the lexicon, and its best roots are renamed back to the words.
+reading. Words of one class parse alike, so the lexicon keeps the roots of
+each instruction shape's first sentence, and a later sentence of that shape
+renames the best of them to its own words.
 """
 
 from __future__ import annotations
@@ -273,34 +273,31 @@ class Lexicon:
         return readings[:MAX_OOV_READINGS]
 
     @functools.cached_property
-    def placeholders(self) -> dict[str | None, tuple[str, ...]]:
-        """word (None: any unknown word) -> the MAX_TOKENS placeholders of its
-        class, the sorted (category, abstract template, weight) of its entries,
-        or -> (word,) if a template holds it as a fixed concept; placeholders
-        lead with more underscores than such a word has characters."""
-        classes = {w: tuple(sorted(((e.category, abstract_template(e.template, w), e.weight)
-                                    for e in es), key=repr)) for w, es in self._entries.items()}
+    def classes(self) -> dict[str, int]:
+        """word -> its class id: words whose entries have the same sorted
+        (category, abstract template, weight) share one, and a word that a
+        template holds as a fixed concept has its own. Other words are not keys."""
+        kinds = {w: tuple(sorted(((e.category, abstract_template(e.template, w), e.weight)
+                                  for e in es), key=repr)) for w, es in self._entries.items()}
         found: list = []
-        for _, tmpl, _ in itertools.chain(*classes.values()):
+        for _, tmpl, _ in itertools.chain(*kinds.values()):
             _reword(tmpl, lambda c: found.append(c) or c)
-        fixed = {c.word for c in found if isinstance(c, dsl.ConceptToken)}
-        under = "_" * (1 + max(map(len, fixed), default=0))
-        ids = {c: tuple(f"{under}{i}_{n}" for n in range(MAX_TOKENS))
-               for i, c in enumerate(dict.fromkeys([(), *classes.values()]))}
-        return {None: ids[()], **{w: ids[c] for w, c in classes.items()}, **{w: (w,) for w in fixed}}
+        kinds.update((c.word, c.word) for c in found if isinstance(c, dsl.ConceptToken))
+        ids = {k: i for i, k in enumerate(dict.fromkeys(kinds.values()))}
+        return {w: ids[k] for w, k in kinds.items()}
 
-    # parse's memo of _chart_roots' (root items, item count) by sentence shape.
+    # parse's memo by shape: (root items, item count, distinct tokens) of its first sentence.
     charts = functools.cached_property(lambda self: {})
 
-    def shape(self, tokens) -> dict[str, str]:
-        """Each distinct token (at most MAX_TOKENS) -> its placeholder, the
-        next of its class by first occurrence. So the map is one-to-one, and
-        one shape is the same strings in every parse."""
-        names, counts, places = {}, {}, self.placeholders
+    def shape(self, tokens) -> tuple[tuple[int | None, int], ...]:
+        """Each token's (class, rank of its distinct token within the class by
+        first occurrence), the class None for a word outside classes. Sentences
+        of one shape differ only by a one-to-one renaming of their words."""
+        ranks, counts = {}, {}
         for t in dict.fromkeys(tokens):
-            ph = places.get(t, places[None])
-            names[t] = ph[next(counts.setdefault(ph[0], itertools.count()))]
-        return names
+            c = self.classes.get(t)
+            ranks[t] = c, next(counts.setdefault(c, itertools.count()))
+        return tuple(ranks[t] for t in tokens)
 
     def entries_for(self, word: str) -> tuple[LexiconEntry, ...]:
         return self._entries.get(word, ())
@@ -455,42 +452,39 @@ def parse(tokens, lexicon: Lexicon, k: int = 1) -> list[Derivation]:
     """Top-k complete derivations, scored by summed log entry weights plus
     log priors of novel-word assignments; ties break on the program string.
 
-    The chart runs over the tokens' shape (Lexicon.shape). Lexicon.charts
-    keeps each shape's root items and item count, so a shape is built once
-    per lexicon, and a kept count is refused as a new chart is. Placeholders
-    are one-to-one with words (a fixed concept word keeps its text), so the
-    shape's chart maps item for item onto the word chart, and roots at or
-    above the k-th best score are renamed to words.
+    The first sentence of each shape (Lexicon.shape) builds its chart over
+    its tokens, and Lexicon.charts keeps the chart's root items and item
+    count, so a shape is built once per lexicon, and a kept count is refused
+    as a new chart is. A shape's chart is its first sentence's, renamed: its
+    distinct tokens map one-to-one onto these, and each fixed concept word,
+    in a class of its own, onto itself, so the roots at or above the k-th
+    best score are renamed item for item.
     Each unknown word (at most MAX_JOINT_OOV) gets a leaf per reading of the
     lexicon, and a root must give each one reading. More than MAX_TOKENS
     tokens, or a chart of more than MAX_CHART_ITEMS items, is a NoParse."""
     if k < 1:
         raise ValueError("k must be positive")
     tokens = list(tokens)
-    unknown = [t for t in dict.fromkeys(tokens) if not lexicon.entries_for(t)]
+    distinct = tuple(dict.fromkeys(tokens))
+    unknown = [t for t in distinct if not lexicon.entries_for(t)]
     if not tokens or len(tokens) > MAX_TOKENS or len(unknown) > MAX_JOINT_OOV:
         raise NoParse(tokens)
-    names = lexicon.shape(tokens)
-    words = {s: t for t, s in names.items()}
 
-    def leaves(s: str):
-        rows = [(e.category, abstract_template(e.template, words[s]), math.log(e.weight), ())
-                for e in lexicon.entries_for(words[s])]
-        rows = rows or [(c, t, lp, (OovAssignment(s, c, t, lp),)) for c, t, lp in lexicon.readings]
-        return [(c, instantiate_template(t, s), lp, oov) for c, t, lp, oov in rows]
+    def leaves(t: str):
+        rows = [(e.category, e.template, math.log(e.weight), ()) for e in lexicon.entries_for(t)]
+        return rows or [(c, instantiate_template(tmpl, t), lp, (OovAssignment(t, c, tmpl, lp),))
+                        for c, tmpl, lp in lexicon.readings]
 
-    shape = tuple(names[t] for t in tokens)
+    shape = lexicon.shape(tokens)
     if shape not in lexicon.charts:
-        try:
-            lexicon.charts[shape] = _chart_roots(shape, leaves)
-        except NoParse:
-            raise NoParse(tokens) from None
-    roots, items = lexicon.charts[shape]
+        lexicon.charts[shape] = (*_chart_roots(tokens, leaves), distinct)
+    roots, items, first = lexicon.charts[shape]
     if len(tokens) > 1 and items > MAX_CHART_ITEMS:
         raise NoParse(tokens)
     # Every unknown token is a leaf of every root, so a root holds one
     # distinct assignment per unknown word exactly when it mixes no guesses.
-    derivs = _derivations_from_roots([r for r in roots if len(set(r[3])) == len(unknown)], k, words)
+    derivs = _derivations_from_roots([r for r in roots if len(set(r[3])) == len(unknown)], k,
+                                     dict(zip(first, distinct)))
     if not derivs:
         raise NoParse(tokens)
     return derivs

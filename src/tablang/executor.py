@@ -153,18 +153,17 @@ class ExecutionResult:
     pick_map: GroundingMap
     place_cells: Cells  # the cells that can score
     place_scores: np.ndarray  # (R, n) per-rotation scores of those cells
-    pose_grid: PoseGrid
 
     def place_plane(self, r: int) -> np.ndarray:
         """Rotation r's (H, W) place scores, zero off place_cells."""
-        out = np.zeros((self.pose_grid.height, self.pose_grid.width))
+        out = np.zeros(self.pick_map.shape)
         out[self.place_cells] = self.place_scores[r]
         return out
 
     @functools.cached_property
     def place_map(self) -> np.ndarray:
         """The (R, H, W) per-rotation place scores, built on first read."""
-        return np.stack([self.place_plane(r) for r in range(self.pose_grid.rotations)])
+        return np.stack([self.place_plane(r) for r in range(len(self.place_scores))])
 
 
 def _cells(mask: np.ndarray) -> Cells:
@@ -442,4 +441,4 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
         place = Pose2(int(cells[0][best.v]), int(cells[1][best.v]), best.r)
         params = ControlParams(pick, place, PICK_PLACE)
     intermediates["0"] = pick_map
-    return ExecutionResult(params, intermediates, pick_map, cells, scores, grid)
+    return ExecutionResult(params, intermediates, pick_map, cells, scores)

@@ -586,10 +586,18 @@ def test_more_readings_parse_a_superset_of_the_top_joint_assignments():
     assert len(expected) < len(derivs)
 
 
-def shape_key(tokens, lexicon) -> tuple[str, ...]:
-    """The memo key of the whole sentence: its tokens' placeholders."""
-    names = lexicon.shape(tokens)
-    return tuple(names[t] for t in tokens)
+def shape_key(tokens, lexicon) -> tuple[tuple[int | None, int], ...]:
+    """The memo key of the whole sentence: its tokens' classes and ranks."""
+    return lexicon.shape(tokens)
+
+
+def test_shape_ranks_any_number_of_words_of_one_class(lex):
+    """A shape is defined past MAX_TOKENS distinct words of one class; parse
+    refuses such a sentence for its length, not its shape."""
+    words = [f"w{i}" for i in range(ccg.MAX_TOKENS + 1)]
+    assert lex.shape(words) == tuple((None, i) for i in range(len(words)))
+    assert lex.shape(["red", "blue", "red"]) == ((lex.classes["red"], 0),
+                                                 (lex.classes["red"], 1), (lex.classes["red"], 0))
 
 
 def test_a_parsed_shape_adds_no_cell_and_applies_nothing(lex, monkeypatch):
@@ -650,19 +658,19 @@ FIXED_CONCEPT_SENTENCES = (
 @pytest.mark.parametrize("sentence", FIXED_CONCEPT_SENTENCES)
 def test_fixed_concept_words_keep_their_text(box_entry, sentence, monkeypatch):
     """"boxes" means filter(box), so box is a fixed concept word of a
-    template: as a token it keeps its text (known or not), which keeps the
-    placeholders one-to-one. With "and" read in both orders, "box and boxes"
-    has two derivations that differ only in which word gives which
-    filter(box), one item of the word chart; a placeholder for box would
-    split it in two. Parses equal the word-level reference, and the chart
-    bound refuses at the word chart's item count."""
+    template: as a token it keeps its text (known or not), in a word class of
+    its own, which keeps the renaming of a shape's chart one-to-one. With
+    "and" read in both orders, "box and boxes" has two derivations that
+    differ only in which word gives which filter(box), one item of the word
+    chart; renaming box to another word would split it in two. Parses equal
+    the word-level reference, and the chart bound refuses at the word
+    chart's item count."""
     text = DEFAULT_LEXICON_TEXT if box_entry else DEFAULT_LEXICON_TEXT.replace(
         "box\tN\tfilter(box)\n", "")
     lexicon = Lexicon.from_string(text + "boxes\tN\tfilter(box)\n"
                                   "and\t(N\\N)/N\t\\y.\\x.objunion(y, x)\n")
     toks = tokenize(sentence, lexicon)
-    assert lexicon.shape(toks)["box"] == "box"
-    assert lexicon.shape(toks)["boxes"] != "boxes"
+    assert [w for w, c in lexicon.classes.items() if c == lexicon.classes["box"]] == ["box"]
     derivs = parse(toks, lexicon, k=10**6)
     assert derivs == reference_parse(toks, lexicon, k=10**6)
     unknown = [t for t in dict.fromkeys(toks) if not lexicon.entries_for(t)]

@@ -15,16 +15,21 @@ The sentences, in this order: the 215 distinct generated instructions of
 seeds 0-19 on both splits; each of them with each token in turn replaced by
 a novel word; coordinations of 2-10 conjuncts and relation chains of 1-7
 links, whose charts reach MAX_CHART_ITEMS and whose tokens reach MAX_TOKENS.
+Then FIXED_CONCEPT_SENTENCES and their novel-word variants on each lexicon
+of FIXED_CONCEPT_LEXICONS, keyed with the lexicon's name: there box is a
+fixed concept word of a template, which gives it a word class of its own.
 Each sentence is parsed at each k in KS, on a fresh lexicon and then again on
-one warm lexicon that every sentence before it has filled. An outcome is each
-derivation's program text, log score and novel-word descriptions, or NoParse.
---quick takes the first three instructions of seed 0, their novel-word
-variants, 2-3 conjuncts and 1-2 links.
+one warm lexicon that every sentence before it on that lexicon has filled.
+An outcome is each derivation's program text, log score and novel-word
+descriptions, or NoParse. --quick takes the first three instructions of
+seed 0, 2-3 conjuncts, 1-2 links, and the first two fixed-concept
+sentences, each with its novel-word variants.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -37,6 +42,25 @@ ROOT = Path(__file__).resolve().parent.parent
 KS = (1, 3, 10**6)
 NOVEL = "blicket"
 SHAPES = ("ring", "star", "diamond")
+FIXED_CONCEPT_SENTENCES = (
+    "pack the boxes in the box",
+    "pack the box and the boxes in the box",
+    "put the red boxes in the box left of the boxes",
+    "pack the daxy boxes in the box",
+    "push the boxes and the box and the daxy box into the boxes",
+)
+# The lexicons of test_ccg's fixed-concept test, as (line dropped from, lines
+# added to) the default lexicon. boxes holds box as a fixed concept word, and
+# "and" also reads in reverse, so "box and boxes" has two derivations that
+# differ only in which word gives which filter(box). Without its entry, box is
+# an unknown word that is still fixed.
+BOXES = "boxes\tN\tfilter(box)\nand\t(N\\N)/N\t\\y.\\x.objunion(y, x)\n"
+FIXED_CONCEPT_LEXICONS = {"boxes": ("", BOXES), "unknown box": ("box\tN\tfilter(box)\n", BOXES)}
+
+
+def novel_variants(generated: list[list[str]]) -> list[list[str]]:
+    """Each sentence with each token in turn replaced by a novel word."""
+    return [toks[:i] + [NOVEL] + toks[i + 1:] for toks in generated for i in range(len(toks))]
 
 
 def sentences(quick: bool) -> list[tuple[str, ...]]:
@@ -48,7 +72,7 @@ def sentences(quick: bool) -> list[tuple[str, ...]]:
                     for name in TASK_NAMES for split in ("seen", "unseen")
                     for seed in range(1 if quick else 20)})
     generated = [ccg.tokenize(text, lexicon) for text in texts[:3 if quick else None]]
-    novel = [toks[:i] + [NOVEL] + toks[i + 1:] for toks in generated for i in range(len(toks))]
+    novel = novel_variants(generated)
     conjuncts = [" and the ".join(SHAPES[i % 3] for i in range(n))
                  for n in range(2, 4 if quick else 11)]
     coordinations = [f"pack the {c} in the box".split() for c in conjuncts]
@@ -56,6 +80,22 @@ def sentences(quick: bool) -> list[tuple[str, ...]]:
              for n in range(1, 3 if quick else 8)]
     chains = [f"pack the star into the box{chain}".split() for chain in links]
     return list(dict.fromkeys(map(tuple, generated + novel + coordinations + chains)))
+
+
+def fixed_concept_lexicon(name: str):
+    """A fresh lexicon of FIXED_CONCEPT_LEXICONS."""
+    from importlib.resources import files
+
+    from tablang import ccg
+
+    dropped, added = FIXED_CONCEPT_LEXICONS[name]
+    text = files("tablang").joinpath("data/lexicon.txt").read_text()
+    return ccg.Lexicon.from_string(text.replace(dropped, "", 1) + added)
+
+
+def fixed_concept_sentences(quick: bool) -> list[tuple[str, ...]]:
+    generated = [text.split() for text in FIXED_CONCEPT_SENTENCES[:2 if quick else None]]
+    return list(dict.fromkeys(map(tuple, generated + novel_variants(generated))))
 
 
 def hashes(quick: bool = False) -> dict[str, str]:
@@ -70,12 +110,16 @@ def hashes(quick: bool = False) -> dict[str, str]:
         return [[dsl.serialize(d.program), d.log_score, [a.describe() for a in d.oov_assignments]]
                 for d in derivs]
 
-    warm = ccg.default_lexicon()
+    batches = [("", ccg.default_lexicon, sentences(quick))]
+    batches += [(f"{name}: ", functools.partial(fixed_concept_lexicon, name),
+                 fixed_concept_sentences(quick)) for name in FIXED_CONCEPT_LEXICONS]
     out = {}
-    for tokens in sentences(quick):
-        outcomes = [[outcome(tokens, lexicon, k) for lexicon in (ccg.default_lexicon(), warm)]
-                    for k in KS]
-        out[" ".join(tokens)] = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    for label, fresh, batch in batches:
+        warm = fresh()
+        for tokens in batch:
+            outcomes = [[outcome(tokens, lexicon, k) for lexicon in (fresh(), warm)] for k in KS]
+            digest = hashlib.sha256(json.dumps(outcomes).encode())
+            out[label + " ".join(tokens)] = digest.hexdigest()
     return out
 
 
