@@ -105,15 +105,15 @@ class EmbeddingBackend(_Backend):
                 table = project(table, self.weights)
             if table.shape[1] != dim:
                 raise DimMismatch(f"embedding dim {dim} != projected dim {table.shape[1]}")
-            # + 0.0: the one-hot product sums a -0.0 entry to +0.0.
-            scores = np.vstack([table.T, np.zeros(len(table))]) + 0.0
+            scores = np.zeros((dim + 1, len(table)))
+            scores[:dim] = table.T + 0.0  # + 0.0: the one-hot product sums a -0.0 entry to +0.0
             painted = scores[:, shown]
-            lo = painted.min(axis=1, keepdims=True)
-            span = painted.max(axis=1, keepdims=True) - lo
-            if not np.isfinite(span).all():
+            lo = np.minimum.reduce(painted, axis=1, keepdims=True)
+            span = np.maximum.reduce(painted, axis=1, keepdims=True) - lo
+            if not np.logical_and.reduce(np.isfinite(span), axis=None):
                 raise NonFinite("cannot normalize non-finite scores or their range")
             return (scene, self.weights, key, ids, columns,
-                    np.where(span > 1e-9, (scores - lo) / span, 0.0))
+                    np.divide(scores - lo, span, out=np.zeros(scores.shape), where=span > 1e-9))
 
 
 def make_backend(name: str, ground_shape: tuple[int, int] | None = None,

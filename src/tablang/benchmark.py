@@ -105,9 +105,7 @@ _SCALAR_TRIES, _FIRST_CHUNK, _LAST_CHUNK = 4, 16, 256
 
 class _Placer:
     def __init__(self, rng: np.random.Generator, width: int, height: int):
-        self.rng = rng
-        self.width = width
-        self.height = height
+        self.rng, self.width, self.height = rng, width, height
         self.placed: list[tuple[float, float, float]] = []
 
     def place(self, radius: float, x_range=None, y_range=None,
@@ -148,9 +146,9 @@ class _Placer:
             k = min(k, left)
             saved = bitgen.state
             points = lo + span * self.rng.random((k, 2))
-            clear = (np.hypot(points[:, 0, None] - placed[:, 0],
-                              points[:, 1, None] - placed[:, 1]) > bound).all(axis=1)
-            for i in np.flatnonzero(clear):
+            far = np.hypot(points[:, 0, None] - placed[:, 0], points[:, 1, None] - placed[:, 1])
+            clear = np.logical_and.reduce(far > bound, axis=1)
+            for i in clear.nonzero()[0]:
                 x, y = float(points[i, 0]), float(points[i, 1])
                 if clear_at(x, y):
                     if i + 1 < k:
@@ -185,10 +183,10 @@ def _containment(scene: world.Scene, target_id: int, region: world.SceneObject) 
         return 0.0
     hw = (scene.height, scene.width)
     foot = obj.mask(hw)
-    total = int(foot.sum())
+    total = int(np.add.reduce(foot, axis=None))
     if total == 0:
         return 0.0
-    frac = float((foot & region.mask(hw, interior=True)).sum()) / total
+    frac = float(np.add.reduce(foot & region.mask(hw, interior=True), axis=None)) / total
     return 1.0 if frac >= 0.9 else 0.0
 
 

@@ -27,6 +27,12 @@ satisfying a containment goal are masked out of the pick map so multi-step
 episodes progress, and pick-place and push goals read the kernel kept
 OBSTACLE_PAD_PX clear of every other item (a push takes the raw kernel if
 nothing is left).
+
+The per-goal path calls numpy's C entry points (ufunc .reduce with an
+explicit axis, ndarray methods), not the wrappers numpy 2.x writes in Python
+(ndarray.any/max/sum/mean, np.clip, np.flatnonzero, ...), whose fixed cost
+outweighs the arithmetic on these small maps. tools/numpy_calls.py lists such
+calls; test_tools.py::test_hot_path_stays_off_numpys_python_layer guards them.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsl, world
 from .grounding import (ExecutionError, GroundingMap, intersect, normalize, resample,
@@ -61,25 +66,13 @@ SURFACE = "surface"
 # The dsl action word of push goals, kept apart from world.PUSH, the primitive's name.
 PUSH_VERB = "push"
 
-DEFAULT_RELATION_KINDS: dict[str, str] = {
-    "in": INTERIOR,
-    "into": INTERIOR,
-    "inside": INTERIOR,
-    "on": SURFACE,
-    "top": SURFACE,
-    "left": "left",
-    "right": "right",
-    "front": "front",
-    "back": "back",
-}
-
 # Directional kinds: (axis, test of a cell's index against the reference centroid's).
-HALF_PLANES = {
-    "left": (1, np.less),
-    "right": (1, np.greater),
-    "front": (0, np.greater),
-    "back": (0, np.less),
-}
+HALF_PLANES = {"left": (1, np.less), "right": (1, np.greater),
+               "front": (0, np.greater), "back": (0, np.less)}
+# Each relation word's kind; a directional word is its own kind.
+DEFAULT_RELATION_KINDS: dict[str, str] = {
+    "in": INTERIOR, "into": INTERIOR, "inside": INTERIOR, "on": SURFACE, "top": SURFACE,
+    **{word: word for word in HALF_PLANES}}
 
 # Safety margin around other items: the mask-derived silhouette is a little
 # thinner than the true footprint, so obstacles are grown to keep placements
@@ -105,9 +98,6 @@ class PoseGrid:
             raise ValueError("pose grid dimensions must be positive")
         if self.rotations > MAX_ROTATIONS:
             raise ValueError(f"rotations must be <= {MAX_ROTATIONS}")
-
-    def angle(self, r: int) -> float:
-        return 2.0 * math.pi * r / self.rotations
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,7 @@ def _interior_depth(mask: np.ndarray) -> np.ndarray:
     """Erosion rounds each cell survives: 0 outside, 1 at the boundary,
     growing toward the interior (at most (world.MAX_SIDE + 1) // 2)."""
     depth = np.zeros(mask.shape, dtype=np.int32)
-    while mask.any():
+    while np.logical_or.reduce(mask, axis=None):
         depth += mask
         mask = _step(mask, np.logical_and)
     return depth
@@ -198,22 +188,21 @@ def relation_kernel(reference: np.ndarray, relation: str, config: RelationConfig
     if kind == INTERIOR:
         eroded = _step(binary, np.logical_and)
         # tiny references erode away; fall back to the raw footprint
-        return eroded if eroded.any() else binary
-    if kind == SURFACE or not binary.any():
+        return eroded if np.logical_or.reduce(eroded, axis=None) else binary
+    if kind == SURFACE or not np.logical_or.reduce(binary, axis=None):
         return binary
     axis, side = HALF_PLANES[kind]
-    index = np.expand_dims(np.arange(reference.shape[axis]), 1 - axis)
-    return np.broadcast_to(side(index, _cells(binary)[axis].mean()), reference.shape).copy()
+    at = _cells(binary)[axis]  # the reference cells' indices; their mean is sum / count
+    index = np.arange(reference.shape[axis]).reshape(-1, 1).swapaxes(0, axis)
+    return side(index, np.add.reduce(at) / len(at)).repeat(reference.shape[1 - axis], 1 - axis)
 
 
 def select_pick(pick_map: GroundingMap) -> Pose2:
     """Argmax pixel, row-major tie-break; rotation is unused for picking."""
     arr = pick_map.values
-    if arr.max() <= 0.0:
+    if np.maximum.reduce(arr, axis=None) <= 0.0:
         raise EmptyGrounding("pick map is identically zero")
-    flat = int(np.argmax(arr))
-    u, v = divmod(flat, arr.shape[1])
-    return Pose2(u, v, 0)
+    return Pose2(*divmod(int(arr.argmax()), arr.shape[1]), 0)
 
 
 def select_place(place_grids: np.ndarray) -> Pose2:
@@ -221,12 +210,10 @@ def select_place(place_grids: np.ndarray) -> Pose2:
     grids = np.asarray(place_grids, dtype=np.float64)
     if grids.ndim != 3:
         raise ValueError("place grids must be (R, H, W)")
-    if grids.max(initial=0.0) <= 0.0:
+    if np.maximum.reduce(grids, axis=None, initial=0.0) <= 0.0:
         raise NoFeasiblePlace("all place scores are zero")
-    flat = int(np.argmax(grids))
-    r, rest = divmod(flat, grids.shape[1] * grids.shape[2])
-    u, v = divmod(rest, grids.shape[2])
-    return Pose2(u, v, r)
+    r, rest = divmod(int(grids.argmax()), grids.shape[1] * grids.shape[2])
+    return Pose2(*divmod(rest, grids.shape[2]), r)
 
 
 def eval_relate(target_map: GroundingMap, reference_map: GroundingMap,
@@ -254,8 +241,7 @@ def _component(mask: np.ndarray, seed: tuple[int, int]) -> Cells:
             if cells[j] == 1:
                 cells[j] = 2
                 reached.append(j)
-    rows, cols = np.divmod(np.sort(reached), w + 2)
-    return rows - 1, cols - 1
+    return np.divmod(np.subtract(sorted(reached), w + 3), w + 2)  # i - w - 3 is r * (w + 2) + c
 
 
 def _snap_pick_to_item(pick: Pose2, pick_map: GroundingMap, silhouette: Cells,
@@ -298,12 +284,21 @@ def _clear_of_items(kernel: np.ndarray, scene: world.Scene,
         if (obj.kind == world.ITEM and obj is not exclude and obj.y - reach <= r1 - 1
                 and r0 < obj.y + reach and obj.x - reach <= c1 - 1 and c0 < obj.x + reach):
             blocked |= obj.mask((h, w))[r0:r1, c0:c1]
-    if not blocked.any():
+    if not np.logical_or.reduce(blocked, axis=None):
         return kernel
     out = kernel.copy()
     for _ in range(pad):
         blocked = _step(blocked, np.logical_or)
     out[r0:r1, c0:c1] &= ~blocked
+    return out
+
+
+@functools.lru_cache(maxsize=MAX_ROTATIONS)
+def _turns(rotations: int) -> np.ndarray:
+    """The read-only (2, rotations, 1) cosines, then sines, of each rotation's angle."""
+    angles = [world.rotation_angle(r, rotations) for r in range(rotations)]
+    out = np.array([[[f(a)] for a in angles] for f in (math.cos, math.sin)])
+    out.setflags(write=False)
     return out
 
 
@@ -317,14 +312,12 @@ def _place_scores(kernel: np.ndarray, silhouette: Cells, reference: np.ndarray,
     as zero)."""
     cells = rows, cols = _cells(reference > 0)
     sil_rows, sil_cols = silhouette
-    off_u = sil_rows - int(round(sil_rows.mean()))
-    off_v = sil_cols - int(round(sil_cols.mean()))
-    angles = [grid.angle(r) for r in range(grid.rotations)]
-    c = np.array([math.cos(a) for a in angles])[:, None]
-    s = np.array([math.sin(a) for a in angles])[:, None]
+    off_u = sil_rows - int(round(np.add.reduce(sil_rows) / len(sil_rows)))
+    off_v = sil_cols - int(round(np.add.reduce(sil_cols) / len(sil_cols)))
+    c, s = _turns(grid.rotations)
     du = np.rint(off_u * c - off_v * s).astype(int)
     dv = np.rint(off_u * s + off_v * c).astype(int)
-    m = int(max(np.abs(du).max(), np.abs(dv).max()))
+    m = int(np.maximum.reduce(np.maximum(np.abs(du), np.abs(dv)), axis=None))
     side = 2 * m + 1
     stencils = np.zeros((grid.rotations, side, side), dtype=bool)
     stencils[np.arange(grid.rotations)[:, None], du + m, dv + m] = True
@@ -332,14 +325,15 @@ def _place_scores(kernel: np.ndarray, silhouette: Cells, reference: np.ndarray,
     # Chunks of cells x side^2 x rotations <= WINDOW_CELLS keep each product on this thread.
     padded = np.zeros((grid.height + 2 * m, grid.width + 2 * m), dtype=np.float32)
     padded[m:m + grid.height, m:m + grid.width] = kernel
-    windows = sliding_window_view(padded, (side, side))
+    windows = np.ndarray((grid.height, grid.width, side, side), np.float32, padded, 0,
+                         padded.strides * 2)  # every side x side window, as a view
     weights = stencils.reshape(grid.rotations, -1).astype(np.float32)
     scores = np.empty((grid.rotations, len(rows)))
     chunk = max(1, WINDOW_CELLS // (side * side * grid.rotations))
     for i in range(0, len(rows), chunk):
         gathered = windows[rows[i:i + chunk], cols[i:i + chunk]]
         scores[:, i:i + chunk] = (gathered.reshape(len(gathered), -1) @ weights.T).T
-    scores /= stencils.sum(axis=(1, 2))[:, None]
+    scores /= np.add.reduce(stencils, axis=(1, 2))[:, None]
     np.square(scores, out=scores)
     scores *= reference[cells]
     return cells, scores
@@ -352,35 +346,33 @@ def _push_params(silhouette: Cells, support: np.ndarray, grid: PoseGrid):
     so the argmax invariant still holds."""
     # Index means as integer sum / count: exactly ndarray.mean below 2**53.
     sil_rows, sil_cols = silhouette
-    c_u, c_v = sil_rows.sum() / len(sil_rows), sil_cols.sum() / len(sil_cols)
+    c_u, c_v = np.add.reduce(sil_rows) / len(sil_rows), np.add.reduce(sil_cols) / len(sil_cols)
     sup_rows, sup_cols = _cells(support)
     if not len(sup_rows):
         raise NoFeasiblePlace("push goal region is empty")
-    g_u, g_v = sup_rows.sum() / len(sup_rows), sup_cols.sum() / len(sup_cols)
-    nearest = int(np.argmin((sup_rows - g_u) ** 2 + (sup_cols - g_v) ** 2))
+    g_u, g_v = np.add.reduce(sup_rows) / len(sup_rows), np.add.reduce(sup_cols) / len(sup_cols)
+    nearest = int(((sup_rows - g_u) ** 2 + (sup_cols - g_v) ** 2).argmin())
     post = Pose2(int(sup_rows[nearest]), int(sup_cols[nearest]), 0)
 
     d_u, d_v = g_u - c_u, g_v - c_v
     norm = math.hypot(d_u, d_v)
     # The silhouette's reach; a one-cell silhouette is its own centroid.
-    radius = float(np.max(np.hypot(sil_rows - c_u, sil_cols - c_v)))
-    if norm > 1e-9:
-        pre_u = c_u - radius * d_u / norm
-        pre_v = c_v - radius * d_v / norm
-    else:
-        pre_u, pre_v = c_u, c_v
+    radius = float(np.maximum.reduce(np.hypot(sil_rows - c_u, sil_cols - c_v)))
+    pre_u, pre_v = ((c_u - radius * d_u / norm, c_v - radius * d_v / norm) if norm > 1e-9
+                    else (c_u, c_v))
     pre = Pose2(min(max(int(round(pre_u)), 0), grid.height - 1),
                 min(max(int(round(pre_v)), 0), grid.width - 1), 0)
     pick_map = np.zeros((grid.height, grid.width))
     pick_map[pre.u, pre.v] = 1.0
     return (ControlParams(pre, post, PUSH), GroundingMap._unchecked(pick_map),
-            (np.array([post.u]), np.array([post.v])), np.eye(grid.rotations, 1))
+            (np.array([post.u]), np.array([post.v])),
+            1.0 * (np.arange(grid.rotations)[:, None] == 0))
 
 
 def _eval_obj(node: dsl.ProgramNode, path: str, ctx: ExecutionContext,
               intermediates: dict[str, GroundingMap]) -> GroundingMap:
     if isinstance(node, dsl.Scene):
-        result = GroundingMap._unchecked(np.ones(ctx.backend.shape_for(ctx.scene)))
+        result = GroundingMap._unchecked(np.zeros(ctx.backend.shape_for(ctx.scene)) + 1.0)
     elif isinstance(node, dsl.Filter):
         child = _eval_obj(node.child, f"{path}.0", ctx, intermediates)
         result = intersect(child, ctx.backend.ground(ctx.scene, node.prop))
@@ -412,7 +404,7 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
 
     # Plan the pick on up_obj's support window: every cell off it is +0.0.
     r0, r1, c0, c1 = support_box(up_obj) or (0, 0, 0, 0)
-    window = np.s_[r0:r1 + 1, c0:c1 + 1]
+    window = slice(r0, r1 + 1), slice(c0, c1 + 1)
     obj = up_obj[window]
     # Objects already sitting in a containment goal region are not pick
     # candidates; without this, multi-step episodes would loop on one object.
@@ -422,7 +414,7 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
     # maxima there would miss the object, the interior never does. The cast
     # is explicit: numpy 1.x promotes an integer array plus a float by value.
     depth = _interior_depth(pick_arr >= 0.5).astype(np.float64)
-    pick_arr = pick_arr * (1.0 + depth) / (1.0 + depth.max())
+    pick_arr = pick_arr * (1.0 + depth) / (1.0 + np.maximum.reduce(depth, axis=None))
     at = select_pick(GroundingMap._unchecked(pick_arr))
     rows, cols = _component(obj >= 0.5, (at.u, at.v))
     silhouette = rows + r0, cols + c0
@@ -434,7 +426,7 @@ def execute(program: dsl.ProgramNode, ctx: ExecutionContext) -> ExecutionResult:
 
     if program.action.word == PUSH_VERB:
         params, pick_map, cells, scores = _push_params(
-            silhouette, effective if effective.any() else kernel, grid)
+            silhouette, effective if np.logical_or.reduce(effective, axis=None) else kernel, grid)
     else:
         cells, scores = _place_scores(effective, silhouette, reference, grid)
         best = select_place(scores[:, None, :])  # row-major cells: (r, 0, j) is (r, u, v) order

@@ -112,10 +112,9 @@ def normalize(raw) -> GroundingMap:
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise DimMismatch(f"expected 2-d grid, got {arr.ndim}-d")
-    lo = arr.min()
-    # Non-finite only when a score is, or when finite scores' range overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = arr.max() - lo
+    lo = float(np.minimum.reduce(arr, axis=None))
+    # Non-finite only when a score is, or when finite scores' range overflows (unwarned in floats).
+    span = float(np.maximum.reduce(arr, axis=None)) - lo
     if not np.isfinite(span):
         raise NonFinite("cannot normalize non-finite scores or their range")
     if span <= 1e-9:
@@ -155,10 +154,10 @@ def axis_coords(n_out: int, n_in: int) -> np.ndarray:
 def support_box(values: np.ndarray) -> tuple[int, int, int, int] | None:
     """The first and last nonzero row, then column, of a 2-d array; None if
     it is all zero."""
-    rows = np.flatnonzero(values.any(axis=1))
+    rows = np.logical_or.reduce(values, axis=1).nonzero()[0]
     if not len(rows):
         return None
-    cols = np.flatnonzero(values.any(axis=0))
+    cols = np.logical_or.reduce(values, axis=0).nonzero()[0]
     return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
 
 
@@ -178,7 +177,7 @@ def _bilinear_axis(n_out: int, n_in: int) -> tuple[np.ndarray, ...]:
 def _window(table: tuple[np.ndarray, ...], lo: int, hi: int):
     """The run [a, b) of samples with a corner in rows (or columns) lo..hi,
     and the table cut to it."""
-    a, b = np.searchsorted(table[1], lo), np.searchsorted(table[0], hi, side="right")
+    a, b = table[1].searchsorted(lo), table[0].searchsorted(hi, side="right")
     return a, b, [t[a:b] for t in table]
 
 
@@ -195,9 +194,11 @@ def resample(mapping: GroundingMap, new_height: int, new_width: int) -> Groundin
         return GroundingMap._unchecked(out)
     i, i_end, (y0, y1, wy0, wy1) = _window(_bilinear_axis(new_height, src.shape[0]), *box[:2])
     j, j_end, (x0, x1, wx0, wx1) = _window(_bilinear_axis(new_width, src.shape[1]), *box[2:])
-    # One pass per axis: the same float operations as gathering four corners.
+    # One pass per axis: the same float operations as gathering four corners,
+    # then np.clip(..., 0.0, 1.0)'s bits (-0.0 too) from a maximum with 0.0 first.
     cols = src[:, x0] * wx0 + src[:, x1] * wx1
-    out[i:i_end, j:j_end] = np.clip(cols[y0] * wy0[:, None] + cols[y1] * wy1[:, None], 0.0, 1.0)
+    out[i:i_end, j:j_end] = np.minimum(np.maximum(0.0, cols[y0] * wy0[:, None]
+                                                  + cols[y1] * wy1[:, None]), 1.0)
     return GroundingMap._unchecked(out)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,8 +119,7 @@ def unit_circumradius(shape: str) -> float:
     if shape in _POLYGONS:
         return max(math.hypot(x, y) for x, y in _POLYGONS[shape])
     if shape in _RECTS:
-        hx, hy = _RECTS[shape]
-        return math.hypot(hx, hy)
+        return math.hypot(*_RECTS[shape])
     if shape in _DISCS:
         return _DISCS[shape]
     if shape in _RINGS:
@@ -205,6 +204,12 @@ class Scene:
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
+
+    def with_objects(self, objects: tuple[SceneObject, ...]) -> Scene:
+        """replace(self, objects=objects), unchecked: objects is a tuple with self's ids."""
+        out = object.__new__(Scene)
+        vars(out).update(vars(self), objects=objects)
+        return out
 
     def find(self, oid: int) -> SceneObject:
         for o in self.objects:
@@ -336,10 +341,7 @@ def check_bounds(scene: Scene) -> None:
 
 
 def attribute_vocabulary(scene: Scene) -> tuple[str, ...]:
-    vocab: set[str] = set()
-    for obj in scene.objects:
-        vocab.update(obj.attributes)
-    return tuple(sorted(vocab))
+    return tuple(sorted({a for obj in scene.objects for a in obj.attributes}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,6 +451,11 @@ def pick_target(scene: Scene, row: int, col: int) -> SceneObject | None:
     return None
 
 
+def rotation_angle(r: int, rotations: int) -> float:
+    """Rotation r's angle in radians, of rotations equal turns."""
+    return 2.0 * math.pi * r / rotations
+
+
 def apply_pick_place(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:
     """Teleport the item under the pick pixel to the place pose. Returns the
     new scene and a flag; a miss, or an item that does not come to rest
@@ -456,13 +463,13 @@ def apply_pick_place(scene: Scene, params, rotations: int = 12) -> tuple[Scene, 
     if params.primitive != PICK_PLACE:
         raise ValueError("apply_pick_place needs a pick_place primitive")
     target = pick_target(scene, params.pick.u, params.pick.v)
-    theta = 2 * math.pi * params.place.r / rotations
+    theta = rotation_angle(params.place.r, rotations)
     moved = target and _settle(scene, target.moved(x=float(params.place.v), y=float(params.place.u),
                                                    angle=target.angle + theta), target)
     if moved is target:  # a miss (None), or an item that did not come to rest
         return scene, False
     objects = tuple(moved if o.id == target.id else o for o in scene.objects)
-    return replace(scene, objects=objects), True
+    return scene.with_objects(objects), True
 
 
 def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
@@ -493,7 +500,7 @@ def apply_push(scene: Scene, params) -> tuple[Scene, bool]:
                 moved_any |= objects[i] is not obj
     if not moved_any:
         return scene, False
-    return replace(scene, objects=tuple(objects)), True
+    return scene.with_objects(tuple(objects)), True
 
 
 def apply(scene: Scene, params, rotations: int = 12) -> tuple[Scene, bool]:

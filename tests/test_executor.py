@@ -555,7 +555,8 @@ def reference_place_scores(kernel, silhouette, reference, grid):
     h, w = grid.height, grid.width
     out = np.zeros((grid.rotations, h, w))
     for r in range(grid.rotations):
-        c, s = math.cos(grid.angle(r)), math.sin(grid.angle(r))
+        angle = world.rotation_angle(r, grid.rotations)
+        c, s = math.cos(angle), math.sin(angle)
         du = offsets[:, 0] * c - offsets[:, 1] * s
         dv = offsets[:, 0] * s + offsets[:, 1] * c
         rotated = np.unique(np.stack([np.rint(du), np.rint(dv)], axis=1).astype(int), axis=0)

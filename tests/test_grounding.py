@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tablang.grounding import (
     ConceptEmbedding,
@@ -14,6 +17,7 @@ from tablang.grounding import (
     intersect,
     normalize,
     resample,
+    support_box,
     union,
 )
 
@@ -272,3 +276,39 @@ def test_resample_of_an_all_zero_map_is_positive_zero():
             assert_resamples_exactly(np.zeros((h, w)), nh, nw)
             assert np.array_equal(resample(gmap(np.zeros((h, w))), nh, nw).values,
                                   np.zeros((nh, nw)))
+
+
+@st.composite
+def support_maps(draw):
+    """A float map, or its != 0 bool map: all zero, one nonzero cell, set
+    border rows or columns, or random entries; zeros may be -0.0."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    out = np.zeros((h, w))
+    kind = draw(st.sampled_from(["zero", "cell", "border", "random"]))
+    if kind == "cell":
+        out[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = draw(
+            st.sampled_from([5e-324, 0.5, 1.0]))
+    elif kind == "border":
+        edges = {"top": np.s_[0, :], "bottom": np.s_[-1, :], "left": np.s_[:, 0],
+                 "right": np.s_[:, -1]}
+        for edge in draw(st.sets(st.sampled_from(sorted(edges)), min_size=1)):
+            out[edges[edge]] = 0.25
+    elif kind == "random":
+        out = draw(arrays(np.float64, (h, w), elements=st.sampled_from([0.0, 0.0, 0.75, 1.0])))
+    negative = draw(arrays(np.bool_, (h, w)))
+    out[negative & (out == 0.0)] = -0.0
+    return out != 0.0 if draw(st.booleans()) else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_maps())
+def test_support_box_is_the_extent_of_np_nonzero(values):
+    """The first and last row, then column, of np.nonzero's cells as Python
+    ints, and None exactly when no entry is nonzero (-0.0 is zero)."""
+    box = support_box(values)
+    rows, cols = np.nonzero(values)
+    if not len(rows):
+        assert box is None
+        return
+    assert box == (rows.min(), rows.max(), cols.min(), cols.max())
+    assert all(type(end) is int for end in box)

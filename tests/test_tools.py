@@ -1,6 +1,11 @@
+import collections
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from tablang.benchmark import TASK_NAMES
 
@@ -19,6 +24,7 @@ def load_tool(name: str):
 
 
 ab_bench = load_tool("ab_bench")
+numpy_calls = load_tool("numpy_calls")
 parse_equiv = load_tool("parse_equiv")
 plan_equiv = load_tool("plan_equiv")
 BASE = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
@@ -92,3 +98,31 @@ def test_plan_equiv_quick_hashes_the_tree_stably(capsys):
     assert parse_equiv.mismatches(first, second) == []
     goal = next(iter(second))
     assert parse_equiv.mismatches(first, {**second, goal: "0"}) == [goal]
+
+
+def test_hot_path_stays_off_numpys_python_layer():
+    """tools/numpy_calls.py over one episode per task, split and backend:
+    no hot-path function enters numpy's Python layer (np.errstate aside),
+    and tablang enters it at most PER_EPISODE_LIMIT times per episode."""
+    if np.__version__.split(".")[0] != "2":
+        pytest.skip(f"the guard counts numpy 2.x's Python layer, not numpy {np.__version__}'s")
+    if sys.version_info < (3, 11):
+        pytest.skip("HOT_PATH names methods by co_qualname, which Python 3.11 added")
+    counts, runs = numpy_calls.count(episodes=1, seed=0)
+    assert runs == 2 * 2 * len(TASK_NAMES)
+    assert numpy_calls.problems(counts, runs) == []
+
+
+def test_numpy_calls_names_each_breach():
+    """A hot-path site entering numpy's Python layer is named, np.errstate
+    is exempt, and a total over the limit is reported."""
+    counts = collections.Counter({
+        ("grounding.support_box:9", "numeric.flatnonzero"): 1,
+        ("backends.EmbeddingBackend._scene_table:3", "_ufunc_config.errstate.__enter__"): 1,
+        ("benchmark.generate_episode:5", "multiarray.concatenate"): 2,
+    })
+    assert numpy_calls.problems(counts, 1) == ["grounding.support_box:9 enters numeric.flatnonzero"]
+    counts["benchmark.generate_episode:5", "multiarray.concatenate"] = numpy_calls.PER_EPISODE_LIMIT
+    assert numpy_calls.problems(counts, 1)[1:] == [
+        f"{numpy_calls.PER_EPISODE_LIMIT + 2:.1f} entries per episode, "
+        f"over {numpy_calls.PER_EPISODE_LIMIT}"]

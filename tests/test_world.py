@@ -383,6 +383,28 @@ def test_moved_is_replace_without_the_memo(case, fill, bad):
             obj.moved(**{**pose, key: bad})
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TASK_NAMES), st.sampled_from(["seen", "unseen"]), st.integers(0, 200))
+def test_actions_build_the_scene_a_checked_scene_would(name, split, seed):
+    """Scene.with_objects, which builds every scene apply_pick_place and
+    apply_push return, equals the checked Scene(...) of the same fields by
+    ==, hash and asdict: for reordered objects, and along a generated
+    episode's expert actions."""
+    episode = generate_episode(TaskSpec(name, split), seed)
+    scene, flipped = episode.scene, episode.scene.objects[::-1]
+    assert scene.with_objects(flipped) == Scene(scene.width, scene.height, flipped, scene.rng_seed)
+    for params in episode.expert:
+        after, moved = world.apply(scene, params)
+        checked = Scene(after.width, after.height, after.objects, after.rng_seed)
+        assert type(after) is Scene and type(after.objects) is tuple
+        assert after == checked and hash(after) == hash(checked)
+        assert dataclasses.asdict(after) == dataclasses.asdict(checked)
+        assert (after.width, after.height, after.rng_seed) == (scene.width, scene.height,
+                                                               scene.rng_seed)
+        assert moved is (after is not scene)
+        scene = after
+
+
 def reference_push(scene, params):
     """apply_push with no corridor box: the t/s test runs on every item."""
     pre = np.array([float(params.pick.v), float(params.pick.u)])
